@@ -9,8 +9,9 @@ per-group thresholds are all a fair decision needs.
 
 from .audit import (
     AuditReport,
-    MethodOutput,
     QuadrantCounts,
+    ScoreAudit,
+    audit_scores,
     auc,
     build_report,
     kendall_tau,

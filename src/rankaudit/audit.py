@@ -2,10 +2,12 @@
 
 AUC and Kendall-Tau are computed by O(n log n) rank algorithms that agree
 exactly with brute-force pair enumeration; the test suite holds them to
-that oracle.  The report builder assembles, per method: AUC (overall and
-per group), accuracy, SPD, EOD, PDR, Kendall-Tau against the baseline
-ranking (overall and per group), a pairwise tau matrix, and per-group
-quadrant transition counts with scatter dumps.
+that oracle.  The audit has two steps.  `audit_scores` runs once per run
+and holds what depends only on the scores: AUC (overall and per group),
+Kendall-Tau against the baseline ranking (overall and per group) and a
+pairwise tau matrix.  `build_report` runs once per decision policy and
+adds accuracy, SPD, EOD, PDR and per-group quadrant transition counts
+with scatter dumps.
 """
 
 from __future__ import annotations
@@ -255,20 +257,68 @@ def method_correlation_matrix(score_sets: list[ScoreSet],
 
 # --- report ---------------------------------------------------------------------
 
-@dataclass
-class MethodOutput:
-    """One audited method: its score view plus (optionally) its own decisions.
+def _with_context(name: str, exc: AuditError) -> AuditError:
+    wrapped = type(exc)(f"{name}: {exc}")
+    wrapped.__cause__ = exc
+    return wrapped
 
-    Postprocessing methods keep the baseline score values under their own
-    name; when decisions is None the report derives them from the policy.
+
+@dataclass(frozen=True)
+class ScoreAudit:
+    """Metrics that depend only on the scores, shared by every policy's report."""
+
+    score_sets: list        # baseline first
+    auc: dict               # method -> auc, auc_protected, auc_privileged
+    tau_vs_baseline: dict   # method -> overall, protected, privileged
+    pairwise_methods: list
+    pairwise_tau: list
+
+
+def audit_scores(d: Dataset, baseline: ScoreSet, others: list[ScoreSet],
+                 tau_variant: str = "tau-b") -> ScoreAudit:
+    """Per-group AUC, tau against the baseline and the pairwise tau matrix.
+
+    Every score set must carry a unique name and align with the baseline
+    ids, and both groups must be present; errors name the method at fault.
     """
+    names = [ss.method for ss in others]
+    if baseline.method in names:
+        raise ValueError(f"method name {baseline.method!r} collides with baseline")
+    if len(set(names)) != len(names):
+        raise ValueError("method names must be unique within a run")
 
-    scores: ScoreSet
-    decisions: DecisionSet | None = None
+    score_sets = [baseline] + list(others)
+    aucs, taus = {}, {}
+    for ss in score_sets:
+        try:
+            require_aligned(baseline.instance_ids, ss.instance_ids, ss.method)
+            pos = d.positions_of(ss.instance_ids)
+            truth = d.label[pos]
+            prot = d.sensitive[pos] == PROTECTED
+            if not prot.any() or prot.all():
+                raise EmptyGroup("metrics need both groups in the audited ids")
+            aucs[ss.method] = {
+                "auc": auc(ss.scores, truth),
+                "auc_protected": auc(ss.scores[prot], truth[prot]),
+                "auc_privileged": auc(ss.scores[~prot], truth[~prot]),
+            }
+            b, s = baseline.scores, ss.scores
+            taus[ss.method] = {
+                "overall": kendall_tau(b, s, tau_variant),
+                "protected": kendall_tau(b[prot], s[prot], tau_variant),
+                "privileged": kendall_tau(b[~prot], s[~prot], tau_variant),
+            }
+        except AuditError as exc:
+            raise _with_context(ss.method, exc)
 
-    @property
-    def name(self) -> str:
-        return self.scores.method
+    pairwise_names, matrix = method_correlation_matrix(score_sets, tau_variant)
+    return ScoreAudit(
+        score_sets=score_sets,
+        auc=aucs,
+        tau_vs_baseline=taus,
+        pairwise_methods=pairwise_names,
+        pairwise_tau=[[float(v) for v in row] for row in matrix],
+    )
 
 
 @dataclass
@@ -284,6 +334,7 @@ class AuditReport:
     quadrants: dict
     scatter: dict = field(default_factory=dict, repr=False)
     scatter_files: dict = field(default_factory=dict)
+    decisions: dict = field(default_factory=dict, repr=False)  # not serialized
 
     def to_dict(self) -> dict:
         return {
@@ -305,96 +356,53 @@ class AuditReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-def _metrics_row(scores: ScoreSet, dec: DecisionSet, d: Dataset) -> dict:
-    pos = d.positions_of(scores.instance_ids)
-    truth = d.label[pos]
-    prot = d.sensitive[pos] == PROTECTED
-    if not prot.any() or prot.all():
-        raise EmptyGroup("metrics need both groups in the audited ids")
-    return {
-        "auc": auc(scores.scores, truth),
-        "auc_protected": auc(scores.scores[prot], truth[prot]),
-        "auc_privileged": auc(scores.scores[~prot], truth[~prot]),
-        "acc": accuracy(dec, d),
-        "spd": spd(dec, d),
-        "eod": eod(dec, d),
-        "pdr": dec.realized_pdr,
-    }
-
-
-def _tau_row(baseline: ScoreSet, other: ScoreSet, d: Dataset,
-             variant: str) -> dict:
-    pos = d.positions_of(baseline.instance_ids)
-    prot = d.sensitive[pos] == PROTECTED
-    return {
-        "overall": kendall_tau(baseline.scores, other.scores, variant),
-        "protected": kendall_tau(baseline.scores[prot], other.scores[prot], variant),
-        "privileged": kendall_tau(baseline.scores[~prot], other.scores[~prot], variant),
-    }
-
-
-def build_report(d: Dataset, baseline: ScoreSet, methods: list[MethodOutput],
-                 policy: DecisionPolicy, provenance: dict | None = None,
-                 tau_variant: str = "tau-b") -> AuditReport:
+def build_report(d: Dataset, scored: ScoreAudit, policy: DecisionPolicy,
+                 provenance: dict | None = None,
+                 decisions: dict[str, DecisionSet] | None = None) -> AuditReport:
     """Assemble the full audit for one decision policy.
 
-    Every method's scores must align with the baseline ids.  Methods
-    without their own DecisionSet get one from the policy; all metrics are
-    recomputed from the raw inputs.
+    decisions maps a method name to the DecisionSet the method made itself
+    (the postprocessors); every other score set is decided under policy.
+    The DecisionSets used are kept on the report, keyed by method.
     """
-    for mo in methods:
-        if mo.scores.method == baseline.method:
-            raise ValueError(f"method name {mo.name!r} collides with baseline")
-    names = [mo.name for mo in methods]
-    if len(set(names)) != len(names):
-        raise ValueError("method names must be unique within a run")
-
-    def _with_context(name, exc):
-        wrapped = type(exc)(f"{name}: {exc}")
-        wrapped.__cause__ = exc
-        return wrapped
-
-    baseline_dec = decide(baseline, d, policy)
-    rows = {}
-    tau_table = {}
-    quadrants = {}
-    scatter = {}
-    try:
-        rows[baseline.method] = _metrics_row(baseline, baseline_dec, d)
-    except AuditError as exc:
-        raise _with_context(baseline.method, exc)
-    tau_table[baseline.method] = _tau_row(baseline, baseline, d, tau_variant)
-
-    for mo in methods:
+    decisions = decisions or {}
+    baseline = scored.score_sets[0]
+    rows, used, quadrants, scatter = {}, {}, {}, {}
+    for ss in scored.score_sets:
         try:
-            require_aligned(baseline.instance_ids, mo.scores.instance_ids, mo.name)
-            dec = mo.decisions
+            dec = decisions.get(ss.method)
             if dec is None:
-                dec = decide(mo.scores, d, policy)
+                dec = decide(ss, d, policy)
             else:
-                require_aligned(baseline.instance_ids, dec.instance_ids, mo.name)
-            rows[mo.name] = _metrics_row(mo.scores, dec, d)
-            tau_table[mo.name] = _tau_row(baseline, mo.scores, d, tau_variant)
-            counts, dots = quadrant_analysis(
-                baseline_dec, dec, d, base_scores=baseline, mitigated_scores=mo.scores
-            )
-            quadrants[mo.name] = {g: c.to_dict() for g, c in counts.items()}
-            scatter[mo.name] = dots
+                require_aligned(baseline.instance_ids, dec.instance_ids, ss.method)
+            rows[ss.method] = {
+                **scored.auc[ss.method],
+                "acc": accuracy(dec, d),
+                "spd": spd(dec, d),
+                "eod": eod(dec, d),
+                "pdr": dec.realized_pdr,
+            }
+            used[ss.method] = dec
+            if ss is not baseline:
+                counts, dots = quadrant_analysis(
+                    used[baseline.method], dec, d,
+                    base_scores=baseline, mitigated_scores=ss,
+                )
+                quadrants[ss.method] = {g: c.to_dict() for g, c in counts.items()}
+                scatter[ss.method] = dots
         except AuditError as exc:
-            raise _with_context(mo.name, exc)
-
-    all_sets = [baseline] + [mo.scores for mo in methods]
-    pairwise_names, matrix = method_correlation_matrix(all_sets, tau_variant)
+            raise _with_context(ss.method, exc)
 
     return AuditReport(
         provenance=provenance or {},
         policy_label=policy.label(),
         policy=policy.describe(),
-        methods=[baseline.method] + names,
+        methods=[ss.method for ss in scored.score_sets],
         rows=rows,
-        tau_vs_baseline=tau_table,
-        pairwise_methods=pairwise_names,
-        pairwise_tau=[[float(v) for v in row] for row in matrix],
+        tau_vs_baseline=scored.tau_vs_baseline,
+        pairwise_methods=scored.pairwise_methods,
+        pairwise_tau=scored.pairwise_tau,
         quadrants=quadrants,
         scatter=scatter,
+        decisions=used,
     )

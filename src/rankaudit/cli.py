@@ -15,17 +15,18 @@ import csv
 import hashlib
 import json
 import logging
-import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .audit import AuditReport, MethodOutput, build_report
-from .dataset import Dataset, DatasetSpec, builtin_specs, ingest, split, verify_base_rate
+from .audit import AuditReport, audit_scores, build_report
+from .dataset import (
+    Dataset, DatasetSpec, atomic_open, builtin_specs, ingest, split, verify_base_rate,
+)
 from .decide import DecisionPolicy, DecisionSet, decide, export_decisions
-from .errors import AuditError, ConfigError, DegenerateSplit, PolicyMismatch
+from .errors import AuditError, ConfigError, DegenerateSplit, PolicyMismatch, RateOutOfRange
 from .mitigate import (
     apply_mixing,
     apply_reject_option,
@@ -64,23 +65,16 @@ PDR_COMPARE_TOLERANCE = 0.05
 
 # --- small file helpers -----------------------------------------------------------
 
-def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
-
-
 def _write_json(path: Path, doc) -> None:
-    _atomic_write(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    with atomic_open(path) as fh:
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _write_csv(path: Path, header, rows) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
-    os.replace(tmp, path)
 
 
 def _slug(label: str) -> str:
@@ -90,6 +84,23 @@ def _slug(label: str) -> str:
 # --- config -------------------------------------------------------------------------
 
 DEFAULT_SPLIT = {"fractions": [0.6, 0.2, 0.2], "seed": 7}
+METHOD_KINDS = ("feature-repair", "group-thresholds", "reject-option",
+                "equalized-odds", "external-scores")
+RATE_NAMES = ("baseline-pdr", "base-rate")
+
+
+def _make_policy(doc: dict, rate_of) -> DecisionPolicy:
+    """The policy a config entry names; rate_of resolves its rate reference."""
+    kind = doc.get("kind")
+    if kind == "fixed-threshold":
+        return DecisionPolicy(kind=kind, threshold=float(doc["threshold"]))
+    if kind == "global-top-rate":
+        return DecisionPolicy(kind=kind, rate=rate_of(doc["rate"]))
+    if kind == "per-group-rates":
+        r = rate_of(doc["rate"])
+        note = doc["rate"] if isinstance(doc["rate"], str) else ""
+        return DecisionPolicy(kind=kind, group_rates=(r, r), note=note)
+    raise ConfigError(f"unknown policy kind {kind!r}")
 
 
 def _load_config(path: str) -> dict:
@@ -107,6 +118,17 @@ def _load_config(path: str) -> dict:
     names = [m.get("name") for m in cfg.get("methods", [])]
     if len(set(names)) != len(names):
         raise ConfigError("method names must be unique")
+    for m in cfg.get("methods", []):
+        if m.get("kind") not in METHOD_KINDS:
+            raise ConfigError(f"unknown method kind {m.get('kind')!r}")
+        rate = m.get("rate")
+        if rate is not None and not (isinstance(rate, (int, float)) and 0 <= rate <= 1):
+            raise ConfigError(f"method {m.get('name')!r}: rate must lie in [0, 1]")
+    for doc in cfg.get("policies", []):
+        try:
+            _make_policy(doc, lambda ref: 0.0 if ref in RATE_NAMES else float(ref))
+        except (KeyError, TypeError, ValueError, RateOutOfRange) as exc:
+            raise ConfigError(f"bad policy {doc}: {exc}")
     return cfg
 
 
@@ -164,7 +186,7 @@ class Pipeline:
         self.scorer = None
         self.baseline_test = None
         self.baseline_validation = None
-        self.method_outputs: list[MethodOutput] = []
+        self.method_scores: list[ScoreSet] = []
         self.native_decisions: dict[str, DecisionSet] = {}
         self.fit_artifacts: dict[str, str] = {}
 
@@ -239,7 +261,6 @@ class Pipeline:
                 refit = fit(repaired, self.splits, self.scorer.config,
                             include_sensitive=bool(self.cfg["scorer"]["include_sensitive"]))
                 scores = score(refit, repaired, test_ids, method=name, role="test")
-                self.method_outputs.append(MethodOutput(scores=scores))
             elif kind == "group-thresholds":
                 gt = fit_threshold_optimizer(
                     self.baseline_validation, self.dataset, val_ids,
@@ -248,21 +269,18 @@ class Pipeline:
                 self.fit_artifacts[name] = gt.to_text()
                 policy = DecisionPolicy(kind="per-group-thresholds",
                                         group_thresholds=gt)
-                dec = decide(relabel(self.baseline_test, name), self.dataset, policy)
-                self.method_outputs.append(MethodOutput(
-                    scores=relabel(self.baseline_test, name), decisions=dec,
-                ))
+                scores = relabel(self.baseline_test, name)
+                self.native_decisions[name] = decide(scores, self.dataset, policy)
             elif kind == "reject-option":
                 res = reject_option_classify(
                     self.baseline_validation, self.dataset, val_ids,
                     epsilon=float(m.get("epsilon", 0.02)),
                 )
                 self.fit_artifacts[name] = res.region.to_text()
-                dec = apply_reject_option(res.region, self.baseline_test,
-                                          self.dataset, test_ids, method=name)
-                self.method_outputs.append(MethodOutput(
-                    scores=relabel(self.baseline_test, name), decisions=dec,
-                ))
+                scores = relabel(self.baseline_test, name)
+                self.native_decisions[name] = apply_reject_option(
+                    res.region, self.baseline_test, self.dataset, test_ids, method=name,
+                )
             elif kind == "equalized-odds":
                 base_val = decide(self.baseline_validation, self.dataset, baseline_05)
                 mixing = fit_equalized_odds_post(
@@ -270,11 +288,10 @@ class Pipeline:
                 )
                 self.fit_artifacts[name] = mixing.to_text()
                 base_test = decide(self.baseline_test, self.dataset, baseline_05)
-                dec = apply_mixing(mixing, base_test, self.dataset, test_ids,
-                                   method=name)
-                self.method_outputs.append(MethodOutput(
-                    scores=relabel(self.baseline_test, name), decisions=dec,
-                ))
+                scores = relabel(self.baseline_test, name)
+                self.native_decisions[name] = apply_mixing(
+                    mixing, base_test, self.dataset, test_ids, method=name,
+                )
             elif kind == "external-scores":
                 full = ingest_external_scores(m["path"], self.dataset, name)
                 lookup = {int(i): s for i, s in zip(full.instance_ids, full.scores)}
@@ -288,13 +305,14 @@ class Pipeline:
                     scores=np.array([lookup[int(i)] for i in test_ids]),
                     produced_on="test",
                 )
-                self.method_outputs.append(MethodOutput(scores=scores))
             else:
                 raise ConfigError(f"unknown method kind {kind!r}")
+            self.method_scores.append(scores)
         for name, text in self.fit_artifacts.items():
-            _atomic_write(self.out / f"fitted_{_slug(name)}.txt", text)
-        for mo in self.method_outputs:
-            self._write_scores(mo.scores)
+            with atomic_open(self.out / f"fitted_{_slug(name)}.txt") as fh:
+                fh.write(text)
+        for scores in self.method_scores:
+            self._write_scores(scores)
         return self
 
     def _policies(self) -> list[tuple[str, DecisionPolicy]]:
@@ -302,17 +320,7 @@ class Pipeline:
         base_dec = decide(self.baseline_test, self.dataset,
                           DecisionPolicy(kind="fixed-threshold", threshold=0.5))
         for doc in self.cfg["policies"]:
-            kind = doc["kind"]
-            if kind == "fixed-threshold":
-                policy = DecisionPolicy(kind=kind, threshold=float(doc["threshold"]))
-            elif kind == "global-top-rate":
-                policy = DecisionPolicy(kind=kind, rate=self._rate(doc["rate"], base_dec))
-            elif kind == "per-group-rates":
-                r = self._rate(doc["rate"], base_dec)
-                note = doc["rate"] if isinstance(doc["rate"], str) else ""
-                policy = DecisionPolicy(kind=kind, group_rates=(r, r), note=note)
-            else:
-                raise ConfigError(f"unknown policy kind {kind!r}")
+            policy = _make_policy(doc, lambda ref: self._rate(ref, base_dec))
             label = policy.label() + (f"-{_slug(policy.note)}" if policy.note else "")
             resolved.append((label, policy))
         return resolved
@@ -344,29 +352,22 @@ class Pipeline:
         provenance = self._provenance()
         _write_json(self.out / "provenance.json",
                     {**provenance, "expanded_config": self.cfg})
-        variant = self.cfg["tau_variant"]
-        reports = []
+        scored = audit_scores(self.dataset, self.baseline_test,
+                              self.method_scores, self.cfg["tau_variant"])
 
-        # native report: every method under its own decision context
+        # native report: every method under its own decision context;
+        # rate-controlled reports: same policy applied to every score set
         native_policy = DecisionPolicy(kind="fixed-threshold", threshold=0.5,
                                        note="method-native contexts")
-        native = build_report(self.dataset, self.baseline_test,
-                              self.method_outputs, native_policy,
-                              provenance=provenance, tau_variant=variant)
-        native.policy_label = "native"
-        reports.append(native)
-
-        # rate-controlled reports: same policy applied to every score set
-        score_only = [MethodOutput(scores=mo.scores) for mo in self.method_outputs]
-        for label, policy in self._policies():
-            report = build_report(self.dataset, self.baseline_test, score_only,
-                                  policy, provenance=provenance,
-                                  tau_variant=variant)
+        contexts = [("native", native_policy, self.native_decisions)]
+        contexts += [(label, policy, None) for label, policy in self._policies()]
+        reports = []
+        for label, policy, own in contexts:
+            report = build_report(self.dataset, scored, policy,
+                                  provenance=provenance, decisions=own)
             report.policy_label = label
-            reports.append(report)
-
-        for report in reports:
             self._emit_report(report, write_decisions)
+            reports.append(report)
         return reports
 
     def _emit_report(self, report: AuditReport, write_decisions: bool):
@@ -391,31 +392,23 @@ class Pipeline:
              for m, row in zip(report.pairwise_methods, report.pairwise_tau)],
         )
         if write_decisions:
-            for name, dec, scores in self._decisions_for(report):
-                export_decisions(
-                    dec, self.dataset, scores,
-                    self.out / f"decisions_{label}_{_slug(name)}.csv",
-                )
+            self._write_decisions(report.policy_label, report.decisions)
 
-    def _decisions_for(self, report: AuditReport):
-        label = report.policy_label
-        if label == "native":
-            base_policy = DecisionPolicy(kind="fixed-threshold", threshold=0.5)
-            yield "baseline", decide(self.baseline_test, self.dataset, base_policy), \
-                self.baseline_test
-            for mo in self.method_outputs:
-                dec = mo.decisions
-                if dec is None:
-                    dec = decide(mo.scores, self.dataset, base_policy)
-                yield mo.name, dec, mo.scores
-        else:
-            for lbl, policy in self._policies():
-                if lbl != label:
-                    continue
-                yield "baseline", decide(self.baseline_test, self.dataset, policy), \
-                    self.baseline_test
-                for mo in self.method_outputs:
-                    yield mo.name, decide(mo.scores, self.dataset, policy), mo.scores
+    def _write_decisions(self, label: str, decisions: dict[str, DecisionSet]):
+        for scores in [self.baseline_test] + self.method_scores:
+            export_decisions(
+                decisions[scores.method], self.dataset, scores,
+                self.out / f"decisions_{_slug(label)}_{_slug(scores.method)}.csv",
+            )
+
+    def decide_all(self):
+        """Decision CSVs for every configured policy, without the audit."""
+        for label, policy in self._policies():
+            self._write_decisions(label, {
+                ss.method: decide(ss, self.dataset, policy)
+                for ss in [self.baseline_test] + self.method_scores
+            })
+        return self
 
     def run_all(self):
         self.ingest().train().mitigate()
@@ -497,11 +490,6 @@ def cmd_compare(paths: list[str], out_path: str,
             f"reports carry different policy labels: {sorted(labels)}"
         )
 
-    rows = []
-    for name, doc in reports:
-        for method, metrics in sorted(doc["rows"].items()):
-            rows.append((name, method, metrics))
-
     # a pair of reports is rate-controlled when every shared method keeps
     # (nearly) the same realized rate in both; with no shared methods the
     # whole cross-report spread stands in
@@ -539,18 +527,11 @@ def cmd_compare(paths: list[str], out_path: str,
         )
         return EXIT_VALIDATION
 
-    header = ["report", "method", "auc", "auc_protected", "auc_privileged",
-              "acc", "spd", "eod", "pdr", "warning"]
-    out_rows = []
-    for name, method, m in rows:
-        warning = "uncontrolled-rate" if uncontrolled else ""
-        out_rows.append([
-            name, method,
-            repr(m["auc"]), repr(m["auc_protected"]), repr(m["auc_privileged"]),
-            repr(m["acc"]), repr(m["spd"]), repr(m["eod"]), repr(m["pdr"]),
-            warning,
-        ])
-    _write_csv(Path(out_path), header, out_rows)
+    keys = ["auc", "auc_protected", "auc_privileged", "acc", "spd", "eod", "pdr"]
+    warning = "uncontrolled-rate" if uncontrolled else ""
+    _write_csv(Path(out_path), ["report", "method"] + keys + ["warning"],
+               [[name, method] + [repr(m[k]) for k in keys] + [warning]
+                for name, doc in reports for method, m in sorted(doc["rows"].items())])
     if uncontrolled:
         print("warning: uncontrolled positive decision rates; rows flagged",
               file=sys.stderr)
@@ -564,8 +545,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="rankaudit",
         description="Audit bias-mitigation methods under explicit decision policies",
     )
-    parser.add_argument("--format", choices=("json", "csv"), default="json",
-                        help="preferred report format (json reports always written)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_pipeline_cmd(name, help_text):
@@ -626,18 +605,7 @@ def main(argv=None) -> int:
         elif args.command == "mitigate":
             pipeline.ingest().train().mitigate()
         elif args.command == "decide":
-            pipeline.ingest().train().mitigate()
-            for label, policy in pipeline._policies():
-                for name, dec, scores in [
-                    ("baseline",
-                     decide(pipeline.baseline_test, pipeline.dataset, policy),
-                     pipeline.baseline_test),
-                ] + [(mo.name, decide(mo.scores, pipeline.dataset, policy), mo.scores)
-                     for mo in pipeline.method_outputs]:
-                    export_decisions(
-                        dec, pipeline.dataset, scores,
-                        pipeline.out / f"decisions_{_slug(label)}_{_slug(name)}.csv",
-                    )
+            pipeline.ingest().train().mitigate().decide_all()
         elif args.command == "audit":
             pipeline.ingest().train().mitigate()
             pipeline.audit(write_decisions=False)

@@ -11,6 +11,8 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -37,6 +39,20 @@ BASE_RATE_TOLERANCE = 5e-4
 
 # cells treated as missing; rows containing one in a used column are dropped
 _MISSING_CELLS = {"", "?"}
+
+
+@contextmanager
+def atomic_open(path: str | Path):
+    """Write `<path>.tmp`, then move it onto path; on error remove it instead."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 @dataclass(frozen=True)
@@ -182,7 +198,7 @@ class Dataset:
 
     def export_csv(self, path: str | Path) -> None:
         """Write the used columns back out; ingested cells round-trip exactly."""
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with atomic_open(path) as fh:
             writer = csv.writer(fh)
             if self.raw_rows:
                 writer.writerow(self.raw_header)

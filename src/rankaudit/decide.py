@@ -12,16 +12,12 @@ import csv
 
 import numpy as np
 
-from .dataset import Dataset, GROUP_NAMES, PRIVILEGED, PROTECTED, require_aligned
+from .dataset import (
+    Dataset, GROUP_NAMES, PRIVILEGED, PROTECTED, atomic_open, require_aligned,
+)
 from .errors import EmptyGroup, RateOutOfRange
 from .scorer import ScoreSet
 
-DECIDABLE_KINDS = (
-    "fixed-threshold",
-    "global-top-rate",
-    "per-group-thresholds",
-    "per-group-rates",
-)
 # descriptive kinds recorded by mitigation methods that own their decisions
 PASSTHROUGH_KINDS = ("reject-option", "randomized-mixing")
 
@@ -224,7 +220,7 @@ def export_decisions(dec: DecisionSet, d: Dataset, scores: ScoreSet,
     """CSV dump: instance_id,group,score,label,method,policy."""
     require_aligned(dec.instance_ids, scores.instance_ids, "decision export")
     pos = d.positions_of(dec.instance_ids)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["instance_id", "group", "score", "label", "method", "policy"])
         for i in range(dec.n):

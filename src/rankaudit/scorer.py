@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import prng
-from .dataset import Dataset, Split
+from .dataset import Dataset, Split, atomic_open
 from .errors import (
     EmptyTrain,
     IdMismatch,
@@ -44,6 +44,8 @@ class ScoreSet:
         if len(self.scores) != len(self.instance_ids):
             raise ValueError("scores and ids differ in length")
         s = np.asarray(self.scores, dtype=np.float64)
+        if not np.isfinite(s).all():
+            raise ScoreOutOfRange(f"{self.method}: scores must be finite")
         if len(s) and (s.min() < 0.0 or s.max() > 1.0):
             raise ScoreOutOfRange(
                 f"scores outside [0, 1]: min={s.min()}, max={s.max()}"
@@ -317,7 +319,7 @@ def save_scorer(m: Scorer, path: str | Path) -> None:
                          0.0 if m.config.model_kind == "logistic" else 1.0]),
     }
     arrays.update(m.weights)
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         for name, arr in arrays.items():
             arr = np.asarray(arr, dtype=np.float64)
             dims = " ".join(str(s) for s in arr.shape)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import Dataset, PROTECTED
+from .dataset import Dataset, PROTECTED, atomic_open
 from .errors import ZeroMassDenominator
 from .scorer import ScoreSet
 
@@ -66,7 +66,7 @@ class FairWorld:
         raise ValueError(f"basis must be 'fair' or 'unfair', got {basis!r}")
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with atomic_open(path) as fh:
             writer = csv.writer(fh)
             writer.writerow(["x", "a", "weight", "fair_p", "score_s"])
             for i in range(self.m):

@@ -17,10 +17,10 @@ import pytest
 
 from rankaudit import (
     DecisionPolicy,
-    MethodOutput,
     ScorerConfig,
     auc,
     builtin_specs,
+    audit_scores,
     build_report,
     decide,
     decomposition_check,
@@ -155,12 +155,11 @@ def _postprocessing_report(d, splits):
     mixing = fit_equalized_odds_post(base_val_dec, d, splits.validation_ids, seed=3)
     eop_dec = apply_mixing(mixing, decide(baseline, d, threshold_05), d,
                            splits.test_ids, method="odds-mixing")
-    methods = [
-        MethodOutput(scores=relabel(baseline, "thresholds"), decisions=to_dec),
-        MethodOutput(scores=relabel(baseline, "band-flip"), decisions=roc_dec),
-        MethodOutput(scores=relabel(baseline, "odds-mixing"), decisions=eop_dec),
-    ]
-    return build_report(d, baseline, methods, threshold_05)
+    scored = audit_scores(d, baseline, [relabel(baseline, name) for name in
+                                        ("thresholds", "band-flip", "odds-mixing")])
+    return build_report(d, scored, threshold_05, decisions={
+        "thresholds": to_dec, "band-flip": roc_dec, "odds-mixing": eop_dec,
+    })
 
 
 def test_criterion_03_postprocessing_rank_preservation():

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from rankaudit.audit import (
-    MethodOutput,
     accuracy,
+    audit_scores,
     build_report,
     eod,
     quadrant_analysis,
@@ -150,7 +150,7 @@ def test_report_baseline_clone_rows_identical():
     d, base = _report_fixture()
     clone = relabel(base, "clone")
     policy = DecisionPolicy(kind="fixed-threshold", threshold=0.5)
-    report = build_report(d, base, [MethodOutput(scores=clone)], policy)
+    report = build_report(d, audit_scores(d, base, [clone]), policy)
     assert report.tau_vs_baseline["clone"] == {
         "overall": 1.0, "protected": 1.0, "privileged": 1.0,
     }
@@ -163,7 +163,7 @@ def test_report_matches_hand_assembly():
     rng = np.random.default_rng(9)
     other = make_scores(np.clip(base.scores + rng.normal(0, 0.1, base.n), 0, 1), "bent")
     policy = DecisionPolicy(kind="global-top-rate", rate=0.4)
-    report = build_report(d, base, [MethodOutput(scores=other)], policy)
+    report = build_report(d, audit_scores(d, base, [other]), policy)
 
     from rankaudit.audit import auc, kendall_tau
     dec = decide(other, d, policy)
@@ -185,12 +185,10 @@ def test_report_postprocessing_rows_bitwise_equal_baseline():
     base_dec = decide(base, d, DecisionPolicy(kind="fixed-threshold", threshold=0.5))
     mixing = fit_equalized_odds_post(base_dec, d, d.instance_ids, seed=3)
     mixed = apply_mixing(mixing, base_dec, d, d.instance_ids, method="mixing")
-    methods = [
-        MethodOutput(scores=relabel(base, "band-flip"), decisions=res.decisions),
-        MethodOutput(scores=relabel(base, "mixing"), decisions=mixed),
-    ]
+    scored = audit_scores(d, base, [relabel(base, "band-flip"), relabel(base, "mixing")])
     policy = DecisionPolicy(kind="fixed-threshold", threshold=0.5)
-    report = build_report(d, base, methods, policy)
+    report = build_report(d, scored, policy,
+                          decisions={"band-flip": res.decisions, "mixing": mixed})
     for name in ("band-flip", "mixing"):
         assert report.tau_vs_baseline[name]["overall"] == 1.0
         assert report.tau_vs_baseline[name]["protected"] == 1.0
@@ -204,7 +202,7 @@ def test_report_surfaces_method_name_on_group_errors():
     base = make_scores([0.2, 0.8, 0.4, 0.6])
     policy = DecisionPolicy(kind="fixed-threshold", threshold=0.5)
     with pytest.raises(EmptyGroup, match="baseline"):
-        build_report(d, base, [], policy)
+        build_report(d, audit_scores(d, base, []), policy)
 
 
 def test_report_rejects_duplicate_method_names():
@@ -212,14 +210,14 @@ def test_report_rejects_duplicate_method_names():
     clone = relabel(base, "dup")
     policy = DecisionPolicy(kind="fixed-threshold", threshold=0.5)
     with pytest.raises(ValueError):
-        build_report(d, base, [MethodOutput(clone), MethodOutput(clone)], policy)
+        build_report(d, audit_scores(d, base, [clone, clone]), policy)
 
 
 def test_report_json_is_deterministic():
     d, base = _report_fixture()
     policy = DecisionPolicy(kind="fixed-threshold", threshold=0.5)
-    a = build_report(d, base, [MethodOutput(relabel(base, "c"))], policy).to_json()
-    b = build_report(d, base, [MethodOutput(relabel(base, "c"))], policy).to_json()
+    a = build_report(d, audit_scores(d, base, [relabel(base, "c")]), policy).to_json()
+    b = build_report(d, audit_scores(d, base, [relabel(base, "c")]), policy).to_json()
     assert a == b
     doc = json.loads(a)
     assert doc["policy_label"] == "fixed-threshold-0.5"

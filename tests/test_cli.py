@@ -6,7 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rankaudit.cli import main
+import rankaudit.audit
+from rankaudit.cli import _write_csv, main
+from rankaudit.dataset import atomic_open
 from rankaudit.synthetic import write_biased_benchmark_csv
 
 from conftest import make_scores
@@ -201,6 +203,83 @@ def test_config_validation_exit_codes(tmp_path):
     no_csv.write_text(json.dumps({"dataset": {"csv": str(tmp_path / "x.csv")}}),
                       encoding="utf-8")
     assert main(["run", "--config", str(no_csv), "--out", str(tmp_path)]) == 1
+
+
+@pytest.mark.parametrize("policies, methods", [
+    ([{"kind": "per-group-rates", "rate": 1.5}], None),
+    ([{"kind": "global-top-rate", "rate": -0.1}], None),
+    ([{"kind": "global-top-rate", "rate": "median"}], None),
+    ([{"kind": "fixed-threshold", "threshold": 2}], None),
+    ([{"kind": "fixed-threshold"}], None),
+    ([{"kind": "top-k", "rate": 0.3}], None),
+    (None, [{"kind": "bagging", "name": "bag"}]),
+    (None, [{"kind": "group-thresholds", "name": "gt", "rate": 1.2}]),
+])
+def test_config_rejected_before_training(run_inputs, tmp_path, policies, methods):
+    root, config_path, config = run_inputs
+    cfg = dict(config)
+    if policies is not None:
+        cfg["policies"] = policies
+    if methods is not None:
+        cfg["methods"] = methods
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert not (out / "scorer.txt").exists()
+
+
+def test_decide_command_matches_run_decisions(run_inputs, tmp_path):
+    root, config_path, _ = run_inputs
+    run_out = tmp_path / "run"
+    decide_out = tmp_path / "decide"
+    assert main(["run", "--config", str(config_path), "--out", str(run_out)]) == 0
+    assert main(["decide", "--config", str(config_path), "--out", str(decide_out)]) == 0
+    expected = {p.name for p in run_out.glob("decisions_*.csv")
+                if not p.name.startswith("decisions_native_")}
+    written = {p.name for p in decide_out.glob("decisions_*.csv")}
+    assert written == expected
+    assert len(written) == 2 * 5  # two policies, baseline plus four methods
+    for name in written:
+        assert (decide_out / name).read_bytes() == (run_out / name).read_bytes()
+
+
+def test_run_computes_score_metrics_once(run_inputs, tmp_path, monkeypatch):
+    root, config_path, _ = run_inputs
+    calls = {"kendall_tau": 0, "auc": 0}
+
+    def counted(name):
+        original = getattr(rankaudit.audit, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(rankaudit.audit, name, counted(name))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
+    # five score sets: 5 tau rows of 3 plus 10 pairwise taus; 5 AUC triples
+    assert calls == {"kendall_tau": 25, "auc": 15}
+
+
+def test_failed_write_keeps_previous_file(tmp_path):
+    path = tmp_path / "table.csv"
+    path.write_bytes(b"old,contents\r\n")
+
+    def rows():
+        yield ["1", "2"]
+        raise RuntimeError("disk gone")
+
+    with pytest.raises(RuntimeError):
+        _write_csv(path, ["a", "b"], rows())
+    with pytest.raises(RuntimeError):
+        with atomic_open(path) as fh:
+            fh.write("partial")
+            raise RuntimeError("interrupted")
+    assert path.read_bytes() == b"old,contents\r\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
 
 
 def test_baseline_only_run(run_inputs, tmp_path):

@@ -218,6 +218,20 @@ def test_external_scores_id_contract(tmp_path):
         ingest_external_scores(path, d, "dupes")
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf"])
+def test_external_scores_reject_non_finite_cells(tmp_path, cell):
+    d = make_dataset([0, 1], [0, 1])
+    path = tmp_path / "ext.csv"
+    _write_scores(path, [(0, cell), (1, 0.5)])
+    with pytest.raises(ScoreOutOfRange):
+        ingest_external_scores(path, d, "bad")
+
+
+def test_score_set_rejects_nan():
+    with pytest.raises(ScoreOutOfRange):
+        make_scores([0.1, float("nan"), 0.6, 0.9])
+
+
 def test_relabel_shares_values():
     base = make_scores([0.2, 0.8])
     other = relabel(base, "other")
