@@ -14,57 +14,58 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .dataset import Dataset, PROTECTED, require_aligned
+from .dataset import Dataset, PROTECTED, group_names, require_aligned
 from .decide import DecisionPolicy, DecisionSet, decide
 from .errors import (
     AuditError,
     EmptyGroup,
     LengthMismatch,
     NoPositivesInGroup,
+    ScoreOutOfRange,
     SingleClass,
     TooShort,
 )
 from .scorer import ScoreSet
 
 QUADRANTS = ("kept_negative", "upgraded", "kept_positive", "downgraded")
+_QUADRANT_NAMES = np.array(QUADRANTS, dtype=object)
 
 
 # --- rank machinery ----------------------------------------------------------
 
-def _dense_ranks(v: np.ndarray) -> np.ndarray:
-    return np.unique(v, return_inverse=True)[1]
-
-
-def _count_inversions(ranks: np.ndarray) -> int:
-    """Pairs i < j with ranks[i] > ranks[j].
-
-    Counts each inversion at the highest bit where the two ranks differ:
-    per bit level, within blocks of equal higher bits, it accumulates the
-    number of (1, 0) patterns in sequence order.  O(n log n) overall.
-    """
-    r = np.asarray(ranks, dtype=np.int64)
-    n = len(r)
+def _count_exceeding_pairs(seq: np.ndarray, tol: float = 0.0) -> int:
+    """Pairs i < j with seq[i] > seq[j] + tol, counted by merge passes."""
+    n = len(seq)
     if n < 2:
         return 0
-    total = 0
-    nbits = max(1, int(r.max()).bit_length())
-    for k in range(nbits):
-        key = r >> np.int64(k + 1)
-        bit = (r >> np.int64(k)) & 1
-        idx = np.argsort(key, kind="stable")
-        key_s = key[idx]
-        bit_s = bit[idx]
-        ones_cum = np.cumsum(bit_s)
-        starts = np.flatnonzero(np.r_[True, key_s[1:] != key_s[:-1]])
-        offsets = np.where(starts > 0, ones_cum[np.maximum(starts - 1, 0)], 0)
-        sizes = np.diff(np.r_[starts, n])
-        per_pos_offset = np.repeat(offsets, sizes)
-        zeros = bit_s == 0
-        total += int((ones_cum[zeros] - per_pos_offset[zeros]).sum())
+    block = 64
+    pad = (-n) % block
+    s = np.concatenate([np.asarray(seq, dtype=np.float64), np.full(pad, np.inf)])
+    blocks = s.reshape(-1, block)
+    i_idx = np.arange(block)
+    inside = (blocks[:, :, None] > blocks[:, None, :] + tol) \
+        & (i_idx[:, None] < i_idx[None, :])
+    total = int(inside.sum())
+    flat = np.sort(blocks, axis=1).ravel()
+    size = block
+    m = len(s)
+    while size < m:
+        pieces = []
+        for start in range(0, m, 2 * size):
+            left = flat[start:start + size]
+            right = flat[start + size:start + 2 * size]
+            if len(right):
+                found = np.searchsorted(left, right + tol, side="right")
+                total += int((len(left) - found).sum())
+                pieces.append(np.sort(np.concatenate([left, right])))
+            else:
+                pieces.append(left)
+        flat = np.concatenate(pieces)
+        size *= 2
     return total
 
 
@@ -97,6 +98,12 @@ def _midranks(v: np.ndarray) -> np.ndarray:
 
 # --- metrics -------------------------------------------------------------------
 
+def _require_finite(*vectors: np.ndarray) -> None:
+    for v in vectors:
+        if not np.isfinite(v).all():
+            raise ScoreOutOfRange("rank metrics need finite values")
+
+
 def auc(scores, labels) -> float:
     """Probability that a random positive outranks a random negative.
 
@@ -107,6 +114,7 @@ def auc(scores, labels) -> float:
     y = np.asarray(labels)
     if len(s) != len(y):
         raise LengthMismatch(f"scores {len(s)} vs labels {len(y)}")
+    _require_finite(s)
     n_pos = int((y == 1).sum())
     n_neg = int((y == 0).sum())
     if n_pos == 0 or n_neg == 0:
@@ -119,8 +127,9 @@ def kendall_tau(x, y, variant: str = "tau-b") -> float:
     """Rank correlation from concordant/discordant pair counts.
 
     tau-a divides by all pairs (ties count in neither direction); tau-b
-    corrects both denominators for ties.  Discordances are counted by rank
-    inversions in O(n log n); results match pair enumeration exactly.
+    corrects both denominators for ties.  Discordances are the pairs that
+    descend in y once sorted by (x, y), counted by merge passes in
+    O(n log n) (Knight 1966); results match pair enumeration exactly.
     Returns nan for tau-b when either vector is constant.
     """
     x = np.asarray(x, dtype=np.float64)
@@ -130,8 +139,8 @@ def kendall_tau(x, y, variant: str = "tau-b") -> float:
     n = len(x)
     if n < 2:
         raise TooShort("need at least two observations")
-    order = np.lexsort((y, x))
-    disc = _count_inversions(_dense_ranks(y[order]))
+    _require_finite(x, y)
+    disc = _count_exceeding_pairs(y[np.lexsort((y, x))])
     n0 = n * (n - 1) // 2
     n1 = _tie_pairs(x)
     n2 = _tie_pairs(y)
@@ -194,22 +203,18 @@ class QuadrantCounts:
         return self.kept_negative + self.upgraded + self.kept_positive + self.downgraded
 
     def to_dict(self) -> dict:
-        return {
-            "kept_negative": self.kept_negative,
-            "upgraded": self.upgraded,
-            "kept_positive": self.kept_positive,
-            "downgraded": self.downgraded,
-        }
+        return asdict(self)
 
 
 def quadrant_analysis(base: DecisionSet, mitigated: DecisionSet, d: Dataset,
                       base_scores: ScoreSet | None = None,
                       mitigated_scores: ScoreSet | None = None):
-    """Per-group 2x2 transition counts plus scatter rows for plotting.
+    """Per-group 2x2 transition counts plus scatter columns for plotting.
 
-    Returns (counts, rows) where counts maps group name to QuadrantCounts
-    and rows are (id, group, score_base, score_mitigated, quadrant) tuples
-    (empty when score sets are not supplied).
+    Returns (counts, columns) where counts maps group name to
+    QuadrantCounts and columns are the aligned arrays [id, group,
+    score_base, score_mitigated, quadrant], group and quadrant holding
+    names; columns is empty when score sets are not supplied.
     """
     require_aligned(base.instance_ids, mitigated.instance_ids, "quadrant ids")
     pos = d.positions_of(base.instance_ids)
@@ -223,19 +228,13 @@ def quadrant_analysis(base: DecisionSet, mitigated: DecisionSet, d: Dataset,
     for mask, name in ((prot, "protected"), (~prot, "privileged")):
         qc = np.bincount(quadrant[mask], minlength=4)
         counts[name] = QuadrantCounts(int(qc[0]), int(qc[1]), int(qc[2]), int(qc[3]))
-    rows = []
-    if base_scores is not None and mitigated_scores is not None:
-        require_aligned(base.instance_ids, base_scores.instance_ids, "base scores")
-        require_aligned(base.instance_ids, mitigated_scores.instance_ids, "mitigated scores")
-        for i in range(base.n):
-            rows.append((
-                int(base.instance_ids[i]),
-                "protected" if prot[i] else "privileged",
-                float(base_scores.scores[i]),
-                float(mitigated_scores.scores[i]),
-                QUADRANTS[quadrant[i]],
-            ))
-    return counts, rows
+    if base_scores is None or mitigated_scores is None:
+        return counts, []
+    require_aligned(base.instance_ids, base_scores.instance_ids, "base scores")
+    require_aligned(base.instance_ids, mitigated_scores.instance_ids, "mitigated scores")
+    return counts, [base.instance_ids, group_names(d.sensitive[pos]),
+                    base_scores.scores, mitigated_scores.scores,
+                    _QUADRANT_NAMES[quadrant]]
 
 
 def method_correlation_matrix(score_sets: list[ScoreSet],

@@ -11,7 +11,6 @@ decision problems.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import logging
@@ -23,7 +22,8 @@ import numpy as np
 from . import __version__
 from .audit import AuditReport, audit_scores, build_report
 from .dataset import (
-    Dataset, DatasetSpec, atomic_open, builtin_specs, ingest, split, verify_base_rate,
+    Dataset, DatasetSpec, atomic_open, builtin_specs, float_text, ingest, split,
+    verify_base_rate, write_csv,
 )
 from .decide import DecisionPolicy, DecisionSet, decide, export_decisions
 from .errors import AuditError, ConfigError, DegenerateSplit, PolicyMismatch, RateOutOfRange
@@ -62,19 +62,14 @@ EXIT_RUNTIME = 2
 
 PDR_COMPARE_TOLERANCE = 0.05
 
+AT_HALF = DecisionPolicy(kind="fixed-threshold", threshold=0.5)
+
 
 # --- small file helpers -----------------------------------------------------------
 
 def _write_json(path: Path, doc) -> None:
     with atomic_open(path) as fh:
         fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
-def _write_csv(path: Path, header, rows) -> None:
-    with atomic_open(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 def _slug(label: str) -> str:
@@ -84,9 +79,19 @@ def _slug(label: str) -> str:
 # --- config -------------------------------------------------------------------------
 
 DEFAULT_SPLIT = {"fractions": [0.6, 0.2, 0.2], "seed": 7}
-METHOD_KINDS = ("feature-repair", "group-thresholds", "reject-option",
-                "equalized-odds", "external-scores")
 RATE_NAMES = ("baseline-pdr", "base-rate")
+
+# the keys a config may carry, per section and per method or policy kind
+CONFIG_KEYS = {"dataset", "split", "scorer", "methods", "policies", "tau_variant"}
+SECTION_KEYS = {"dataset": {"csv", "spec"}, "split": {"fractions", "seed"},
+                "scorer": {"learning_rate", "epochs", "l2_penalty", "seed",
+                           "model_kind", "include_sensitive"}}
+METHOD_KEYS = {  # besides kind and name
+    "feature-repair": {"repair_level", "columns"}, "group-thresholds": {"rate"},
+    "reject-option": {"epsilon"}, "equalized-odds": {"seed"}, "external-scores": {"path"},
+}
+POLICY_KEYS = {"fixed-threshold": {"threshold"}, "global-top-rate": {"rate"},
+               "per-group-rates": {"rate"}}  # besides kind
 
 
 def _make_policy(doc: dict, rate_of) -> DecisionPolicy:
@@ -111,16 +116,24 @@ def _load_config(path: str) -> dict:
         cfg = json.loads(p.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
-    if "dataset" not in cfg or "csv" not in cfg["dataset"]:
+    _check_keys(cfg, CONFIG_KEYS, "config")
+    for section, keys in SECTION_KEYS.items():
+        _check_keys(cfg.get(section, {}), keys, section)
+    if "csv" not in cfg.get("dataset", {}):
         raise ConfigError("config needs dataset.csv")
     if not Path(cfg["dataset"]["csv"]).exists():
         raise ConfigError(f"dataset csv not found: {cfg['dataset']['csv']}")
+    if not all(isinstance(e, dict) for e in [*cfg.get("methods", []),
+                                             *cfg.get("policies", [])]):
+        raise ConfigError("methods and policies must be lists of JSON objects")
     names = [m.get("name") for m in cfg.get("methods", [])]
     if len(set(names)) != len(names):
         raise ConfigError("method names must be unique")
     for m in cfg.get("methods", []):
-        if m.get("kind") not in METHOD_KINDS:
+        if m.get("kind") not in METHOD_KEYS:
             raise ConfigError(f"unknown method kind {m.get('kind')!r}")
+        _check_keys(m, {"kind", "name"} | METHOD_KEYS[m["kind"]],
+                    f"method {m.get('name')!r}")
         rate = m.get("rate")
         if rate is not None and not (isinstance(rate, (int, float)) and 0 <= rate <= 1):
             raise ConfigError(f"method {m.get('name')!r}: rate must lie in [0, 1]")
@@ -129,7 +142,18 @@ def _load_config(path: str) -> dict:
             _make_policy(doc, lambda ref: 0.0 if ref in RATE_NAMES else float(ref))
         except (KeyError, TypeError, ValueError, RateOutOfRange) as exc:
             raise ConfigError(f"bad policy {doc}: {exc}")
+        _check_keys(doc, {"kind"} | POLICY_KEYS[doc["kind"]], f"policy {doc['kind']!r}")
+    if cfg.get("tau_variant", "tau-b") not in ("tau-a", "tau-b"):
+        raise ConfigError(f"tau_variant must be tau-a or tau-b: {cfg['tau_variant']!r}")
     return cfg
+
+
+def _check_keys(doc, allowed: set, where: str) -> None:
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    unknown = sorted(set(doc) - allowed)
+    if unknown:
+        raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
 
 
 def _resolve_spec(cfg: dict) -> DatasetSpec:
@@ -186,6 +210,7 @@ class Pipeline:
         self.scorer = None
         self.baseline_test = None
         self.baseline_validation = None
+        self.baseline_at_half: DecisionSet | None = None
         self.method_scores: list[ScoreSet] = []
         self.native_decisions: dict[str, DecisionSet] = {}
         self.fit_artifacts: dict[str, str] = {}
@@ -233,11 +258,10 @@ class Pipeline:
         return self
 
     def _write_scores(self, scores):
-        _write_csv(
+        write_csv(
             self.out / f"scores_{_slug(scores.method)}_{scores.produced_on}.csv",
             ["instance_id", "score"],
-            [(int(i), repr(float(s)))
-             for i, s in zip(scores.instance_ids, scores.scores)],
+            zip(scores.instance_ids.tolist(), float_text(scores.scores)),
         )
 
     def mitigate(self):
@@ -249,7 +273,8 @@ class Pipeline:
             raise DegenerateSplit(
                 "validation partition is empty but a configured method fits on it"
             )
-        baseline_05 = DecisionPolicy(kind="fixed-threshold", threshold=0.5)
+        # the native report, equalized odds and the baseline-pdr rate share it
+        self.baseline_at_half = decide(self.baseline_test, self.dataset, AT_HALF)
         for m in self.cfg["methods"]:
             kind = m.get("kind")
             name = m.get("name", kind)
@@ -282,15 +307,14 @@ class Pipeline:
                     res.region, self.baseline_test, self.dataset, test_ids, method=name,
                 )
             elif kind == "equalized-odds":
-                base_val = decide(self.baseline_validation, self.dataset, baseline_05)
+                base_val = decide(self.baseline_validation, self.dataset, AT_HALF)
                 mixing = fit_equalized_odds_post(
                     base_val, self.dataset, val_ids, seed=int(m.get("seed", 11)),
                 )
                 self.fit_artifacts[name] = mixing.to_text()
-                base_test = decide(self.baseline_test, self.dataset, baseline_05)
                 scores = relabel(self.baseline_test, name)
                 self.native_decisions[name] = apply_mixing(
-                    mixing, base_test, self.dataset, test_ids, method=name,
+                    mixing, self.baseline_at_half, self.dataset, test_ids, method=name,
                 )
             elif kind == "external-scores":
                 full = ingest_external_scores(m["path"], self.dataset, name)
@@ -317,17 +341,15 @@ class Pipeline:
 
     def _policies(self) -> list[tuple[str, DecisionPolicy]]:
         resolved = []
-        base_dec = decide(self.baseline_test, self.dataset,
-                          DecisionPolicy(kind="fixed-threshold", threshold=0.5))
         for doc in self.cfg["policies"]:
-            policy = _make_policy(doc, lambda ref: self._rate(ref, base_dec))
+            policy = _make_policy(doc, self._rate)
             label = policy.label() + (f"-{_slug(policy.note)}" if policy.note else "")
             resolved.append((label, policy))
         return resolved
 
-    def _rate(self, ref, base_dec) -> float:
+    def _rate(self, ref) -> float:
         if ref == "baseline-pdr":
-            return base_dec.realized_pdr
+            return self.baseline_at_half.realized_pdr
         if ref == "base-rate":
             pos = self.dataset.positions_of(self.splits.test_ids)
             return float(self.dataset.label[pos].mean())
@@ -359,7 +381,9 @@ class Pipeline:
         # rate-controlled reports: same policy applied to every score set
         native_policy = DecisionPolicy(kind="fixed-threshold", threshold=0.5,
                                        note="method-native contexts")
-        contexts = [("native", native_policy, self.native_decisions)]
+        native = {self.baseline_test.method: self.baseline_at_half,
+                  **self.native_decisions}
+        contexts = [("native", native_policy, native)]
         contexts += [(label, policy, None) for label, policy in self._policies()]
         reports = []
         for label, policy, own in contexts:
@@ -372,20 +396,20 @@ class Pipeline:
 
     def _emit_report(self, report: AuditReport, write_decisions: bool):
         label = _slug(report.policy_label)
-        for method, dots in report.scatter.items():
+        for method, (ids, group, base, mitigated, quadrant) in report.scatter.items():
             path = self.out / f"scatter_{label}_{_slug(method)}.csv"
-            _write_csv(path,
-                       ["id", "group", "score_base", "score_mitigated", "quadrant"],
-                       [(i, g, repr(sb), repr(sm), q) for i, g, sb, sm, q in dots])
+            write_csv(path, ["id", "group", "score_base", "score_mitigated", "quadrant"],
+                      zip(ids.tolist(), group.tolist(), float_text(base),
+                          float_text(mitigated), quadrant.tolist()))
             report.scatter_files[method] = path.name
         _write_json(self.out / f"report_{label}.json", report.to_dict())
-        _write_csv(
+        write_csv(
             self.out / f"tau_vs_baseline_{label}.csv",
             ["method", "tau_overall", "tau_protected", "tau_privileged"],
             [(m, repr(t["overall"]), repr(t["protected"]), repr(t["privileged"]))
              for m, t in report.tau_vs_baseline.items()],
         )
-        _write_csv(
+        write_csv(
             self.out / f"correlation_matrix_{label}.csv",
             ["method"] + report.pairwise_methods,
             [[m] + [repr(v) for v in row]
@@ -529,9 +553,9 @@ def cmd_compare(paths: list[str], out_path: str,
 
     keys = ["auc", "auc_protected", "auc_privileged", "acc", "spd", "eod", "pdr"]
     warning = "uncontrolled-rate" if uncontrolled else ""
-    _write_csv(Path(out_path), ["report", "method"] + keys + ["warning"],
-               [[name, method] + [repr(m[k]) for k in keys] + [warning]
-                for name, doc in reports for method, m in sorted(doc["rows"].items())])
+    write_csv(Path(out_path), ["report", "method"] + keys + ["warning"],
+              [[name, method] + [repr(m[k]) for k in keys] + [warning]
+               for name, doc in reports for method, m in sorted(doc["rows"].items())])
     if uncontrolled:
         print("warning: uncontrolled positive decision rates; rows flagged",
               file=sys.stderr)

@@ -15,6 +15,7 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +41,8 @@ BASE_RATE_TOLERANCE = 5e-4
 # cells treated as missing; rows containing one in a used column are dropped
 _MISSING_CELLS = {"", "?"}
 
+_TEXT_BLOCK = 1 << 16  # values turned into CSV text per step
+
 
 @contextmanager
 def atomic_open(path: str | Path):
@@ -53,6 +56,31 @@ def atomic_open(path: str | Path):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_csv(path: str | Path, header, rows) -> None:
+    """Atomically write a header line and then every row, csv-quoted."""
+    with atomic_open(path) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def float_text(values):
+    """repr of each value as a Python float: the text every CSV carries.
+
+    Converts a block at a time, so a long column never exists as Python
+    floats all at once.
+    """
+    v = np.asarray(values, dtype=np.float64)
+    return chain.from_iterable(map(repr, v[i:i + _TEXT_BLOCK].tolist())
+                               for i in range(0, len(v), _TEXT_BLOCK))
+
+
+def group_names(sensitive: np.ndarray) -> np.ndarray:
+    """Per-row group name of 0/1 sensitive codes, sharing two str objects."""
+    table = np.array([GROUP_NAMES[PRIVILEGED], GROUP_NAMES[PROTECTED]], dtype=object)
+    return table[sensitive]
 
 
 @dataclass(frozen=True)
@@ -198,27 +226,22 @@ class Dataset:
 
     def export_csv(self, path: str | Path) -> None:
         """Write the used columns back out; ingested cells round-trip exactly."""
-        with atomic_open(path) as fh:
-            writer = csv.writer(fh)
-            if self.raw_rows:
-                writer.writerow(self.raw_header)
-                writer.writerows(self.raw_rows)
-                return
-            header = self.schema.used_columns
-            writer.writerow(header)
-            prot_raw, priv_raw = self.sensitive_values
-            fav_raw, unfav_raw = self.target_values
-            for i in range(self.n):
-                row = []
-                for j, col in enumerate(self.schema.feature_columns):
-                    v = self.features[i, j]
-                    if col.kind == "categorical" and col.name in self.categories:
-                        row.append(self.categories[col.name][int(v)])
-                    else:
-                        row.append(repr(float(v)))
-                row.append(prot_raw if self.sensitive[i] == PROTECTED else priv_raw)
-                row.append(fav_raw if self.label[i] == 1 else unfav_raw)
-                writer.writerow(row)
+        if self.raw_rows:
+            write_csv(path, self.raw_header, self.raw_rows)
+            return
+        columns = []
+        for j, col in enumerate(self.schema.feature_columns):
+            v = self.features[:, j]
+            if col.kind == "categorical" and col.name in self.categories:
+                table = np.array(self.categories[col.name], dtype=object)
+                columns.append(table[v.astype(np.int64)].tolist())
+            else:
+                columns.append(float_text(v))
+        prot_raw, priv_raw = self.sensitive_values
+        fav_raw, unfav_raw = self.target_values
+        columns.append(np.where(self.sensitive == PROTECTED, prot_raw, priv_raw).tolist())
+        columns.append(np.where(self.label == 1, fav_raw, unfav_raw).tolist())
+        write_csv(path, self.schema.used_columns, zip(*columns))
 
 
 @dataclass(frozen=True)

@@ -8,12 +8,13 @@ are always resolved by ascending instance id.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-import csv
+from itertools import repeat
 
 import numpy as np
 
 from .dataset import (
-    Dataset, GROUP_NAMES, PRIVILEGED, PROTECTED, atomic_open, require_aligned,
+    Dataset, PRIVILEGED, PROTECTED, float_text, group_names, require_aligned,
+    write_csv,
 )
 from .errors import EmptyGroup, RateOutOfRange
 from .scorer import ScoreSet
@@ -220,15 +221,7 @@ def export_decisions(dec: DecisionSet, d: Dataset, scores: ScoreSet,
     """CSV dump: instance_id,group,score,label,method,policy."""
     require_aligned(dec.instance_ids, scores.instance_ids, "decision export")
     pos = d.positions_of(dec.instance_ids)
-    with atomic_open(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["instance_id", "group", "score", "label", "method", "policy"])
-        for i in range(dec.n):
-            writer.writerow([
-                int(dec.instance_ids[i]),
-                GROUP_NAMES[int(d.sensitive[pos[i]])],
-                repr(float(scores.scores[i])),
-                int(dec.labels[i]),
-                dec.source_method,
-                dec.policy.label(),
-            ])
+    write_csv(path, ["instance_id", "group", "score", "label", "method", "policy"],
+              zip(dec.instance_ids.tolist(), group_names(d.sensitive[pos]).tolist(),
+                  float_text(scores.scores), dec.labels.tolist(),
+                  repeat(dec.source_method), repeat(dec.policy.label())))

@@ -9,13 +9,12 @@ always yields the same table.
 
 from __future__ import annotations
 
-import csv
 from pathlib import Path
 
 import numpy as np
 
 from . import prng
-from .dataset import Dataset, DatasetSpec, FeatureColumn
+from .dataset import Dataset, DatasetSpec, FeatureColumn, float_text, write_csv
 
 
 def exact_rate_spec(name: str, expected_base_rate: float) -> DatasetSpec:
@@ -44,18 +43,13 @@ def write_exact_rate_csv(path: str | Path, n: int, positives: int,
     if not 0 <= positives <= n:
         raise ValueError("positives must lie in [0, n]")
     cycle = max(1, round(1.0 / protected_share)) if protected_share > 0 else 0
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x1", "x2", "group", "outcome"])
-        for i in range(n):
-            favorable = (i * positives) % n < positives
-            protected = cycle > 0 and i % cycle == 0
-            writer.writerow([
-                repr((i % 97) / 96.0),
-                repr((i % 31) / 30.0),
-                "protected" if protected else "privileged",
-                "favorable" if favorable else "unfavorable",
-            ])
+    i = np.arange(n)
+    favorable = (i * positives) % n < positives
+    protected = i % cycle == 0 if cycle > 0 else np.zeros(n, dtype=bool)
+    write_csv(path, ["x1", "x2", "group", "outcome"],
+              zip(float_text((i % 97) / 96.0), float_text((i % 31) / 30.0),
+                  np.where(protected, "protected", "privileged").tolist(),
+                  np.where(favorable, "favorable", "unfavorable").tolist()))
 
 
 def biased_benchmark(n: int = 2400, seed: int = 2024,

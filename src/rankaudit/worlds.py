@@ -11,12 +11,12 @@ decomposition that monotonicity is equivalent to.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .dataset import Dataset, PROTECTED, atomic_open
+from .audit import _count_exceeding_pairs
+from .dataset import Dataset, PROTECTED, float_text, write_csv
 from .errors import ZeroMassDenominator
 from .scorer import ScoreSet
 
@@ -40,6 +40,8 @@ class FairWorld:
                           ("fair_p", self.fair_p), ("score_s", self.score_s)):
             if len(vec) != m:
                 raise ValueError(f"{name} length {len(vec)} != {m}")
+            if not np.isfinite(vec).all():
+                raise ValueError(f"{name} must be finite")
         if abs(float(self.weight.sum()) - 1.0) > WEIGHT_TOLERANCE:
             raise ValueError(f"weights sum to {self.weight.sum()}, not 1")
         if self.weight.min(initial=0.0) < 0:
@@ -66,15 +68,12 @@ class FairWorld:
         raise ValueError(f"basis must be 'fair' or 'unfair', got {basis!r}")
 
     def to_csv(self, path) -> None:
-        with atomic_open(path) as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "a", "weight", "fair_p", "score_s"])
-            for i in range(self.m):
-                writer.writerow([
-                    repr(float(self.x[i])), self.name_of(int(self.group[i])),
-                    repr(float(self.weight[i])), repr(float(self.fair_p[i])),
-                    repr(float(self.score_s[i])),
-                ])
+        codes, inverse = np.unique(self.group, return_inverse=True)
+        names = np.array([self.name_of(g) for g in codes], dtype=object)
+        write_csv(path, ["x", "a", "weight", "fair_p", "score_s"],
+                  zip(float_text(self.x), names[inverse].tolist(),
+                      float_text(self.weight), float_text(self.fair_p),
+                      float_text(self.score_s)))
 
 
 @dataclass(frozen=True)
@@ -193,38 +192,6 @@ def pareto_check(w: FairWorld, decision: np.ndarray, basis: str,
 
 # --- within-group monotonicity and threshold decomposition ---------------------
 
-def _count_exceeding_pairs(seq: np.ndarray, tol: float) -> int:
-    """Pairs i < j with seq[i] > seq[j] + tol, counted by merge passes."""
-    n = len(seq)
-    if n < 2:
-        return 0
-    block = 64
-    pad = (-n) % block
-    s = np.concatenate([np.asarray(seq, dtype=np.float64), np.full(pad, np.inf)])
-    blocks = s.reshape(-1, block)
-    i_idx = np.arange(block)
-    inside = (blocks[:, :, None] > blocks[:, None, :] + tol) \
-        & (i_idx[:, None] < i_idx[None, :])
-    total = int(inside.sum())
-    flat = np.sort(blocks, axis=1).ravel()
-    size = block
-    m = len(s)
-    while size < m:
-        pieces = []
-        for start in range(0, m, 2 * size):
-            left = flat[start:start + size]
-            right = flat[start + size:start + 2 * size]
-            if len(right):
-                found = np.searchsorted(left, right + tol, side="right")
-                total += int((len(left) - found).sum())
-                pieces.append(np.sort(np.concatenate([left, right])))
-            else:
-                pieces.append(left)
-        flat = np.concatenate(pieces)
-        size *= 2
-    return total
-
-
 def _witness_pairs(p: np.ndarray, s: np.ndarray, keys: list,
                    tol: float, limit: int) -> list:
     """Up to `limit` violating (lower-p key, higher-p key) pairs.
@@ -262,15 +229,7 @@ class MonotonicityResult:
     caveat: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "holds": self.holds,
-            "violation_count": self.violation_count,
-            "violations_by_group": self.violations_by_group,
-            "witnesses": self.witnesses,
-            "tolerance": self.tolerance,
-            "grid_size": self.grid_size,
-            "caveat": self.caveat,
-        }
+        return asdict(self)
 
 
 def _monotonicity_over_groups(groups, tolerance: float,
@@ -359,12 +318,7 @@ class DecompositionResult:
     failed_groups: tuple = ()
 
     def to_dict(self) -> dict:
-        return {
-            "tau": self.tau,
-            "decomposable": self.decomposable,
-            "thresholds": self.thresholds,
-            "failed_groups": list(self.failed_groups),
-        }
+        return {**asdict(self), "failed_groups": list(self.failed_groups)}
 
 
 def decomposition_check(w: FairWorld, tau: float) -> DecompositionResult:

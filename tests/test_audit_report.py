@@ -101,7 +101,8 @@ def test_quadrants_scatter_rows():
     base = _decision([1, 0], d)
     mit = _decision([0, 1], d)
     s = make_scores([0.8, 0.3])
-    counts, rows = quadrant_analysis(base, mit, d, base_scores=s, mitigated_scores=s)
+    counts, columns = quadrant_analysis(base, mit, d, base_scores=s, mitigated_scores=s)
+    rows = list(zip(*(c.tolist() for c in columns)))
     assert rows == [
         (0, "protected", 0.8, 0.8, "downgraded"),
         (1, "privileged", 0.3, 0.3, "upgraded"),

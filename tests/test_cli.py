@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 import rankaudit.audit
-from rankaudit.cli import _write_csv, main
-from rankaudit.dataset import atomic_open
+import rankaudit.cli
+import rankaudit.mitigate
+from rankaudit.cli import main
+from rankaudit.dataset import atomic_open, write_csv
 from rankaudit.synthetic import write_biased_benchmark_csv
 
 from conftest import make_scores
@@ -229,6 +231,26 @@ def test_config_rejected_before_training(run_inputs, tmp_path, policies, methods
     assert not (out / "scorer.txt").exists()
 
 
+@pytest.mark.parametrize("mutate", [
+    lambda cfg: cfg["scorer"].update(epoch=10),
+    lambda cfg: cfg.update(policy=[]),
+    lambda cfg: cfg["methods"][2].update(epsilom=0.05),
+    lambda cfg: cfg.update(tau_variant="tau-c"),
+    lambda cfg: cfg["methods"].append("repair"),
+], ids=["scorer.epoch", "top-level-typo", "method-key-typo", "tau-variant",
+        "method-not-object"])
+def test_unknown_config_keys_rejected_before_ingest(run_inputs, tmp_path, mutate):
+    root, config_path, config = run_inputs
+    cfg = json.loads(json.dumps(config))
+    mutate(cfg)
+    cfg_path = tmp_path / "typo.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert not (out / "scorer.txt").exists()
+    assert not (out / "dataset_summary.json").exists()
+
+
 def test_decide_command_matches_run_decisions(run_inputs, tmp_path):
     root, config_path, _ = run_inputs
     run_out = tmp_path / "run"
@@ -264,6 +286,26 @@ def test_run_computes_score_metrics_once(run_inputs, tmp_path, monkeypatch):
     assert calls == {"kendall_tau": 25, "auc": 15}
 
 
+def test_run_decides_baseline_at_half_once(run_inputs, tmp_path, monkeypatch):
+    root, config_path, _ = run_inputs
+    calls = []
+    for module in (rankaudit.cli, rankaudit.audit, rankaudit.mitigate):
+        original = module.decide
+
+        def counted(scores, d, policy, original=original):
+            calls.append((scores.method, policy.label()))
+            return original(scores, d, policy)
+        monkeypatch.setattr(module, "decide", counted)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
+    # the baseline at 0.5: once on test (shared by equalized odds, the
+    # baseline-pdr rate and the native report), once on validation, once
+    # under the configured fixed-threshold-0.5 policy
+    assert calls.count(("baseline", "fixed-threshold-0.5")) == 3
+    # 3 in mitigate, 1 native (repair), 2 policies x 5 score sets
+    assert len(calls) == 14
+
+
 def test_failed_write_keeps_previous_file(tmp_path):
     path = tmp_path / "table.csv"
     path.write_bytes(b"old,contents\r\n")
@@ -273,7 +315,7 @@ def test_failed_write_keeps_previous_file(tmp_path):
         raise RuntimeError("disk gone")
 
     with pytest.raises(RuntimeError):
-        _write_csv(path, ["a", "b"], rows())
+        write_csv(path, ["a", "b"], rows())
     with pytest.raises(RuntimeError):
         with atomic_open(path) as fh:
             fh.write("partial")

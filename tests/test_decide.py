@@ -138,3 +138,16 @@ def test_export_decisions(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "instance_id,group,score,label,method,policy"
     assert lines[1].startswith("0,protected,0.8,1,baseline,fixed-threshold-0.5")
+
+
+def test_export_decisions_quotes_like_csv_writer(tmp_path):
+    d = make_dataset([1, 0], [1, 0])
+    s = make_scores([0.8, 0.3], method='repair, "v2"')
+    dec = decide(s, d, DecisionPolicy(kind="fixed-threshold", threshold=0.5))
+    out = tmp_path / "dec.csv"
+    export_decisions(dec, d, s, out)
+    assert out.read_bytes() == (
+        b'instance_id,group,score,label,method,policy\r\n'
+        b'0,protected,0.8,1,"repair, ""v2""",fixed-threshold-0.5\r\n'
+        b'1,privileged,0.3,0,"repair, ""v2""",fixed-threshold-0.5\r\n'
+    )

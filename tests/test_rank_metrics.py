@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from rankaudit.audit import (
-    _count_inversions,
-    _dense_ranks,
+    _count_exceeding_pairs,
     _midranks,
     auc,
     kendall_tau,
     method_correlation_matrix,
 )
-from rankaudit.errors import LengthMismatch, MisalignedIds, SingleClass, TooShort
+from rankaudit.errors import (
+    LengthMismatch, MisalignedIds, ScoreOutOfRange, SingleClass, TooShort,
+)
 
 from conftest import make_scores
 from oracles import brute_auc, brute_inversions, brute_tau
@@ -85,7 +86,7 @@ def test_inversion_count_matches_brute_force():
     for _ in range(200):
         n = rng.integers(2, 60)
         seq = rng.integers(0, 10, size=n)
-        assert _count_inversions(seq) == brute_inversions(seq)
+        assert _count_exceeding_pairs(seq, 0.0) == brute_inversions(seq)
 
 
 def test_tau_matches_brute_force_bitwise():
@@ -137,8 +138,25 @@ def test_midranks_average_ties():
     assert ranks.tolist() == [1.0, 2.5, 2.5, 4.0]
 
 
-def test_dense_ranks():
-    assert _dense_ranks(np.array([3.0, 1.0, 3.0, 2.0])).tolist() == [2, 0, 2, 1]
+def test_rank_metrics_reject_non_finite():
+    with pytest.raises(ScoreOutOfRange):
+        auc([np.nan, 0.2, 0.3], [1, 0, 1])
+    with pytest.raises(ScoreOutOfRange):
+        kendall_tau([np.nan, 1, 2], [1, 2, 3])
+    with pytest.raises(ScoreOutOfRange):
+        kendall_tau([0, 1, 2], [1, np.inf, 3])
+
+
+@pytest.mark.parametrize("n, levels", [(50, 0), (2_000, 0), (20_000, 0),
+                                       (2_000, 7), (20_000, 101)])
+def test_tau_b_matches_scipy(n, levels):
+    stats = pytest.importorskip("scipy.stats")
+    rng = np.random.default_rng(n + levels)
+    x, y = rng.random(n), rng.random(n)
+    if levels:  # quantize to manufacture ties in both vectors
+        x, y = np.floor(x * levels), np.floor(y * levels)
+    want = stats.kendalltau(x, y, variant="b").statistic
+    assert abs(kendall_tau(x, y, "tau-b") - want) <= 1e-12
 
 
 # --- correlation matrix -----------------------------------------------------------

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+from rankaudit.audit import _count_exceeding_pairs
 from rankaudit.errors import ZeroMassDenominator
 from rankaudit.worlds import (
     FairWorld,
-    _count_exceeding_pairs,
     anti_monotone_world,
     decomposition_check,
     monotonicity_check,
@@ -54,6 +54,19 @@ def test_rates_zero_mass_denominator():
     )
     with pytest.raises(ZeroMassDenominator):
         rates(w, np.ones(2, dtype=np.int8), "fair")
+
+
+@pytest.mark.parametrize("field", ["weight", "fair_p", "score_s"])
+def test_world_rejects_nan(field):
+    values = {
+        "weight": np.array([0.5, 0.5]),
+        "fair_p": np.array([0.2, 0.8]),
+        "score_s": np.array([0.3, 0.7]),
+    }
+    values[field] = np.array([np.nan, values[field][1]])
+    with pytest.raises(ValueError, match="finite"):
+        FairWorld(x=np.array([0.0, 1.0]), group=np.array([0, 0], dtype=np.int8),
+                  **values)
 
 
 def test_rates_match_monte_carlo_on_unfair_basis():
