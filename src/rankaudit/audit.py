@@ -69,17 +69,10 @@ def _count_exceeding_pairs(seq: np.ndarray, tol: float = 0.0) -> int:
     return total
 
 
-def _tie_pairs(v: np.ndarray) -> int:
-    counts = np.unique(v, return_counts=True)[1].astype(np.int64)
-    return int((counts * (counts - 1) // 2).sum())
-
-
-def _joint_tie_pairs(x: np.ndarray, y: np.ndarray) -> int:
-    order = np.lexsort((y, x))
-    xs, ys = x[order], y[order]
-    new_run = np.r_[True, (xs[1:] != xs[:-1]) | (ys[1:] != ys[:-1])]
-    starts = np.flatnonzero(new_run)
-    counts = np.diff(np.r_[starts, len(x)]).astype(np.int64)
+def _tie_pairs(tied: np.ndarray) -> int:
+    """Pairs inside the runs of a sorted vector v, given tied = v[1:] == v[:-1]."""
+    starts = np.flatnonzero(np.r_[True, ~tied])
+    counts = np.diff(np.r_[starts, len(tied) + 1]).astype(np.int64)
     return int((counts * (counts - 1) // 2).sum())
 
 
@@ -140,11 +133,15 @@ def kendall_tau(x, y, variant: str = "tau-b") -> float:
     if n < 2:
         raise TooShort("need at least two observations")
     _require_finite(x, y)
-    disc = _count_exceeding_pairs(y[np.lexsort((y, x))])
+    order = np.lexsort((y, x))
+    xs, ys = x[order], y[order]
+    disc = _count_exceeding_pairs(ys)
+    x_tied = xs[1:] == xs[:-1]
+    y_sorted = np.sort(y)
     n0 = n * (n - 1) // 2
-    n1 = _tie_pairs(x)
-    n2 = _tie_pairs(y)
-    n3 = _joint_tie_pairs(x, y)
+    n1 = _tie_pairs(x_tied)
+    n2 = _tie_pairs(y_sorted[1:] == y_sorted[:-1])
+    n3 = _tie_pairs(x_tied & (ys[1:] == ys[:-1]))
     conc = n0 - n1 - n2 + n3 - disc
     if variant == "tau-a":
         return float(conc - disc) / float(n0)

@@ -17,16 +17,16 @@ import logging
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .audit import AuditReport, audit_scores, build_report
 from .dataset import (
-    Dataset, DatasetSpec, atomic_open, builtin_specs, float_text, ingest, split,
-    verify_base_rate, write_csv,
+    Dataset, DatasetSpec, atomic_open, builtin_specs, float_text, ingest,
+    positions_in, split, verify_base_rate, write_csv,
 )
 from .decide import DecisionPolicy, DecisionSet, decide, export_decisions
-from .errors import AuditError, ConfigError, DegenerateSplit, PolicyMismatch, RateOutOfRange
+from .errors import (
+    AuditError, ConfigError, DegenerateSplit, PolicyMismatch, RateOutOfRange, UnknownId,
+)
 from .mitigate import (
     apply_mixing,
     apply_reject_option,
@@ -318,17 +318,14 @@ class Pipeline:
                 )
             elif kind == "external-scores":
                 full = ingest_external_scores(m["path"], self.dataset, name)
-                lookup = {int(i): s for i, s in zip(full.instance_ids, full.scores)}
-                missing = [int(i) for i in test_ids if int(i) not in lookup]
-                if missing:
+                try:
+                    pos = positions_in(full.instance_ids, test_ids)
+                except UnknownId as exc:
                     raise ConfigError(
-                        f"external scores {m['path']} lack test ids, e.g. {missing[:5]}"
-                    )
-                scores = ScoreSet(
-                    method=name, instance_ids=test_ids,
-                    scores=np.array([lookup[int(i)] for i in test_ids]),
-                    produced_on="test",
-                )
+                        f"external scores {m['path']} lack test ids: {exc}"
+                    ) from exc
+                scores = ScoreSet(method=name, instance_ids=test_ids,
+                                  scores=full.scores[pos], produced_on="test")
             else:
                 raise ConfigError(f"unknown method kind {kind!r}")
             self.method_scores.append(scores)

@@ -2,8 +2,10 @@
 
 A Dataset holds one binary sensitive attribute (protected vs privileged),
 one binary target (1 = favorable), and a numeric feature matrix in which
-categorical columns are stored as small integer codes.  Ingestion keeps the
-original cell strings so that export reproduces every cell exactly.
+categorical columns are stored as small integer codes.  A Dataset is its
+columns: ingestion reads the file once, codes every non-numeric column in
+first-seen order, and keeps each numeric column's cell text as UTF-8 bytes,
+so that export reproduces every ingested cell exactly.
 """
 
 from __future__ import annotations
@@ -12,10 +14,10 @@ import csv
 import json
 import logging
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from importlib import resources
-from itertools import chain
+from itertools import chain, compress, islice
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +43,7 @@ BASE_RATE_TOLERANCE = 5e-4
 # cells treated as missing; rows containing one in a used column are dropped
 _MISSING_CELLS = {"", "?"}
 
-_TEXT_BLOCK = 1 << 16  # values turned into CSV text per step
+_TEXT_BLOCK = 1 << 16  # rows read, or values turned into CSV text, per step
 
 
 @contextmanager
@@ -66,15 +68,16 @@ def write_csv(path: str | Path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def float_text(values):
-    """repr of each value as a Python float: the text every CSV carries.
+def _text(values: np.ndarray, convert):
+    """convert applied to each value, a block at a time, so a long column
+    never exists as Python objects all at once."""
+    return chain.from_iterable(map(convert, values[i:i + _TEXT_BLOCK].tolist())
+                               for i in range(0, len(values), _TEXT_BLOCK))
 
-    Converts a block at a time, so a long column never exists as Python
-    floats all at once.
-    """
-    v = np.asarray(values, dtype=np.float64)
-    return chain.from_iterable(map(repr, v[i:i + _TEXT_BLOCK].tolist())
-                               for i in range(0, len(v), _TEXT_BLOCK))
+
+def float_text(values):
+    """repr of each value as a Python float: the text every CSV carries."""
+    return _text(np.asarray(values, dtype=np.float64), repr)
 
 
 def group_names(sensitive: np.ndarray) -> np.ndarray:
@@ -178,8 +181,7 @@ class Dataset:
     sensitive_values: tuple = ("protected", "privileged")
     target_values: tuple = ("1", "0")                  # (favorable, other)
     dropped_rows: int = 0
-    raw_header: tuple = ()
-    raw_rows: tuple = ()
+    numeric_text: dict = field(default_factory=dict)   # column -> ingested bytes
 
     def __post_init__(self):
         n = len(self.instance_ids)
@@ -226,21 +228,20 @@ class Dataset:
 
     def export_csv(self, path: str | Path) -> None:
         """Write the used columns back out; ingested cells round-trip exactly."""
-        if self.raw_rows:
-            write_csv(path, self.raw_header, self.raw_rows)
-            return
         columns = []
         for j, col in enumerate(self.schema.feature_columns):
             v = self.features[:, j]
-            if col.kind == "categorical" and col.name in self.categories:
+            if col.name in self.numeric_text:
+                columns.append(_text(self.numeric_text[col.name], bytes.decode))
+            elif col.kind == "categorical" and col.name in self.categories:
                 table = np.array(self.categories[col.name], dtype=object)
                 columns.append(table[v.astype(np.int64)].tolist())
             else:
                 columns.append(float_text(v))
-        prot_raw, priv_raw = self.sensitive_values
-        fav_raw, unfav_raw = self.target_values
-        columns.append(np.where(self.sensitive == PROTECTED, prot_raw, priv_raw).tolist())
-        columns.append(np.where(self.label == 1, fav_raw, unfav_raw).tolist())
+        for codes, raw in ((self.sensitive, self.sensitive_values),
+                           (self.label, self.target_values)):
+            # raw holds the text of code 1, then of code 0
+            columns.append(np.array(raw[::-1], dtype=object)[codes].tolist())
         write_csv(path, self.schema.used_columns, zip(*columns))
 
 
@@ -257,132 +258,128 @@ class Split:
         return len(self.train_ids), len(self.validation_ids), len(self.test_ids)
 
 
+def _bytes(cells) -> np.ndarray:
+    """UTF-8 bytes array of str cells."""
+    try:
+        return np.array(cells, dtype=bytes)
+    except UnicodeEncodeError:
+        return np.array([c.encode() for c in cells], dtype=bytes)
+
+
+def _parse_floats(cells) -> np.ndarray:
+    """float of each cell; nan where a cell does not parse."""
+    try:
+        return np.fromiter(map(float, cells), dtype=np.float64, count=len(cells))
+    except ValueError:
+        values = np.full(len(cells), np.nan)
+        for i, cell in enumerate(cells):
+            with suppress(ValueError):
+                values[i] = float(cell)
+        return values
+
+
+def _binarize(column: str, table: dict, chunks: list, wanted: str, what: str,
+              error) -> tuple[np.ndarray, tuple[str, str]]:
+    """1 where a coded cell is `wanted`; and (wanted, the other value)."""
+    others = sorted(set(table) - {wanted})
+    if len(others) > 1:
+        raise error(f"{what} column {column!r} has values {sorted(table)}; "
+                    f"expected {wanted!r} plus one other")
+    binary = (np.concatenate(chunks) == table.get(wanted, -1)).astype(np.int8)
+    return binary, (wanted, others[0] if others else wanted)
+
+
 def ingest(csv_path: str | Path, spec: DatasetSpec) -> Dataset:
     """Read a CSV into a Dataset, binarizing sensitive and target columns.
 
-    Rows with a missing value ("" or "?") in any used column are dropped and
-    counted.  Raises MissingColumn, NonBinarySensitive, NonBinaryTarget, or
+    One pass reads `_TEXT_BLOCK` rows at a time.  Rows that are short or
+    have a missing value ("" or "?") in any used column are dropped and
+    counted, and so are rows with a numeric cell that is not a finite
+    float; only then are the other columns coded, in first-seen order.
+    Raises MissingColumn, NonBinarySensitive, NonBinaryTarget, or
     EmptyFile on contract violations.
     """
     csv_path = Path(csv_path)
+    used = spec.used_columns
+    numeric = [c.name for c in spec.feature_columns if c.kind == "numeric"]
+    values = {name: [] for name in numeric}  # float chunks
+    text = {name: [] for name in numeric}    # UTF-8 bytes chunks
+    tables = {name: {} for name in used if name not in values}  # cell -> code
+    codes = {name: [] for name in tables}
+    n_read = n_bad = 0
     with open(csv_path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
-            file_header = next(reader)
+            file_header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise EmptyFile(f"{csv_path} has no header row")
-        file_header = [h.strip() for h in file_header]
-        col_pos = {}
-        for col in spec.used_columns:
+        for col in used:
             if col not in file_header:
                 raise MissingColumn(f"{csv_path} lacks column {col!r}")
-            col_pos[col] = file_header.index(col)
 
-        used = spec.used_columns
-        kept_rows = []
-        dropped = 0
-        for row in reader:
-            if len(row) < len(file_header):
-                dropped += 1
-                continue
-            cells = [row[col_pos[c]].strip() for c in used]
-            if any(c in _MISSING_CELLS for c in cells):
-                dropped += 1
-                continue
-            kept_rows.append(cells)
+        while block := list(islice(reader, _TEXT_BLOCK)):
+            n_read += len(block)
+            if min(map(len, block)) < len(file_header):
+                block = [row for row in block if len(row) >= len(file_header)]
+                if not block:
+                    continue
+            file_columns = list(zip(*block))
+            cells = {name: list(map(str.strip, file_columns[file_header.index(name)]))
+                     for name in used}
+            drop = np.zeros(len(block), dtype=bool)
+            for col in cells.values():
+                if not _MISSING_CELLS.isdisjoint(col):
+                    drop |= np.fromiter(map(_MISSING_CELLS.__contains__, col),
+                                        dtype=bool, count=len(col))
+            parsed = {name: _parse_floats(cells[name]) for name in numeric}
+            bad = ~drop & ~np.all([np.isfinite(v) for v in parsed.values()], axis=0)
+            n_bad += int(bad.sum())
+            keep = ~(drop | bad)
+            if not keep.all():
+                cells = {name: list(compress(col, keep)) for name, col in cells.items()}
+                parsed = {name: v[keep] for name, v in parsed.items()}
+            for name in numeric:
+                values[name].append(parsed[name])
+                text[name].append(_bytes(cells[name]))
+            for name, table in tables.items():
+                for cell in dict.fromkeys(cells[name]):
+                    table.setdefault(cell, len(table))
+                codes[name].append(np.fromiter(map(table.__getitem__, cells[name]),
+                                               dtype=np.int64, count=len(cells[name])))
 
-    if not kept_rows:
-        raise EmptyFile(f"{csv_path} has no usable data rows ({dropped} dropped)")
-    if dropped:
-        log.warning("%s: dropped %d rows with missing values", csv_path.name, dropped)
-
-    n = len(kept_rows)
-    sens_col = used.index(spec.protected_attribute_column)
-    targ_col = used.index(spec.target_column)
-
-    sens_raw = [r[sens_col] for r in kept_rows]
-    others = sorted(set(sens_raw) - {spec.protected_value})
-    if len(others) > 1:
-        raise NonBinarySensitive(
-            f"sensitive column {spec.protected_attribute_column!r} has values "
-            f"{sorted(set(sens_raw))}; expected {spec.protected_value!r} plus one other"
-        )
-    sensitive = np.fromiter(
-        (PROTECTED if v == spec.protected_value else PRIVILEGED for v in sens_raw),
-        dtype=np.int8, count=n,
-    )
-
-    targ_raw = [r[targ_col] for r in kept_rows]
-    targ_others = sorted(set(targ_raw) - {spec.favorable_value})
-    if len(targ_others) > 1:
-        raise NonBinaryTarget(
-            f"target column {spec.target_column!r} has values "
-            f"{sorted(set(targ_raw))}; expected {spec.favorable_value!r} plus one other"
-        )
-    label = np.fromiter(
-        (1 if v == spec.favorable_value else 0 for v in targ_raw),
-        dtype=np.int8, count=n,
-    )
+    n = sum(map(len, codes[spec.target_column]))
+    n_missing = n_read - n_bad - n
+    if n_missing == n_read:
+        raise EmptyFile(f"{csv_path} has no usable data rows ({n_missing} dropped)")
+    if n_missing:
+        log.warning("%s: dropped %d rows with missing values", csv_path.name, n_missing)
+    if n_bad:
+        log.warning("%s: dropped %d rows with non-numeric cells", csv_path.name, n_bad)
+    if not n:
+        raise EmptyFile(f"{csv_path} has no rows with parseable numeric cells")
 
     features = np.empty((n, len(spec.feature_columns)), dtype=np.float64)
-    categories: dict[str, tuple[str, ...]] = {}
-    bad_numeric = np.zeros(n, dtype=bool)
     for j, col in enumerate(spec.feature_columns):
-        cells = [r[j] for r in kept_rows]
-        if col.kind == "numeric":
-            for i, cell in enumerate(cells):
-                try:
-                    features[i, j] = float(cell)
-                except ValueError:
-                    bad_numeric[i] = True
-        else:
-            codes: dict[str, int] = {}
-            for i, cell in enumerate(cells):
-                if cell not in codes:
-                    codes[cell] = len(codes)
-                features[i, j] = codes[cell]
-            categories[col.name] = tuple(codes)
-
-    if bad_numeric.any():
-        # unparseable numeric cells are treated like missing values
-        n_bad = int(bad_numeric.sum())
-        log.warning("%s: dropped %d rows with non-numeric cells", csv_path.name, n_bad)
-        keep = ~bad_numeric
-        if not keep.any():
-            raise EmptyFile(f"{csv_path} has no rows with parseable numeric cells")
-        kept_rows = [r for r, k in zip(kept_rows, keep) if k]
-        features = features[keep]
-        sensitive = sensitive[keep]
-        label = label[keep]
-        dropped += n_bad
-        n = len(kept_rows)
-        # recode categoricals so codes stay dense and first-seen ordered
-        for j, col in enumerate(spec.feature_columns):
-            if col.kind == "categorical":
-                codes = {}
-                for i, r in enumerate(kept_rows):
-                    if r[j] not in codes:
-                        codes[r[j]] = len(codes)
-                    features[i, j] = codes[r[j]]
-                categories[col.name] = tuple(codes)
-
-    prot_raw = spec.protected_value if PROTECTED in sensitive else others[0]
-    priv_raw = others[0] if others else spec.protected_value
-    fav_raw = spec.favorable_value
-    unfav_raw = targ_others[0] if targ_others else spec.favorable_value
-
+        chunks = values[col.name] if col.kind == "numeric" else codes[col.name]
+        features[:, j] = np.concatenate(chunks)
+    sens, targ = spec.protected_attribute_column, spec.target_column
+    sensitive, sensitive_values = _binarize(sens, tables[sens], codes[sens],
+                                            spec.protected_value, "sensitive",
+                                            NonBinarySensitive)
+    label, target_values = _binarize(targ, tables[targ], codes[targ],
+                                     spec.favorable_value, "target", NonBinaryTarget)
     return Dataset(
         instance_ids=np.arange(n, dtype=np.int64),
         features=features,
         sensitive=sensitive,
         label=label,
         schema=spec,
-        categories=categories,
-        sensitive_values=(prot_raw, priv_raw),
-        target_values=(fav_raw, unfav_raw),
-        dropped_rows=dropped,
-        raw_header=tuple(used),
-        raw_rows=tuple(tuple(r) for r in kept_rows),
+        categories={c.name: tuple(tables[c.name]) for c in spec.feature_columns
+                    if c.kind == "categorical"},
+        sensitive_values=sensitive_values,
+        target_values=target_values,
+        dropped_rows=n_missing + n_bad,
+        numeric_text={name: np.concatenate(chunks) for name, chunks in text.items()},
     )
 
 

@@ -76,17 +76,13 @@ class ScorerConfig:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    e = np.exp(z[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    e = np.exp(-np.abs(z))  # never overflows
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def _bce(p: np.ndarray, y: np.ndarray) -> float:
-    eps = 1e-12
-    return float(-np.mean(y * np.log(p + eps) + (1 - y) * np.log(1 - p + eps)))
+    """Mean binary cross-entropy for 0/1 labels y."""
+    return float(-np.mean(np.log(np.where(y == 1, p, 1 - p) + 1e-12)))
 
 
 @dataclass

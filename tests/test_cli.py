@@ -145,6 +145,26 @@ def test_external_scores_method(run_inputs, tmp_path):
     assert report["tau_vs_baseline"]["mirror"]["overall"] == 1.0
 
 
+def test_external_scores_missing_test_ids_exit_1(run_inputs, tmp_path, capsys):
+    root, config_path, config = run_inputs
+    base_out = tmp_path / "base"
+    assert main(["run", "--config", str(config_path), "--out", str(base_out)]) == 0
+    header, *rows = (base_out / "scores_baseline_test.csv").read_text().splitlines()
+    ext_path = tmp_path / "external.csv"
+    ext_path.write_text("\n".join([header] + rows[1:]) + "\n", encoding="utf-8")
+    cfg = dict(config)
+    cfg["methods"] = [{"kind": "external-scores", "name": "partial",
+                       "path": str(ext_path)}]
+    cfg_path = tmp_path / "ext.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "lack test ids" in err
+    assert f"[{rows[0].split(',')[0]}]" in err  # names the missing id
+    assert not (tmp_path / "o" / "report_native.json").exists()
+
+
 def test_five_dataset_batch_reports_share_structure(tmp_path):
     """One run per benchmark fixture; every report mirrors the same table shape."""
     from rankaudit.synthetic import exact_rate_spec, write_exact_rate_csv

@@ -6,6 +6,7 @@ import logging
 import numpy as np
 import pytest
 
+import rankaudit.dataset
 from rankaudit.dataset import (
     Dataset,
     DatasetSpec,
@@ -23,6 +24,7 @@ from rankaudit.errors import (
     NonBinaryTarget,
     UnknownId,
 )
+from rankaudit.mitigate import disparate_impact_remove
 
 from conftest import make_dataset, make_spec
 
@@ -136,6 +138,85 @@ def test_export_round_trip_quoted_cells(tmp_path):
     with open(out, newline="") as fh:
         exported = list(csv.reader(fh))
     assert exported == original
+
+
+@pytest.mark.parametrize("text_block", [None, 2])
+def test_export_round_trip_bytes(tmp_path, monkeypatch, text_block):
+    """Cells repr does not rebuild and csv-quoted cells come back byte for
+    byte, also when codes and text cross block boundaries."""
+    if text_block is not None:
+        monkeypatch.setattr(rankaudit.dataset, "_TEXT_BLOCK", text_block)
+    path = tmp_path / "cells.csv"
+    rows = [("39", "a,b", "protected", "favorable"),
+            ("1e5", "plain", "privileged", "unfavorable"),
+            ("-0", "a,b", "privileged", "favorable"),
+            ("007", 'say "x"', "protected", "unfavorable"),
+            ("\u0663", "plain", "protected", "favorable")]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["f0", "f1", "group", "outcome"])
+        writer.writerows(rows)
+    d = ingest(path, make_spec(n_features=2, kinds=["numeric", "categorical"]))
+    assert d.features[:, 0].tolist() == [39.0, 1e5, -0.0, 7.0, 3.0]
+    assert d.categories["f1"] == ("a,b", "plain", 'say "x"')
+    out = tmp_path / "out.csv"
+    d.export_csv(out)
+    assert out.read_bytes() == path.read_bytes()
+
+
+def test_ingest_codes_after_dropped_row(tmp_path, caplog):
+    """A dropped unparseable row leaves dense, first-seen codes without its value."""
+    path = tmp_path / "bad_number.csv"
+    path.write_text(
+        "f0,f1,group,outcome\n"
+        "oops,gone,protected,favorable\n"
+        "1,red,privileged,unfavorable\n"
+        "2,blue,protected,favorable\n"
+        "3,red,privileged,favorable\n",
+        encoding="utf-8",
+    )
+    with caplog.at_level(logging.WARNING):
+        d = ingest(path, make_spec(n_features=2, kinds=["numeric", "categorical"]))
+    assert d.n == 3
+    assert d.dropped_rows == 1
+    assert d.categories["f1"] == ("red", "blue")
+    assert d.features[:, 1].tolist() == [0.0, 1.0, 0.0]
+    assert d.sensitive.tolist() == [0, 1, 0]
+    assert any("dropped 1 rows with non-numeric" in r.message for r in caplog.records)
+
+
+def test_ingest_drops_non_finite_numeric_cells(tmp_path, caplog):
+    path = tmp_path / "non_finite.csv"
+    path.write_text(
+        "f0,group,outcome\n"
+        "1.0,protected,favorable\n"
+        "nan,protected,favorable\n"
+        "inf,privileged,unfavorable\n"
+        "-Infinity,privileged,favorable\n"
+        "2.0,privileged,unfavorable\n",
+        encoding="utf-8",
+    )
+    with caplog.at_level(logging.WARNING):
+        d = ingest(path, make_spec())
+    assert d.features[:, 0].tolist() == [1.0, 2.0]
+    assert d.dropped_rows == 3
+    assert any("dropped 3 rows with non-numeric" in r.message for r in caplog.records)
+
+
+def test_export_of_repaired_dataset_writes_repaired_values(tmp_path):
+    path = tmp_path / "ints.csv"
+    path.write_text(
+        "f0,group,outcome\n1,protected,favorable\n2,protected,unfavorable\n"
+        "30,privileged,favorable\n40,privileged,unfavorable\n",
+        encoding="utf-8",
+    )
+    repaired = disparate_impact_remove(ingest(path, make_spec()), 1.0)
+    out = tmp_path / "out.csv"
+    repaired.export_csv(out)
+    with open(out, newline="") as fh:
+        exported = [row[0] for row in list(csv.reader(fh))[1:]]
+    assert exported == [repr(v) for v in repaired.features[:, 0].tolist()]
+    assert exported != ["1", "2", "30", "40"]
 
 
 def test_base_rate_mismatch_warns(tmp_path, caplog):
