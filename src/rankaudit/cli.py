@@ -28,6 +28,7 @@ from .errors import (
     AuditError, ConfigError, DegenerateSplit, PolicyMismatch, RateOutOfRange, UnknownId,
 )
 from .mitigate import (
+    apply_group_thresholds,
     apply_mixing,
     apply_reject_option,
     disparate_impact_remove,
@@ -292,10 +293,8 @@ class Pipeline:
                     rate=m.get("rate"),
                 )
                 self.fit_artifacts[name] = gt.to_text()
-                policy = DecisionPolicy(kind="per-group-thresholds",
-                                        group_thresholds=gt)
                 scores = relabel(self.baseline_test, name)
-                self.native_decisions[name] = decide(scores, self.dataset, policy)
+                self.native_decisions[name] = apply_group_thresholds(gt, scores, self.dataset)
             elif kind == "reject-option":
                 res = reject_option_classify(
                     self.baseline_validation, self.dataset, val_ids,

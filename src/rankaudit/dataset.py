@@ -5,7 +5,9 @@ one binary target (1 = favorable), and a numeric feature matrix in which
 categorical columns are stored as small integer codes.  A Dataset is its
 columns: ingestion reads the file once, codes every non-numeric column in
 first-seen order, and keeps each numeric column's cell text as UTF-8 bytes,
-so that export reproduces every ingested cell exactly.
+so that export reproduces every ingested cell exactly.  An instance id is
+a row number: row i of every column belongs to instance i, counted from 0
+over the rows ingestion keeps.
 """
 
 from __future__ import annotations
@@ -172,7 +174,6 @@ def builtin_specs() -> dict[str, DatasetSpec]:
 class Dataset:
     """Immutable audited table; safe for concurrent reads."""
 
-    instance_ids: np.ndarray  # int64, strictly increasing
     features: np.ndarray      # float64 matrix, categoricals as codes
     sensitive: np.ndarray     # int8, 1 = protected, 0 = privileged
     label: np.ndarray         # int8, 1 = favorable
@@ -184,15 +185,12 @@ class Dataset:
     numeric_text: dict = field(default_factory=dict)   # column -> ingested bytes
 
     def __post_init__(self):
-        n = len(self.instance_ids)
+        n = len(self.label)
         if n < 1:
             raise ValueError("dataset must contain at least one row")
-        for name, vec in (("features", self.features), ("sensitive", self.sensitive),
-                          ("label", self.label)):
+        for name, vec in (("features", self.features), ("sensitive", self.sensitive)):
             if len(vec) != n:
                 raise ValueError(f"{name} length {len(vec)} != {n}")
-        if not np.all(np.diff(self.instance_ids) > 0):
-            raise ValueError("instance_ids must be strictly increasing")
         if not np.isin(self.sensitive, (PROTECTED, PRIVILEGED)).all():
             raise ValueError("sensitive values must be 0/1")
         if not np.isin(self.label, (0, 1)).all():
@@ -200,7 +198,12 @@ class Dataset:
 
     @property
     def n(self) -> int:
-        return len(self.instance_ids)
+        return len(self.label)
+
+    @property
+    def instance_ids(self) -> np.ndarray:
+        """0..n-1: an instance id is its row number."""
+        return np.arange(self.n, dtype=np.int64)
 
     @property
     def protected_mask(self) -> np.ndarray:
@@ -212,13 +215,13 @@ class Dataset:
         return n_prot, self.n - n_prot
 
     def positions_of(self, ids) -> np.ndarray:
-        """Row positions of the given instance ids; raises UnknownId."""
+        """Row positions of the given instance ids, which are the ids
+        themselves as int64; raises UnknownId for an id outside 0..n-1."""
         ids = np.asarray(ids, dtype=np.int64)
-        pos = np.searchsorted(self.instance_ids, ids)
-        bad = (pos >= self.n) | (self.instance_ids[np.minimum(pos, self.n - 1)] != ids)
+        bad = (ids < 0) | (ids >= self.n)
         if bad.any():
             raise UnknownId(f"ids not in dataset: {ids[bad][:5].tolist()}")
-        return pos
+        return ids
 
     def feature_index(self, column: str) -> int:
         for i, c in enumerate(self.schema.feature_columns):
@@ -308,6 +311,8 @@ def ingest(csv_path: str | Path, spec: DatasetSpec) -> Dataset:
     codes = {name: [] for name in tables}
     n_read = n_bad = 0
     with open(csv_path, "r", encoding="utf-8", newline="") as fh:
+        if fh.read(1) != "\ufeff":  # skip a byte-order mark
+            fh.seek(0)
         reader = csv.reader(fh)
         try:
             file_header = [h.strip() for h in next(reader)]
@@ -369,7 +374,6 @@ def ingest(csv_path: str | Path, spec: DatasetSpec) -> Dataset:
     label, target_values = _binarize(targ, tables[targ], codes[targ],
                                      spec.favorable_value, "target", NonBinaryTarget)
     return Dataset(
-        instance_ids=np.arange(n, dtype=np.int64),
         features=features,
         sensitive=sensitive,
         label=label,
@@ -403,7 +407,7 @@ def split(d: Dataset, fractions: tuple[float, float, float], seed: int) -> Split
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ValueError(f"fractions must sum to 1, got {sum(fractions)}")
     n = d.n
-    shuffled = d.instance_ids[prng.permutation(seed, n)]
+    shuffled = prng.permutation(seed, n)
     n_train = int(np.floor(fractions[0] * n + 1e-9))
     n_val = int(np.floor(fractions[1] * n + 1e-9))
     n_test = int(np.floor(fractions[2] * n + 1e-9))

@@ -44,7 +44,6 @@ class DecisionPolicy:
     group_thresholds: object | None = None
     group_rates: tuple[float, float] | None = None
     note: str = ""
-    tie_rule: str = TIE_RULE
 
     def __post_init__(self):
         if self.kind == "fixed-threshold":
@@ -80,7 +79,7 @@ class DecisionPolicy:
         return self.kind
 
     def describe(self) -> dict:
-        doc = {"kind": self.kind, "tie_rule": self.tie_rule}
+        doc = {"kind": self.kind, "tie_rule": TIE_RULE}
         if self.threshold is not None:
             doc["threshold"] = self.threshold
         if self.rate is not None:

@@ -84,7 +84,6 @@ def disparate_impact_remove(d: Dataset, repair_level: float,
         features[:, j] = (1.0 - lam) * v + lam * q_median
 
     return RepairedDataset(
-        instance_ids=d.instance_ids,
         features=features,
         sensitive=d.sensitive,
         label=d.label,
@@ -118,21 +117,16 @@ class GroupThresholds:
         )
 
 
-def _select_over_ids(scores: ScoreSet, ids) -> tuple[np.ndarray, np.ndarray]:
+def _cohort(set_ids, values, d: Dataset, ids, what: str):
+    """(ids, values at ids, protected mask, truth) for ids taken from a score
+    or decision set whose ids and values are set_ids and values."""
     ids = np.asarray(ids, dtype=np.int64)
     try:
-        lookup = positions_in(scores.instance_ids, ids)
+        values = values[positions_in(set_ids, ids)]
     except UnknownId as exc:
-        raise EmptyGroup(f"requested ids missing from the score set: {exc}")
-    return ids, scores.scores[lookup]
-
-
-def _base_labels_for(pred: DecisionSet, ids: np.ndarray) -> np.ndarray:
-    try:
-        lookup = positions_in(pred.instance_ids, ids)
-    except UnknownId as exc:
-        raise EmptyGroup(f"requested ids missing from the base predictions: {exc}")
-    return pred.labels[lookup]
+        raise EmptyGroup(f"requested ids missing from the {what}: {exc}")
+    pos = d.positions_of(ids)
+    return ids, values, d.sensitive[pos] == PROTECTED, d.label[pos]
 
 
 def fit_threshold_optimizer(scores: ScoreSet, d: Dataset, ids,
@@ -144,9 +138,7 @@ def fit_threshold_optimizer(scores: ScoreSet, d: Dataset, ids,
     selection level).  Realized rates land within 1/n_g of the target when
     the thresholds are applied with boundary-tie completion.
     """
-    ids, s = _select_over_ids(scores, ids)
-    pos = d.positions_of(ids)
-    group = d.sensitive[pos]
+    _, s, prot, _ = _cohort(scores.instance_ids, scores.scores, d, ids, "score set")
     criterion = "selection-rate" if rate is not None else "demographic-parity"
     if rate is None:
         rate = float((s > 0.5).mean())
@@ -154,8 +146,7 @@ def fit_threshold_optimizer(scores: ScoreSet, d: Dataset, ids,
         raise RateOutOfRange(f"target rate must lie in [0, 1], got {rate}")
 
     cutoffs = {}
-    for g in (PROTECTED, PRIVILEGED):
-        m = group == g
+    for g, m in ((PROTECTED, prot), (PRIVILEGED, ~prot)):
         n_g = int(m.sum())
         if n_g == 0:
             raise EmptyGroup(f"group {g} empty in threshold fitting ids")
@@ -229,9 +220,7 @@ def reject_option_classify(scores: ScoreSet, d: Dataset, ids,
     """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    ids, s = _select_over_ids(scores, ids)
-    pos = d.positions_of(ids)
-    prot = d.sensitive[pos] == PROTECTED
+    ids, s, prot, _ = _cohort(scores.instance_ids, scores.scores, d, ids, "score set")
     if not prot.any() or prot.all():
         raise EmptyGroup("reject option needs both groups present")
 
@@ -264,9 +253,7 @@ def reject_option_classify(scores: ScoreSet, d: Dataset, ids,
 def apply_reject_option(region: CriticalRegion, scores: ScoreSet, d: Dataset,
                         ids, method: str | None = None) -> DecisionSet:
     """Apply a frozen critical region to any id set."""
-    ids, s = _select_over_ids(scores, ids)
-    pos = d.positions_of(ids)
-    prot = d.sensitive[pos] == PROTECTED
+    ids, s, prot, _ = _cohort(scores.instance_ids, scores.scores, d, ids, "score set")
     policy = DecisionPolicy(kind="reject-option", note=f"theta={region.theta:g}")
     return DecisionSet(instance_ids=ids,
                        labels=_band_labels(s, prot, region.theta),
@@ -328,11 +315,8 @@ def fit_equalized_odds_post(pred: DecisionSet, d: Dataset, ids,
     for feasibility, and scored.  Objective ties break toward the
     lexicographically smallest (p_prot|0, p_prot|1, p_priv|0, p_priv|1).
     """
-    ids = np.asarray(ids, dtype=np.int64)
-    base_labels = _base_labels_for(pred, ids)
-    pos = d.positions_of(ids)
-    truth = d.label[pos]
-    prot = d.sensitive[pos] == PROTECTED
+    _, base_labels, prot, truth = _cohort(pred.instance_ids, pred.labels, d, ids,
+                                          "base predictions")
 
     counts = {}
     for g, mask in ((PROTECTED, prot), (PRIVILEGED, ~prot)):
@@ -405,11 +389,8 @@ def fit_equalized_odds_post(pred: DecisionSet, d: Dataset, ids,
 def derived_group_rates(rates: MixingRates, pred: DecisionSet, d: Dataset,
                         ids) -> dict:
     """Analytic post-mixing TPR/FPR per group on the given ids."""
-    ids = np.asarray(ids, dtype=np.int64)
-    base_labels = _base_labels_for(pred, ids)
-    pos = d.positions_of(ids)
-    truth = d.label[pos]
-    prot = d.sensitive[pos] == PROTECTED
+    _, base_labels, prot, truth = _cohort(pred.instance_ids, pred.labels, d, ids,
+                                          "base predictions")
     base = {
         "tpr_prot": float(base_labels[prot & (truth == 1)].mean()),
         "fpr_prot": float(base_labels[prot & (truth == 0)].mean()),
@@ -428,10 +409,8 @@ def apply_mixing(rates: MixingRates, pred: DecisionSet, d: Dataset,
     Draws are keyed by (seed, instance_id), so repeated application is
     bit-identical and independent of evaluation order.
     """
-    ids = np.asarray(ids, dtype=np.int64)
-    base_labels = _base_labels_for(pred, ids)
-    pos = d.positions_of(ids)
-    prot = d.sensitive[pos] == PROTECTED
+    ids, base_labels, prot, _ = _cohort(pred.instance_ids, pred.labels, d, ids,
+                                        "base predictions")
 
     p = np.empty(len(ids))
     for g, mask in ((PROTECTED, prot), (PRIVILEGED, ~prot)):

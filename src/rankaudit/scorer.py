@@ -271,6 +271,8 @@ def ingest_external_scores(csv_path: str | Path, d: Dataset,
     """
     ids, scores = [], []
     with open(csv_path, "r", encoding="utf-8", newline="") as fh:
+        if fh.read(1) != "\ufeff":  # skip a byte-order mark
+            fh.seek(0)
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header[:2]] != ["instance_id", "score"]:

@@ -85,7 +85,6 @@ def biased_benchmark(n: int = 2400, seed: int = 2024,
     )
     features = np.column_stack([x1, x2, proxy, tier.astype(np.float64)])
     return Dataset(
-        instance_ids=np.arange(n, dtype=np.int64),
         features=features,
         sensitive=protected.astype(np.int8),
         label=label.astype(np.int8),

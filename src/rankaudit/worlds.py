@@ -192,27 +192,25 @@ def pareto_check(w: FairWorld, decision: np.ndarray, basis: str,
 
 # --- within-group monotonicity and threshold decomposition ---------------------
 
-def _witness_pairs(p: np.ndarray, s: np.ndarray, keys: list,
+def _witness_pairs(p: np.ndarray, s: np.ndarray, keys: np.ndarray,
                    tol: float, limit: int) -> list:
-    """Up to `limit` violating (lower-p key, higher-p key) pairs.
+    """Up to `limit` violating (lower-p key, higher-p key) pairs of one
+    group sorted by (p, s).
 
     The first key of each pair has strictly lower p but a score more than
     tol above the second's.
     """
-    order = np.lexsort((s, p))
-    p_o, s_o = p[order], s[order]
-    k_o = [keys[i] for i in order]
     witnesses = []
-    best_s, best_key = -np.inf, None
+    best_s, best = -np.inf, None
     run_start = 0
-    for j in range(len(order)):
-        if p_o[j] != p_o[run_start]:
+    for j in range(len(p)):
+        if p[j] != p[run_start]:
             for t in range(run_start, j):  # fold the finished run
-                if s_o[t] > best_s:
-                    best_s, best_key = s_o[t], k_o[t]
+                if s[t] > best_s:
+                    best_s, best = s[t], t
             run_start = j
-        if best_key is not None and best_s > s_o[j] + tol:
-            witnesses.append((best_key, k_o[j]))
+        if best is not None and best_s > s[j] + tol:
+            witnesses.append((keys[best].item(), keys[j].item()))
             if len(witnesses) >= limit:
                 return witnesses
     return witnesses
@@ -232,9 +230,9 @@ class MonotonicityResult:
         return asdict(self)
 
 
-def _monotonicity_over_groups(groups, tolerance: float,
-                              witness_limit: int = 10):
-    """groups: iterable of (name, p, s, keys)."""
+def _monotonicity_over_groups(groups, tolerance: float, caveat: str | None = None,
+                              witness_limit: int = 10) -> MonotonicityResult:
+    """groups: iterable of (name, p, s, keys), keys an array naming each point."""
     total = 0
     by_group = {}
     witnesses = []
@@ -242,7 +240,8 @@ def _monotonicity_over_groups(groups, tolerance: float,
     for name, p, s, keys in groups:
         size += len(p)
         order = np.lexsort((s, p))  # tied-p runs ascend in s: never counted
-        count = _count_exceeding_pairs(s[order], tolerance)
+        p, s, keys = p[order], s[order], keys[order]
+        count = _count_exceeding_pairs(s, tolerance)
         by_group[name] = count
         total += count
         if count and len(witnesses) < witness_limit:
@@ -252,7 +251,9 @@ def _monotonicity_over_groups(groups, tolerance: float,
                 witnesses.append(
                     {"group": name, "lower_p": lo_p_key, "higher_p": hi_p_key}
                 )
-    return total, by_group, witnesses, size
+    return MonotonicityResult(holds=total == 0, violation_count=total,
+                              violations_by_group=by_group, witnesses=witnesses,
+                              tolerance=tolerance, grid_size=size, caveat=caveat)
 
 
 def monotonicity_check(w: FairWorld, tolerance: float = 0.0) -> MonotonicityResult:
@@ -266,17 +267,8 @@ def monotonicity_check(w: FairWorld, tolerance: float = 0.0) -> MonotonicityResu
     groups = []
     for g in w.groups():
         mask = w.group == g
-        groups.append((w.name_of(g), w.fair_p[mask], w.score_s[mask],
-                       [float(v) for v in w.x[mask]]))
-    total, by_group, witnesses, size = _monotonicity_over_groups(groups, tolerance)
-    return MonotonicityResult(
-        holds=total == 0,
-        violation_count=total,
-        violations_by_group=by_group,
-        witnesses=witnesses,
-        tolerance=tolerance,
-        grid_size=size,
-    )
+        groups.append((w.name_of(g), w.fair_p[mask], w.score_s[mask], w.x[mask]))
+    return _monotonicity_over_groups(groups, tolerance)
 
 
 def monotonicity_check_empirical(baseline: ScoreSet, proxy_fair: ScoreSet,
@@ -294,20 +286,12 @@ def monotonicity_check_empirical(baseline: ScoreSet, proxy_fair: ScoreSet,
     prot = d.sensitive[pos] == PROTECTED
     groups = []
     for mask, name in ((prot, "protected"), (~prot, "privileged")):
-        ids = baseline.instance_ids[mask]
         groups.append((name, proxy_fair.scores[mask], baseline.scores[mask],
-                       [int(i) for i in ids]))
-    total, by_group, witnesses, size = _monotonicity_over_groups(groups, tolerance)
-    return MonotonicityResult(
-        holds=total == 0,
-        violation_count=total,
-        violations_by_group=by_group,
-        witnesses=witnesses,
-        tolerance=tolerance,
-        grid_size=size,
+                       baseline.instance_ids[mask]))
+    return _monotonicity_over_groups(
+        groups, tolerance,
         caveat=("proxy scores are observed estimates; the check assumes they "
-                "carry no estimation noise and cannot verify that assumption"),
-    )
+                "carry no estimation noise and cannot verify that assumption"))
 
 
 @dataclass(frozen=True)

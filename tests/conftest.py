@@ -35,7 +35,6 @@ def make_dataset(sensitive, label, features=None):
     if features.ndim == 1:
         features = features[:, None]
     return Dataset(
-        instance_ids=np.arange(n, dtype=np.int64),
         features=features,
         sensitive=sensitive,
         label=label,

@@ -101,6 +101,36 @@ def test_ingest_drops_missing_rows_with_count(tmp_path, caplog):
     assert any("dropped 2 rows" in r.message for r in caplog.records)
 
 
+def test_instance_ids_are_rows_kept_by_ingest(tmp_path):
+    path = tmp_path / "gaps.csv"
+    path.write_text(
+        "f0,group,outcome\n"
+        ",protected,favorable\n"
+        "1.0,protected,favorable\n"
+        "x,privileged,favorable\n"
+        "2.0,privileged,unfavorable\n"
+        "3.0,protected,unfavorable\n",
+        encoding="utf-8",
+    )
+    d = ingest(path, make_spec())
+    assert d.dropped_rows == 2
+    assert d.features[:, 0].tolist() == [1.0, 2.0, 3.0]
+    assert d.instance_ids.tolist() == [0, 1, 2]
+    assert disparate_impact_remove(d, 1.0).instance_ids.tolist() == [0, 1, 2]
+
+
+def test_ingest_skips_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbff0,group,outcome\n"
+                     b"1.0,protected,favorable\n2.0,privileged,unfavorable\n")
+    d = ingest(path, make_spec())
+    assert d.features[:, 0].tolist() == [1.0, 2.0]
+    assert d.sensitive.tolist() == [1, 0]
+    out = tmp_path / "out.csv"
+    d.export_csv(out)
+    assert out.read_bytes() == path.read_bytes()[3:].replace(b"\n", b"\r\n")
+
+
 def test_ingest_categorical_codes(tmp_path):
     path = tmp_path / "cats.csv"
     path.write_text(
@@ -293,6 +323,9 @@ def test_positions_of_and_unknown_id():
     assert d.positions_of([2, 0]).tolist() == [2, 0]
     with pytest.raises(UnknownId):
         d.positions_of([99])
+    for outside in (-1, d.n):
+        with pytest.raises(UnknownId, match="ids not in dataset"):
+            d.positions_of([0, outside])
 
 
 def test_positions_in_unsorted_haystack():

@@ -98,7 +98,6 @@ def test_repair_rejects_categorical_column():
         feature_columns=(FeatureColumn("f0", "numeric"), FeatureColumn("f1", "categorical")),
     )
     d = Dataset(
-        instance_ids=np.arange(4, dtype=np.int64),
         features=np.array([[0.0, 0], [1.0, 1], [2.0, 0], [3.0, 1]]),
         sensitive=np.array([1, 1, 0, 0], dtype=np.int8),
         label=np.array([0, 1, 0, 1], dtype=np.int8),

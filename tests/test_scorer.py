@@ -121,7 +121,7 @@ def test_standardization_uses_train_stats_only():
     pos = d.positions_of(s.test_ids)
     shuffled_label[pos] = shuffled_label[pos][::-1]
     d2 = Dataset(
-        instance_ids=d.instance_ids, features=d.features, sensitive=d.sensitive,
+        features=d.features, sensitive=d.sensitive,
         label=shuffled_label, schema=d.schema, categories=d.categories,
         sensitive_values=d.sensitive_values, target_values=d.target_values,
     )
@@ -189,6 +189,15 @@ def test_external_scores_reversed_gives_tau_minus_one(tmp_path):
     _write_scores(path, zip(base.instance_ids, 1.0 - base.scores))
     ext = ingest_external_scores(path, d, "reversed")
     assert kendall_tau(base.scores, ext.scores) == -1.0
+
+
+def test_external_scores_skip_byte_order_mark(tmp_path):
+    d = make_dataset([0, 1], [0, 1])
+    path = tmp_path / "ext.csv"
+    path.write_bytes(b"\xef\xbb\xbfinstance_id,score\n1,0.25\n0,0.75\n")
+    ext = ingest_external_scores(path, d, "bom")
+    assert ext.instance_ids.tolist() == [0, 1]
+    assert ext.scores.tolist() == [0.75, 0.25]
 
 
 def test_external_scores_out_of_range(tmp_path):

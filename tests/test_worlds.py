@@ -1,5 +1,7 @@
 """Synthetic world rates, Pareto checks, monotonicity, decomposition."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -201,6 +203,14 @@ def test_anti_monotone_world_counts_all_cross_pairs():
     assert first["lower_p"] < first["higher_p"]  # lower x got the higher score
 
 
+def test_anti_monotone_world_witnesses_pinned():
+    res = monotonicity_check(anti_monotone_world(5))
+    assert res.witnesses == [
+        {"group": "female", "lower_p": 0.0, "higher_p": x}
+        for x in (12.5, 25.0, 37.5, 50.0)
+    ]
+
+
 def test_monotonicity_empirical_after_feature_repair_is_observational():
     # repair-then-retrain changes the ranking; the check reports whatever
     # violation count results, with the caveat attached
@@ -232,6 +242,10 @@ def test_monotonicity_empirical_self_and_reversal():
     assert not res.holds
     assert res.violation_count == 2 * (10 * 9 // 2)  # all pairs in both groups
     assert res.caveat  # the stand-in assumption is reported, not verified
+    assert res.witnesses[0] == {"group": "protected", "lower_p": 18, "higher_p": 16}
+    keys = [w[k] for w in res.witnesses for k in ("lower_p", "higher_p")]
+    assert all(type(k) is int for k in keys)
+    json.dumps(res.to_dict())
 
 
 # --- decomposition ------------------------------------------------------------------------
