@@ -11,9 +11,11 @@ decision problems.
 from __future__ import annotations
 
 import argparse
+import copy
 import hashlib
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -25,7 +27,7 @@ from .dataset import (
 )
 from .decide import DecisionPolicy, DecisionSet, decide, export_decisions
 from .errors import (
-    AuditError, ConfigError, DegenerateSplit, PolicyMismatch, RateOutOfRange, UnknownId,
+    AuditError, ConfigError, DegenerateSplit, PolicyMismatch, UnknownId,
 )
 from .mitigate import (
     apply_group_thresholds,
@@ -78,116 +80,137 @@ def _slug(label: str) -> str:
 
 
 # --- config -------------------------------------------------------------------------
+#
+# SCHEMA, METHODS and POLICIES give each key a config may carry: what its value must
+# be (a key of RULES) and its default.  Top-level, split and scorer defaults are
+# written into the config; dataset and method defaults are applied where they are
+# read, so those entries hash as written.
 
-DEFAULT_SPLIT = {"fractions": [0.6, 0.2, 0.2], "seed": 7}
-RATE_NAMES = ("baseline-pdr", "base-rate")
+REQUIRED = object()
+RATE = 'a number in [0, 1], "baseline-pdr" or "base-rate"'
+NAME = 'a non-empty string other than "baseline"'
 
-# the keys a config may carry, per section and per method or policy kind
-CONFIG_KEYS = {"dataset", "split", "scorer", "methods", "policies", "tau_variant"}
-SECTION_KEYS = {"dataset": {"csv", "spec"}, "split": {"fractions", "seed"},
-                "scorer": {"learning_rate", "epochs", "l2_penalty", "seed",
-                           "model_kind", "include_sensitive"}}
-METHOD_KEYS = {  # besides kind and name
-    "feature-repair": {"repair_level", "columns"}, "group-thresholds": {"rate"},
-    "reject-option": {"epsilon"}, "equalized-odds": {"seed"}, "external-scores": {"path"},
+
+def _number(v, low=-math.inf, high=math.inf) -> bool:
+    return type(v) in (int, float) and low <= v <= high and abs(v) != math.inf
+
+
+RULES = {  # what a value must be: its test
+    "anything": lambda v: True,
+    "a JSON object": lambda v: type(v) is dict,
+    "a list of JSON objects": lambda v: type(v) is list and all(type(e) is dict for e in v),
+    "an existing file": lambda v: type(v) is str and Path(v).is_file(),
+    "a spec name, path or object": lambda v: type(v) in (str, dict),
+    "three numbers >= 0 that sum to 1": lambda v: type(v) is list and len(v) == 3
+    and all(_number(f, 0) for f in v) and abs(sum(v) - 1) <= 1e-9,
+    "an integer": lambda v: type(v) is int,
+    "an integer >= 1": lambda v: type(v) is int and v >= 1,
+    "a number > 0": lambda v: _number(v, 0) and v > 0,
+    "a number >= 0": lambda v: _number(v, 0),
+    "a number in [0, 1]": lambda v: _number(v, 0, 1),
+    "null or a number in [0, 1]": lambda v: v is None or _number(v, 0, 1),
+    RATE: lambda v: v in ("baseline-pdr", "base-rate") or _number(v, 0, 1),
+    "true or false": lambda v: type(v) is bool,
+    '"tau-a" or "tau-b"': lambda v: v in ("tau-a", "tau-b"),
+    '"logistic" or "one-hidden-layer"': lambda v: v in ("logistic", "one-hidden-layer"),
+    "null or a list of column names": lambda v: v is None
+    or type(v) is list and all(type(c) is str for c in v),
+    NAME: lambda v: type(v) is str and v not in ("", "baseline"),
 }
-POLICY_KEYS = {"fixed-threshold": {"threshold"}, "global-top-rate": {"rate"},
-               "per-group-rates": {"rate"}}  # besides kind
+
+SCHEMA = {
+    "config": {"dataset": ("a JSON object", REQUIRED), "split": ("a JSON object", {}),
+               "scorer": ("a JSON object", {}), "methods": ("a list of JSON objects", []),
+               "policies": ("a list of JSON objects", [
+                   {"kind": "fixed-threshold", "threshold": 0.5},
+                   {"kind": "per-group-rates", "rate": "baseline-pdr"},
+                   {"kind": "per-group-rates", "rate": "base-rate"}]),
+               "tau_variant": ('"tau-a" or "tau-b"', "tau-b")},
+    "dataset": {"csv": ("an existing file", REQUIRED),
+                "spec": ("a spec name, path or object", "adult")},
+    "split": {"fractions": ("three numbers >= 0 that sum to 1", [0.6, 0.2, 0.2]),
+              "seed": ("an integer", 7)},
+    "scorer": {"learning_rate": ("a number > 0", 0.1), "epochs": ("an integer >= 1", 500),
+               "l2_penalty": ("a number >= 0", 1e-4), "seed": ("an integer", 42),
+               "model_kind": ('"logistic" or "one-hidden-layer"', "logistic"),
+               "include_sensitive": ("true or false", False)},
+    # the keys of every method and every policy; a method's name defaults to its kind
+    "method": {"kind": ("anything", REQUIRED), "name": (NAME, REQUIRED)},
+    "policy": {"kind": ("anything", REQUIRED)},
+}
+METHODS = {  # feature-repair columns are also checked against the spec
+    "feature-repair": {"repair_level": ("a number in [0, 1]", 1.0),
+                       "columns": ("null or a list of column names", None)},
+    "group-thresholds": {"rate": ("null or a number in [0, 1]", None)},
+    "reject-option": {"epsilon": ("a number > 0", 0.02)},
+    "equalized-odds": {"seed": ("an integer", 11)},
+    "external-scores": {"path": ("an existing file", REQUIRED)},
+}
+POLICIES = {
+    "fixed-threshold": {"threshold": ("a number in [0, 1]", REQUIRED)},
+    "global-top-rate": {"rate": (RATE, REQUIRED)},
+    "per-group-rates": {"rate": (RATE, REQUIRED)},
+}
 
 
-def _make_policy(doc: dict, rate_of) -> DecisionPolicy:
-    """The policy a config entry names; rate_of resolves its rate reference."""
-    kind = doc.get("kind")
-    if kind == "fixed-threshold":
-        return DecisionPolicy(kind=kind, threshold=float(doc["threshold"]))
-    if kind == "global-top-rate":
-        return DecisionPolicy(kind=kind, rate=rate_of(doc["rate"]))
-    if kind == "per-group-rates":
-        r = rate_of(doc["rate"])
-        note = doc["rate"] if isinstance(doc["rate"], str) else ""
-        return DecisionPolicy(kind=kind, group_rates=(r, r), note=note)
-    raise ConfigError(f"unknown policy kind {kind!r}")
-
-
-def _load_config(path: str) -> dict:
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file not found: {path}")
-    try:
-        cfg = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}")
-    _check_keys(cfg, CONFIG_KEYS, "config")
-    for section, keys in SECTION_KEYS.items():
-        _check_keys(cfg.get(section, {}), keys, section)
-    if "csv" not in cfg.get("dataset", {}):
-        raise ConfigError("config needs dataset.csv")
-    if not Path(cfg["dataset"]["csv"]).exists():
-        raise ConfigError(f"dataset csv not found: {cfg['dataset']['csv']}")
-    if not all(isinstance(e, dict) for e in [*cfg.get("methods", []),
-                                             *cfg.get("policies", [])]):
-        raise ConfigError("methods and policies must be lists of JSON objects")
-    names = [m.get("name") for m in cfg.get("methods", [])]
-    if len(set(names)) != len(names):
-        raise ConfigError("method names must be unique")
-    for m in cfg.get("methods", []):
-        if m.get("kind") not in METHOD_KEYS:
-            raise ConfigError(f"unknown method kind {m.get('kind')!r}")
-        _check_keys(m, {"kind", "name"} | METHOD_KEYS[m["kind"]],
-                    f"method {m.get('name')!r}")
-        rate = m.get("rate")
-        if rate is not None and not (isinstance(rate, (int, float)) and 0 <= rate <= 1):
-            raise ConfigError(f"method {m.get('name')!r}: rate must lie in [0, 1]")
-    for doc in cfg.get("policies", []):
-        try:
-            _make_policy(doc, lambda ref: 0.0 if ref in RATE_NAMES else float(ref))
-        except (KeyError, TypeError, ValueError, RateOutOfRange) as exc:
-            raise ConfigError(f"bad policy {doc}: {exc}")
-        _check_keys(doc, {"kind"} | POLICY_KEYS[doc["kind"]], f"policy {doc['kind']!r}")
-    if cfg.get("tau_variant", "tau-b") not in ("tau-a", "tau-b"):
-        raise ConfigError(f"tau_variant must be tau-a or tau-b: {cfg['tau_variant']!r}")
-    return cfg
-
-
-def _check_keys(doc, allowed: set, where: str) -> None:
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{where} must be a JSON object")
-    unknown = sorted(set(doc) - allowed)
+def _checked(doc: dict, table: dict, where: str) -> dict:
+    """doc with table's defaults; ConfigError on an unknown, missing or bad key."""
+    unknown = sorted(set(doc) - set(table))
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
+    for key, (what, default) in table.items():
+        if key not in doc and default is REQUIRED:
+            raise ConfigError(f"{where} needs {key}")
+        if key in doc and not RULES[what](doc[key]):
+            raise ConfigError(f"{where}: {key} must be {what}, got {json.dumps(doc[key])}")
+    return {key: doc[key] if key in doc else copy.deepcopy(default)
+            for key, (_, default) in table.items()}
 
 
-def _resolve_spec(cfg: dict) -> DatasetSpec:
-    ref = cfg["dataset"].get("spec", "adult")
+def _entry(doc: dict, what: str, kinds: dict) -> dict:
+    """A method or policy entry with its kind's defaults filled in."""
+    kind = doc.get("kind")
+    if not (type(kind) is str and kind in kinds):
+        raise ConfigError(f"unknown {what} kind {json.dumps(kind)}")
+    doc = {"name": kind, **doc} if what == "method" else doc
+    return _checked(doc, {**SCHEMA[what], **kinds[kind]}, f"{what} {doc.get('name', kind)!r}")
+
+
+def _load_config(path: str) -> tuple[dict, DatasetSpec]:
+    """The config at path checked against SCHEMA, with the top-level, split
+    and scorer defaults filled in; and its dataset spec."""
+    try:
+        cfg = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # unreadable, or not UTF-8 JSON
+        raise ConfigError(f"cannot read config {path}: {exc}")
+    if type(cfg) is not dict:
+        raise ConfigError("config must be a JSON object")
+    cfg = _checked(cfg, SCHEMA["config"], "config")
+    for section in ("split", "scorer"):
+        cfg[section] = _checked(cfg[section], SCHEMA[section], section)
+    spec = _resolve_spec(_checked(cfg["dataset"], SCHEMA["dataset"], "dataset")["spec"])
+    numeric = {c.name for c in spec.feature_columns if c.kind == "numeric"}
+    methods = [_entry(m, "method", METHODS) for m in cfg["methods"]]
+    for m in methods:
+        if not numeric.issuperset(m.get("columns") or ()):
+            raise ConfigError(f"method {m['name']!r}: columns must be numeric feature "
+                              f"columns of spec {spec.name!r}, got {m['columns']}")
+    if len({m["name"] for m in methods}) != len(methods):
+        raise ConfigError(f"method names must be unique: {[m['name'] for m in methods]}")
+    for doc in cfg["policies"]:
+        _entry(doc, "policy", POLICIES)
+    return cfg, spec
+
+
+def _resolve_spec(ref) -> DatasetSpec:
     if isinstance(ref, dict):
         return DatasetSpec.from_dict(ref)
     registry = builtin_specs()
     if ref in registry:
         return registry[ref]
-    if Path(str(ref)).exists():
+    if Path(ref).exists():
         return DatasetSpec.from_json(ref)
     raise ConfigError(f"unknown dataset spec {ref!r}")
-
-
-def _expanded_config(cfg: dict) -> dict:
-    """Config with every default made explicit; this is what gets logged."""
-    out = json.loads(json.dumps(cfg))  # deep copy
-    out.setdefault("split", dict(DEFAULT_SPLIT))
-    out.setdefault("scorer", {})
-    scorer_defaults = {
-        "learning_rate": 0.1, "epochs": 500, "l2_penalty": 1e-4,
-        "seed": 42, "model_kind": "logistic", "include_sensitive": False,
-    }
-    for key, val in scorer_defaults.items():
-        out["scorer"].setdefault(key, val)
-    out.setdefault("methods", [])
-    out.setdefault("policies", [
-        {"kind": "fixed-threshold", "threshold": 0.5},
-        {"kind": "per-group-rates", "rate": "baseline-pdr"},
-        {"kind": "per-group-rates", "rate": "base-rate"},
-    ])
-    out.setdefault("tau_variant", "tau-b")
-    return out
 
 
 def _config_hash(cfg: dict) -> str:
@@ -201,17 +224,19 @@ def _config_hash(cfg: dict) -> str:
 class Pipeline:
     """Executes a run config stage by stage; later stages reuse earlier state."""
 
-    def __init__(self, cfg: dict, out_dir: Path):
-        self.cfg = _expanded_config(cfg)
+    def __init__(self, cfg: dict, spec: DatasetSpec, out_dir: Path):
+        self.cfg = cfg  # as _load_config returns it
+        self.methods = [_entry(m, "method", METHODS) for m in cfg["methods"]]
+        self.spec = spec
         self.out = out_dir
         self.out.mkdir(parents=True, exist_ok=True)
-        self.spec = _resolve_spec(self.cfg)
         self.dataset: Dataset | None = None
         self.splits = None
         self.scorer = None
         self.baseline_test = None
         self.baseline_validation = None
         self.baseline_at_half: DecisionSet | None = None
+        self.external: dict[str, ScoreSet] = {}  # test scores by method name
         self.method_scores: list[ScoreSet] = []
         self.native_decisions: dict[str, DecisionSet] = {}
         self.fit_artifacts: dict[str, str] = {}
@@ -221,8 +246,9 @@ class Pipeline:
     def ingest(self):
         self.dataset = ingest(self.cfg["dataset"]["csv"], self.spec)
         rate = verify_base_rate(self.dataset)
-        sp = self.cfg["split"]
-        self.splits = split(self.dataset, tuple(sp["fractions"]), int(sp["seed"]))
+        self.splits = split(self.dataset, **self.cfg["split"])
+        self.external = {m["name"]: self._external_scores(m["path"], m["name"])
+                         for m in self.methods if m["kind"] == "external-scores"}
         n_prot, n_priv = self.dataset.group_sizes()
         _write_json(self.out / "dataset_summary.json", {
             "dataset": self.spec.name,
@@ -237,15 +263,24 @@ class Pipeline:
         })
         return self
 
+    def _external_scores(self, path: str, name: str) -> ScoreSet:
+        """A method's external test scores; a bad file is a ConfigError."""
+        try:
+            full = ingest_external_scores(path, self.dataset, name)
+        except AuditError as exc:
+            raise ConfigError(f"method {name!r}: {exc}") from exc
+        try:
+            pos = positions_in(full.instance_ids, self.splits.test_ids)
+        except UnknownId as exc:
+            raise ConfigError(f"external scores {path} lack test ids: {exc}") from exc
+        return ScoreSet(method=name, instance_ids=self.splits.test_ids,
+                        scores=full.scores[pos], produced_on="test")
+
     def train(self):
-        sc = self.cfg["scorer"]
-        cfg = ScorerConfig(
-            learning_rate=sc["learning_rate"], epochs=int(sc["epochs"]),
-            l2_penalty=sc["l2_penalty"], seed=int(sc["seed"]),
-            model_kind=sc["model_kind"],
-        )
-        self.scorer = fit(self.dataset, self.splits, cfg,
-                          include_sensitive=bool(sc["include_sensitive"]))
+        sc = dict(self.cfg["scorer"])  # ScorerConfig's fields and include_sensitive
+        include_sensitive = sc.pop("include_sensitive")
+        self.scorer = fit(self.dataset, self.splits, ScorerConfig(**sc),
+                          include_sensitive=include_sensitive)
         save_scorer(self.scorer, self.out / "scorer.txt")
         self.baseline_validation = score(
             self.scorer, self.dataset, self.splits.validation_ids,
@@ -270,27 +305,25 @@ class Pipeline:
         val_ids = self.splits.validation_ids
         needs_validation = {"group-thresholds", "reject-option", "equalized-odds"}
         if len(val_ids) == 0 and any(
-                m.get("kind") in needs_validation for m in self.cfg["methods"]):
+                m["kind"] in needs_validation for m in self.methods):
             raise DegenerateSplit(
                 "validation partition is empty but a configured method fits on it"
             )
         # the native report, equalized odds and the baseline-pdr rate share it
         self.baseline_at_half = decide(self.baseline_test, self.dataset, AT_HALF)
-        for m in self.cfg["methods"]:
-            kind = m.get("kind")
-            name = m.get("name", kind)
+        for m in self.methods:
+            kind, name = m["kind"], m["name"]
             if kind == "feature-repair":
                 repaired = disparate_impact_remove(
-                    self.dataset, float(m.get("repair_level", 1.0)),
-                    m.get("columns"),
+                    self.dataset, float(m["repair_level"]), m["columns"],
                 )
                 refit = fit(repaired, self.splits, self.scorer.config,
-                            include_sensitive=bool(self.cfg["scorer"]["include_sensitive"]))
+                            include_sensitive=self.scorer.include_sensitive)
                 scores = score(refit, repaired, test_ids, method=name, role="test")
             elif kind == "group-thresholds":
                 gt = fit_threshold_optimizer(
                     self.baseline_validation, self.dataset, val_ids,
-                    rate=m.get("rate"),
+                    rate=m["rate"],
                 )
                 self.fit_artifacts[name] = gt.to_text()
                 scores = relabel(self.baseline_test, name)
@@ -298,7 +331,7 @@ class Pipeline:
             elif kind == "reject-option":
                 res = reject_option_classify(
                     self.baseline_validation, self.dataset, val_ids,
-                    epsilon=float(m.get("epsilon", 0.02)),
+                    epsilon=float(m["epsilon"]),
                 )
                 self.fit_artifacts[name] = res.region.to_text()
                 scores = relabel(self.baseline_test, name)
@@ -308,25 +341,15 @@ class Pipeline:
             elif kind == "equalized-odds":
                 base_val = decide(self.baseline_validation, self.dataset, AT_HALF)
                 mixing = fit_equalized_odds_post(
-                    base_val, self.dataset, val_ids, seed=int(m.get("seed", 11)),
+                    base_val, self.dataset, val_ids, seed=m["seed"],
                 )
                 self.fit_artifacts[name] = mixing.to_text()
                 scores = relabel(self.baseline_test, name)
                 self.native_decisions[name] = apply_mixing(
                     mixing, self.baseline_at_half, self.dataset, test_ids, method=name,
                 )
-            elif kind == "external-scores":
-                full = ingest_external_scores(m["path"], self.dataset, name)
-                try:
-                    pos = positions_in(full.instance_ids, test_ids)
-                except UnknownId as exc:
-                    raise ConfigError(
-                        f"external scores {m['path']} lack test ids: {exc}"
-                    ) from exc
-                scores = ScoreSet(method=name, instance_ids=test_ids,
-                                  scores=full.scores[pos], produced_on="test")
-            else:
-                raise ConfigError(f"unknown method kind {kind!r}")
+            else:  # external-scores
+                scores = self.external[name]
             self.method_scores.append(scores)
         for name, text in self.fit_artifacts.items():
             with atomic_open(self.out / f"fitted_{_slug(name)}.txt") as fh:
@@ -338,7 +361,15 @@ class Pipeline:
     def _policies(self) -> list[tuple[str, DecisionPolicy]]:
         resolved = []
         for doc in self.cfg["policies"]:
-            policy = _make_policy(doc, self._rate)
+            kind, ref = doc["kind"], doc.get("rate")
+            if kind == "fixed-threshold":
+                policy = DecisionPolicy(kind=kind, threshold=float(doc["threshold"]))
+            elif kind == "global-top-rate":
+                policy = DecisionPolicy(kind=kind, rate=self._rate(ref))
+            else:  # per-group-rates: one rate for both groups
+                r = self._rate(ref)
+                policy = DecisionPolicy(kind=kind, group_rates=(r, r),
+                                        note=ref if isinstance(ref, str) else "")
             label = policy.label() + (f"-{_slug(policy.note)}" if policy.note else "")
             resolved.append((label, policy))
         return resolved
@@ -360,8 +391,8 @@ class Pipeline:
                                     self.splits.sizes())),
             "split_seed": self.splits.seed,
             "scorer_seed": self.cfg["scorer"]["seed"],
-            "method_seeds": {m.get("name", m.get("kind")): m["seed"]
-                             for m in self.cfg["methods"] if "seed" in m},
+            "method_seeds": {m["name"]: entry["seed"] for m, entry
+                             in zip(self.methods, self.cfg["methods"]) if "seed" in entry},
             "postprocessors_fitted_on": "validation",
             "metrics_reported_on": "test",
         }
@@ -613,10 +644,10 @@ def main(argv=None) -> int:
         if args.command == "compare":
             return cmd_compare(args.reports, args.out, args.allow_uncontrolled)
 
-        cfg = _load_config(args.config)
+        cfg, spec = _load_config(args.config)
         if args.seed is not None:
-            cfg.setdefault("split", dict(DEFAULT_SPLIT))["seed"] = args.seed
-        pipeline = Pipeline(cfg, Path(args.out))
+            cfg["split"]["seed"] = args.seed
+        pipeline = Pipeline(cfg, spec, Path(args.out))
         if args.command == "ingest":
             pipeline.ingest()
             pipeline.dataset.export_csv(pipeline.out / "dataset_export.csv")

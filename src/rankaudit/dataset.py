@@ -261,24 +261,23 @@ class Split:
         return len(self.train_ids), len(self.validation_ids), len(self.test_ids)
 
 
-def _bytes(cells) -> np.ndarray:
-    """UTF-8 bytes array of str cells."""
-    try:
-        return np.array(cells, dtype=bytes)
-    except UnicodeEncodeError:
-        return np.array([c.encode() for c in cells], dtype=bytes)
+def plain_number(text: str) -> bool:
+    """Whether text may be a number: Python's int and float also read digit
+    grouping (`1_000`) and non-ASCII digits, which a CSV number never has."""
+    return text.isascii() and "_" not in text
 
 
 def _parse_floats(cells) -> np.ndarray:
-    """float of each cell; nan where a cell does not parse."""
-    try:
-        return np.fromiter(map(float, cells), dtype=np.float64, count=len(cells))
-    except ValueError:
-        values = np.full(len(cells), np.nan)
-        for i, cell in enumerate(cells):
+    """float of each cell; nan where a cell is not a plain number."""
+    if plain_number("".join(cells)):
+        with suppress(ValueError):
+            return np.fromiter(map(float, cells), dtype=np.float64, count=len(cells))
+    values = np.full(len(cells), np.nan)
+    for i, cell in enumerate(cells):
+        if plain_number(cell):
             with suppress(ValueError):
                 values[i] = float(cell)
-        return values
+    return values
 
 
 def _binarize(column: str, table: dict, chunks: list, wanted: str, what: str,
@@ -298,7 +297,7 @@ def ingest(csv_path: str | Path, spec: DatasetSpec) -> Dataset:
     One pass reads `_TEXT_BLOCK` rows at a time.  Rows that are short or
     have a missing value ("" or "?") in any used column are dropped and
     counted, and so are rows with a numeric cell that is not a finite
-    float; only then are the other columns coded, in first-seen order.
+    plain_number; only then are the other columns coded, in first-seen order.
     Raises MissingColumn, NonBinarySensitive, NonBinaryTarget, or
     EmptyFile on contract violations.
     """
@@ -345,7 +344,7 @@ def ingest(csv_path: str | Path, spec: DatasetSpec) -> Dataset:
                 parsed = {name: v[keep] for name, v in parsed.items()}
             for name in numeric:
                 values[name].append(parsed[name])
-                text[name].append(_bytes(cells[name]))
+                text[name].append(np.array(cells[name], dtype=bytes))  # plain: ASCII
             for name, table in tables.items():
                 for cell in dict.fromkeys(cells[name]):
                     table.setdefault(cell, len(table))

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import prng
-from .dataset import Dataset, Split, atomic_open
+from .dataset import Dataset, Split, atomic_open, plain_number
 from .errors import (
     EmptyTrain,
     IdMismatch,
@@ -268,6 +268,8 @@ def ingest_external_scores(csv_path: str | Path, d: Dataset,
 
     Ids must exist in the dataset and be unique.  Scores more than 1e-9
     outside [0, 1] raise ScoreOutOfRange; smaller excursions are clamped.
+    A row whose cells are not an integer and a number, both plain_number,
+    raises IdMismatch naming the file and line.
     """
     ids, scores = [], []
     with open(csv_path, "r", encoding="utf-8", newline="") as fh:
@@ -278,10 +280,17 @@ def ingest_external_scores(csv_path: str | Path, d: Dataset,
         if header is None or [h.strip() for h in header[:2]] != ["instance_id", "score"]:
             raise IdMismatch(f"{csv_path}: expected header instance_id,score")
         for row in reader:
-            if not row:
+            cells = [c.strip() for c in row[:2]]
+            if not cells:
                 continue
-            ids.append(int(row[0]))
-            scores.append(float(row[1]))
+            try:
+                if len(cells) < 2 or not plain_number("".join(cells)):
+                    raise ValueError
+                ids.append(int(cells[0]))
+                scores.append(float(cells[1]))
+            except ValueError:
+                raise IdMismatch(f"{csv_path}, line {reader.line_num}: expected "
+                                 f"instance_id,score numbers, got {row}") from None
     ids = np.asarray(ids, dtype=np.int64)
     scores = np.asarray(scores, dtype=np.float64)
     if len(np.unique(ids)) != len(ids):

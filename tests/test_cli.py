@@ -1,6 +1,7 @@
 """End-to-end CLI runs: artifacts, determinism, the comparison guard."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 import rankaudit.audit
 import rankaudit.cli
 import rankaudit.mitigate
-from rankaudit.cli import main
+from rankaudit.cli import METHODS, REQUIRED, SCHEMA, main
 from rankaudit.dataset import atomic_open, write_csv
 from rankaudit.synthetic import write_biased_benchmark_csv
 
@@ -257,8 +258,36 @@ def test_config_rejected_before_training(run_inputs, tmp_path, policies, methods
     lambda cfg: cfg["methods"][2].update(epsilom=0.05),
     lambda cfg: cfg.update(tau_variant="tau-c"),
     lambda cfg: cfg["methods"].append("repair"),
+    lambda cfg: cfg["methods"][0].update(repair_level=2.0),
+    lambda cfg: cfg["methods"][0].update(repair_level=-1),
+    lambda cfg: cfg["methods"][0].update(columns=["nope"]),
+    lambda cfg: cfg["methods"][2].update(epsilon="x"),
+    lambda cfg: cfg["methods"][2].update(epsilon=-0.5),
+    lambda cfg: cfg["methods"][3].update(seed="a"),
+    lambda cfg: cfg["methods"].append({"kind": "external-scores", "path": "nope.csv"}),
+    lambda cfg: cfg["methods"][0].update(name="baseline"),
+    lambda cfg: cfg["methods"][0].update(name=3),
+    lambda cfg: cfg["methods"].extend([{"kind": "reject-option"}] * 2),
+    lambda cfg: cfg["scorer"].update(learning_rate=-1),
+    lambda cfg: cfg["scorer"].update(l2_penalty=-1),
+    lambda cfg: cfg["scorer"].update(epochs=0),
+    lambda cfg: cfg["scorer"].update(model_kind="svm"),
+    lambda cfg: cfg["split"].update(fractions=[0.5, 0.5]),
+    lambda cfg: cfg["split"].update(fractions=[0.6, 0.2, 0.3]),
+    lambda cfg: cfg["split"].update(seed="a"),
+    lambda cfg: cfg["scorer"].update(epochs="5"),
+    lambda cfg: cfg["scorer"].update(epochs=2.7),
+    lambda cfg: cfg["scorer"].update(include_sensitive="no"),
+    lambda cfg: cfg["policies"][0].update(threshold="0.5"),
+    lambda cfg: cfg["policies"][0].update(threshold=True),
+    lambda cfg: cfg["methods"][1].update(rate=True),
 ], ids=["scorer.epoch", "top-level-typo", "method-key-typo", "tau-variant",
-        "method-not-object"])
+        "method-not-object", "repair_level-2.0", "repair_level--1", "columns-nope",
+        "epsilon-x", "epsilon--0.5", "odds-seed-a", "external-path-missing",
+        "name-baseline", "name-3", "same-kind-twice-unnamed", "learning_rate--1",
+        "l2_penalty--1", "epochs-0", "model_kind-svm", "fractions-two",
+        "fractions-sum-1.1", "split-seed-a", "epochs-str", "epochs-2.7",
+        "include_sensitive-no", "threshold-str", "threshold-true", "rate-true"])
 def test_unknown_config_keys_rejected_before_ingest(run_inputs, tmp_path, mutate):
     root, config_path, config = run_inputs
     cfg = json.loads(json.dumps(config))
@@ -269,6 +298,97 @@ def test_unknown_config_keys_rejected_before_ingest(run_inputs, tmp_path, mutate
     assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
     assert not (out / "scorer.txt").exists()
     assert not (out / "dataset_summary.json").exists()
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda cfg: cfg["methods"][0].update(repair_level=2.0),
+     "method 'repair': repair_level must be a number in [0, 1], got 2.0"),
+    (lambda cfg: cfg["scorer"].update(epochs=2.7),
+     "scorer: epochs must be an integer >= 1, got 2.7"),
+    (lambda cfg: cfg["policies"][0].update(threshold=True),
+     "policy 'fixed-threshold': threshold must be a number in [0, 1], got true"),
+    (lambda cfg: cfg["methods"][0].update(columns=["nope"]),
+     "method 'repair': columns must be numeric feature columns"),
+], ids=["repair_level", "epochs", "threshold", "columns"])
+def test_config_error_names_entry_and_key(run_inputs, tmp_path, capsys, mutate, message):
+    root, config_path, config = run_inputs
+    cfg = json.loads(json.dumps(config))
+    mutate(cfg)
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert main(["ingest", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("row", ["abc,0.5", "1_000,0.5", "3,x", "3,\uff10.5", "3"])
+def test_malformed_external_scores_exit_1_before_training(run_inputs, tmp_path,
+                                                           capsys, row):
+    root, config_path, config = run_inputs
+    ext_path = tmp_path / "external.csv"
+    ext_path.write_text(f"instance_id,score\n0,0.5\n{row}\n", encoding="utf-8")
+    cfg = dict(config, methods=[{"kind": "external-scores", "path": str(ext_path)}])
+    cfg_path = tmp_path / "ext.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert f"{ext_path}, line 3:" in capsys.readouterr().err
+    assert not (out / "scorer.txt").exists()
+
+
+def _hash_of(cfg, out) -> str:
+    cfg_path = out.with_suffix(".json")
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert main(["audit", "--config", str(cfg_path), "--out", str(out)]) == 0
+    return json.loads((out / "provenance.json").read_text())["config_hash"]
+
+
+def test_spelled_out_defaults_keep_config_hash(run_inputs, tmp_path):
+    root, config_path, config = run_inputs
+    terse = {"dataset": config["dataset"], "scorer": {"epochs": 120}}
+    full = dict(terse, split={"fractions": [0.6, 0.2, 0.2], "seed": 7},
+                scorer={"learning_rate": 0.1, "epochs": 120, "l2_penalty": 1e-4,
+                        "seed": 42, "model_kind": "logistic",
+                        "include_sensitive": False},
+                methods=[], tau_variant="tau-b",
+                policies=[{"kind": "fixed-threshold", "threshold": 0.5},
+                          {"kind": "per-group-rates", "rate": "baseline-pdr"},
+                          {"kind": "per-group-rates", "rate": "base-rate"}])
+    assert _hash_of(terse, tmp_path / "terse") == _hash_of(full, tmp_path / "full")
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda cfg: cfg.update(split={"seed": 3}),
+    lambda cfg: cfg.update(split={"fractions": [0.6, 0.2, 0.2]}),
+    lambda cfg: cfg.update(methods=[{"kind": "group-thresholds"},
+                                    {"kind": "reject-option"}]),
+], ids=["split-seed-only", "split-fractions-only", "unnamed-methods"])
+def test_configs_relying_on_defaults_run(run_inputs, tmp_path, mutate):
+    root, config_path, config = run_inputs
+    cfg = json.loads(json.dumps(config))
+    mutate(cfg)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert (out / "report_native.json").exists()
+
+
+def test_readme_config_keys_match_schema():
+    """README's "Config keys" block shows the schema's keys and defaults."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```jsonc\n", 1)[1].split("```", 1)[0]
+    doc = json.loads(re.sub(r"\s*//[^\n]*", "", block))
+    for section in ("split", "scorer"):
+        assert doc[section] == {k: d for k, (_, d) in SCHEMA[section].items()}
+    assert doc["policies"] == SCHEMA["config"]["policies"][1]
+    assert doc["tau_variant"] == SCHEMA["config"]["tau_variant"][1]
+    shown = {m["kind"]: {k: v for k, v in m.items() if k not in ("kind", "name")}
+             for m in doc["methods"]}
+    assert shown.keys() == METHODS.keys()
+    for kind, keys in METHODS.items():
+        assert shown[kind].keys() == keys.keys()
+        for key, (_, default) in keys.items():
+            assert default is REQUIRED or shown[kind][key] == default, (kind, key)
 
 
 def test_decide_command_matches_run_decisions(run_inputs, tmp_path):

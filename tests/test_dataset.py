@@ -173,7 +173,8 @@ def test_export_round_trip_quoted_cells(tmp_path):
 @pytest.mark.parametrize("text_block", [None, 2])
 def test_export_round_trip_bytes(tmp_path, monkeypatch, text_block):
     """Cells repr does not rebuild and csv-quoted cells come back byte for
-    byte, also when codes and text cross block boundaries."""
+    byte, also when codes and text cross block boundaries; a row whose
+    numeric cell is a non-ASCII digit is dropped."""
     if text_block is not None:
         monkeypatch.setattr(rankaudit.dataset, "_TEXT_BLOCK", text_block)
     path = tmp_path / "cells.csv"
@@ -187,11 +188,13 @@ def test_export_round_trip_bytes(tmp_path, monkeypatch, text_block):
         writer.writerow(["f0", "f1", "group", "outcome"])
         writer.writerows(rows)
     d = ingest(path, make_spec(n_features=2, kinds=["numeric", "categorical"]))
-    assert d.features[:, 0].tolist() == [39.0, 1e5, -0.0, 7.0, 3.0]
+    assert d.features[:, 0].tolist() == [39.0, 1e5, -0.0, 7.0]
+    assert d.dropped_rows == 1
     assert d.categories["f1"] == ("a,b", "plain", 'say "x"')
     out = tmp_path / "out.csv"
     d.export_csv(out)
-    assert out.read_bytes() == path.read_bytes()
+    dropped = "\u0663,plain,protected,favorable\r\n".encode()
+    assert out.read_bytes() == path.read_bytes().removesuffix(dropped)
 
 
 def test_ingest_codes_after_dropped_row(tmp_path, caplog):
@@ -231,6 +234,20 @@ def test_ingest_drops_non_finite_numeric_cells(tmp_path, caplog):
     assert d.features[:, 0].tolist() == [1.0, 2.0]
     assert d.dropped_rows == 3
     assert any("dropped 3 rows with non-numeric" in r.message for r in caplog.records)
+
+
+@pytest.mark.parametrize("cell", ["1_000", "\uff11", "\u0663"])
+def test_ingest_drops_numbers_only_python_reads(tmp_path, caplog, cell):
+    """float() also reads digit grouping and non-ASCII digits; a CSV number
+    has neither, so the row is dropped and counted as non-numeric."""
+    path = tmp_path / "grammar.csv"
+    path.write_text(f"f0,group,outcome\n1,protected,favorable\n{cell},protected,"
+                    "favorable\n2,privileged,unfavorable\n", encoding="utf-8")
+    with caplog.at_level(logging.WARNING):
+        d = ingest(path, make_spec())
+    assert d.features[:, 0].tolist() == [1.0, 2.0]
+    assert d.dropped_rows == 1
+    assert any("dropped 1 rows with non-numeric" in r.message for r in caplog.records)
 
 
 def test_export_of_repaired_dataset_writes_repaired_values(tmp_path):
