@@ -235,19 +235,23 @@ def quadrant_analysis(base: DecisionSet, mitigated: DecisionSet, d: Dataset,
 
 
 def method_correlation_matrix(score_sets: list[ScoreSet],
-                              variant: str = "tau-b"):
-    """Symmetric tau matrix across methods; diagonal is exactly 1.0."""
+                              variant: str = "tau-b", tau=None):
+    """Symmetric tau matrix across methods; diagonal is exactly 1.0.
+
+    tau(x, y), when given, stands in for kendall_tau(x, y, variant), so a
+    caller can reuse the values it already holds.
+    """
     if not score_sets:
         return [], np.zeros((0, 0))
     for ss in score_sets[1:]:
         require_aligned(score_sets[0].instance_ids, ss.instance_ids, ss.method)
+    tau = tau or (lambda x, y: kendall_tau(x, y, variant))
     names = [ss.method for ss in score_sets]
     k = len(score_sets)
     matrix = np.eye(k)
     for i in range(k):
         for j in range(i + 1, k):
-            t = kendall_tau(score_sets[i].scores, score_sets[j].scores, variant)
-            matrix[i, j] = matrix[j, i] = t
+            matrix[i, j] = matrix[j, i] = tau(score_sets[i].scores, score_sets[j].scores)
     return names, matrix
 
 
@@ -276,6 +280,9 @@ def audit_scores(d: Dataset, baseline: ScoreSet, others: list[ScoreSet],
 
     Every score set must carry a unique name and align with the baseline
     ids, and both groups must be present; errors name the method at fault.
+    Score sets that share one scores array (the postprocessors relabel the
+    baseline's) share its metrics, computed once: kendall_tau is exactly
+    symmetric, so each pair of distinct arrays needs one call.
     """
     names = [ss.method for ss in others]
     if baseline.method in names:
@@ -284,30 +291,38 @@ def audit_scores(d: Dataset, baseline: ScoreSet, others: list[ScoreSet],
         raise ValueError("method names must be unique within a run")
 
     score_sets = [baseline] + list(others)
-    aucs, taus = {}, {}
+    overall = {}  # (id(x), id(y)) -> tau of the two arrays, stored both ways round
+
+    def tau(x, y):
+        if (id(x), id(y)) not in overall:
+            overall[id(x), id(y)] = overall[id(y), id(x)] = kendall_tau(x, y, tau_variant)
+        return overall[id(x), id(y)]
+
+    aucs, taus, done = {}, {}, {}  # done: id(scores) -> its (auc, tau) rows
     for ss in score_sets:
         try:
             require_aligned(baseline.instance_ids, ss.instance_ids, ss.method)
-            pos = d.positions_of(ss.instance_ids)
-            truth = d.label[pos]
-            prot = d.sensitive[pos] == PROTECTED
-            if not prot.any() or prot.all():
-                raise EmptyGroup("metrics need both groups in the audited ids")
-            aucs[ss.method] = {
-                "auc": auc(ss.scores, truth),
-                "auc_protected": auc(ss.scores[prot], truth[prot]),
-                "auc_privileged": auc(ss.scores[~prot], truth[~prot]),
-            }
-            b, s = baseline.scores, ss.scores
-            taus[ss.method] = {
-                "overall": kendall_tau(b, s, tau_variant),
-                "protected": kendall_tau(b[prot], s[prot], tau_variant),
-                "privileged": kendall_tau(b[~prot], s[~prot], tau_variant),
-            }
+            if id(ss.scores) not in done:
+                pos = d.positions_of(ss.instance_ids)
+                truth = d.label[pos]
+                prot = d.sensitive[pos] == PROTECTED
+                if not prot.any() or prot.all():
+                    raise EmptyGroup("metrics need both groups in the audited ids")
+                b, s = baseline.scores, ss.scores
+                done[id(s)] = ({
+                    "auc": auc(s, truth),
+                    "auc_protected": auc(s[prot], truth[prot]),
+                    "auc_privileged": auc(s[~prot], truth[~prot]),
+                }, {
+                    "overall": tau(b, s),
+                    "protected": kendall_tau(b[prot], s[prot], tau_variant),
+                    "privileged": kendall_tau(b[~prot], s[~prot], tau_variant),
+                })
+            aucs[ss.method], taus[ss.method] = map(dict, done[id(ss.scores)])
         except AuditError as exc:
             raise _with_context(ss.method, exc)
 
-    pairwise_names, matrix = method_correlation_matrix(score_sets, tau_variant)
+    pairwise_names, matrix = method_correlation_matrix(score_sets, tau_variant, tau)
     return ScoreAudit(
         score_sets=score_sets,
         auc=aucs,

@@ -22,7 +22,7 @@ from pathlib import Path
 from . import __version__
 from .audit import AuditReport, audit_scores, build_report
 from .dataset import (
-    Dataset, DatasetSpec, atomic_open, builtin_specs, float_text, ingest,
+    ColumnText, Dataset, DatasetSpec, atomic_open, builtin_specs, ingest,
     positions_in, split, verify_base_rate, write_csv,
 )
 from .decide import DecisionPolicy, DecisionSet, decide, export_decisions
@@ -203,14 +203,19 @@ def _load_config(path: str) -> tuple[dict, DatasetSpec]:
 
 
 def _resolve_spec(ref) -> DatasetSpec:
-    if isinstance(ref, dict):
-        return DatasetSpec.from_dict(ref)
+    """The spec a config names: an inline object, a built-in name or a JSON
+    file; a spec that lacks a key or holds a bad value is a ConfigError."""
     registry = builtin_specs()
-    if ref in registry:
+    if isinstance(ref, str) and ref in registry:
         return registry[ref]
-    if Path(ref).exists():
-        return DatasetSpec.from_json(ref)
-    raise ConfigError(f"unknown dataset spec {ref!r}")
+    if isinstance(ref, str) and not Path(ref).exists():
+        raise ConfigError(f"unknown dataset spec {ref!r}")
+    try:
+        return DatasetSpec.from_json(ref) if isinstance(ref, str) else DatasetSpec.from_dict(ref)
+    except KeyError as exc:
+        raise ConfigError(f"dataset spec lacks key {exc}") from exc
+    except (OSError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad dataset spec: {exc}") from exc
 
 
 def _config_hash(cfg: dict) -> str:
@@ -240,6 +245,7 @@ class Pipeline:
         self.method_scores: list[ScoreSet] = []
         self.native_decisions: dict[str, DecisionSet] = {}
         self.fit_artifacts: dict[str, str] = {}
+        self.text = ColumnText()  # every CSV's ids, groups and scores
 
     # each stage returns self so calls chain
 
@@ -294,11 +300,9 @@ class Pipeline:
         return self
 
     def _write_scores(self, scores):
-        write_csv(
-            self.out / f"scores_{_slug(scores.method)}_{scores.produced_on}.csv",
-            ["instance_id", "score"],
-            zip(scores.instance_ids.tolist(), float_text(scores.scores)),
-        )
+        ids, _ = self.text.rows(self.dataset, scores.instance_ids)
+        write_csv(self.out / f"scores_{_slug(scores.method)}_{scores.produced_on}.csv",
+                  ["instance_id", "score"], [ids, self.text.floats(scores.scores)])
 
     def mitigate(self):
         test_ids = self.splits.test_ids
@@ -423,25 +427,22 @@ class Pipeline:
 
     def _emit_report(self, report: AuditReport, write_decisions: bool):
         label = _slug(report.policy_label)
-        for method, (ids, group, base, mitigated, quadrant) in report.scatter.items():
+        for method, (ids, _, base, mitigated, quadrant) in report.scatter.items():
             path = self.out / f"scatter_{label}_{_slug(method)}.csv"
             write_csv(path, ["id", "group", "score_base", "score_mitigated", "quadrant"],
-                      zip(ids.tolist(), group.tolist(), float_text(base),
-                          float_text(mitigated), quadrant.tolist()))
+                      [*self.text.rows(self.dataset, ids), self.text.floats(base),
+                       self.text.floats(mitigated), quadrant.tolist()])
             report.scatter_files[method] = path.name
         _write_json(self.out / f"report_{label}.json", report.to_dict())
-        write_csv(
-            self.out / f"tau_vs_baseline_{label}.csv",
-            ["method", "tau_overall", "tau_protected", "tau_privileged"],
-            [(m, repr(t["overall"]), repr(t["protected"]), repr(t["privileged"]))
-             for m, t in report.tau_vs_baseline.items()],
-        )
-        write_csv(
-            self.out / f"correlation_matrix_{label}.csv",
-            ["method"] + report.pairwise_methods,
-            [[m] + [repr(v) for v in row]
-             for m, row in zip(report.pairwise_methods, report.pairwise_tau)],
-        )
+        taus = report.tau_vs_baseline
+        write_csv(self.out / f"tau_vs_baseline_{label}.csv",
+                  ["method", "tau_overall", "tau_protected", "tau_privileged"],
+                  [list(taus)] + [[repr(t[g]) for t in taus.values()]
+                                  for g in ("overall", "protected", "privileged")])
+        write_csv(self.out / f"correlation_matrix_{label}.csv",
+                  ["method"] + report.pairwise_methods,
+                  [report.pairwise_methods] + [list(map(repr, column))
+                                               for column in zip(*report.pairwise_tau)])
         if write_decisions:
             self._write_decisions(report.policy_label, report.decisions)
 
@@ -450,6 +451,7 @@ class Pipeline:
             export_decisions(
                 decisions[scores.method], self.dataset, scores,
                 self.out / f"decisions_{_slug(label)}_{_slug(scores.method)}.csv",
+                self.text,
             )
 
     def decide_all(self):
@@ -462,25 +464,21 @@ class Pipeline:
         return self
 
     def run_all(self):
-        self.ingest().train().mitigate()
+        self.ingest()
+        # written before any score text is held, which would add to its peak memory
         self.dataset.export_csv(self.out / "dataset_export.csv")
-        return self.audit(write_decisions=True)
+        return self.train().mitigate().audit(write_decisions=True)
 
 
 # --- theory command ---------------------------------------------------------------------
 
-def _make_world(name: str, grid_size: int):
-    if name == "wage-gap":
-        return wage_gap_world(grid_size)
-    if name == "anti-monotone":
-        return anti_monotone_world(grid_size)
-    raise ConfigError(f"unknown world {name!r}")
+WORLDS = {"wage-gap": wage_gap_world, "anti-monotone": anti_monotone_world}
 
 
 def cmd_theory(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    w = _make_world(args.world, args.grid_size)
+    w = WORLDS[args.world](args.grid_size)
     check = args.check
     if check == "example":
         w.to_csv(out / f"world_{args.world}.csv")
@@ -514,12 +512,10 @@ def cmd_theory(args) -> int:
             }
         _write_json(out / f"pareto_{args.world}.json", doc)
         print(json.dumps(doc, indent=2, sort_keys=True))
-    elif check == "decompose":
+    else:  # decompose
         doc = {str(tau): decomposition_check(w, tau).to_dict() for tau in args.tau}
         _write_json(out / f"decomposition_{args.world}.json", doc)
         print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        raise ConfigError(f"unknown theory check {check!r}")
     return EXIT_OK
 
 
@@ -579,10 +575,12 @@ def cmd_compare(paths: list[str], out_path: str,
         return EXIT_VALIDATION
 
     keys = ["auc", "auc_protected", "auc_privileged", "acc", "spd", "eod", "pdr"]
-    warning = "uncontrolled-rate" if uncontrolled else ""
+    rows = [(name, method, m) for name, doc in reports
+            for method, m in sorted(doc["rows"].items())]
     write_csv(Path(out_path), ["report", "method"] + keys + ["warning"],
-              [[name, method] + [repr(m[k]) for k in keys] + [warning]
-               for name, doc in reports for method, m in sorted(doc["rows"].items())])
+              [[r[0] for r in rows], [r[1] for r in rows]]
+              + [[repr(m[k]) for _, _, m in rows] for k in keys]
+              + ["uncontrolled-rate" if uncontrolled else ""])
     if uncontrolled:
         print("warning: uncontrolled positive decision rates; rows flagged",
               file=sys.stderr)
@@ -615,8 +613,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("theory", help="synthetic-world checks")
     t.add_argument("check", choices=("example", "monotonicity", "pareto", "decompose"))
-    t.add_argument("--world", choices=("wage-gap", "anti-monotone"),
-                   default="wage-gap")
+    t.add_argument("--world", choices=tuple(WORLDS), default="wage-gap")
     t.add_argument("--grid-size", type=int, default=501)
     t.add_argument("--tau", type=float, action="append",
                    default=None, help="repeatable; defaults to 0.1..0.9")
@@ -666,9 +663,6 @@ def main(argv=None) -> int:
     except (ConfigError, PolicyMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except AuditError as exc:
-        print(f"runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
     except Exception as exc:  # noqa: BLE001 - surfaced as exit status
         print(f"runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

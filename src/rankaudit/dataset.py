@@ -19,7 +19,7 @@ import os
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from importlib import resources
-from itertools import chain, compress, islice
+from itertools import chain, compress, islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -62,12 +62,53 @@ def atomic_open(path: str | Path):
         raise
 
 
-def write_csv(path: str | Path, header, rows) -> None:
-    """Atomically write a header line and then every row, csv-quoted."""
+def _field(cell: str) -> str:
+    """cell as csv's QUOTE_MINIMAL writes it: in quotes, inner quotes doubled,
+    when it holds a comma, a quote or a line break."""
+    if any(c in cell for c in ',"\r\n'):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
+def _fields(cells: list[str]) -> list[str]:
+    """_field of each cell; the cells themselves when none needs quotes."""
+    joined = "".join(cells)
+    return list(map(_field, cells)) if any(c in joined for c in ',"\r\n') else cells
+
+
+def _lines(block: list) -> str:
+    """CSV lines of a block: per column, a list of quoted cells or a repeat."""
+    if len(block) == 1:  # csv.writer quotes a lone empty field: no blank line
+        block = [[c or '""' for c in block[0]]]
+    return "\r\n".join(map(",".join, zip(*block))) + "\r\n"
+
+
+def write_csv(path: str | Path, header, columns) -> None:
+    """Atomically write a header line and then one line per row of columns.
+
+    Each column is an iterable of str, or one str that every row holds; at
+    least one must be an iterable, and the iterables must be equally long.
+    The bytes are those csv.writer writes: a cell holding a comma, a quote
+    or a line break is quoted, and lines end in \\r\\n.  The iterables are read
+    _TEXT_BLOCK values at a time, so a long column never exists as text all
+    at once; a constant column is quoted once.
+    """
+    columns = list(columns)
+    constant = [isinstance(c, str) for c in columns]
+    if all(constant):
+        raise ValueError("write_csv needs at least one column that is not one str")
+    sources = [repeat(_field(c)) if k else iter(c) for c, k in zip(columns, constant)]
     with atomic_open(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(_lines([[_field(h)] for h in header]))
+        while True:
+            block = [src if k else _fields(list(islice(src, _TEXT_BLOCK)))
+                     for src, k in zip(sources, constant)]
+            sizes = {len(cells) for cells, k in zip(block, constant) if not k}
+            if len(sizes) > 1:
+                raise ValueError(f"columns differ in length: {sorted(sizes)}")
+            if sizes == {0}:
+                break
+            fh.write(_lines(block))
 
 
 def _text(values: np.ndarray, convert):
@@ -78,7 +119,8 @@ def _text(values: np.ndarray, convert):
 
 
 def float_text(values):
-    """repr of each value as a Python float: the text every CSV carries."""
+    """repr of each value as a Python float, made lazily a block at a time:
+    a column for write_csv."""
     return _text(np.asarray(values, dtype=np.float64), repr)
 
 
@@ -86,6 +128,31 @@ def group_names(sensitive: np.ndarray) -> np.ndarray:
     """Per-row group name of 0/1 sensitive codes, sharing two str objects."""
     table = np.array([GROUP_NAMES[PRIVILEGED], GROUP_NAMES[PROTECTED]], dtype=object)
     return table[sensitive]
+
+
+class ColumnText:
+    """CSV text of whole arrays, each made once and reused while this object
+    lives.  An array is matched by identity and kept alive with its text, so
+    its id cannot pass to another array; callers must not change it in place."""
+
+    def __init__(self):
+        self._made = {}  # (kind, ids of the arrays) -> (the arrays, their text)
+
+    def _once(self, kind: str, arrays: tuple, make):
+        key = (kind, *map(id, arrays))
+        if key not in self._made:
+            self._made[key] = (arrays, make())
+        return self._made[key][1]
+
+    def floats(self, values: np.ndarray) -> list[str]:
+        """float_text of values."""
+        return self._once("floats", (values,), lambda: list(float_text(values)))
+
+    def rows(self, d: "Dataset", ids: np.ndarray) -> tuple[list[str], list[str]]:
+        """The text of ids, and the group name of each id's row in d."""
+        return self._once("rows", (d, ids), lambda: (
+            list(map(str, ids.tolist())),
+            group_names(d.sensitive[d.positions_of(ids)]).tolist()))
 
 
 @dataclass(frozen=True)
@@ -245,7 +312,7 @@ class Dataset:
                            (self.label, self.target_values)):
             # raw holds the text of code 1, then of code 0
             columns.append(np.array(raw[::-1], dtype=object)[codes].tolist())
-        write_csv(path, self.schema.used_columns, zip(*columns))
+        write_csv(path, self.schema.used_columns, columns)
 
 
 @dataclass(frozen=True)

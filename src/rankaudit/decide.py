@@ -8,13 +8,11 @@ are always resolved by ascending instance id.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat
 
 import numpy as np
 
 from .dataset import (
-    Dataset, PRIVILEGED, PROTECTED, float_text, group_names, require_aligned,
-    write_csv,
+    ColumnText, Dataset, PRIVILEGED, PROTECTED, require_aligned, write_csv,
 )
 from .errors import EmptyGroup, RateOutOfRange
 from .scorer import ScoreSet
@@ -23,6 +21,8 @@ from .scorer import ScoreSet
 PASSTHROUGH_KINDS = ("reject-option", "randomized-mixing")
 
 TIE_RULE = "ascending instance_id"
+
+_LABEL_TEXT = np.array(["0", "1"], dtype=object)
 
 
 def _check_unit(value: float, what: str) -> None:
@@ -216,11 +216,15 @@ def equalize_rates(scores: ScoreSet, d: Dataset, rate: float) -> DecisionSet:
 
 
 def export_decisions(dec: DecisionSet, d: Dataset, scores: ScoreSet,
-                     path) -> None:
-    """CSV dump: instance_id,group,score,label,method,policy."""
+                     path, text: ColumnText | None = None) -> None:
+    """CSV dump: instance_id,group,score,label,method,policy.
+
+    A caller writing many files passes one ColumnText as text, so the ids
+    and each score array are turned into text once.
+    """
     require_aligned(dec.instance_ids, scores.instance_ids, "decision export")
-    pos = d.positions_of(dec.instance_ids)
+    text = ColumnText() if text is None else text
+    ids, groups = text.rows(d, dec.instance_ids)
     write_csv(path, ["instance_id", "group", "score", "label", "method", "policy"],
-              zip(dec.instance_ids.tolist(), group_names(d.sensitive[pos]).tolist(),
-                  float_text(scores.scores), dec.labels.tolist(),
-                  repeat(dec.source_method), repeat(dec.policy.label())))
+              [ids, groups, text.floats(scores.scores), _LABEL_TEXT[dec.labels].tolist(),
+               dec.source_method, dec.policy.label()])

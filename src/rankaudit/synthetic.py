@@ -47,9 +47,9 @@ def write_exact_rate_csv(path: str | Path, n: int, positives: int,
     favorable = (i * positives) % n < positives
     protected = i % cycle == 0 if cycle > 0 else np.zeros(n, dtype=bool)
     write_csv(path, ["x1", "x2", "group", "outcome"],
-              zip(float_text((i % 97) / 96.0), float_text((i % 31) / 30.0),
-                  np.where(protected, "protected", "privileged").tolist(),
-                  np.where(favorable, "favorable", "unfavorable").tolist()))
+              [float_text((i % 97) / 96.0), float_text((i % 31) / 30.0),
+               np.where(protected, "protected", "privileged").tolist(),
+               np.where(favorable, "favorable", "unfavorable").tolist()])
 
 
 def biased_benchmark(n: int = 2400, seed: int = 2024,

@@ -71,9 +71,8 @@ class FairWorld:
         codes, inverse = np.unique(self.group, return_inverse=True)
         names = np.array([self.name_of(g) for g in codes], dtype=object)
         write_csv(path, ["x", "a", "weight", "fair_p", "score_s"],
-                  zip(float_text(self.x), names[inverse].tolist(),
-                      float_text(self.weight), float_text(self.fair_p),
-                      float_text(self.score_s)))
+                  [float_text(self.x), names[inverse].tolist(), float_text(self.weight),
+                   float_text(self.fair_p), float_text(self.score_s)])
 
 
 @dataclass(frozen=True)

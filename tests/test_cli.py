@@ -9,6 +9,7 @@ import pytest
 
 import rankaudit.audit
 import rankaudit.cli
+import rankaudit.dataset
 import rankaudit.mitigate
 from rankaudit.cli import METHODS, REQUIRED, SCHEMA, main
 from rankaudit.dataset import atomic_open, write_csv
@@ -320,6 +321,24 @@ def test_config_error_names_entry_and_key(run_inputs, tmp_path, capsys, mutate, 
     assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
+@pytest.mark.parametrize("inline", [True, False], ids=["inline", "file"])
+def test_spec_missing_key_exits_1_before_ingest(run_inputs, tmp_path, capsys, inline):
+    root, config_path, config = run_inputs
+    spec = json.loads(Path(config["dataset"]["spec"]).read_text(encoding="utf-8"))
+    del spec["protected_attribute_column"]
+    if not inline:
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec), encoding="utf-8")
+        spec = str(spec_path)
+    cfg = dict(config, dataset=dict(config["dataset"], spec=spec))
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["ingest", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert "lacks key 'protected_attribute_column'" in capsys.readouterr().err
+    assert not (out / "dataset_summary.json").exists()
+
+
 @pytest.mark.parametrize("row", ["abc,0.5", "1_000,0.5", "3,x", "3,\uff10.5", "3"])
 def test_malformed_external_scores_exit_1_before_training(run_inputs, tmp_path,
                                                            capsys, row):
@@ -422,8 +441,10 @@ def test_run_computes_score_metrics_once(run_inputs, tmp_path, monkeypatch):
         monkeypatch.setattr(rankaudit.audit, name, counted(name))
     out = tmp_path / "out"
     assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
-    # five score sets: 5 tau rows of 3 plus 10 pairwise taus; 5 AUC triples
-    assert calls == {"kendall_tau": 25, "auc": 15}
+    # five score sets but two score arrays (the postprocessors share the
+    # baseline's): a tau triple and an AUC triple per array, and the pairwise
+    # taus reuse the overall ones
+    assert calls == {"kendall_tau": 6, "auc": 6}
 
 
 def test_run_decides_baseline_at_half_once(run_inputs, tmp_path, monkeypatch):
@@ -446,16 +467,38 @@ def test_run_decides_baseline_at_half_once(run_inputs, tmp_path, monkeypatch):
     assert len(calls) == 14
 
 
+def test_run_turns_each_score_array_into_text_once(run_inputs, tmp_path, monkeypatch):
+    root, config_path, _ = run_inputs
+    converted = {"float_text": [], "group_names": []}
+
+    def counted(name):
+        original = getattr(rankaudit.dataset, name)
+
+        def wrapper(values):
+            converted[name].append(id(values))
+            return original(values)
+        return wrapper
+
+    for name in converted:
+        monkeypatch.setattr(rankaudit.dataset, name, counted(name))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
+    # 32 CSVs carry scores, but there are two score arrays (the baseline's,
+    # shared by the postprocessors, and the repair's) and one set of test ids
+    assert len(converted["float_text"]) == len(set(converted["float_text"])) == 2
+    assert len(converted["group_names"]) == 1
+
+
 def test_failed_write_keeps_previous_file(tmp_path):
     path = tmp_path / "table.csv"
     path.write_bytes(b"old,contents\r\n")
 
-    def rows():
-        yield ["1", "2"]
+    def column():
+        yield "1"
         raise RuntimeError("disk gone")
 
     with pytest.raises(RuntimeError):
-        write_csv(path, ["a", "b"], rows())
+        write_csv(path, ["a", "b"], [column(), "2"])
     with pytest.raises(RuntimeError):
         with atomic_open(path) as fh:
             fh.write("partial")

@@ -16,6 +16,7 @@ from rankaudit.dataset import (
     positions_in,
     split,
     verify_base_rate,
+    write_csv,
 )
 from rankaudit.errors import (
     EmptyFile,
@@ -195,6 +196,39 @@ def test_export_round_trip_bytes(tmp_path, monkeypatch, text_block):
     d.export_csv(out)
     dropped = "\u0663,plain,protected,favorable\r\n".encode()
     assert out.read_bytes() == path.read_bytes().removesuffix(dropped)
+
+
+def test_write_csv_matches_csv_writer(tmp_path, monkeypatch):
+    """For any str columns, some of them one str for every row, write_csv
+    writes csv.writer's bytes, also when a cell that needs quotes first
+    appears in a later block."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    monkeypatch.setattr(rankaudit.dataset, "_TEXT_BLOCK", 2)
+    cell = st.text(st.sampled_from([",", '"', "\r", "\n", " ", "a", "\u00e9", "\u2603"]),
+                   max_size=4) | st.text(max_size=4)
+
+    @st.composite
+    def tables(draw):
+        n, k = draw(st.integers(0, 7)), draw(st.integers(1, 4))
+        column = st.lists(cell, min_size=n, max_size=n)
+        columns = draw(st.permutations(
+            [draw(column)] + [draw(cell | column) for _ in range(k - 1)]))
+        return draw(st.lists(cell, min_size=k, max_size=k)), columns, n
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(tables())
+    def check(table):
+        header, columns, n = table
+        with open(tmp_path / "want.csv", "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(zip(*[[c] * n if isinstance(c, str) else c
+                                   for c in columns]))
+        write_csv(tmp_path / "got.csv", header, columns)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    check()
 
 
 def test_ingest_codes_after_dropped_row(tmp_path, caplog):
