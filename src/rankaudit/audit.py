@@ -6,8 +6,8 @@ that oracle.  The audit has two steps.  `audit_scores` runs once per run
 and holds what depends only on the scores: AUC (overall and per group),
 Kendall-Tau against the baseline ranking (overall and per group) and a
 pairwise tau matrix.  `build_report` runs once per decision policy and
-adds accuracy, SPD, EOD, PDR and per-group quadrant transition counts
-with scatter dumps.
+adds accuracy, SPD, EOD, PDR, per-group quadrant transition counts and
+each row's quadrant.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .dataset import Dataset, PROTECTED, group_names, require_aligned
+from .dataset import Dataset, PROTECTED, require_aligned
 from .decide import DecisionPolicy, DecisionSet, decide
 from .errors import (
     AuditError,
@@ -203,15 +203,12 @@ class QuadrantCounts:
         return asdict(self)
 
 
-def quadrant_analysis(base: DecisionSet, mitigated: DecisionSet, d: Dataset,
-                      base_scores: ScoreSet | None = None,
-                      mitigated_scores: ScoreSet | None = None):
-    """Per-group 2x2 transition counts plus scatter columns for plotting.
+def quadrant_analysis(base: DecisionSet, mitigated: DecisionSet, d: Dataset):
+    """Per-group 2x2 transition counts and each row's transition.
 
-    Returns (counts, columns) where counts maps group name to
-    QuadrantCounts and columns are the aligned arrays [id, group,
-    score_base, score_mitigated, quadrant], group and quadrant holding
-    names; columns is empty when score sets are not supplied.
+    Returns (counts, quadrant) where counts maps group name to
+    QuadrantCounts and quadrant holds each row's quadrant name, aligned
+    with base.instance_ids.
     """
     require_aligned(base.instance_ids, mitigated.instance_ids, "quadrant ids")
     pos = d.positions_of(base.instance_ids)
@@ -225,13 +222,7 @@ def quadrant_analysis(base: DecisionSet, mitigated: DecisionSet, d: Dataset,
     for mask, name in ((prot, "protected"), (~prot, "privileged")):
         qc = np.bincount(quadrant[mask], minlength=4)
         counts[name] = QuadrantCounts(int(qc[0]), int(qc[1]), int(qc[2]), int(qc[3]))
-    if base_scores is None or mitigated_scores is None:
-        return counts, []
-    require_aligned(base.instance_ids, base_scores.instance_ids, "base scores")
-    require_aligned(base.instance_ids, mitigated_scores.instance_ids, "mitigated scores")
-    return counts, [base.instance_ids, group_names(d.sensitive[pos]),
-                    base_scores.scores, mitigated_scores.scores,
-                    _QUADRANT_NAMES[quadrant]]
+    return counts, _QUADRANT_NAMES[quadrant]
 
 
 def method_correlation_matrix(score_sets: list[ScoreSet],
@@ -343,7 +334,7 @@ class AuditReport:
     pairwise_methods: list
     pairwise_tau: list
     quadrants: dict
-    scatter: dict = field(default_factory=dict, repr=False)
+    scatter: dict = field(default_factory=dict, repr=False)  # method -> row quadrants
     scatter_files: dict = field(default_factory=dict)
     decisions: dict = field(default_factory=dict, repr=False)  # not serialized
 
@@ -395,12 +386,8 @@ def build_report(d: Dataset, scored: ScoreAudit, policy: DecisionPolicy,
             }
             used[ss.method] = dec
             if ss is not baseline:
-                counts, dots = quadrant_analysis(
-                    used[baseline.method], dec, d,
-                    base_scores=baseline, mitigated_scores=ss,
-                )
+                counts, scatter[ss.method] = quadrant_analysis(used[baseline.method], dec, d)
                 quadrants[ss.method] = {g: c.to_dict() for g, c in counts.items()}
-                scatter[ss.method] = dots
         except AuditError as exc:
             raise _with_context(ss.method, exc)
 

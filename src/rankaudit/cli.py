@@ -407,6 +407,15 @@ class Pipeline:
                     {**provenance, "expanded_config": self.cfg})
         scored = audit_scores(self.dataset, self.baseline_test,
                               self.method_scores, self.cfg["tau_variant"])
+        taus = scored.tau_vs_baseline
+        write_csv(self.out / "tau_vs_baseline.csv",
+                  ["method", "tau_overall", "tau_protected", "tau_privileged"],
+                  [list(taus)] + [[repr(t[g]) for t in taus.values()]
+                                  for g in ("overall", "protected", "privileged")])
+        write_csv(self.out / "correlation_matrix.csv",
+                  ["method"] + scored.pairwise_methods,
+                  [scored.pairwise_methods] + [list(map(repr, column))
+                                               for column in zip(*scored.pairwise_tau)])
 
         # native report: every method under its own decision context;
         # rate-controlled reports: same policy applied to every score set
@@ -416,33 +425,24 @@ class Pipeline:
                   **self.native_decisions}
         contexts = [("native", native_policy, native)]
         contexts += [(label, policy, None) for label, policy in self._policies()]
-        reports = []
         for label, policy, own in contexts:
             report = build_report(self.dataset, scored, policy,
                                   provenance=provenance, decisions=own)
             report.policy_label = label
             self._emit_report(report, write_decisions)
-            reports.append(report)
-        return reports
+        return self
 
     def _emit_report(self, report: AuditReport, write_decisions: bool):
         label = _slug(report.policy_label)
-        for method, (ids, _, base, mitigated, quadrant) in report.scatter.items():
-            path = self.out / f"scatter_{label}_{_slug(method)}.csv"
+        base = self.baseline_test
+        for ss in self.method_scores:
+            path = self.out / f"scatter_{label}_{_slug(ss.method)}.csv"
             write_csv(path, ["id", "group", "score_base", "score_mitigated", "quadrant"],
-                      [*self.text.rows(self.dataset, ids), self.text.floats(base),
-                       self.text.floats(mitigated), quadrant.tolist()])
-            report.scatter_files[method] = path.name
+                      [*self.text.rows(self.dataset, base.instance_ids),
+                       self.text.floats(base.scores), self.text.floats(ss.scores),
+                       report.scatter[ss.method]])
+            report.scatter_files[ss.method] = path.name
         _write_json(self.out / f"report_{label}.json", report.to_dict())
-        taus = report.tau_vs_baseline
-        write_csv(self.out / f"tau_vs_baseline_{label}.csv",
-                  ["method", "tau_overall", "tau_protected", "tau_privileged"],
-                  [list(taus)] + [[repr(t[g]) for t in taus.values()]
-                                  for g in ("overall", "protected", "privileged")])
-        write_csv(self.out / f"correlation_matrix_{label}.csv",
-                  ["method"] + report.pairwise_methods,
-                  [report.pairwise_methods] + [list(map(repr, column))
-                                               for column in zip(*report.pairwise_tau)])
         if write_decisions:
             self._write_decisions(report.policy_label, report.decisions)
 

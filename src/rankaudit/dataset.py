@@ -45,7 +45,7 @@ BASE_RATE_TOLERANCE = 5e-4
 # cells treated as missing; rows containing one in a used column are dropped
 _MISSING_CELLS = {"", "?"}
 
-_TEXT_BLOCK = 1 << 16  # rows read, or values turned into CSV text, per step
+_TEXT_BLOCK = 1 << 14  # rows read, or values turned into CSV text, per step
 
 
 @contextmanager

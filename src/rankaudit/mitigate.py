@@ -16,12 +16,11 @@ import numpy as np
 from . import prng
 from .audit import _midranks
 from .dataset import Dataset, PROTECTED, PRIVILEGED, positions_in
-from .decide import DecisionPolicy, DecisionSet, decide
+from .decide import DecisionPolicy, DecisionSet, _check_unit, _count_ceil, decide
 from .errors import (
     DegenerateGroup,
     EmptyGroup,
     NonNumericColumn,
-    RateOutOfRange,
     UnknownId,
 )
 from .scorer import ScoreSet
@@ -142,15 +141,14 @@ def fit_threshold_optimizer(scores: ScoreSet, d: Dataset, ids,
     criterion = "selection-rate" if rate is not None else "demographic-parity"
     if rate is None:
         rate = float((s > 0.5).mean())
-    if not 0.0 <= rate <= 1.0:
-        raise RateOutOfRange(f"target rate must lie in [0, 1], got {rate}")
+    _check_unit(rate, "target rate")
 
     cutoffs = {}
     for g, m in ((PROTECTED, prot), (PRIVILEGED, ~prot)):
         n_g = int(m.sum())
         if n_g == 0:
             raise EmptyGroup(f"group {g} empty in threshold fitting ids")
-        k = min(n_g, int(np.ceil(rate * n_g - 1e-9)))
+        k = _count_ceil(rate, n_g)
         if k == 0:
             cutoffs[g] = 1.0  # strictly-above 1.0 selects nothing
         else:

@@ -321,24 +321,7 @@ def decomposition_check(w: FairWorld, tau: float) -> DecompositionResult:
         sel = fair_dec[mask]
         s = w.score_s[mask]
         name = w.name_of(g)
-        if not sel.any():
-            t_g = float(s.max())
-        elif sel.all():
-            if s.min() > 0.0:
-                t_g = 0.0
-            else:
-                thresholds[name] = None
-                failed.append(name)
-                continue
-        else:
-            lo = float(s[~sel].max())
-            hi = float(s[sel].min())
-            if hi > lo:
-                t_g = lo
-            else:
-                thresholds[name] = None
-                failed.append(name)
-                continue
+        t_g = 0.0 if sel.all() else float(s[~sel].max())
         if np.array_equal(s > t_g, sel):
             thresholds[name] = t_g
         else:

@@ -79,12 +79,12 @@ def test_accuracy():
 def test_quadrants_identical_decisions_have_empty_off_diagonal():
     d = make_dataset([1, 1, 0, 0], [0, 1] * 2)
     dec = _decision([1, 0, 1, 0], d)
-    counts, rows = quadrant_analysis(dec, dec, d)
+    counts, quadrant = quadrant_analysis(dec, dec, d)
     for g in ("protected", "privileged"):
         assert counts[g].upgraded == 0
         assert counts[g].downgraded == 0
         assert counts[g].total == 2
-    assert rows == []
+    assert quadrant.tolist() == ["kept_positive", "kept_negative"] * 2
 
 
 def test_quadrants_hand_transition():
@@ -97,16 +97,14 @@ def test_quadrants_hand_transition():
 
 
 def test_quadrants_scatter_rows():
-    d = make_dataset([1, 0], [0, 1])
-    base = _decision([1, 0], d)
-    mit = _decision([0, 1], d)
-    s = make_scores([0.8, 0.3])
-    counts, columns = quadrant_analysis(base, mit, d, base_scores=s, mitigated_scores=s)
-    rows = list(zip(*(c.tolist() for c in columns)))
-    assert rows == [
-        (0, "protected", 0.8, 0.8, "downgraded"),
-        (1, "privileged", 0.3, 0.3, "upgraded"),
-    ]
+    d = make_dataset([1, 0, 1, 0], [0, 1, 0, 1])
+    base = _decision([1, 0, 1, 0], d)
+    mit = _decision([0, 1, 1, 0], d)
+    counts, quadrant = quadrant_analysis(base, mit, d)
+    # one name per row, in the order of base.instance_ids
+    assert quadrant.tolist() == ["downgraded", "upgraded", "kept_positive", "kept_negative"]
+    assert counts["protected"].to_dict() == {
+        "kept_negative": 0, "upgraded": 0, "kept_positive": 1, "downgraded": 1}
 
 
 def test_quadrants_conservation_under_fixed_rates():

@@ -1,7 +1,9 @@
 """End-to-end CLI runs: artifacts, determinism, the comparison guard."""
 
+import csv
 import json
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -49,23 +51,54 @@ def test_run_writes_all_artifacts(run_inputs, tmp_path):
     root, config_path, _ = run_inputs
     out = tmp_path / "out"
     assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
-    names = {p.name for p in out.iterdir()}
-    assert "provenance.json" in names
-    assert "dataset_summary.json" in names
-    assert "scorer.txt" in names
-    assert "dataset_export.csv" in names
-    assert "report_native.json" in names
-    assert "report_fixed-threshold-0.5.json" in names
-    assert any(n.startswith("report_per-group-rates") for n in names)
-    assert "scores_baseline_test.csv" in names
-    assert "scores_repair_test.csv" in names
-    assert any(n.startswith("decisions_native_odds-mixing") for n in names)
-    assert any(n.startswith("scatter_native_repair") for n in names)
-    assert any(n.startswith("tau_vs_baseline_") for n in names)
-    assert any(n.startswith("correlation_matrix_") for n in names)
-    assert any(n.startswith("fitted_thresholds") for n in names)
-    # no stray temp files after atomic writes
-    assert not [n for n in names if n.endswith(".tmp")]
+    methods = ["baseline", "repair", "thresholds", "band-flip", "odds-mixing"]
+    labels = ["native", "fixed-threshold-0.5", "per-group-rates-0.457143-0.457143-baseline-pdr"]
+    # one tau table and one correlation matrix per run; per policy one report,
+    # a scatter file per mitigation and a decisions file per method; no stray
+    # temp files after atomic writes
+    assert {p.name for p in out.iterdir()} == {
+        "provenance.json", "dataset_summary.json", "scorer.txt", "dataset_export.csv",
+        "tau_vs_baseline.csv", "correlation_matrix.csv",
+        *(f"fitted_{m}.txt" for m in methods[2:]),
+        *(f"scores_{m}_test.csv" for m in methods),
+        *(f"report_{label}.json" for label in labels),
+        *(f"scatter_{label}_{m}.csv" for label in labels for m in methods[1:]),
+        *(f"decisions_{label}_{m}.csv" for label in labels for m in methods),
+    }
+
+
+def _csv_rows(path):
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.reader(fh))[1:]
+
+
+def test_scatter_files_match_scores_and_decisions(run_inputs, tmp_path):
+    root, config_path, _ = run_inputs
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
+    transition = {("0", "0"): "kept_negative", ("0", "1"): "upgraded",
+                  ("1", "1"): "kept_positive", ("1", "0"): "downgraded"}
+    base_scores = _csv_rows(out / "scores_baseline_test.csv")
+    reports = sorted(out.glob("report_*.json"))
+    assert len(reports) == 3
+    seen = set()
+    for path in reports:
+        label = path.stem[len("report_"):]
+        files = json.loads(path.read_text())["scatter_files"]
+        assert sorted(files) == ["band-flip", "odds-mixing", "repair", "thresholds"]
+        base_dec = _csv_rows(out / f"decisions_{label}_baseline.csv")
+        for method, name in files.items():
+            assert name == f"scatter_{label}_{method}.csv"
+            scores = _csv_rows(out / f"scores_{method}_test.csv")
+            dec = _csv_rows(out / f"decisions_{label}_{method}.csv")
+            assert len(scores) == len(dec) == len(base_dec) == len(base_scores) == 140
+            expected = []
+            for (i, b), (i_m, s), base_row, row in zip(base_scores, scores, base_dec, dec):
+                assert i == i_m == base_row[0] == row[0]
+                expected.append([i, base_row[1], b, s, transition[base_row[3], row[3]]])
+            assert _csv_rows(out / name) == expected
+            seen.update(r[4] for r in expected)
+    assert seen == set(transition.values())
 
 
 def test_run_report_content_sanity(run_inputs, tmp_path):
@@ -470,17 +503,18 @@ def test_run_decides_baseline_at_half_once(run_inputs, tmp_path, monkeypatch):
 def test_run_turns_each_score_array_into_text_once(run_inputs, tmp_path, monkeypatch):
     root, config_path, _ = run_inputs
     converted = {"float_text": [], "group_names": []}
-
-    def counted(name):
+    modules = [m for k, m in sys.modules.items()
+               if k == "rankaudit" or k.startswith("rankaudit.")]
+    for name in converted:
         original = getattr(rankaudit.dataset, name)
 
-        def wrapper(values):
+        def wrapper(values, name=name, original=original):
             converted[name].append(id(values))
             return original(values)
-        return wrapper
-
-    for name in converted:
-        monkeypatch.setattr(rankaudit.dataset, name, counted(name))
+        # replaced in every module that holds it, so no call goes uncounted
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, wrapper)
     out = tmp_path / "out"
     assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
     # 32 CSVs carry scores, but there are two score arrays (the baseline's,

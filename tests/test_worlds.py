@@ -293,6 +293,37 @@ def test_decomposition_rejects_tau_outside_open_interval():
             decomposition_check(w, tau)
 
 
+def test_decomposition_matches_brute_force_cutoff_search_on_tied_worlds():
+    # few levels, zero included: ties across the cut, empty and full
+    # selections and all-selected groups holding a zero score all occur
+    rng = np.random.default_rng(29)
+    levels = np.array([0.0, 0.2, 0.4, 0.6, 0.8, 1.0])
+    outcomes = set()
+    for _ in range(500):
+        m = int(rng.integers(1, 9))
+        group = rng.integers(0, 2, size=m).astype(np.int8)
+        w = FairWorld(x=np.arange(m, dtype=np.float64), group=group,
+                      weight=np.full(m, 1.0 / m), fair_p=rng.choice(levels, size=m),
+                      score_s=rng.choice(levels, size=m), group_names={0: "g0", 1: "g1"})
+        tau = float(rng.choice([0.1, 0.3, 0.5, 0.7, 0.9]))
+        res = decomposition_check(w, tau)
+        for g in w.groups():
+            s, sel = w.score_s[w.group == g], w.fair_p[w.group == g] > tau
+            # brute force: some cutoff t in {0} and the group's scores gives s > t == sel
+            cuts = [t for t in np.r_[0.0, np.unique(s)] if np.array_equal(s > t, sel)]
+            got = res.thresholds[w.name_of(g)]
+            assert (got is not None) == bool(cuts)
+            assert (w.name_of(g) in res.failed_groups) == (not cuts)
+            if cuts:  # the largest unselected score, or 0 when all are selected
+                assert got == (0.0 if sel.all() else float(s[~sel].max()))
+                assert np.array_equal(s > got, sel)
+            outcomes.add((bool(cuts), bool(sel.any()), bool(sel.all())))
+        assert res.decomposable == (not res.failed_groups)
+    # every case of the old three-branch rule was reached, passing and failing
+    assert outcomes >= {(True, False, False), (True, True, True), (False, True, True),
+                        (True, True, False), (False, True, False)}
+
+
 # --- the equivalence, both directions ----------------------------------------------------
 
 def _random_world(rng, comonotone):
