@@ -31,8 +31,9 @@ from .errors import (
 )
 from .scorer import ScoreSet
 
-QUADRANTS = ("kept_negative", "upgraded", "kept_positive", "downgraded")
-_QUADRANT_NAMES = np.array(QUADRANTS, dtype=object)
+# a row's quadrant name, indexed by 2 * its base label + its mitigated label
+_QUADRANT_NAMES = np.array(["kept_negative", "upgraded", "downgraded", "kept_positive"],
+                           dtype=object)
 
 
 # --- rank machinery ----------------------------------------------------------
@@ -171,14 +172,12 @@ def spd(dec: DecisionSet, d: Dataset) -> float:
 def eod(dec: DecisionSet, d: Dataset) -> float:
     """Protected TPR minus privileged TPR."""
     pos, prot = _group_masks(dec, d)
-    truth = d.label[pos]
-    rates = []
-    for mask, name in ((prot, "protected"), (~prot, "privileged")):
-        positives = mask & (truth == 1)
-        if not positives.any():
+    positives = crosstab(~prot, d.label[pos], dec.labels)[:, 1]  # [group, decision]
+    for name, n in zip(("protected", "privileged"), positives.sum(axis=1)):
+        if not n:
             raise NoPositivesInGroup(f"no positive instances in {name} group")
-        rates.append(float(dec.labels[positives].mean()))
-    return rates[0] - rates[1]
+    tpr = positives[:, 1] / positives.sum(axis=1)
+    return float(tpr[0] - tpr[1])
 
 
 def accuracy(dec: DecisionSet, d: Dataset) -> float:
@@ -203,6 +202,12 @@ class QuadrantCounts:
         return asdict(self)
 
 
+def crosstab(first, a, b) -> np.ndarray:
+    """Counts of the rows in each cell of three aligned 0/1 arrays:
+    entry [i, j, k] counts the rows with first == i, a == j and b == k."""
+    return np.bincount(4 * first + 2 * a + b, minlength=8).reshape(2, 2, 2)
+
+
 def quadrant_analysis(base: DecisionSet, mitigated: DecisionSet, d: Dataset):
     """Per-group 2x2 transition counts and each row's transition.
 
@@ -211,18 +216,12 @@ def quadrant_analysis(base: DecisionSet, mitigated: DecisionSet, d: Dataset):
     with base.instance_ids.
     """
     require_aligned(base.instance_ids, mitigated.instance_ids, "quadrant ids")
-    pos = d.positions_of(base.instance_ids)
-    prot = d.sensitive[pos] == PROTECTED
-    quadrant = np.where(
-        base.labels == 0,
-        np.where(mitigated.labels == 0, 0, 1),   # kept_negative / upgraded
-        np.where(mitigated.labels == 1, 2, 3),   # kept_positive / downgraded
-    )
-    counts = {}
-    for mask, name in ((prot, "protected"), (~prot, "privileged")):
-        qc = np.bincount(quadrant[mask], minlength=4)
-        counts[name] = QuadrantCounts(int(qc[0]), int(qc[1]), int(qc[2]), int(qc[3]))
-    return counts, _QUADRANT_NAMES[quadrant]
+    prot = d.sensitive[d.positions_of(base.instance_ids)] == PROTECTED
+    cells = crosstab(~prot, base.labels, mitigated.labels)  # [group, base, mitigated]
+    counts = {name: QuadrantCounts(kept_negative=int(c[0, 0]), upgraded=int(c[0, 1]),
+                                   kept_positive=int(c[1, 1]), downgraded=int(c[1, 0]))
+              for name, c in zip(("protected", "privileged"), cells)}
+    return counts, _QUADRANT_NAMES[2 * base.labels + mitigated.labels]
 
 
 def method_correlation_matrix(score_sets: list[ScoreSet],

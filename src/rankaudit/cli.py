@@ -79,6 +79,15 @@ def _slug(label: str) -> str:
     return "".join(c if c.isalnum() or c in "-_." else "-" for c in label)
 
 
+def _distinct_slugs(names, what: str) -> None:
+    """ConfigError when two of names would write files of one name."""
+    slugs = [_slug(name) for name in names]
+    for i, slug in enumerate(slugs):
+        if slug in slugs[:i]:
+            raise ConfigError(f"{what} {names[slugs.index(slug)]!r} and {names[i]!r} both "
+                              f"map to file name {slug!r}")
+
+
 # --- config -------------------------------------------------------------------------
 #
 # SCHEMA, METHODS and POLICIES give each key a config may carry: what its value must
@@ -195,8 +204,7 @@ def _load_config(path: str) -> tuple[dict, DatasetSpec]:
         if not numeric.issuperset(m.get("columns") or ()):
             raise ConfigError(f"method {m['name']!r}: columns must be numeric feature "
                               f"columns of spec {spec.name!r}, got {m['columns']}")
-    if len({m["name"] for m in methods}) != len(methods):
-        raise ConfigError(f"method names must be unique: {[m['name'] for m in methods]}")
+    _distinct_slugs([m["name"] for m in methods], "methods")
     for doc in cfg["policies"]:
         _entry(doc, "policy", POLICIES)
     return cfg, spec
@@ -376,6 +384,7 @@ class Pipeline:
                                         note=ref if isinstance(ref, str) else "")
             label = policy.label() + (f"-{_slug(policy.note)}" if policy.note else "")
             resolved.append((label, policy))
+        _distinct_slugs([label for label, _ in resolved], "policies")
         return resolved
 
     def _rate(self, ref) -> float:
@@ -476,6 +485,14 @@ WORLDS = {"wage-gap": wage_gap_world, "anti-monotone": anti_monotone_world}
 
 
 def cmd_theory(args) -> int:
+    for flag, values, ok, what in (  # checked before any world is built
+            ("--grid-size", [args.grid_size], lambda v: v >= 2, "an integer >= 2"),
+            ("--tau", args.tau, lambda v: 0 < v < 1, "a number in (0, 1)"),
+            ("--tolerance", [args.tolerance], lambda v: _number(v, 0), "a finite number >= 0"),
+            ("--cut", [args.cut], _number, "a finite number")):
+        for v in values:
+            if not ok(v):
+                raise ConfigError(f"{flag} must be {what}, got {v}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     w = WORLDS[args.world](args.grid_size)
@@ -521,15 +538,30 @@ def cmd_theory(args) -> int:
 
 # --- compare command ---------------------------------------------------------------------
 
+COMPARED = ["auc", "auc_protected", "auc_privileged", "acc", "spd", "eod", "pdr"]
+
+
+def _read_report(path: str) -> dict:
+    """The report at path; ConfigError unless it holds a policy_label and a
+    non-empty rows object whose every row has a number for each compared key."""
+    try:
+        doc = json.loads(Path(path).read_text("utf-8"))
+    except (OSError, ValueError) as exc:  # missing, unreadable, or not UTF-8 JSON
+        raise ConfigError(f"cannot read report {path}: {exc}")
+    rows = doc.get("rows") if type(doc) is dict else None
+    if type(rows) is not dict or not rows or "policy_label" not in doc or not all(
+            type(r) is dict and all(type(r.get(k)) in (int, float) for k in COMPARED)
+            for r in rows.values()):
+        raise ConfigError(f"report {path} needs a policy_label and a non-empty rows object "
+                          f"with a number for each of {', '.join(COMPARED)} in every row")
+    return doc
+
+
 def cmd_compare(paths: list[str], out_path: str,
                 allow_uncontrolled: bool = False) -> int:
     if len(paths) < 2:
         raise ConfigError("compare needs at least two report files")
-    reports = []
-    for p in paths:
-        if not Path(p).exists():
-            raise ConfigError(f"report not found: {p}")
-        reports.append((Path(p).stem, json.loads(Path(p).read_text("utf-8"))))
+    reports = [(Path(p).stem, _read_report(p)) for p in paths]
 
     labels = {doc.get("policy_label") for _, doc in reports}
     if len(labels) != 1:
@@ -574,12 +606,11 @@ def cmd_compare(paths: list[str], out_path: str,
         )
         return EXIT_VALIDATION
 
-    keys = ["auc", "auc_protected", "auc_privileged", "acc", "spd", "eod", "pdr"]
     rows = [(name, method, m) for name, doc in reports
             for method, m in sorted(doc["rows"].items())]
-    write_csv(Path(out_path), ["report", "method"] + keys + ["warning"],
+    write_csv(Path(out_path), ["report", "method"] + COMPARED + ["warning"],
               [[r[0] for r in rows], [r[1] for r in rows]]
-              + [[repr(m[k]) for _, _, m in rows] for k in keys]
+              + [[repr(m[k]) for _, _, m in rows] for k in COMPARED]
               + ["uncontrolled-rate" if uncontrolled else ""])
     if uncontrolled:
         print("warning: uncontrolled positive decision rates; rows flagged",

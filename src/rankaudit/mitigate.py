@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import prng
-from .audit import _midranks
+from .audit import _midranks, crosstab
 from .dataset import Dataset, PROTECTED, PRIVILEGED, positions_in
 from .decide import DecisionPolicy, DecisionSet, _check_unit, _count_ceil, decide
 from .errors import (
@@ -179,14 +179,6 @@ class CriticalRegion:
         if not 0.0 <= self.theta <= 0.5:
             raise ValueError(f"theta must lie in [0, 0.5], got {self.theta}")
 
-    @property
-    def low(self) -> float:
-        return 0.5 - self.theta
-
-    @property
-    def high(self) -> float:
-        return 0.5 + self.theta
-
     def to_text(self) -> str:
         return f"theta {self.theta:.17g}\n"
 
@@ -280,27 +272,12 @@ class MixingRates:
         return (self.p_protected_given0, self.p_protected_given1,
                 self.p_privileged_given0, self.p_privileged_given1)
 
-    def rate_for(self, group: int, base_label: int) -> float:
-        v = self.as_vector()
-        if group == PROTECTED:
-            return v[base_label]
-        return v[2 + base_label]
-
     def to_text(self) -> str:
         names = ("p_protected_given0", "p_protected_given1",
                  "p_privileged_given0", "p_privileged_given1")
         lines = [f"{n} {v:.17g}" for n, v in zip(names, self.as_vector())]
         lines.append(f"seed {self.seed}")
         return "\n".join(lines) + "\n"
-
-
-def _derived_rates(p: np.ndarray, base: dict) -> tuple[float, float, float, float]:
-    """(tpr_prot, fpr_prot, tpr_priv, fpr_priv) as linear functions of p."""
-    tpr_p = p[1] * base["tpr_prot"] + p[0] * (1 - base["tpr_prot"])
-    fpr_p = p[1] * base["fpr_prot"] + p[0] * (1 - base["fpr_prot"])
-    tpr_v = p[3] * base["tpr_priv"] + p[2] * (1 - base["tpr_priv"])
-    fpr_v = p[3] * base["fpr_priv"] + p[2] * (1 - base["fpr_priv"])
-    return tpr_p, fpr_p, tpr_v, fpr_v
 
 
 def fit_equalized_odds_post(pred: DecisionSet, d: Dataset, ids,
@@ -316,38 +293,23 @@ def fit_equalized_odds_post(pred: DecisionSet, d: Dataset, ids,
     _, base_labels, prot, truth = _cohort(pred.instance_ids, pred.labels, d, ids,
                                           "base predictions")
 
-    counts = {}
-    for g, mask in ((PROTECTED, prot), (PRIVILEGED, ~prot)):
-        name = "prot" if g == PROTECTED else "priv"
-        n_pos = int((truth[mask] == 1).sum())
-        n_neg = int((truth[mask] == 0).sum())
-        if n_pos == 0 or n_neg == 0:
+    # n[g, yhat, y]: rows of group g (0 protected, 1 privileged) with base
+    # label yhat and truth y; rate[g, y] = P(yhat = 1 | g, y), FPR then TPR
+    n = crosstab(~prot, base_labels, truth)
+    totals = n.sum(axis=1)  # [g, y]
+    for name, per_truth in zip(("prot", "priv"), totals):
+        if not per_truth.all():
             raise DegenerateGroup(f"{name} group lacks positives or negatives")
-        counts[f"tpr_{name}"] = float(base_labels[mask & (truth == 1)].mean())
-        counts[f"fpr_{name}"] = float(base_labels[mask & (truth == 0)].mean())
-        for yhat in (0, 1):
-            for y in (0, 1):
-                counts[f"n_{name}_{yhat}{y}"] = int(
-                    (mask & (base_labels == yhat) & (truth == y)).sum()
-                )
+    rate = n[:, 1, :] / totals
 
     # objective: expected misclassifications, linear in p
     # p order: (prot|0, prot|1, priv|0, priv|1)
-    coeff = np.array([
-        counts["n_prot_00"] - counts["n_prot_01"],
-        counts["n_prot_10"] - counts["n_prot_11"],
-        counts["n_priv_00"] - counts["n_priv_01"],
-        counts["n_priv_10"] - counts["n_priv_11"],
-    ], dtype=np.float64)
-    const = (counts["n_prot_01"] + counts["n_prot_11"]
-             + counts["n_priv_01"] + counts["n_priv_11"])
+    coeff = (n[:, :, 0] - n[:, :, 1]).ravel().astype(np.float64)
+    const = int(n[:, :, 1].sum())
 
-    # equality rows A @ p = 0: equal TPR, equal FPR across groups
-    a_tpr = np.array([1 - counts["tpr_prot"], counts["tpr_prot"],
-                      -(1 - counts["tpr_priv"]), -counts["tpr_priv"]])
-    a_fpr = np.array([1 - counts["fpr_prot"], counts["fpr_prot"],
-                      -(1 - counts["fpr_priv"]), -counts["fpr_priv"]])
-    A = np.vstack([a_tpr, a_fpr])
+    # equality rows A @ p = 0: equal TPR, equal FPR across groups; -(1 - r)
+    # is -0.0 at r = 1 where r - 1 is +0.0, and the fitted rates can differ
+    A = np.array([[1 - r[0], r[0], -(1 - r[1]), -r[1]] for r in (rate[:, 1], rate[:, 0])])
 
     tol = 1e-9
     candidates = []
@@ -375,13 +337,7 @@ def fit_equalized_odds_post(pred: DecisionSet, d: Dataset, ids,
         return float(coeff @ p) + const
 
     best = min(candidates, key=lambda p: (round(objective(p), 9), tuple(p)))
-    return MixingRates(
-        p_protected_given0=float(best[0]),
-        p_protected_given1=float(best[1]),
-        p_privileged_given0=float(best[2]),
-        p_privileged_given1=float(best[3]),
-        seed=seed,
-    )
+    return MixingRates(*map(float, best), seed=seed)  # best is in as_vector order
 
 
 def derived_group_rates(rates: MixingRates, pred: DecisionSet, d: Dataset,
@@ -389,15 +345,12 @@ def derived_group_rates(rates: MixingRates, pred: DecisionSet, d: Dataset,
     """Analytic post-mixing TPR/FPR per group on the given ids."""
     _, base_labels, prot, truth = _cohort(pred.instance_ids, pred.labels, d, ids,
                                           "base predictions")
-    base = {
-        "tpr_prot": float(base_labels[prot & (truth == 1)].mean()),
-        "fpr_prot": float(base_labels[prot & (truth == 0)].mean()),
-        "tpr_priv": float(base_labels[~prot & (truth == 1)].mean()),
-        "fpr_priv": float(base_labels[~prot & (truth == 0)].mean()),
-    }
-    tpr_p, fpr_p, tpr_v, fpr_v = _derived_rates(np.array(rates.as_vector()), base)
-    return {"tpr_protected": tpr_p, "fpr_protected": fpr_p,
-            "tpr_privileged": tpr_v, "fpr_privileged": fpr_v}
+    n = crosstab(~prot, base_labels, truth)
+    base = n[:, 1, :] / n.sum(axis=1)  # [group, truth]: P(base label 1 | group, truth)
+    p = np.reshape(rates.as_vector(), (2, 2))  # [group, base label]
+    derived = p[:, 1:] * base + p[:, :1] * (1 - base)  # [group, truth]
+    return {"tpr_protected": derived[0, 1], "fpr_protected": derived[0, 0],
+            "tpr_privileged": derived[1, 1], "fpr_privileged": derived[1, 0]}
 
 
 def apply_mixing(rates: MixingRates, pred: DecisionSet, d: Dataset,
@@ -409,12 +362,7 @@ def apply_mixing(rates: MixingRates, pred: DecisionSet, d: Dataset,
     """
     ids, base_labels, prot, _ = _cohort(pred.instance_ids, pred.labels, d, ids,
                                         "base predictions")
-
-    p = np.empty(len(ids))
-    for g, mask in ((PROTECTED, prot), (PRIVILEGED, ~prot)):
-        for yhat in (0, 1):
-            cell = mask & (base_labels == yhat)
-            p[cell] = rates.rate_for(g, yhat)
+    p = np.array(rates.as_vector())[2 * ~prot + base_labels]  # as_vector order
     draws = prng.uniform01(rates.seed, ids)
     labels = (draws < p).astype(np.int8)
     policy = DecisionPolicy(kind="randomized-mixing", note=f"seed={rates.seed}")

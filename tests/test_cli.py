@@ -443,6 +443,44 @@ def test_readme_config_keys_match_schema():
             assert default is REQUIRED or shown[kind][key] == default, (kind, key)
 
 
+def test_readme_library_surface_imports():
+    """README's "Library surface" import block runs against the package."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library surface", 1)[1].split("```python\n", 1)[1]
+    block = block.split("```", 1)[0]
+    assert block.startswith("from rankaudit import (")
+    exec(compile(block, "README.md", "exec"), {})
+
+
+def test_methods_with_one_file_name_rejected_before_ingest(run_inputs, tmp_path, capsys):
+    root, config_path, config = run_inputs
+    cfg = dict(config, methods=[{"kind": "group-thresholds", "name": "x y"},
+                                {"kind": "reject-option", "name": "x-y"}])
+    cfg_path = tmp_path / "clash.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: methods 'x y' and 'x-y' both map to file name 'x-y'")
+    assert not (out / "dataset_summary.json").exists()
+
+
+@pytest.mark.parametrize("command", ["decide", "run"])
+def test_policies_with_one_file_name_exit_1(run_inputs, tmp_path, capsys, command):
+    root, config_path, config = run_inputs
+    cfg = dict(config, methods=[],
+               policies=[{"kind": "fixed-threshold", "threshold": 0.5}] * 2)
+    cfg_path = tmp_path / "clash.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: policies 'fixed-threshold-0.5' and 'fixed-threshold-0.5' both map to "
+        "file name 'fixed-threshold-0.5'")
+    assert not list(out.glob("report_*.json"))
+    assert not list(out.glob("decisions_*.csv"))
+
+
 def test_decide_command_matches_run_decisions(run_inputs, tmp_path):
     root, config_path, _ = run_inputs
     run_out = tmp_path / "run"
@@ -581,6 +619,23 @@ def test_theory_commands(tmp_path):
     assert doc["0.5"]["thresholds"]["female"] == 0.45
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["example", "--grid-size", "1"], "--grid-size must be an integer >= 2, got 1"),
+    (["decompose", "--tau", "1.5"], "--tau must be a number in (0, 1), got 1.5"),
+    (["decompose", "--tau", "0.5", "--tau", "0"], "--tau must be a number in (0, 1), got 0.0"),
+    (["monotonicity", "--tolerance", "nan"],
+     "--tolerance must be a finite number >= 0, got nan"),
+    (["monotonicity", "--tolerance", "-0.01"],
+     "--tolerance must be a finite number >= 0, got -0.01"),
+    (["pareto", "--cut", "inf"], "--cut must be a finite number, got inf"),
+], ids=["grid-size-1", "tau-1.5", "tau-0", "tolerance-nan", "tolerance-negative", "cut-inf"])
+def test_theory_bad_arguments_exit_1(tmp_path, capsys, argv, message):
+    out = tmp_path / "theory"
+    assert main(["theory", *argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not out.exists()  # nothing built, nothing written
+
+
 # --- compare subcommand --------------------------------------------------------------
 
 def _fake_report(path, label, pdrs):
@@ -657,3 +712,30 @@ def test_compare_policy_mismatch(tmp_path):
     _fake_report(a, "fixed-threshold-0.5", {"m": 0.3})
     _fake_report(b, "per-group-rates-0.3-0.3", {"m": 0.3})
     assert main(["compare", str(a), str(b), "--out", str(tmp_path / "c.csv")]) == 1
+
+
+@pytest.mark.parametrize("content", [
+    '{"x":',
+    '[]',
+    '{"policy_label": "a"}',
+    '{"rows": {"m": {"auc": 0.8}}}',
+    '{"policy_label": "a", "rows": []}',
+    '{"policy_label": "a", "rows": {}}',
+    '{"policy_label": "a", "rows": {"m": 0.3}}',
+    '{"policy_label": "a", "rows": {"m": {"auc": 0.8}}}',
+    '{"policy_label": "a", "rows": {"m": {"auc": 0.8, "auc_protected": 0.8, '
+    '"auc_privileged": 0.8, "acc": 0.7, "spd": 0, "eod": 0, "pdr": "0.3"}}}',
+    '{"policy_label": "a", "rows": {"m": {"auc": 0.8, "auc_protected": 0.8, '
+    '"auc_privileged": 0.8, "acc": 0.7, "spd": 0, "eod": 0, "pdr": true}}}',
+], ids=["not-json", "list", "no-rows", "no-policy-label", "rows-list", "rows-empty",
+        "row-not-object", "row-missing-keys", "pdr-string", "pdr-true"])
+def test_compare_malformed_report_exit_1(tmp_path, capsys, content):
+    good = tmp_path / "good.json"
+    _fake_report(good, "a", {"m": 0.3})
+    bad = tmp_path / "bad.json"
+    bad.write_text(content, encoding="utf-8")
+    out = tmp_path / "c.csv"
+    assert main(["compare", str(good), str(bad), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(bad) in err
+    assert not out.exists()

@@ -407,6 +407,43 @@ def test_apply_mixing_monte_carlo_matches_analytic_rates():
             assert abs(observed - expected) <= 3 * se + 1e-9
 
 
+# group, truth and base score of each row, then the fitted rates' text (seed 7)
+# and the mixed labels, pinned byte for byte
+_PINNED_MIXING = {
+    # privileged: every positive scores above 0.5 (base TPR 1.0) and so does
+    # one negative (base FPR 1/3); protected: base TPR 1/3, FPR 2/3
+    "privileged-tpr-1": (
+        [0] * 6 + [1] * 6,
+        [1, 1, 1, 0, 0, 0] * 2,
+        [0.9, 0.8, 0.7, 0.6, 0.2, 0.1, 0.9, 0.3, 0.2, 0.7, 0.6, 0.1],
+        "p_protected_given0 1\np_protected_given1 0\n"
+        "p_privileged_given0 0.16666666666666657\n"
+        "p_privileged_given1 0.66666666666666641\nseed 7\n",
+        [1, 1, 0, 1, 0, 0, 0, 1, 1, 0, 0, 1],
+    ),
+    # every (group, base label, truth) cell holds at least one row
+    "all-eight-cells": (
+        [1] * 8 + [0] * 8,
+        [0, 0, 1, 1, 0, 1, 1, 1, 0, 0, 1, 1, 0, 0, 0, 1],
+        [0.1, 0.7, 0.2, 0.9, 0.3, 0.8, 0.6, 0.4,
+         0.2, 0.9, 0.3, 0.7, 0.1, 0.6, 0.8, 0.4],
+        "p_protected_given0 0.062499999999999986\np_protected_given1 1\n"
+        "p_privileged_given0 0.93749999999999967\np_privileged_given1 0\nseed 7\n",
+        [0, 1, 0, 1, 0, 1, 1, 0, 1, 0, 1, 0, 1, 0, 0, 1],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_MIXING))
+def test_mixing_rates_and_labels_pinned(name):
+    sens, truth, scores, text, labels = _PINNED_MIXING[name]
+    d = make_dataset(sens, truth)
+    base = decide(make_scores(scores), d, DecisionPolicy(kind="fixed-threshold", threshold=0.5))
+    rates = fit_equalized_odds_post(base, d, d.instance_ids, seed=7)
+    assert rates.to_text() == text
+    assert apply_mixing(rates, base, d, d.instance_ids).labels.tolist() == labels
+
+
 def test_mixing_never_touches_scores():
     d = make_dataset([1, 1, 1, 1, 0, 0, 0, 0], [1, 0, 1, 0, 1, 0, 1, 0])
     s = make_scores([0.9, 0.1, 0.8, 0.2, 0.9, 0.1, 0.8, 0.2])
