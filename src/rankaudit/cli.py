@@ -52,7 +52,6 @@ from .worlds import (
     decomposition_check,
     monotonicity_check,
     pareto_check,
-    rates,
     threshold_decision,
     wage_gap_world,
 )
@@ -185,9 +184,25 @@ def _entry(doc: dict, what: str, kinds: dict) -> dict:
     return _checked(doc, {**SCHEMA[what], **kinds[kind]}, f"{what} {doc.get('name', kind)!r}")
 
 
-def _load_config(path: str) -> tuple[dict, DatasetSpec]:
+def _policy(doc: dict, resolve) -> tuple[str, DecisionPolicy]:
+    """A policy entry's label and policy; resolve(ref) is the rate that a
+    "baseline-pdr" or "base-rate" reference stands for."""
+    kind, ref = doc["kind"], doc.get("rate")
+    rate = resolve(ref) if isinstance(ref, str) else ref
+    if kind == "fixed-threshold":
+        policy = DecisionPolicy(kind=kind, threshold=float(doc["threshold"]))
+    elif kind == "global-top-rate":
+        policy = DecisionPolicy(kind=kind, rate=float(rate))
+    else:  # per-group-rates: one rate for both groups
+        policy = DecisionPolicy(kind=kind, group_rates=(float(rate),) * 2,
+                                note=ref if isinstance(ref, str) else "")
+    return policy.label() + (f"-{_slug(policy.note)}" if policy.note else ""), policy
+
+
+def _load_config(path: str) -> tuple[dict, DatasetSpec, list[dict]]:
     """The config at path checked against SCHEMA, with the top-level, split
-    and scorer defaults filled in; and its dataset spec."""
+    and scorer defaults filled in; its dataset spec; and its method entries
+    with their defaults."""
     try:
         cfg = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:  # unreadable, or not UTF-8 JSON
@@ -205,9 +220,15 @@ def _load_config(path: str) -> tuple[dict, DatasetSpec]:
             raise ConfigError(f"method {m['name']!r}: columns must be numeric feature "
                               f"columns of spec {spec.name!r}, got {m['columns']}")
     _distinct_slugs([m["name"] for m in methods], "methods")
-    for doc in cfg["policies"]:
-        _entry(doc, "policy", POLICIES)
-    return cfg, spec
+    policies = [_entry(doc, "policy", POLICIES) for doc in cfg["policies"]]
+    # labels the config fixes; Pipeline._policies checks those of resolved rates
+    _distinct_slugs([_policy(doc, None)[0] for doc in policies
+                     if not isinstance(doc.get("rate"), str)], "policies")
+    refs = [(doc["kind"], doc["rate"]) for doc in policies if isinstance(doc.get("rate"), str)]
+    for i, (kind, ref) in enumerate(refs):
+        if (kind, ref) in refs[:i]:
+            raise ConfigError(f"two {kind} policies with rate {ref!r} map to one file name")
+    return cfg, spec, methods
 
 
 def _resolve_spec(ref) -> DatasetSpec:
@@ -237,9 +258,9 @@ def _config_hash(cfg: dict) -> str:
 class Pipeline:
     """Executes a run config stage by stage; later stages reuse earlier state."""
 
-    def __init__(self, cfg: dict, spec: DatasetSpec, out_dir: Path):
+    def __init__(self, cfg: dict, spec: DatasetSpec, methods: list[dict], out_dir: Path):
         self.cfg = cfg  # as _load_config returns it
-        self.methods = [_entry(m, "method", METHODS) for m in cfg["methods"]]
+        self.methods = methods  # entries with their kinds' defaults
         self.spec = spec
         self.out = out_dir
         self.out.mkdir(parents=True, exist_ok=True)
@@ -252,7 +273,6 @@ class Pipeline:
         self.external: dict[str, ScoreSet] = {}  # test scores by method name
         self.method_scores: list[ScoreSet] = []
         self.native_decisions: dict[str, DecisionSet] = {}
-        self.fit_artifacts: dict[str, str] = {}
         self.text = ColumnText()  # every CSV's ids, groups and scores
 
     # each stage returns self so calls chain
@@ -332,68 +352,42 @@ class Pipeline:
                 refit = fit(repaired, self.splits, self.scorer.config,
                             include_sensitive=self.scorer.include_sensitive)
                 scores = score(refit, repaired, test_ids, method=name, role="test")
-            elif kind == "group-thresholds":
-                gt = fit_threshold_optimizer(
-                    self.baseline_validation, self.dataset, val_ids,
-                    rate=m["rate"],
-                )
-                self.fit_artifacts[name] = gt.to_text()
-                scores = relabel(self.baseline_test, name)
-                self.native_decisions[name] = apply_group_thresholds(gt, scores, self.dataset)
-            elif kind == "reject-option":
-                res = reject_option_classify(
-                    self.baseline_validation, self.dataset, val_ids,
-                    epsilon=float(m["epsilon"]),
-                )
-                self.fit_artifacts[name] = res.region.to_text()
-                scores = relabel(self.baseline_test, name)
-                self.native_decisions[name] = apply_reject_option(
-                    res.region, self.baseline_test, self.dataset, test_ids, method=name,
-                )
-            elif kind == "equalized-odds":
-                base_val = decide(self.baseline_validation, self.dataset, AT_HALF)
-                mixing = fit_equalized_odds_post(
-                    base_val, self.dataset, val_ids, seed=m["seed"],
-                )
-                self.fit_artifacts[name] = mixing.to_text()
-                scores = relabel(self.baseline_test, name)
-                self.native_decisions[name] = apply_mixing(
-                    mixing, self.baseline_at_half, self.dataset, test_ids, method=name,
-                )
-            else:  # external-scores
+            elif kind == "external-scores":
                 scores = self.external[name]
+            else:  # a postprocessor: fitted on validation, decides on test
+                scores = relabel(self.baseline_test, name)
+                if kind == "group-thresholds":
+                    fitted = fit_threshold_optimizer(self.baseline_validation, self.dataset,
+                                                     val_ids, rate=m["rate"])
+                    decisions = apply_group_thresholds(fitted, scores, self.dataset)
+                elif kind == "reject-option":
+                    fitted = reject_option_classify(self.baseline_validation, self.dataset,
+                                                    val_ids, epsilon=float(m["epsilon"])).region
+                    decisions = apply_reject_option(fitted, scores, self.dataset, test_ids)
+                else:  # equalized-odds
+                    base_val = decide(self.baseline_validation, self.dataset, AT_HALF)
+                    fitted = fit_equalized_odds_post(base_val, self.dataset, val_ids,
+                                                     seed=m["seed"])
+                    decisions = apply_mixing(fitted, self.baseline_at_half, self.dataset,
+                                             test_ids, method=name)
+                self.native_decisions[name] = decisions
+                with atomic_open(self.out / f"fitted_{_slug(name)}.txt") as fh:
+                    fh.write(fitted.to_text())
             self.method_scores.append(scores)
-        for name, text in self.fit_artifacts.items():
-            with atomic_open(self.out / f"fitted_{_slug(name)}.txt") as fh:
-                fh.write(text)
         for scores in self.method_scores:
             self._write_scores(scores)
         return self
 
     def _policies(self) -> list[tuple[str, DecisionPolicy]]:
-        resolved = []
-        for doc in self.cfg["policies"]:
-            kind, ref = doc["kind"], doc.get("rate")
-            if kind == "fixed-threshold":
-                policy = DecisionPolicy(kind=kind, threshold=float(doc["threshold"]))
-            elif kind == "global-top-rate":
-                policy = DecisionPolicy(kind=kind, rate=self._rate(ref))
-            else:  # per-group-rates: one rate for both groups
-                r = self._rate(ref)
-                policy = DecisionPolicy(kind=kind, group_rates=(r, r),
-                                        note=ref if isinstance(ref, str) else "")
-            label = policy.label() + (f"-{_slug(policy.note)}" if policy.note else "")
-            resolved.append((label, policy))
+        resolved = [_policy(doc, self._rate) for doc in self.cfg["policies"]]
         _distinct_slugs([label for label, _ in resolved], "policies")
         return resolved
 
-    def _rate(self, ref) -> float:
+    def _rate(self, ref: str) -> float:
         if ref == "baseline-pdr":
             return self.baseline_at_half.realized_pdr
-        if ref == "base-rate":
-            pos = self.dataset.positions_of(self.splits.test_ids)
-            return float(self.dataset.label[pos].mean())
-        return float(ref)
+        pos = self.dataset.positions_of(self.splits.test_ids)  # base-rate
+        return float(self.dataset.label[pos].mean())
 
     def _provenance(self) -> dict:
         return {
@@ -517,7 +511,7 @@ def cmd_theory(args) -> int:
         doc = {}
         for basis in ("unfair", "fair"):
             res = pareto_check(w, dec, basis)
-            r = rates(w, dec, basis)
+            r = res.decision_rates
             doc[basis] = {
                 "maximal": res.maximal,
                 "tpr": r.tpr,
@@ -631,8 +625,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default="out")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the split seed")
         return p
 
     add_pipeline_cmd("ingest", "load a dataset, verify its base rate, split it")
@@ -672,10 +664,7 @@ def main(argv=None) -> int:
         if args.command == "compare":
             return cmd_compare(args.reports, args.out, args.allow_uncontrolled)
 
-        cfg, spec = _load_config(args.config)
-        if args.seed is not None:
-            cfg["split"]["seed"] = args.seed
-        pipeline = Pipeline(cfg, spec, Path(args.out))
+        pipeline = Pipeline(*_load_config(args.config), Path(args.out))
         if args.command == "ingest":
             pipeline.ingest()
             pipeline.dataset.export_csv(pipeline.out / "dataset_export.csv")

@@ -17,9 +17,6 @@ from .dataset import (
 from .errors import EmptyGroup, RateOutOfRange
 from .scorer import ScoreSet
 
-# descriptive kinds recorded by mitigation methods that own their decisions
-PASSTHROUGH_KINDS = ("reject-option", "randomized-mixing")
-
 TIE_RULE = "ascending instance_id"
 
 _LABEL_TEXT = np.array(["0", "1"], dtype=object)
@@ -62,7 +59,7 @@ class DecisionPolicy:
                 raise ValueError("per-group-rates policy needs two rates")
             for r in self.group_rates:
                 _check_unit(r, "group rate")
-        elif self.kind not in PASSTHROUGH_KINDS:
+        else:
             raise ValueError(f"unknown policy kind {self.kind!r}")
 
     def label(self) -> str:
@@ -74,8 +71,6 @@ class DecisionPolicy:
         if self.kind == "per-group-rates":
             a, b = self.group_rates
             return f"per-group-rates-{a:g}-{b:g}"
-        if self.kind == "per-group-thresholds":
-            return "per-group-thresholds"
         return self.kind
 
     def describe(self) -> dict:
@@ -100,11 +95,11 @@ class DecisionPolicy:
 
 @dataclass(frozen=True)
 class DecisionSet:
-    """Binary labels plus the decision context that produced them."""
+    """Binary labels plus the label of the policy that produced them."""
 
     instance_ids: np.ndarray
     labels: np.ndarray  # int8
-    policy: DecisionPolicy
+    policy: str  # the policy column of its decisions file
     source_method: str
     realized_pdr: float = field(default=None)  # recomputed on construction
 
@@ -172,7 +167,7 @@ def decide(scores: ScoreSet, d: Dataset, policy: DecisionPolicy) -> DecisionSet:
             m = group == g
             if m.any():
                 labels[m] = _top_k(s[m], ids[m], _count_nearest(r, int(m.sum())))
-    elif policy.kind == "per-group-thresholds":
+    else:  # per-group-thresholds
         gt = policy.group_thresholds
         labels = np.zeros(len(s), dtype=bool)
         for g, t in ((PROTECTED, gt.t_protected), (PRIVILEGED, gt.t_privileged)):
@@ -189,13 +184,11 @@ def decide(scores: ScoreSet, d: Dataset, policy: DecisionPolicy) -> DecisionSet:
                     fill = np.isin(ids[m], np.sort(boundary_ids)[:short])
                     chosen = chosen | fill
             labels[m] = chosen
-    else:
-        raise ValueError(f"policy kind {policy.kind!r} cannot be decided directly")
 
     return DecisionSet(
         instance_ids=ids,
         labels=labels.astype(np.int8),
-        policy=policy,
+        policy=policy.label(),
         source_method=scores.method,
     )
 
@@ -227,4 +220,4 @@ def export_decisions(dec: DecisionSet, d: Dataset, scores: ScoreSet,
     ids, groups = text.rows(d, dec.instance_ids)
     write_csv(path, ["instance_id", "group", "score", "label", "method", "policy"],
               [ids, groups, text.floats(scores.scores), _LABEL_TEXT[dec.labels].tolist(),
-               dec.source_method, dec.policy.label()])
+               dec.source_method, dec.policy])

@@ -9,7 +9,7 @@ values; they only produce decisions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -98,22 +98,25 @@ def disparate_impact_remove(d: Dataset, repair_level: float,
 
 # --- per-group threshold fitting ------------------------------------------------
 
+class Fitted:
+    """Base of a postprocessor's fitted parameters; subclasses are frozen dataclasses."""
+
+    def to_text(self) -> str:
+        """One `name value` line per field in field order; floats at 17
+        significant digits, other values as str."""
+        values = ((f.name, getattr(self, f.name)) for f in fields(self))
+        return "".join(f"{name} {v:.17g}\n" if isinstance(v, float) else f"{name} {v}\n"
+                       for name, v in values)
+
+
 @dataclass(frozen=True)
-class GroupThresholds:
+class GroupThresholds(Fitted):
     """Per-group score cutoffs targeting a common selection rate."""
 
     t_protected: float
     t_privileged: float
     criterion: str  # "demographic-parity" | "selection-rate"
     rate: float
-
-    def to_text(self) -> str:
-        return (
-            f"t_protected {self.t_protected:.17g}\n"
-            f"t_privileged {self.t_privileged:.17g}\n"
-            f"criterion {self.criterion}\n"
-            f"rate {self.rate:.17g}\n"
-        )
 
 
 def _cohort(set_ids, values, d: Dataset, ids, what: str):
@@ -170,7 +173,7 @@ def apply_group_thresholds(gt: GroupThresholds, scores: ScoreSet,
 # --- critical-region label flipping ----------------------------------------------
 
 @dataclass(frozen=True)
-class CriticalRegion:
+class CriticalRegion(Fitted):
     """Uncertainty band [0.5 - theta, 0.5 + theta] around the default cut."""
 
     theta: float
@@ -178,9 +181,6 @@ class CriticalRegion:
     def __post_init__(self):
         if not 0.0 <= self.theta <= 0.5:
             raise ValueError(f"theta must lie in [0, 0.5], got {self.theta}")
-
-    def to_text(self) -> str:
-        return f"theta {self.theta:.17g}\n"
 
 
 @dataclass(frozen=True)
@@ -224,17 +224,11 @@ def reject_option_classify(scores: ScoreSet, d: Dataset, ids,
         if best_abs is None or abs(gap) < abs(best_abs):
             best_theta, best_abs, chosen = float(theta), gap, labels
 
-    region = CriticalRegion(theta=best_theta)
     base = (s > 0.5).astype(np.int8)
-    policy = DecisionPolicy(
-        kind="reject-option",
-        note=f"theta={best_theta:g} epsilon={epsilon:g}",
-    )
-    decisions = DecisionSet(instance_ids=ids, labels=chosen, policy=policy,
-                            source_method=scores.method)
     return RejectOptionResult(
-        region=region,
-        decisions=decisions,
+        region=CriticalRegion(theta=best_theta),
+        decisions=DecisionSet(instance_ids=ids, labels=chosen, policy="reject-option",
+                              source_method=scores.method),
         achieved_spd=best_abs,
         unchanged=bool(np.array_equal(chosen, base)),
     )
@@ -244,17 +238,14 @@ def apply_reject_option(region: CriticalRegion, scores: ScoreSet, d: Dataset,
                         ids, method: str | None = None) -> DecisionSet:
     """Apply a frozen critical region to any id set."""
     ids, s, prot, _ = _cohort(scores.instance_ids, scores.scores, d, ids, "score set")
-    policy = DecisionPolicy(kind="reject-option", note=f"theta={region.theta:g}")
-    return DecisionSet(instance_ids=ids,
-                       labels=_band_labels(s, prot, region.theta),
-                       policy=policy,
-                       source_method=method or scores.method)
+    return DecisionSet(instance_ids=ids, labels=_band_labels(s, prot, region.theta),
+                       policy="reject-option", source_method=method or scores.method)
 
 
 # --- randomized odds-equalizing mixing ---------------------------------------------
 
 @dataclass(frozen=True)
-class MixingRates:
+class MixingRates(Fitted):
     """P(output 1 | group, base prediction) for the four cells, plus seed."""
 
     p_protected_given0: float
@@ -272,12 +263,20 @@ class MixingRates:
         return (self.p_protected_given0, self.p_protected_given1,
                 self.p_privileged_given0, self.p_privileged_given1)
 
-    def to_text(self) -> str:
-        names = ("p_protected_given0", "p_protected_given1",
-                 "p_privileged_given0", "p_privileged_given1")
-        lines = [f"{n} {v:.17g}" for n, v in zip(names, self.as_vector())]
-        lines.append(f"seed {self.seed}")
-        return "\n".join(lines) + "\n"
+
+def _odds_table(pred: DecisionSet, d: Dataset, ids) -> tuple[np.ndarray, np.ndarray]:
+    """(n, rate) over the base predictions at ids: n[g, yhat, y] counts rows of
+    group g (0 protected, 1 privileged) with base label yhat and truth y, and
+    rate[g, y] = P(yhat = 1 | g, y), FPR then TPR.  DegenerateGroup when a
+    group lacks positives or negatives."""
+    _, base_labels, prot, truth = _cohort(pred.instance_ids, pred.labels, d, ids,
+                                          "base predictions")
+    n = crosstab(~prot, base_labels, truth)
+    totals = n.sum(axis=1)  # [g, y]
+    for name, per_truth in zip(("prot", "priv"), totals):
+        if not per_truth.all():
+            raise DegenerateGroup(f"{name} group lacks positives or negatives")
+    return n, n[:, 1, :] / totals
 
 
 def fit_equalized_odds_post(pred: DecisionSet, d: Dataset, ids,
@@ -290,17 +289,7 @@ def fit_equalized_odds_post(pred: DecisionSet, d: Dataset, ids,
     for feasibility, and scored.  Objective ties break toward the
     lexicographically smallest (p_prot|0, p_prot|1, p_priv|0, p_priv|1).
     """
-    _, base_labels, prot, truth = _cohort(pred.instance_ids, pred.labels, d, ids,
-                                          "base predictions")
-
-    # n[g, yhat, y]: rows of group g (0 protected, 1 privileged) with base
-    # label yhat and truth y; rate[g, y] = P(yhat = 1 | g, y), FPR then TPR
-    n = crosstab(~prot, base_labels, truth)
-    totals = n.sum(axis=1)  # [g, y]
-    for name, per_truth in zip(("prot", "priv"), totals):
-        if not per_truth.all():
-            raise DegenerateGroup(f"{name} group lacks positives or negatives")
-    rate = n[:, 1, :] / totals
+    n, rate = _odds_table(pred, d, ids)
 
     # objective: expected misclassifications, linear in p
     # p order: (prot|0, prot|1, priv|0, priv|1)
@@ -342,11 +331,9 @@ def fit_equalized_odds_post(pred: DecisionSet, d: Dataset, ids,
 
 def derived_group_rates(rates: MixingRates, pred: DecisionSet, d: Dataset,
                         ids) -> dict:
-    """Analytic post-mixing TPR/FPR per group on the given ids."""
-    _, base_labels, prot, truth = _cohort(pred.instance_ids, pred.labels, d, ids,
-                                          "base predictions")
-    n = crosstab(~prot, base_labels, truth)
-    base = n[:, 1, :] / n.sum(axis=1)  # [group, truth]: P(base label 1 | group, truth)
+    """Analytic post-mixing TPR/FPR per group on the given ids; DegenerateGroup
+    as in the fit when a group lacks positives or negatives."""
+    _, base = _odds_table(pred, d, ids)  # [group, truth]: P(base label 1 | group, truth)
     p = np.reshape(rates.as_vector(), (2, 2))  # [group, base label]
     derived = p[:, 1:] * base + p[:, :1] * (1 - base)  # [group, truth]
     return {"tpr_protected": derived[0, 1], "fpr_protected": derived[0, 0],
@@ -364,7 +351,5 @@ def apply_mixing(rates: MixingRates, pred: DecisionSet, d: Dataset,
                                         "base predictions")
     p = np.array(rates.as_vector())[2 * ~prot + base_labels]  # as_vector order
     draws = prng.uniform01(rates.seed, ids)
-    labels = (draws < p).astype(np.int8)
-    policy = DecisionPolicy(kind="randomized-mixing", note=f"seed={rates.seed}")
-    return DecisionSet(instance_ids=ids, labels=labels, policy=policy,
-                       source_method=method or pred.source_method)
+    return DecisionSet(instance_ids=ids, labels=(draws < p).astype(np.int8),
+                       policy="randomized-mixing", source_method=method or pred.source_method)

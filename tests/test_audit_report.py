@@ -29,7 +29,7 @@ def _decision(labels, d, method="m"):
     return DecisionSet(
         instance_ids=d.instance_ids,
         labels=np.asarray(labels, dtype=np.int8),
-        policy=DecisionPolicy(kind="fixed-threshold", threshold=0.5),
+        policy="fixed-threshold-0.5",
         source_method=method,
     )
 

@@ -481,6 +481,51 @@ def test_policies_with_one_file_name_exit_1(run_inputs, tmp_path, capsys, comman
     assert not list(out.glob("decisions_*.csv"))
 
 
+@pytest.mark.parametrize("policies, message", [
+    ([{"kind": "fixed-threshold", "threshold": 0.5}] * 2,
+     "error: policies 'fixed-threshold-0.5' and 'fixed-threshold-0.5' both map to "
+     "file name 'fixed-threshold-0.5'"),
+    ([{"kind": "per-group-rates", "rate": "baseline-pdr"}] * 2,
+     "error: two per-group-rates policies with rate 'baseline-pdr' map to one file name"),
+], ids=["fixed-threshold", "baseline-pdr"])
+def test_policy_clashes_the_config_decides_exit_1_before_ingest(run_inputs, tmp_path, capsys,
+                                                              policies, message):
+    root, config_path, config = run_inputs
+    cfg_path = tmp_path / "clash.json"
+    cfg_path.write_text(json.dumps(dict(config, policies=policies)), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(message)
+    assert not (out / "dataset_summary.json").exists()
+    assert not (out / "scorer.txt").exists()
+
+
+def test_resolved_policy_labels_that_clash_exit_1(run_inputs, tmp_path, capsys):
+    # the baseline's rate at 0.5 on the fixture's test split is 64/140
+    root, config_path, config = run_inputs
+    cfg = dict(config, methods=[], policies=[{"kind": "global-top-rate", "rate": 0.457143},
+                                             {"kind": "global-top-rate", "rate": "baseline-pdr"}])
+    cfg_path = tmp_path / "clash.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: policies 'global-top-rate-0.457143' and 'global-top-rate-0.457143' both map")
+    assert not list(out.glob("report_*.json"))
+
+
+def test_native_decisions_carry_postprocessor_labels(run_inputs, tmp_path):
+    root, config_path, _ = run_inputs
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
+    for method, label in (("baseline", "fixed-threshold-0.5"),
+                          ("thresholds", "per-group-thresholds"),
+                          ("band-flip", "reject-option"),
+                          ("odds-mixing", "randomized-mixing")):
+        rows = _csv_rows(out / f"decisions_native_{method}.csv")
+        assert {row[5] for row in rows} == {label}, method
+
+
 def test_decide_command_matches_run_decisions(run_inputs, tmp_path):
     root, config_path, _ = run_inputs
     run_out = tmp_path / "run"

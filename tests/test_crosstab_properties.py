@@ -7,7 +7,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from rankaudit.audit import crosstab, quadrant_analysis  # noqa: E402
-from rankaudit.decide import DecisionPolicy, DecisionSet  # noqa: E402
+from rankaudit.decide import DecisionSet  # noqa: E402
 
 from conftest import make_dataset  # noqa: E402
 
@@ -52,12 +52,11 @@ def label_pairs(draw):
 def test_quadrants_match_brute_force_transition_count(inputs):
     sensitive, ids, base, mitigated = inputs
     d = make_dataset(sensitive, [0] * len(sensitive))
-    policy = DecisionPolicy(kind="fixed-threshold", threshold=0.5)
 
     def decisions(labels):
         return DecisionSet(instance_ids=np.array(ids, dtype=np.int64),
                            labels=np.array(labels, dtype=np.int8),
-                           policy=policy, source_method="m")
+                           policy="fixed-threshold-0.5", source_method="m")
 
     counts, quadrant = quadrant_analysis(decisions(base), decisions(mitigated), d)
     expected = [TRANSITION[pair] for pair in zip(base, mitigated)]

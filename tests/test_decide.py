@@ -122,6 +122,13 @@ def test_policy_validation():
         DecisionPolicy(kind="nonsense")
 
 
+@pytest.mark.parametrize("kind", ["reject-option", "randomized-mixing"])
+def test_postprocessor_labels_are_not_policy_kinds(kind):
+    # the postprocessors label their own DecisionSets; decide cannot apply them
+    with pytest.raises(ValueError, match="unknown policy kind"):
+        DecisionPolicy(kind=kind)
+
+
 def test_decide_unknown_ids():
     d = make_dataset([0, 1], [0, 1])
     s = make_scores([0.5, 0.6], ids=[0, 7])

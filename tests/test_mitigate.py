@@ -1,5 +1,7 @@
 """Feature repair, threshold fitting, critical-region flips, odds mixing."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from rankaudit.errors import (
     RateOutOfRange,
 )
 from rankaudit.mitigate import (
+    MixingRates,
     apply_group_thresholds,
     apply_mixing,
     apply_reject_option,
@@ -130,6 +133,19 @@ def test_thresholds_hand_fixture_selects_top_of_each_group():
     assert spd(dec, d) == 0.0
 
 
+@pytest.mark.parametrize("rate, text", [
+    (None, "t_protected 0.20000000000000001\nt_privileged 0.69999999999999996\n"
+           "criterion demographic-parity\nrate 0.66666666666666663\n"),
+    (1 / 3, "t_protected 0.90000000000000002\nt_privileged 0.80000000000000004\n"
+            "criterion selection-rate\nrate 0.33333333333333331\n"),
+    (0.0, "t_protected 1\nt_privileged 1\ncriterion selection-rate\nrate 0\n"),
+], ids=["demographic-parity", "selection-rate", "rate-0"])
+def test_thresholds_text_pinned(rate, text):
+    d = make_dataset([1, 1, 1, 0, 0, 0], [0, 1] * 3)
+    s = make_scores([0.1, 0.2, 0.9, 0.6, 0.7, 0.8])
+    assert fit_threshold_optimizer(s, d, d.instance_ids, rate=rate).to_text() == text
+
+
 def test_thresholds_default_rate_is_status_quo_positive_rate():
     d = make_dataset([1, 1, 0, 0], [0, 1, 0, 1])
     s = make_scores([0.3, 0.8, 0.6, 0.9])
@@ -228,6 +244,17 @@ def test_reject_option_hand_fixture_flips_at_005():
             labels = np.where(band, d.protected_mask, labels)
         gap = labels[d.protected_mask].mean() - labels[~d.protected_mask].mean()
         assert abs(gap) > 0.01
+
+
+@pytest.mark.parametrize("scores, text", [
+    ([0.45, 0.40, 0.55, 0.60], "theta 0.050000000000000003\n"),
+    ([0.43, 0.40, 0.57, 0.60], "theta 0.070000000000000007\n"),
+    ([0.2, 0.8, 0.3, 0.7], "theta 0\n"),
+], ids=["0.05", "0.07", "0"])
+def test_critical_region_text_pinned(scores, text):
+    d = make_dataset([1, 1, 0, 0], [0, 1, 0, 1])
+    res = reject_option_classify(make_scores(scores), d, d.instance_ids, epsilon=0.01)
+    assert res.region.to_text() == text
 
 
 def test_reject_option_unreachable_band_reports_unchanged():
@@ -364,6 +391,21 @@ def test_eop_degenerate_group_raises():
     base = decide(s, d, DecisionPolicy(kind="fixed-threshold", threshold=0.5))
     with pytest.raises(DegenerateGroup):
         fit_equalized_odds_post(base, d, d.instance_ids, seed=1)
+
+
+def test_derived_rates_degenerate_group_raises_as_the_fit_does():
+    d = make_dataset([1, 1, 0, 0], [0, 0, 0, 1])  # protected lacks positives
+    s = make_scores([0.9, 0.2, 0.2, 0.7])
+    base = decide(s, d, DecisionPolicy(kind="fixed-threshold", threshold=0.5))
+    rates = MixingRates(0.5, 0.5, 0.5, 0.5, seed=1)
+    with pytest.raises(DegenerateGroup) as fit_error:
+        fit_equalized_odds_post(base, d, d.instance_ids, seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a RuntimeWarning fails the test
+        with pytest.raises(DegenerateGroup) as derived_error:
+            derived_group_rates(rates, base, d, d.instance_ids)
+    assert str(derived_error.value) == str(fit_error.value) == (
+        "prot group lacks positives or negatives")
 
 
 def test_apply_mixing_deterministic_and_seed_sensitive():
