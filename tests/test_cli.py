@@ -14,7 +14,7 @@ import rankaudit.cli
 import rankaudit.dataset
 import rankaudit.mitigate
 from rankaudit.cli import METHODS, REQUIRED, SCHEMA, main
-from rankaudit.dataset import atomic_open, write_csv
+from rankaudit.dataset import atomic_open, builtin_specs, write_csv
 from rankaudit.synthetic import write_biased_benchmark_csv
 
 from conftest import make_scores
@@ -369,6 +369,21 @@ def test_spec_missing_key_exits_1_before_ingest(run_inputs, tmp_path, capsys, in
     out = tmp_path / "out"
     assert main(["ingest", "--config", str(cfg_path), "--out", str(out)]) == 1
     assert "lacks key 'protected_attribute_column'" in capsys.readouterr().err
+    assert not (out / "dataset_summary.json").exists()
+
+
+def test_builtin_spec_name_resolves_to_its_spec():
+    assert rankaudit.cli._resolve_spec("adult") == builtin_specs()["adult"]
+
+
+def test_unknown_spec_name_exits_1_before_ingest(run_inputs, tmp_path, capsys):
+    root, config_path, config = run_inputs
+    cfg = dict(config, dataset=dict(config["dataset"], spec="no-such-spec"))
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["ingest", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert "unknown dataset spec 'no-such-spec'" in capsys.readouterr().err
     assert not (out / "dataset_summary.json").exists()
 
 

@@ -102,6 +102,35 @@ def test_ingest_drops_missing_rows_with_count(tmp_path, caplog):
     assert any("dropped 2 rows" in r.message for r in caplog.records)
 
 
+@pytest.mark.parametrize("text_block", [None, 2])
+def test_ingest_drops_short_rows_with_count(tmp_path, monkeypatch, text_block):
+    """A row with fewer cells than the header is dropped and counted, also
+    when every row of a block is short."""
+    if text_block is not None:
+        monkeypatch.setattr(rankaudit.dataset, "_TEXT_BLOCK", text_block)
+    path = tmp_path / "short.csv"
+    path.write_text(
+        "f0,group,outcome\n"
+        "1.0,protected,favorable\n"
+        "2.0,privileged,unfavorable\n"
+        "3.0,protected\n"
+        "4.0\n"
+        "5.0,privileged,favorable\n",
+        encoding="utf-8",
+    )
+    d = ingest(path, make_spec())
+    assert d.features[:, 0].tolist() == [1.0, 2.0, 5.0]
+    assert d.dropped_rows == 2
+
+
+def test_ingest_no_parseable_numeric_cells_raises(tmp_path):
+    path = tmp_path / "words.csv"
+    path.write_text("f0,group,outcome\nabc,protected,favorable\n"
+                    "1_0,privileged,unfavorable\n", encoding="utf-8")
+    with pytest.raises(EmptyFile, match="no rows with parseable numeric cells"):
+        ingest(path, make_spec())
+
+
 def test_instance_ids_are_rows_kept_by_ingest(tmp_path):
     path = tmp_path / "gaps.csv"
     path.write_text(

@@ -164,6 +164,13 @@ def test_thresholds_errors():
         fit_threshold_optimizer(make_scores([0.3, 0.8]), d2, d2.instance_ids, rate=1.2)
 
 
+def test_thresholds_ids_missing_from_scores_raise_naming_them():
+    d = make_dataset([1, 0, 1, 0], [0, 1, 1, 0])
+    s = make_scores([0.3, 0.8], ids=[0, 1])
+    with pytest.raises(EmptyGroup, match=r"missing from the score set: .*\[2, 3\]"):
+        fit_threshold_optimizer(s, d, d.instance_ids)
+
+
 def test_thresholds_realized_rates_within_one_over_group_size():
     rng = np.random.default_rng(5)
     for _ in range(30):

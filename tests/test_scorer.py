@@ -7,6 +7,7 @@ from rankaudit.dataset import Dataset, Split, split
 from rankaudit.errors import (
     EmptyTrain,
     IdMismatch,
+    NonFiniteLoss,
     ScoreOutOfRange,
     UnknownId,
 )
@@ -64,6 +65,13 @@ def test_fit_loss_history_finite_and_settling():
     assert np.isfinite(losses).all()
     tail = losses[-30:]
     assert (np.diff(tail) <= 1e-9).all()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_fit_diverging_loss_raises():
+    d = biased_benchmark(n=200, seed=3)
+    with pytest.raises(NonFiniteLoss):
+        fit(d, _all_train_split(d), ScorerConfig(learning_rate=1e300, epochs=5))
 
 
 def test_fit_deterministic():
