@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -338,20 +338,13 @@ class AuditReport:
     decisions: dict = field(default_factory=dict, repr=False)  # not serialized
 
     def to_dict(self) -> dict:
-        return {
-            "provenance": self.provenance,
-            "policy_label": self.policy_label,
-            "policy": self.policy,
-            "methods": self.methods,
-            "rows": self.rows,
-            "tau_vs_baseline": self.tau_vs_baseline,
-            "pairwise_tau": {
-                "methods": self.pairwise_methods,
-                "matrix": self.pairwise_tau,
-            },
-            "quadrants": self.quadrants,
-            "scatter_files": self.scatter_files,
-        }
+        """Every field but scatter and decisions; the pairwise methods and
+        matrix nest under pairwise_tau."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name not in ("scatter", "decisions")}
+        doc["pairwise_tau"] = {"methods": doc.pop("pairwise_methods"),
+                               "matrix": doc["pairwise_tau"]}
+        return doc
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)

@@ -311,10 +311,7 @@ class Pipeline:
                         scores=full.scores[pos], produced_on="test")
 
     def train(self):
-        sc = dict(self.cfg["scorer"])  # ScorerConfig's fields and include_sensitive
-        include_sensitive = sc.pop("include_sensitive")
-        self.scorer = fit(self.dataset, self.splits, ScorerConfig(**sc),
-                          include_sensitive=include_sensitive)
+        self.scorer = fit(self.dataset, self.splits, ScorerConfig(**self.cfg["scorer"]))
         save_scorer(self.scorer, self.out / "scorer.txt")
         self.baseline_validation = score(
             self.scorer, self.dataset, self.splits.validation_ids,
@@ -349,8 +346,7 @@ class Pipeline:
                 repaired = disparate_impact_remove(
                     self.dataset, float(m["repair_level"]), m["columns"],
                 )
-                refit = fit(repaired, self.splits, self.scorer.config,
-                            include_sensitive=self.scorer.include_sensitive)
+                refit = fit(repaired, self.splits, self.scorer.config)
                 scores = score(refit, repaired, test_ids, method=name, role="test")
             elif kind == "external-scores":
                 scores = self.external[name]

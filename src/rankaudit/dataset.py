@@ -17,7 +17,7 @@ import json
 import logging
 import os
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 from itertools import chain, compress, islice, repeat
 from pathlib import Path
@@ -195,17 +195,7 @@ class DatasetSpec:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "protected_attribute_column": self.protected_attribute_column,
-            "protected_value": self.protected_value,
-            "target_column": self.target_column,
-            "favorable_value": self.favorable_value,
-            "expected_base_rate": self.expected_base_rate,
-            "feature_columns": [
-                {"name": c.name, "kind": c.kind} for c in self.feature_columns
-            ],
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "DatasetSpec":

@@ -7,7 +7,7 @@ are always resolved by ascending instance id.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -31,8 +31,7 @@ def _check_unit(value: float, what: str) -> None:
 class DecisionPolicy:
     """How scores become labels. kind selects which field applies.
 
-    group_thresholds is duck-typed: anything with t_protected, t_privileged
-    and rate attributes (see mitigate.GroupThresholds).
+    group_thresholds is a mitigate.GroupThresholds.
     """
 
     kind: str
@@ -74,23 +73,9 @@ class DecisionPolicy:
         return self.kind
 
     def describe(self) -> dict:
-        doc = {"kind": self.kind, "tie_rule": TIE_RULE}
-        if self.threshold is not None:
-            doc["threshold"] = self.threshold
-        if self.rate is not None:
-            doc["rate"] = self.rate
-        if self.group_rates is not None:
-            doc["group_rates"] = list(self.group_rates)
-        if self.group_thresholds is not None:
-            gt = self.group_thresholds
-            doc["group_thresholds"] = {
-                "t_protected": gt.t_protected,
-                "t_privileged": gt.t_privileged,
-                "rate": gt.rate,
-            }
-        if self.note:
-            doc["note"] = self.note
-        return doc
+        """The fields that are set, plus the tie rule."""
+        doc = {k: v for k, v in asdict(self).items() if v is not None and v != ""}
+        return {**doc, "tie_rule": TIE_RULE}
 
 
 @dataclass(frozen=True)
@@ -175,9 +160,8 @@ def decide(scores: ScoreSet, d: Dataset, policy: DecisionPolicy) -> DecisionSet:
             if not m.any():
                 continue
             chosen = s[m] > t
-            rate = getattr(gt, "rate", None)
-            if rate is not None:
-                want = _count_ceil(rate, int(m.sum()))
+            if gt.rate is not None:
+                want = _count_ceil(gt.rate, int(m.sum()))
                 short = want - int(chosen.sum())
                 if short > 0:
                     boundary_ids = ids[m][s[m] == t]

@@ -82,18 +82,9 @@ def disparate_impact_remove(d: Dataset, repair_level: float,
         q_median = np.median(q_stack, axis=0)
         features[:, j] = (1.0 - lam) * v + lam * q_median
 
-    return RepairedDataset(
-        features=features,
-        sensitive=d.sensitive,
-        label=d.label,
-        schema=d.schema,
-        categories=d.categories,
-        sensitive_values=d.sensitive_values,
-        target_values=d.target_values,
-        dropped_rows=d.dropped_rows,
-        repair_level=lam,
-        repaired_columns=tuple(columns),
-    )
+    # numeric_text is dropped, so that export_csv writes the repaired values
+    return RepairedDataset(**{**vars(d), "features": features, "numeric_text": {},
+                              "repair_level": lam, "repaired_columns": tuple(columns)})
 
 
 # --- per-group threshold fitting ------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +63,7 @@ class ScorerConfig:
     l2_penalty: float = 1e-4
     seed: int = 42
     model_kind: str = "logistic"  # logistic | one-hidden-layer
+    include_sensitive: bool = False
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -93,7 +94,6 @@ class Scorer:
     numeric_idx: np.ndarray          # feature columns standardized
     categorical_idx: np.ndarray      # feature columns one-hot encoded
     categorical_levels: np.ndarray   # number of codes per categorical column
-    include_sensitive: bool
     mean: np.ndarray                 # train means of numeric columns
     std: np.ndarray                  # train stds (zeros replaced by 1)
     weights: dict = field(default_factory=dict)
@@ -110,7 +110,7 @@ class Scorer:
             valid = (codes >= 0) & (codes < levels)
             onehot[np.arange(len(pos))[valid], codes[valid]] = 1.0
             blocks.append(onehot[:, 1:])  # drop first level
-        if self.include_sensitive:
+        if self.config.include_sensitive:
             blocks.append(d.sensitive[pos].astype(np.float64)[:, None])
         if not blocks:
             return np.zeros((len(pos), 0))
@@ -140,8 +140,7 @@ def _feature_layout(d: Dataset):
             np.array(levels, dtype=np.int64))
 
 
-def fit(d: Dataset, split: Split, cfg: ScorerConfig,
-        include_sensitive: bool = False) -> Scorer:
+def fit(d: Dataset, split: Split, cfg: ScorerConfig) -> Scorer:
     """Train the scorer on the train partition.
 
     Features are standardized with train statistics only.  Raises
@@ -167,7 +166,6 @@ def fit(d: Dataset, split: Split, cfg: ScorerConfig,
         numeric_idx=numeric_idx,
         categorical_idx=cat_idx,
         categorical_levels=cat_levels,
-        include_sensitive=include_sensitive,
         mean=mean,
         std=std,
     )
@@ -308,8 +306,7 @@ def ingest_external_scores(csv_path: str | Path, d: Dataset,
 
 def relabel(scores: ScoreSet, method: str) -> ScoreSet:
     """Same score values under a new method name (postprocessing view)."""
-    return ScoreSet(method=method, instance_ids=scores.instance_ids,
-                    scores=scores.scores, produced_on=scores.produced_on)
+    return replace(scores, method=method)
 
 
 def save_scorer(m: Scorer, path: str | Path) -> None:
@@ -318,7 +315,7 @@ def save_scorer(m: Scorer, path: str | Path) -> None:
         "numeric_idx": m.numeric_idx,
         "categorical_idx": m.categorical_idx,
         "categorical_levels": m.categorical_levels,
-        "include_sensitive": np.array([int(m.include_sensitive)]),
+        "include_sensitive": np.array([int(m.config.include_sensitive)]),
         "mean": m.mean,
         "std": m.std,
         "cfg": np.array([m.config.learning_rate, m.config.epochs,
@@ -358,13 +355,13 @@ def load_scorer(path: str | Path) -> Scorer:
         l2_penalty=float(cfg_vec[2]),
         seed=int(cfg_vec[3]),
         model_kind="logistic" if cfg_vec[4] == 0.0 else "one-hidden-layer",
+        include_sensitive=bool(arrays.pop("include_sensitive")[0]),
     )
     model = Scorer(
         config=cfg,
         numeric_idx=arrays.pop("numeric_idx").astype(np.int64),
         categorical_idx=arrays.pop("categorical_idx").astype(np.int64),
         categorical_levels=arrays.pop("categorical_levels").astype(np.int64),
-        include_sensitive=bool(arrays.pop("include_sensitive")[0]),
         mean=arrays.pop("mean"),
         std=arrays.pop("std"),
     )

@@ -11,7 +11,7 @@ decomposition that monotonicity is equivalent to.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -108,8 +108,7 @@ def anti_monotone_world(grid_size: int = 501) -> FairWorld:
     """wage_gap_world with group "female" scored in reverse of merit."""
     w = wage_gap_world(grid_size)
     s = np.where(w.group == 1, (50.0 - w.x) / 50.0, w.score_s)
-    return FairWorld(x=w.x, group=w.group, weight=w.weight, fair_p=w.fair_p,
-                     score_s=s, group_names=dict(w.group_names))
+    return replace(w, score_s=s)
 
 
 def rates(w: FairWorld, decision: np.ndarray, basis: str) -> RatePair:

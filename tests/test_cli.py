@@ -4,6 +4,7 @@ import csv
 import json
 import re
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ import rankaudit.dataset
 import rankaudit.mitigate
 from rankaudit.cli import METHODS, REQUIRED, SCHEMA, main
 from rankaudit.dataset import atomic_open, builtin_specs, write_csv
+from rankaudit.scorer import ScorerConfig
 from rankaudit.synthetic import write_biased_benchmark_csv
 
 from conftest import make_scores
@@ -407,6 +409,11 @@ def _hash_of(cfg, out) -> str:
     cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
     assert main(["audit", "--config", str(cfg_path), "--out", str(out)]) == 0
     return json.loads((out / "provenance.json").read_text())["config_hash"]
+
+
+def test_scorer_schema_defaults_are_scorer_config_defaults():
+    defaults = {key: default for key, (_, default) in SCHEMA["scorer"].items()}
+    assert defaults == asdict(ScorerConfig())
 
 
 def test_spelled_out_defaults_keep_config_hash(run_inputs, tmp_path):

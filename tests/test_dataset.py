@@ -26,6 +26,7 @@ from rankaudit.errors import (
     UnknownId,
 )
 from rankaudit.mitigate import disparate_impact_remove
+from rankaudit.synthetic import biased_benchmark
 
 from conftest import make_dataset, make_spec
 
@@ -437,3 +438,10 @@ def test_spec_json_round_trip(tmp_path):
     import json
     path.write_text(json.dumps(spec.to_dict()), encoding="utf-8")
     assert DatasetSpec.from_json(path) == spec
+
+
+@pytest.mark.parametrize("spec", [*builtin_specs().values(),
+                                  biased_benchmark(n=20, seed=2024).schema],
+                         ids=lambda spec: spec.name)
+def test_spec_dict_round_trip(spec):
+    assert DatasetSpec.from_dict(spec.to_dict()) == spec

@@ -1,5 +1,7 @@
 """Decision policies: thresholds, top-rate quotas, per-group variants."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from rankaudit.decide import (
     export_decisions,
 )
 from rankaudit.errors import EmptyGroup, RateOutOfRange, UnknownId
+from rankaudit.mitigate import GroupThresholds
 from rankaudit.audit import spd
 
 from conftest import make_dataset, make_scores
@@ -127,6 +130,28 @@ def test_postprocessor_labels_are_not_policy_kinds(kind):
     # the postprocessors label their own DecisionSets; decide cannot apply them
     with pytest.raises(ValueError, match="unknown policy kind"):
         DecisionPolicy(kind=kind)
+
+
+@pytest.mark.parametrize("policy, described", [
+    (DecisionPolicy(kind="fixed-threshold", threshold=0.5, note="method-native contexts"),
+     {"kind": "fixed-threshold", "threshold": 0.5, "note": "method-native contexts"}),
+    (DecisionPolicy(kind="fixed-threshold", threshold=0.0),
+     {"kind": "fixed-threshold", "threshold": 0.0}),
+    (DecisionPolicy(kind="global-top-rate", rate=0.3),
+     {"kind": "global-top-rate", "rate": 0.3}),
+    (DecisionPolicy(kind="per-group-rates", group_rates=(0.25, 0.5), note="baseline-pdr"),
+     {"kind": "per-group-rates", "group_rates": [0.25, 0.5], "note": "baseline-pdr"}),
+    (DecisionPolicy(kind="per-group-thresholds",
+                    group_thresholds=GroupThresholds(0.4, 0.6, "selection-rate", 0.3)),
+     {"kind": "per-group-thresholds",
+      "group_thresholds": {"t_protected": 0.4, "t_privileged": 0.6,
+                           "criterion": "selection-rate", "rate": 0.3}}),
+], ids=["fixed-threshold-native", "fixed-threshold-0", "global-top-rate",
+        "per-group-rates", "per-group-thresholds"])
+def test_describe_lists_set_fields_and_tie_rule(policy, described):
+    """What a report's policy entry holds: every field that is set, as JSON."""
+    assert json.loads(json.dumps(policy.describe())) == {
+        **described, "tie_rule": "ascending instance_id"}
 
 
 def test_decide_unknown_ids():

@@ -37,11 +37,6 @@ def manifest():
     return json.loads(record.MANIFEST.read_text("utf-8"))
 
 
-def _file_list_diff(recorded: dict, produced: dict) -> list[str]:
-    return ([f"added: {name}" for name in sorted(set(produced) - set(recorded))]
-            + [f"removed: {name}" for name in sorted(set(recorded) - set(produced))])
-
-
 def _number_diffs(want, got, where: str = "") -> list[str]:
     """Where got differs from want: numbers beyond REL_TOL, anything else
     that is not equal."""
@@ -54,18 +49,21 @@ def _number_diffs(want, got, where: str = "") -> list[str]:
             return [f"{where}: length {len(want)} != {len(got)}"]
         return [d for i, (a, b) in enumerate(zip(want, got))
                 for d in _number_diffs(a, b, f"{where}[{i}]")]
-    numbers = all(type(v) in (int, float) for v in (want, got))
-    if numbers and math.isclose(want, got, rel_tol=REL_TOL, abs_tol=ABS_TOL):
-        return []
-    return [] if not numbers and want == got else [f"{where}: {want!r} != {got!r}"]
+    if all(type(v) in (int, float) for v in (want, got)):
+        same = math.isclose(want, got, rel_tol=REL_TOL, abs_tol=ABS_TOL)
+    else:
+        same = want == got
+    return [] if same else [f"{where}: {want!r} != {got!r}"]
 
 
 def test_outputs_match_golden_manifest(golden, manifest):
     digests, docs = golden
-    problems = _file_list_diff(manifest["files"], digests)
+    recorded = manifest["files"]
+    problems = ([f"added: {name}" for name in sorted(set(digests) - set(recorded))]
+                + [f"removed: {name}" for name in sorted(set(recorded) - set(digests))])
     if manifest["environment"] == record.environment():
         problems += [f"changed: {name}" for name in sorted(digests)
-                     if manifest["files"].get(name, digests[name]) != digests[name]]
+                     if recorded.get(name, digests[name]) != digests[name]]
     else:
         warnings.warn(f"environment {record.environment()} differs from the recorded "
                       f"{manifest['environment']}: checked the file list and the output "

@@ -143,7 +143,7 @@ def test_sensitive_excluded_by_default_included_on_request():
     sp = _all_train_split(d)
     base = fit(d, sp, ScorerConfig(epochs=50))
     assert len(base.weights["w"]) == 6  # 3 numerics + 3 one-hot levels
-    with_sens = fit(d, sp, ScorerConfig(epochs=50), include_sensitive=True)
+    with_sens = fit(d, sp, ScorerConfig(epochs=50, include_sensitive=True))
     assert len(with_sens.weights["w"]) == 7
 
 
@@ -169,6 +169,20 @@ def test_scorer_persistence_round_trip(tmp_path):
     loaded = load_scorer(path)
     assert loaded.config == model.config
     assert np.array_equal(loaded.weights["w"], model.weights["w"])
+    a = score(model, d, d.instance_ids).scores
+    b = score(loaded, d, d.instance_ids).scores
+    assert np.array_equal(a, b)
+
+
+def test_scorer_persistence_keeps_include_sensitive(tmp_path):
+    d = biased_benchmark(n=200, seed=8)
+    model = fit(d, _all_train_split(d), ScorerConfig(epochs=40, include_sensitive=True))
+    path = tmp_path / "scorer.txt"
+    save_scorer(model, path)
+    loaded = load_scorer(path)
+    assert loaded.config == model.config
+    assert loaded.config.include_sensitive
+    assert len(loaded.weights["w"]) == 7  # the sensitive column is a feature
     a = score(model, d, d.instance_ids).scores
     b = score(loaded, d, d.instance_ids).scores
     assert np.array_equal(a, b)
