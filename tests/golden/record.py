@@ -1,7 +1,8 @@
 """The golden run and its manifest; run as a script to rewrite the manifest.
 
 The golden run is the README quick start (n = 2,400, seed 2024) run with
-`run` and `ingest`, plus `theory example` on both worlds at grid 2001.  Its
+`run` and `ingest`, plus every `theory` check (`example`, `monotonicity`,
+`pareto` and `decompose`) on both worlds at grid 2001.  Its
 inputs and outputs sit in one directory under relative paths, so every
 output, provenance and config hash included, is the same from any checkout
 path.  manifest.json holds the sha256 of each output file, the environment
@@ -51,8 +52,9 @@ def produce() -> None:
     Path("run.json").write_text(json.dumps(CONFIG), encoding="utf-8")
     for argv in (["run", "--config", "run.json", "--out", "run"],
                  ["ingest", "--config", "run.json", "--out", "ingest"],
-                 *(["theory", "example", "--world", world, "--grid-size", "2001",
-                    "--out", "theory"] for world in ("wage-gap", "anti-monotone"))):
+                 *(["theory", check, "--world", world, "--grid-size", "2001",
+                    "--out", "theory"] for world in ("wage-gap", "anti-monotone")
+                   for check in ("example", "monotonicity", "pareto", "decompose"))):
         if main(argv) != 0:
             raise RuntimeError(f"rankaudit {' '.join(argv)} failed")
 
