@@ -9,7 +9,6 @@ per-group thresholds are all a fair decision needs.
 
 from .audit import (
     AuditReport,
-    QuadrantCounts,
     ScoreAudit,
     audit_scores,
     auc,

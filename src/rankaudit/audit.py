@@ -12,9 +12,8 @@ each row's quadrant.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -185,23 +184,6 @@ def accuracy(dec: DecisionSet, d: Dataset) -> float:
     return float((dec.labels == d.label[pos]).mean())
 
 
-@dataclass(frozen=True)
-class QuadrantCounts:
-    """Per-group label transition counts between two decision sets."""
-
-    kept_negative: int
-    upgraded: int
-    kept_positive: int
-    downgraded: int
-
-    @property
-    def total(self) -> int:
-        return self.kept_negative + self.upgraded + self.kept_positive + self.downgraded
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
 def crosstab(first, a, b) -> np.ndarray:
     """Counts of the rows in each cell of three aligned 0/1 arrays:
     entry [i, j, k] counts the rows with first == i, a == j and b == k."""
@@ -211,15 +193,14 @@ def crosstab(first, a, b) -> np.ndarray:
 def quadrant_analysis(base: DecisionSet, mitigated: DecisionSet, d: Dataset):
     """Per-group 2x2 transition counts and each row's transition.
 
-    Returns (counts, quadrant) where counts maps group name to
-    QuadrantCounts and quadrant holds each row's quadrant name, aligned
-    with base.instance_ids.
+    Returns (counts, quadrant) where counts maps group name to a
+    {quadrant name: count} dict and quadrant holds each row's quadrant
+    name, aligned with base.instance_ids.
     """
     require_aligned(base.instance_ids, mitigated.instance_ids, "quadrant ids")
     prot = d.sensitive[d.positions_of(base.instance_ids)] == PROTECTED
     cells = crosstab(~prot, base.labels, mitigated.labels)  # [group, base, mitigated]
-    counts = {name: QuadrantCounts(kept_negative=int(c[0, 0]), upgraded=int(c[0, 1]),
-                                   kept_positive=int(c[1, 1]), downgraded=int(c[1, 0]))
+    counts = {name: dict(zip(_QUADRANT_NAMES, c.ravel().tolist()))
               for name, c in zip(("protected", "privileged"), cells)}
     return counts, _QUADRANT_NAMES[2 * base.labels + mitigated.labels]
 
@@ -260,8 +241,7 @@ class ScoreAudit:
     score_sets: list        # baseline first
     auc: dict               # method -> auc, auc_protected, auc_privileged
     tau_vs_baseline: dict   # method -> overall, protected, privileged
-    pairwise_methods: list
-    pairwise_tau: list
+    pairwise_tau: dict      # methods, and the matrix as nested lists
 
 
 def audit_scores(d: Dataset, baseline: ScoreSet, others: list[ScoreSet],
@@ -317,8 +297,7 @@ def audit_scores(d: Dataset, baseline: ScoreSet, others: list[ScoreSet],
         score_sets=score_sets,
         auc=aucs,
         tau_vs_baseline=taus,
-        pairwise_methods=pairwise_names,
-        pairwise_tau=[[float(v) for v in row] for row in matrix],
+        pairwise_tau={"methods": pairwise_names, "matrix": matrix.tolist()},
     )
 
 
@@ -330,24 +309,16 @@ class AuditReport:
     methods: list
     rows: dict
     tau_vs_baseline: dict
-    pairwise_methods: list
-    pairwise_tau: list
+    pairwise_tau: dict
     quadrants: dict
     scatter: dict = field(default_factory=dict, repr=False)  # method -> row quadrants
     scatter_files: dict = field(default_factory=dict)
     decisions: dict = field(default_factory=dict, repr=False)  # not serialized
 
     def to_dict(self) -> dict:
-        """Every field but scatter and decisions; the pairwise methods and
-        matrix nest under pairwise_tau."""
-        doc = {f.name: getattr(self, f.name) for f in fields(self)
-               if f.name not in ("scatter", "decisions")}
-        doc["pairwise_tau"] = {"methods": doc.pop("pairwise_methods"),
-                               "matrix": doc["pairwise_tau"]}
-        return doc
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        """Every field but scatter and decisions."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name not in ("scatter", "decisions")}
 
 
 def build_report(d: Dataset, scored: ScoreAudit, policy: DecisionPolicy,
@@ -378,8 +349,8 @@ def build_report(d: Dataset, scored: ScoreAudit, policy: DecisionPolicy,
             }
             used[ss.method] = dec
             if ss is not baseline:
-                counts, scatter[ss.method] = quadrant_analysis(used[baseline.method], dec, d)
-                quadrants[ss.method] = {g: c.to_dict() for g, c in counts.items()}
+                quadrants[ss.method], scatter[ss.method] = quadrant_analysis(
+                    used[baseline.method], dec, d)
         except AuditError as exc:
             raise _with_context(ss.method, exc)
 
@@ -390,7 +361,6 @@ def build_report(d: Dataset, scored: ScoreAudit, policy: DecisionPolicy,
         methods=[ss.method for ss in scored.score_sets],
         rows=rows,
         tau_vs_baseline=scored.tau_vs_baseline,
-        pairwise_methods=scored.pairwise_methods,
         pairwise_tau=scored.pairwise_tau,
         quadrants=quadrants,
         scatter=scatter,

@@ -27,7 +27,7 @@ from .dataset import (
 )
 from .decide import DecisionPolicy, DecisionSet, decide, export_decisions
 from .errors import (
-    AuditError, ConfigError, DegenerateSplit, PolicyMismatch, UnknownId,
+    AuditError, ConfigError, PolicyMismatch, UnknownId,
 )
 from .mitigate import (
     apply_group_thresholds,
@@ -186,16 +186,17 @@ def _entry(doc: dict, what: str, kinds: dict) -> dict:
 
 def _policy(doc: dict, resolve) -> tuple[str, DecisionPolicy]:
     """A policy entry's label and policy; resolve(ref) is the rate that a
-    "baseline-pdr" or "base-rate" reference stands for."""
+    "baseline-pdr" or "base-rate" reference stands for.  A policy with such
+    a reference notes it, so its label ends in the reference."""
     kind, ref = doc["kind"], doc.get("rate")
-    rate = resolve(ref) if isinstance(ref, str) else ref
+    note = ref if isinstance(ref, str) else ""
+    rate = resolve(ref) if note else ref
     if kind == "fixed-threshold":
         policy = DecisionPolicy(kind=kind, threshold=float(doc["threshold"]))
     elif kind == "global-top-rate":
-        policy = DecisionPolicy(kind=kind, rate=float(rate))
+        policy = DecisionPolicy(kind=kind, rate=float(rate), note=note)
     else:  # per-group-rates: one rate for both groups
-        policy = DecisionPolicy(kind=kind, group_rates=(float(rate),) * 2,
-                                note=ref if isinstance(ref, str) else "")
+        policy = DecisionPolicy(kind=kind, group_rates=(float(rate),) * 2, note=note)
     return policy.label() + (f"-{_slug(policy.note)}" if policy.note else ""), policy
 
 
@@ -221,7 +222,8 @@ def _load_config(path: str) -> tuple[dict, DatasetSpec, list[dict]]:
                               f"columns of spec {spec.name!r}, got {m['columns']}")
     _distinct_slugs([m["name"] for m in methods], "methods")
     policies = [_entry(doc, "policy", POLICIES) for doc in cfg["policies"]]
-    # labels the config fixes; Pipeline._policies checks those of resolved rates
+    # a numeric label ends in a number and a reference's label in the reference, so
+    # distinct numeric labels and each (kind, reference) once rule out every clash
     _distinct_slugs([_policy(doc, None)[0] for doc in policies
                      if not isinstance(doc.get("rate"), str)], "policies")
     refs = [(doc["kind"], doc["rate"]) for doc in policies if isinstance(doc.get("rate"), str)]
@@ -311,6 +313,16 @@ class Pipeline:
                         scores=full.scores[pos], produced_on="test")
 
     def train(self):
+        postprocessors = [m["name"] for m in self.methods if m["kind"] in
+                          ("group-thresholds", "reject-option", "equalized-odds")]
+        for part, ids, user in (
+                ("train", self.splits.train_ids, "the scorer"),
+                ("validation", self.splits.validation_ids,
+                 f"method {postprocessors[0]!r}" if postprocessors else None)):
+            if len(ids) == 0 and user:
+                raise ConfigError(f"split fractions {self.cfg['split']['fractions']} leave the "
+                                  f"{part} partition of {self.dataset.n} rows empty, but "
+                                  f"{user} fits on it")
         self.scorer = fit(self.dataset, self.splits, ScorerConfig(**self.cfg["scorer"]))
         save_scorer(self.scorer, self.out / "scorer.txt")
         self.baseline_validation = score(
@@ -332,12 +344,6 @@ class Pipeline:
     def mitigate(self):
         test_ids = self.splits.test_ids
         val_ids = self.splits.validation_ids
-        needs_validation = {"group-thresholds", "reject-option", "equalized-odds"}
-        if len(val_ids) == 0 and any(
-                m["kind"] in needs_validation for m in self.methods):
-            raise DegenerateSplit(
-                "validation partition is empty but a configured method fits on it"
-            )
         # the native report, equalized odds and the baseline-pdr rate share it
         self.baseline_at_half = decide(self.baseline_test, self.dataset, AT_HALF)
         for m in self.methods:
@@ -375,9 +381,7 @@ class Pipeline:
         return self
 
     def _policies(self) -> list[tuple[str, DecisionPolicy]]:
-        resolved = [_policy(doc, self._rate) for doc in self.cfg["policies"]]
-        _distinct_slugs([label for label, _ in resolved], "policies")
-        return resolved
+        return [_policy(doc, self._rate) for doc in self.cfg["policies"]]
 
     def _rate(self, ref: str) -> float:
         if ref == "baseline-pdr":
@@ -394,8 +398,7 @@ class Pipeline:
                                     self.splits.sizes())),
             "split_seed": self.splits.seed,
             "scorer_seed": self.cfg["scorer"]["seed"],
-            "method_seeds": {m["name"]: entry["seed"] for m, entry
-                             in zip(self.methods, self.cfg["methods"]) if "seed" in entry},
+            "method_seeds": {m["name"]: m["seed"] for m in self.methods if "seed" in m},
             "postprocessors_fitted_on": "validation",
             "metrics_reported_on": "test",
         }
@@ -411,10 +414,10 @@ class Pipeline:
                   ["method", "tau_overall", "tau_protected", "tau_privileged"],
                   [list(taus)] + [[repr(t[g]) for t in taus.values()]
                                   for g in ("overall", "protected", "privileged")])
-        write_csv(self.out / "correlation_matrix.csv",
-                  ["method"] + scored.pairwise_methods,
-                  [scored.pairwise_methods] + [list(map(repr, column))
-                                               for column in zip(*scored.pairwise_tau)])
+        pairwise = scored.pairwise_tau
+        write_csv(self.out / "correlation_matrix.csv", ["method"] + pairwise["methods"],
+                  [pairwise["methods"]] + [list(map(repr, column))
+                                           for column in zip(*pairwise["matrix"])])
 
         # native report: every method under its own decision context;
         # rate-controlled reports: same policy applied to every score set
@@ -504,19 +507,7 @@ def cmd_theory(args) -> int:
         print(f"monotonicity holds={res.holds} violations={res.violation_count}")
     elif check == "pareto":
         dec = threshold_decision(w, "unfair", args.cut)
-        doc = {}
-        for basis in ("unfair", "fair"):
-            res = pareto_check(w, dec, basis)
-            r = res.decision_rates
-            doc[basis] = {
-                "maximal": res.maximal,
-                "tpr": r.tpr,
-                "tnr": r.tnr,
-                "dominating": None if res.maximal else {
-                    "tpr": res.dominating_rates.tpr,
-                    "tnr": res.dominating_rates.tnr,
-                },
-            }
+        doc = {basis: pareto_check(w, dec, basis).to_dict() for basis in ("unfair", "fair")}
         _write_json(out / f"pareto_{args.world}.json", doc)
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:  # decompose

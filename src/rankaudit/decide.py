@@ -7,7 +7,7 @@ are always resolved by ascending instance id.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -86,19 +86,17 @@ class DecisionSet:
     labels: np.ndarray  # int8
     policy: str  # the policy column of its decisions file
     source_method: str
-    realized_pdr: float = field(default=None)  # recomputed on construction
 
     def __post_init__(self):
         if len(self.labels) != len(self.instance_ids):
             raise ValueError("labels and ids differ in length")
         if not np.isin(self.labels, (0, 1)).all():
             raise ValueError("labels must be 0/1")
-        pdr = float(np.mean(self.labels)) if len(self.labels) else 0.0
-        if self.realized_pdr is not None and self.realized_pdr != pdr:
-            raise ValueError(
-                f"realized_pdr {self.realized_pdr} != recomputed {pdr}"
-            )
-        object.__setattr__(self, "realized_pdr", pdr)
+
+    @property
+    def realized_pdr(self) -> float:
+        """The share of positive labels; 0.0 for an empty set."""
+        return float(np.mean(self.labels)) if len(self.labels) else 0.0
 
     @property
     def n(self) -> int:

@@ -23,10 +23,6 @@ class EmptyFile(AuditError):
     pass
 
 
-class DegenerateSplit(AuditError):
-    pass
-
-
 # --- scorer ----------------------------------------------------------------
 
 class EmptyTrain(AuditError):

@@ -9,7 +9,7 @@ values; they only produce decisions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -251,8 +251,7 @@ class MixingRates(Fitted):
                 raise ValueError(f"mixing rate {v} outside [0, 1]")
 
     def as_vector(self) -> tuple[float, float, float, float]:
-        return (self.p_protected_given0, self.p_protected_given1,
-                self.p_privileged_given0, self.p_privileged_given1)
+        return astuple(self)[:4]
 
 
 def _odds_table(pred: DecisionSet, d: Dataset, ids) -> tuple[np.ndarray, np.ndarray]:

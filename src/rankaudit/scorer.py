@@ -190,15 +190,16 @@ def _fit_logistic(model: Scorer, X: np.ndarray, y: np.ndarray) -> None:
     w = np.zeros(k)
     b = 0.0
     history = []
-    for epoch in range(cfg.epochs):
-        p = _sigmoid(X @ w + b)
-        loss = _bce(p, y) + cfg.l2_penalty * float(w @ w)
-        if not np.isfinite(loss):
-            raise NonFiniteLoss(f"loss became non-finite at epoch {epoch}")
-        history.append(loss)
-        err = (p - y) / n
-        w -= cfg.learning_rate * (X.T @ err + 2.0 * cfg.l2_penalty * w)
-        b -= cfg.learning_rate * float(err.sum())
+    with np.errstate(over="ignore", invalid="ignore"):  # the finiteness check reports it
+        for epoch in range(cfg.epochs):
+            p = _sigmoid(X @ w + b)
+            loss = _bce(p, y) + cfg.l2_penalty * float(w @ w)
+            if not np.isfinite(loss):
+                raise NonFiniteLoss(f"loss became non-finite at epoch {epoch}")
+            history.append(loss)
+            err = (p - y) / n
+            w -= cfg.learning_rate * (X.T @ err + 2.0 * cfg.l2_penalty * w)
+            b -= cfg.learning_rate * float(err.sum())
     model.weights = {"w": w, "b": np.array([b])}
     model.loss_history = history
 

@@ -149,6 +149,12 @@ class ParetoResult:
     dominated_by: np.ndarray | None = None
     dominating_rates: RatePair | None = None
 
+    def to_dict(self) -> dict:
+        """The verdict, the decision's rates and the dominating rates, if any."""
+        r, dom = self.decision_rates, self.dominating_rates
+        return {"maximal": self.maximal, "tpr": r.tpr, "tnr": r.tnr,
+                "dominating": None if dom is None else {"tpr": dom.tpr, "tnr": dom.tnr}}
+
 
 def pareto_check(w: FairWorld, decision: np.ndarray, basis: str,
                  tolerance: float = 1e-9) -> ParetoResult:

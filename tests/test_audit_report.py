@@ -81,9 +81,9 @@ def test_quadrants_identical_decisions_have_empty_off_diagonal():
     dec = _decision([1, 0, 1, 0], d)
     counts, quadrant = quadrant_analysis(dec, dec, d)
     for g in ("protected", "privileged"):
-        assert counts[g].upgraded == 0
-        assert counts[g].downgraded == 0
-        assert counts[g].total == 2
+        assert counts[g]["upgraded"] == 0
+        assert counts[g]["downgraded"] == 0
+        assert sum(counts[g].values()) == 2
     assert quadrant.tolist() == ["kept_positive", "kept_negative"] * 2
 
 
@@ -92,8 +92,8 @@ def test_quadrants_hand_transition():
     base = _decision([1, 0], d)
     mit = _decision([0, 1], d)
     counts, _ = quadrant_analysis(base, mit, d)
-    assert counts["protected"].downgraded == 1
-    assert counts["protected"].upgraded == 1
+    assert counts["protected"]["downgraded"] == 1
+    assert counts["protected"]["upgraded"] == 1
 
 
 def test_quadrants_scatter_rows():
@@ -103,7 +103,7 @@ def test_quadrants_scatter_rows():
     counts, quadrant = quadrant_analysis(base, mit, d)
     # one name per row, in the order of base.instance_ids
     assert quadrant.tolist() == ["downgraded", "upgraded", "kept_positive", "kept_negative"]
-    assert counts["protected"].to_dict() == {
+    assert counts["protected"] == {
         "kept_negative": 0, "upgraded": 0, "kept_positive": 1, "downgraded": 1}
 
 
@@ -117,7 +117,7 @@ def test_quadrants_conservation_under_fixed_rates():
     counts, _ = quadrant_analysis(base, mit, d)
     for g in ("protected", "privileged"):
         # per-group counts move by at most the rounding slack of the quota
-        assert abs(counts[g].upgraded - counts[g].downgraded) <= \
+        assert abs(counts[g]["upgraded"] - counts[g]["downgraded"]) <= \
             abs(mit.labels.sum() - base.labels.sum()) + 1
 
 
@@ -154,7 +154,7 @@ def test_report_baseline_clone_rows_identical():
         "overall": 1.0, "protected": 1.0, "privileged": 1.0,
     }
     assert report.rows["clone"] == report.rows["baseline"]
-    assert report.pairwise_tau[0][1] == 1.0
+    assert report.pairwise_tau["matrix"][0][1] == 1.0
 
 
 def test_report_matches_hand_assembly():
@@ -215,8 +215,10 @@ def test_report_rejects_duplicate_method_names():
 def test_report_json_is_deterministic():
     d, base = _report_fixture()
     policy = DecisionPolicy(kind="fixed-threshold", threshold=0.5)
-    a = build_report(d, audit_scores(d, base, [relabel(base, "c")]), policy).to_json()
-    b = build_report(d, audit_scores(d, base, [relabel(base, "c")]), policy).to_json()
+    a = json.dumps(build_report(d, audit_scores(d, base, [relabel(base, "c")]), policy)
+                   .to_dict(), sort_keys=True)
+    b = json.dumps(build_report(d, audit_scores(d, base, [relabel(base, "c")]), policy)
+                   .to_dict(), sort_keys=True)
     assert a == b
     doc = json.loads(a)
     assert doc["policy_label"] == "fixed-threshold-0.5"

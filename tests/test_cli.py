@@ -249,7 +249,37 @@ def test_mitigation_requires_validation_partition(run_inputs, tmp_path):
     cfg_path = tmp_path / "noval.json"
     cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
     assert main(["mitigate", "--config", str(cfg_path),
-                 "--out", str(tmp_path / "o")]) == 2  # DegenerateSplit
+                 "--out", str(tmp_path / "o")]) == 1
+    assert not (tmp_path / "o" / "scorer.txt").exists()
+
+
+@pytest.mark.parametrize("fractions, methods, message", [
+    ([0.8, 0.0, 0.2], [{"kind": "group-thresholds", "name": "thresholds"}],
+     "error: split fractions [0.8, 0.0, 0.2] leave the validation partition of 700 rows "
+     "empty, but method 'thresholds' fits on it"),
+    ([0.0, 0.5, 0.5], [],
+     "error: split fractions [0.0, 0.5, 0.5] leave the train partition of 700 rows "
+     "empty, but the scorer fits on it"),
+], ids=["validation", "train"])
+def test_empty_fitted_partition_exits_1_before_training(run_inputs, tmp_path, capsys,
+                                                         fractions, methods, message):
+    root, config_path, config = run_inputs
+    cfg = dict(config, split={"fractions": fractions, "seed": 1}, methods=methods)
+    cfg_path = tmp_path / "empty.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(message)
+    assert not (out / "scorer.txt").exists()
+
+
+def test_empty_validation_partition_runs_without_postprocessors(run_inputs, tmp_path):
+    root, config_path, config = run_inputs
+    cfg = dict(config, split={"fractions": [0.8, 0.0, 0.2], "seed": 1},
+               methods=[{"kind": "feature-repair", "name": "repair"}])
+    cfg_path = tmp_path / "noval.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
 
 
 def test_config_validation_exit_codes(tmp_path):
@@ -522,18 +552,35 @@ def test_policy_clashes_the_config_decides_exit_1_before_ingest(run_inputs, tmp_
     assert not (out / "scorer.txt").exists()
 
 
-def test_resolved_policy_labels_that_clash_exit_1(run_inputs, tmp_path, capsys):
+def test_rate_reference_labels_end_in_the_reference(run_inputs, tmp_path):
     # the baseline's rate at 0.5 on the fixture's test split is 64/140
     root, config_path, config = run_inputs
     cfg = dict(config, methods=[], policies=[{"kind": "global-top-rate", "rate": 0.457143},
                                              {"kind": "global-top-rate", "rate": "baseline-pdr"}])
-    cfg_path = tmp_path / "clash.json"
+    cfg_path = tmp_path / "refs.json"
     cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
     out = tmp_path / "out"
-    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
-    assert capsys.readouterr().err.startswith(
-        "error: policies 'global-top-rate-0.457143' and 'global-top-rate-0.457143' both map")
-    assert not list(out.glob("report_*.json"))
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+    numeric = json.loads((out / "report_global-top-rate-0.457143.json").read_text())
+    ref = json.loads((out / "report_global-top-rate-0.457143-baseline-pdr.json").read_text())
+    assert "note" not in numeric["policy"]
+    assert ref["policy"]["note"] == "baseline-pdr"
+    assert ref["policy"]["rate"] == 64 / 140
+
+
+def test_provenance_lists_defaulted_method_seeds(run_inputs, tmp_path):
+    root, config_path, config = run_inputs
+    cfg = dict(config, methods=[{"kind": "equalized-odds", "name": "odds-mixing"}])
+    cfg_path = tmp_path / "seedless.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert "seed 11" in (out / "fitted_odds-mixing.txt").read_text()
+    docs = [json.loads(p.read_text())
+            for p in [out / "provenance.json", *out.glob("report_*.json")]]
+    assert len(docs) == 1 + 1 + len(config["policies"])
+    for doc in docs:
+        assert doc.get("provenance", doc)["method_seeds"] == {"odds-mixing": 11}
 
 
 def test_native_decisions_carry_postprocessor_labels(run_inputs, tmp_path):

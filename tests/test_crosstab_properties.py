@@ -63,4 +63,4 @@ def test_quadrants_match_brute_force_transition_count(inputs):
     assert quadrant.tolist() == expected
     for g, name in ((1, "protected"), (0, "privileged")):
         names = [q for i, q in zip(ids, expected) if sensitive[i] == g]
-        assert counts[name].to_dict() == {q: names.count(q) for q in TRANSITION.values()}
+        assert counts[name] == {q: names.count(q) for q in TRANSITION.values()}

@@ -7,7 +7,6 @@ import pytest
 
 from rankaudit.decide import (
     DecisionPolicy,
-    DecisionSet,
     decide,
     equalize_rates,
     export_decisions,
@@ -54,9 +53,6 @@ def test_realized_pdr_recomputed():
     s = make_scores([0.2, 0.6, 0.5, 0.9])
     dec = decide(s, d, DecisionPolicy(kind="fixed-threshold", threshold=0.5))
     assert dec.realized_pdr == 0.5
-    with pytest.raises(ValueError):
-        DecisionSet(instance_ids=dec.instance_ids, labels=dec.labels,
-                    policy=dec.policy, source_method="x", realized_pdr=0.9)
 
 
 def test_equalize_rates_exact_per_group():

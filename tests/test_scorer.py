@@ -1,5 +1,7 @@
 """Baseline scorer training, scoring, persistence, external ingestion."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -67,11 +69,12 @@ def test_fit_loss_history_finite_and_settling():
     assert (np.diff(tail) <= 1e-9).all()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_fit_diverging_loss_raises():
     d = biased_benchmark(n=200, seed=3)
-    with pytest.raises(NonFiniteLoss):
-        fit(d, _all_train_split(d), ScorerConfig(learning_rate=1e300, epochs=5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # no numpy overflow warning first
+        with pytest.raises(NonFiniteLoss):
+            fit(d, _all_train_split(d), ScorerConfig(learning_rate=1e300, epochs=5))
 
 
 def test_fit_deterministic():
