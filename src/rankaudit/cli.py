@@ -200,10 +200,9 @@ def _policy(doc: dict, resolve) -> tuple[str, DecisionPolicy]:
     return policy.label() + (f"-{_slug(policy.note)}" if policy.note else ""), policy
 
 
-def _load_config(path: str) -> tuple[dict, DatasetSpec, list[dict]]:
-    """The config at path checked against SCHEMA, with the top-level, split
-    and scorer defaults filled in; its dataset spec; and its method entries
-    with their defaults."""
+def _load_config(path: str) -> tuple[dict, DatasetSpec]:
+    """The config at path checked against SCHEMA, with every default filled
+    in (method entries with their kinds' defaults), and its dataset spec."""
     try:
         cfg = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:  # unreadable, or not UTF-8 JSON
@@ -211,11 +210,11 @@ def _load_config(path: str) -> tuple[dict, DatasetSpec, list[dict]]:
     if type(cfg) is not dict:
         raise ConfigError("config must be a JSON object")
     cfg = _checked(cfg, SCHEMA["config"], "config")
-    for section in ("split", "scorer"):
+    for section in ("split", "scorer", "dataset"):
         cfg[section] = _checked(cfg[section], SCHEMA[section], section)
-    spec = _resolve_spec(_checked(cfg["dataset"], SCHEMA["dataset"], "dataset")["spec"])
+    spec = _resolve_spec(cfg["dataset"]["spec"])
     numeric = {c.name for c in spec.feature_columns if c.kind == "numeric"}
-    methods = [_entry(m, "method", METHODS) for m in cfg["methods"]]
+    cfg["methods"] = methods = [_entry(m, "method", METHODS) for m in cfg["methods"]]
     for m in methods:
         if not numeric.issuperset(m.get("columns") or ()):
             raise ConfigError(f"method {m['name']!r}: columns must be numeric feature "
@@ -230,7 +229,7 @@ def _load_config(path: str) -> tuple[dict, DatasetSpec, list[dict]]:
     for i, (kind, ref) in enumerate(refs):
         if (kind, ref) in refs[:i]:
             raise ConfigError(f"two {kind} policies with rate {ref!r} map to one file name")
-    return cfg, spec, methods
+    return cfg, spec
 
 
 def _resolve_spec(ref) -> DatasetSpec:
@@ -260,9 +259,9 @@ def _config_hash(cfg: dict) -> str:
 class Pipeline:
     """Executes a run config stage by stage; later stages reuse earlier state."""
 
-    def __init__(self, cfg: dict, spec: DatasetSpec, methods: list[dict], out_dir: Path):
+    def __init__(self, cfg: dict, spec: DatasetSpec, out_dir: Path):
         self.cfg = cfg  # as _load_config returns it
-        self.methods = methods  # entries with their kinds' defaults
+        self.methods = cfg["methods"]  # entries with their kinds' defaults
         self.spec = spec
         self.out = out_dir
         self.out.mkdir(parents=True, exist_ok=True)
@@ -316,13 +315,13 @@ class Pipeline:
         postprocessors = [m["name"] for m in self.methods if m["kind"] in
                           ("group-thresholds", "reject-option", "equalized-odds")]
         for part, ids, user in (
-                ("train", self.splits.train_ids, "the scorer"),
+                ("train", self.splits.train_ids, "the scorer fits on it"),
                 ("validation", self.splits.validation_ids,
-                 f"method {postprocessors[0]!r}" if postprocessors else None)):
+                 f"method {postprocessors[0]!r} fits on it" if postprocessors else None),
+                ("test", self.splits.test_ids, "the audit reports on it")):
             if len(ids) == 0 and user:
                 raise ConfigError(f"split fractions {self.cfg['split']['fractions']} leave the "
-                                  f"{part} partition of {self.dataset.n} rows empty, but "
-                                  f"{user} fits on it")
+                                  f"{part} partition of {self.dataset.n} rows empty, but {user}")
         self.scorer = fit(self.dataset, self.splits, ScorerConfig(**self.cfg["scorer"]))
         save_scorer(self.scorer, self.out / "scorer.txt")
         self.baseline_validation = score(

@@ -54,7 +54,7 @@ def test_run_writes_all_artifacts(run_inputs, tmp_path):
     out = tmp_path / "out"
     assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
     methods = ["baseline", "repair", "thresholds", "band-flip", "odds-mixing"]
-    labels = ["native", "fixed-threshold-0.5", "per-group-rates-0.457143-0.457143-baseline-pdr"]
+    labels = ["native", "fixed-threshold-0.5", "per-group-rates-0.45-0.45-baseline-pdr"]
     # one tau table and one correlation matrix per run; per policy one report,
     # a scatter file per mitigation and a decisions file per method; no stray
     # temp files after atomic writes
@@ -260,7 +260,10 @@ def test_mitigation_requires_validation_partition(run_inputs, tmp_path):
     ([0.0, 0.5, 0.5], [],
      "error: split fractions [0.0, 0.5, 0.5] leave the train partition of 700 rows "
      "empty, but the scorer fits on it"),
-], ids=["validation", "train"])
+    ([0.8, 0.2, 0.0], [],
+     "error: split fractions [0.8, 0.2, 0.0] leave the test partition of 700 rows "
+     "empty, but the audit reports on it"),
+], ids=["validation", "train", "test"])
 def test_empty_fitted_partition_exits_1_before_training(run_inputs, tmp_path, capsys,
                                                          fractions, methods, message):
     root, config_path, config = run_inputs
@@ -448,16 +451,30 @@ def test_scorer_schema_defaults_are_scorer_config_defaults():
 
 def test_spelled_out_defaults_keep_config_hash(run_inputs, tmp_path):
     root, config_path, config = run_inputs
-    terse = {"dataset": config["dataset"], "scorer": {"epochs": 120}}
+    terse = {"dataset": config["dataset"], "scorer": {"epochs": 120},
+             "methods": [{"kind": "reject-option"}]}
     full = dict(terse, split={"fractions": [0.6, 0.2, 0.2], "seed": 7},
                 scorer={"learning_rate": 0.1, "epochs": 120, "l2_penalty": 1e-4,
                         "seed": 42, "model_kind": "logistic",
                         "include_sensitive": False},
-                methods=[], tau_variant="tau-b",
+                methods=[{"kind": "reject-option", "name": "reject-option", "epsilon": 0.02}],
+                tau_variant="tau-b",
                 policies=[{"kind": "fixed-threshold", "threshold": 0.5},
                           {"kind": "per-group-rates", "rate": "baseline-pdr"},
                           {"kind": "per-group-rates", "rate": "base-rate"}])
     assert _hash_of(terse, tmp_path / "terse") == _hash_of(full, tmp_path / "full")
+
+
+def test_loaded_config_holds_dataset_and_method_defaults(tmp_path):
+    csv_path = tmp_path / "data.csv"
+    csv_path.write_text("", encoding="utf-8")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"dataset": {"csv": str(csv_path)},
+                                    "methods": [{"kind": "equalized-odds"}]}), encoding="utf-8")
+    cfg, spec = rankaudit.cli._load_config(str(cfg_path))
+    assert cfg["dataset"] == {"csv": str(csv_path), "spec": "adult"}
+    assert spec.name == "adult"
+    assert cfg["methods"] == [{"kind": "equalized-odds", "name": "equalized-odds", "seed": 11}]
 
 
 @pytest.mark.parametrize("mutate", [
@@ -553,19 +570,19 @@ def test_policy_clashes_the_config_decides_exit_1_before_ingest(run_inputs, tmp_
 
 
 def test_rate_reference_labels_end_in_the_reference(run_inputs, tmp_path):
-    # the baseline's rate at 0.5 on the fixture's test split is 64/140
+    # the baseline's rate at 0.5 on the fixture's test split is 63/140
     root, config_path, config = run_inputs
-    cfg = dict(config, methods=[], policies=[{"kind": "global-top-rate", "rate": 0.457143},
+    cfg = dict(config, methods=[], policies=[{"kind": "global-top-rate", "rate": 0.45},
                                              {"kind": "global-top-rate", "rate": "baseline-pdr"}])
     cfg_path = tmp_path / "refs.json"
     cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
-    numeric = json.loads((out / "report_global-top-rate-0.457143.json").read_text())
-    ref = json.loads((out / "report_global-top-rate-0.457143-baseline-pdr.json").read_text())
+    numeric = json.loads((out / "report_global-top-rate-0.45.json").read_text())
+    ref = json.loads((out / "report_global-top-rate-0.45-baseline-pdr.json").read_text())
     assert "note" not in numeric["policy"]
     assert ref["policy"]["note"] == "baseline-pdr"
-    assert ref["policy"]["rate"] == 64 / 140
+    assert ref["policy"]["rate"] == 63 / 140
 
 
 def test_provenance_lists_defaulted_method_seeds(run_inputs, tmp_path):

@@ -69,12 +69,74 @@ def test_fit_loss_history_finite_and_settling():
     assert (np.diff(tail) <= 1e-9).all()
 
 
+def _penalized_loss_and_grad(X, y, l2_penalty):
+    """Mean BCE + l2_penalty * |w|^2 and its gradient at theta = (w, b)."""
+    def f(theta):
+        w, b = theta[:-1], theta[-1]
+        z = X @ w + b
+        p = 1.0 / (1.0 + np.exp(-z))
+        loss = np.mean(np.logaddexp(0.0, z) - y * z) + l2_penalty * (w @ w)
+        return loss, np.append(X.T @ (p - y) / len(y) + 2.0 * l2_penalty * w, np.mean(p - y))
+    return f
+
+
+def _fit_problem(d, cfg):
+    model = fit(d, _all_train_split(d), cfg)
+    X = model.design_matrix(d, d.positions_of(d.instance_ids))
+    theta = np.append(model.weights["w"], model.weights["b"])
+    return model, _penalized_loss_and_grad(X, d.label.astype(np.float64), cfg.l2_penalty), theta
+
+
+def test_fit_reaches_zero_penalized_gradient():
+    d = biased_benchmark(n=2000, seed=2024)
+    model, f, theta = _fit_problem(d, ScorerConfig())
+    assert np.linalg.norm(f(theta)[1]) <= 1e-9
+    assert len(model.loss_history) <= 20
+    assert (np.diff(model.loss_history) <= 1e-15).all()  # the loss never rises beyond rounding
+
+
+def test_fit_agrees_with_bfgs():
+    optimize = pytest.importorskip("scipy.optimize")
+    d = biased_benchmark(n=300, seed=17)
+    cfg = ScorerConfig(l2_penalty=1e-2)
+    model, f, theta = _fit_problem(d, cfg)
+    ref = optimize.minimize(f, np.zeros_like(theta), jac=True, method="BFGS",
+                            options={"gtol": 1e-12, "maxiter": 10_000})
+    assert np.abs(theta - ref.x).max() <= 1e-6
+
+
+@pytest.mark.parametrize("labels, features, l2_penalty", [
+    ([0] * 10 + [1] * 10,
+     np.concatenate([np.linspace(-2.0, -0.5, 10), np.linspace(0.5, 2.0, 10)]), 0.0),
+    ([1, 1, 1, 1], [0.0, 1.0, 2.0, 3.0], 1e-4),
+], ids=["separable", "one-class"])
+def test_fit_without_optimum_stops_at_the_cap_and_warns(caplog, labels, features, l2_penalty):
+    d = make_dataset([0, 1] * (len(labels) // 2), labels, features=features)
+    with caplog.at_level("WARNING", logger="rankaudit.scorer"):
+        model = fit(d, _all_train_split(d), ScorerConfig(epochs=30, l2_penalty=l2_penalty))
+    assert caplog.messages == ["logistic fit did not converge within 30 iterations"]
+    assert len(model.loss_history) == 30
+    assert np.isfinite(model.weights["w"]).all() and np.isfinite(model.weights["b"]).all()
+    s = score(model, d, d.instance_ids)
+    assert ((s.scores > 0.5) == (np.asarray(labels) == 1)).all()
+
+
 def test_fit_diverging_loss_raises():
     d = biased_benchmark(n=200, seed=3)
+    cfg = ScorerConfig(learning_rate=1e300, epochs=5, model_kind="one-hidden-layer")
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)  # no numpy overflow warning first
         with pytest.raises(NonFiniteLoss):
-            fit(d, _all_train_split(d), ScorerConfig(learning_rate=1e300, epochs=5))
+            fit(d, _all_train_split(d), cfg)
+
+
+def test_fit_on_overflowing_features_raises():
+    # the train mean of two cells at 1e308 overflows, so the standardized features are NaN
+    d = make_dataset([0, 1, 0, 1], [0, 1, 0, 1], features=[1e308, 1e308, 0.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(NonFiniteLoss):
+            fit(d, _all_train_split(d), ScorerConfig())
 
 
 def test_fit_deterministic():
