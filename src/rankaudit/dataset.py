@@ -4,15 +4,16 @@ A Dataset holds one binary sensitive attribute (protected vs privileged),
 one binary target (1 = favorable), and a numeric feature matrix in which
 categorical columns are stored as small integer codes.  A Dataset is its
 columns: ingestion reads the file once, codes every non-numeric column in
-first-seen order, and keeps each numeric column's cell text as UTF-8 bytes,
-so that export reproduces every ingested cell exactly.  An instance id is
-a row number: row i of every column belongs to instance i, counted from 0
+first-seen order, and keeps each numeric column's cell text as "\n"-joined
+blocks, so that export reproduces every ingested cell exactly.  An instance id
+is a row number: row i of every column belongs to instance i, counted from 0
 over the rows ingestion keeps.
 """
 
 from __future__ import annotations
 
 import csv
+import gc
 import json
 import logging
 import os
@@ -46,6 +47,18 @@ BASE_RATE_TOLERANCE = 5e-4
 _MISSING_CELLS = {"", "?"}
 
 _TEXT_BLOCK = 1 << 14  # rows read, or values turned into CSV text, per step
+
+
+@contextmanager
+def _gc_paused():
+    """Pause cyclic garbage collection, then restore the caller's setting."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @contextmanager
@@ -111,17 +124,13 @@ def write_csv(path: str | Path, header, columns) -> None:
             fh.write(_lines(block))
 
 
-def _text(values: np.ndarray, convert):
-    """convert applied to each value, a block at a time, so a long column
-    never exists as Python objects all at once."""
-    return chain.from_iterable(map(convert, values[i:i + _TEXT_BLOCK].tolist())
-                               for i in range(0, len(values), _TEXT_BLOCK))
-
-
 def float_text(values):
-    """repr of each value as a Python float, made lazily a block at a time:
-    a column for write_csv."""
-    return _text(np.asarray(values, dtype=np.float64), repr)
+    """repr of each value as a Python float, made lazily a block at a time so
+    that a long column never exists as Python objects all at once: a column
+    for write_csv."""
+    values = np.asarray(values, dtype=np.float64)
+    return chain.from_iterable(map(repr, values[i:i + _TEXT_BLOCK].tolist())
+                               for i in range(0, len(values), _TEXT_BLOCK))
 
 
 def group_names(sensitive: np.ndarray) -> np.ndarray:
@@ -239,7 +248,7 @@ class Dataset:
     sensitive_values: tuple = ("protected", "privileged")
     target_values: tuple = ("1", "0")                  # (favorable, other)
     dropped_rows: int = 0
-    numeric_text: dict = field(default_factory=dict)   # column -> ingested bytes
+    numeric_text: dict = field(default_factory=dict)   # column -> "\n"-joined blocks
 
     def __post_init__(self):
         n = len(self.label)
@@ -292,7 +301,8 @@ class Dataset:
         for j, col in enumerate(self.schema.feature_columns):
             v = self.features[:, j]
             if col.name in self.numeric_text:
-                columns.append(_text(self.numeric_text[col.name], bytes.decode))
+                columns.append(chain.from_iterable(
+                    block.split("\n") for block in self.numeric_text[col.name]))
             elif col.kind == "categorical" and col.name in self.categories:
                 table = np.array(self.categories[col.name], dtype=object)
                 columns.append(table[v.astype(np.int64)].tolist())
@@ -351,22 +361,22 @@ def _binarize(column: str, table: dict, chunks: list, wanted: str, what: str,
 def ingest(csv_path: str | Path, spec: DatasetSpec) -> Dataset:
     """Read a CSV into a Dataset, binarizing sensitive and target columns.
 
-    One pass reads `_TEXT_BLOCK` rows at a time.  Rows that are short or
-    have a missing value ("" or "?") in any used column are dropped and
-    counted, and so are rows with a numeric cell that is not a finite
-    plain_number; only then are the other columns coded, in first-seen order.
-    Raises MissingColumn, NonBinarySensitive, NonBinaryTarget, or
-    EmptyFile on contract violations.
+    One pass reads `_TEXT_BLOCK` rows at a time, with cyclic GC paused.
+    Rows that are short or have a missing value ("" or "?") in any used
+    column are dropped and counted, and so are rows with a numeric cell that
+    is not a finite plain_number; only then are the other columns coded, in
+    first-seen order.  Raises MissingColumn, NonBinarySensitive,
+    NonBinaryTarget, or EmptyFile on contract violations.
     """
     csv_path = Path(csv_path)
     used = spec.used_columns
     numeric = [c.name for c in spec.feature_columns if c.kind == "numeric"]
     values = {name: [] for name in numeric}  # float chunks
-    text = {name: [] for name in numeric}    # UTF-8 bytes chunks
+    text = {name: [] for name in numeric}    # "\n"-joined cell text per block
     tables = {name: {} for name in used if name not in values}  # cell -> code
     codes = {name: [] for name in tables}
     n_read = n_bad = 0
-    with open(csv_path, "r", encoding="utf-8", newline="") as fh:
+    with _gc_paused(), open(csv_path, "r", encoding="utf-8", newline="") as fh:
         if fh.read(1) != "\ufeff":  # skip a byte-order mark
             fh.seek(0)
         reader = csv.reader(fh)
@@ -387,23 +397,29 @@ def ingest(csv_path: str | Path, spec: DatasetSpec) -> Dataset:
             file_columns = list(zip(*block))
             cells = {name: list(map(str.strip, file_columns[file_header.index(name)]))
                      for name in used}
-            drop = np.zeros(len(block), dtype=bool)
-            for col in cells.values():
-                if not _MISSING_CELLS.isdisjoint(col):
-                    drop |= np.fromiter(map(_MISSING_CELLS.__contains__, col),
-                                        dtype=bool, count=len(col))
             parsed = {name: _parse_floats(cells[name]) for name in numeric}
-            bad = ~drop & ~np.all([np.isfinite(v) for v in parsed.values()], axis=0)
+            finite = np.all([np.isfinite(v) for v in parsed.values()], axis=0)
+            seen = {name: dict.fromkeys(cells[name]) for name in tables}  # first-seen
+            drop = np.zeros(len(block), dtype=bool)
+            # a missing coded cell is a seen one; a missing number is not finite
+            for name in [*tables, *(numeric if not finite.all() else [])]:
+                if not _MISSING_CELLS.isdisjoint(seen.get(name, cells[name])):
+                    drop |= np.fromiter(map(_MISSING_CELLS.__contains__, cells[name]),
+                                        dtype=bool, count=len(block))
+            bad = ~drop & ~finite
             n_bad += int(bad.sum())
             keep = ~(drop | bad)
+            if not keep.any():
+                continue
             if not keep.all():
                 cells = {name: list(compress(col, keep)) for name, col in cells.items()}
                 parsed = {name: v[keep] for name, v in parsed.items()}
+                seen = {name: dict.fromkeys(cells[name]) for name in tables}
             for name in numeric:
                 values[name].append(parsed[name])
-                text[name].append(np.array(cells[name], dtype=bytes))  # plain: ASCII
+                text[name].append("\n".join(cells[name]))  # a finite number has no "\n"
             for name, table in tables.items():
-                for cell in dict.fromkeys(cells[name]):
+                for cell in seen[name]:
                     table.setdefault(cell, len(table))
                 codes[name].append(np.fromiter(map(table.__getitem__, cells[name]),
                                                dtype=np.int64, count=len(cells[name])))
@@ -439,7 +455,7 @@ def ingest(csv_path: str | Path, spec: DatasetSpec) -> Dataset:
         sensitive_values=sensitive_values,
         target_values=target_values,
         dropped_rows=n_missing + n_bad,
-        numeric_text={name: np.concatenate(chunks) for name, chunks in text.items()},
+        numeric_text=text,
     )
 
 

@@ -41,8 +41,11 @@ def uniform01(seed: int, counter) -> np.ndarray:
 
 
 def permutation(seed: int, n: int) -> np.ndarray:
-    """Deterministic permutation of range(n): argsort of per-index hashes."""
-    return np.argsort(hash64(seed, np.arange(n)), kind="stable")
+    """Deterministic permutation of range(n): argsort of per-index hashes.
+    hash64 is a bijection of the counter mod 2**64 (adding a constant, odd
+    multiplies and xorshifts each are), so the keys are distinct and any
+    sort, stable or not, gives the same permutation."""
+    return np.argsort(hash64(seed, np.arange(n)))
 
 
 def normal(seed: int, n: int) -> np.ndarray:

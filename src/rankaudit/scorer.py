@@ -146,9 +146,9 @@ def fit(d: Dataset, split: Split, cfg: ScorerConfig) -> Scorer:
     """Train the scorer on the train partition.
 
     Features are standardized with train statistics only.  Raises
-    EmptyTrain for an empty train partition and NonFiniteLoss when the
-    loss is not finite.  The loss at each iteration (logistic) or epoch
-    (one-hidden-layer) is kept on the scorer.
+    EmptyTrain for an empty train partition and NonFiniteLoss when a train
+    mean or std, or the loss, is not finite.  The loss at each iteration
+    (logistic) or epoch (one-hidden-layer) is kept on the scorer.
     """
     if len(split.train_ids) == 0:
         raise EmptyTrain("train partition is empty")
@@ -157,8 +157,12 @@ def fit(d: Dataset, split: Split, cfg: ScorerConfig) -> Scorer:
 
     if len(numeric_idx):
         train_num = d.features[np.ix_(pos, numeric_idx)]
-        mean = train_num.mean(axis=0)
-        std = train_num.std(axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+            mean, std = train_num.mean(axis=0), train_num.std(axis=0)
+        not_finite = ~np.isfinite([mean, std]).all(axis=0)
+        if not_finite.any():
+            column = d.schema.feature_columns[numeric_idx[not_finite.argmax()]].name
+            raise NonFiniteLoss(f"train mean or std of column {column!r} is not finite")
         std[std == 0.0] = 1.0
     else:
         mean = np.zeros(0)

@@ -1,12 +1,15 @@
 """Ingestion, base rates, splits, and round-trip export."""
 
 import csv
+import gc
 import logging
+import math
 
 import numpy as np
 import pytest
 
 import rankaudit.dataset
+from rankaudit import prng
 from rankaudit.dataset import (
     Dataset,
     DatasetSpec,
@@ -314,6 +317,129 @@ def test_ingest_drops_numbers_only_python_reads(tmp_path, caplog, cell):
     assert any("dropped 1 rows with non-numeric" in r.message for r in caplog.records)
 
 
+def _plain_float(cell):
+    """float of a plain number, nan for anything else."""
+    try:
+        return float(cell) if cell.isascii() and "_" not in cell else math.nan
+    except ValueError:
+        return math.nan
+
+
+def _ingest_row_at_a_time(path, spec):
+    """What ingest keeps of path, one row at a time: the kept rows' stripped
+    used cells, and the counts of rows dropped as missing and as non-numeric."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    header = [h.strip() for h in header]
+    numeric = [c.kind == "numeric" for c in spec.feature_columns] + [False, False]
+    kept, n_missing, n_bad = [], 0, 0
+    for row in rows:
+        if len(row) < len(header):
+            n_missing += 1
+            continue
+        cells = [row[header.index(name)].strip() for name in spec.used_columns]
+        if any(cell in ("", "?") for cell in cells):
+            n_missing += 1
+        elif not all(math.isfinite(_plain_float(cell))
+                     for cell, is_number in zip(cells, numeric) if is_number):
+            n_bad += 1
+        else:
+            kept.append(cells)
+    return kept, n_missing, n_bad
+
+
+@pytest.mark.parametrize("text_block", [1, 2, 3, None])
+def test_ingest_matches_row_at_a_time_reading(tmp_path, monkeypatch, caplog, text_block):
+    """On random small CSVs, ingest keeps, codes, counts and exports what a
+    row-at-a-time reading does, for any block size."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    if text_block is not None:
+        monkeypatch.setattr(rankaudit.dataset, "_TEXT_BLOCK", text_block)
+    spec = make_spec(n_features=3, kinds=["numeric", "categorical", "numeric"])
+
+    def mostly(good, bad):  # a good cell four times as likely as a bad one
+        return st.sampled_from(good * 4 + bad)
+
+    number = mostly(["1", "-0", "2.5", "1e3", "007", " 4 ", "\t5\u00a0", "1e308"],
+                    ["", "?", " ", "nan", "inf", "-Infinity", "1e999", "1_0", "\u0663",
+                     "\uff11", "x"])
+    cells = {"f0": number, "f2": number,
+             "f1": mostly(["red", " red ", "a,b", 'say "x"', "line\nbreak"], ["", "?", " ? "]),
+             "group": mostly(["protected", "privileged", " protected"], ["", "?"]),
+             "outcome": mostly(["favorable", "unfavorable"], ["?", ""]),
+             "unused": st.sampled_from(["", "?", "z", "1_0"])}
+
+    @st.composite
+    def tables(draw):
+        header = draw(st.permutations(list(cells)))
+        rows = []
+        for _ in range(draw(st.integers(0, 12))):
+            row = [draw(cells[name]) for name in header]
+            rows.append(row[:draw(mostly([len(row)] * 6, list(range(len(row)))))])
+        return header, rows
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(tables())
+    def check(table):
+        header, rows = table
+        path, out = tmp_path / "in.csv", tmp_path / "out.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerows([header, *rows])
+        kept, n_missing, n_bad = _ingest_row_at_a_time(path, spec)
+        caplog.clear()
+        if not kept:
+            with pytest.raises(EmptyFile):
+                ingest(path, spec)
+            return
+        with caplog.at_level(logging.WARNING, logger="rankaudit.dataset"):
+            d = ingest(path, spec)
+        categories = tuple(dict.fromkeys(row[1] for row in kept))
+        assert d.categories == {"f1": categories}
+        assert d.features.tolist() == [[float(row[0]), categories.index(row[1]),
+                                        float(row[2])] for row in kept]
+        assert d.sensitive.tolist() == [row[3] == "protected" for row in kept]
+        assert d.label.tolist() == [row[4] == "favorable" for row in kept]
+        assert d.dropped_rows == n_missing + n_bad
+        assert caplog.messages == (
+            [f"in.csv: dropped {n_missing} rows with missing values"] * (n_missing > 0)
+            + [f"in.csv: dropped {n_bad} rows with non-numeric cells"] * (n_bad > 0))
+        with open(tmp_path / "want.csv", "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerows([spec.used_columns, *kept])
+        d.export_csv(out)
+        assert out.read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    check()
+
+
+def test_ingest_pauses_cyclic_gc_and_restores_it(tmp_path, monkeypatch, six_row_csv):
+    """The block loop runs without cyclic GC; the caller's setting comes back
+    after a return and after an error raised inside the loop."""
+    assert gc.isenabled()
+    ingest(six_row_csv, make_spec())
+    assert gc.isenabled()
+
+    enabled_in_loop = []
+
+    def failing_parse(cells):
+        enabled_in_loop.append(gc.isenabled())
+        raise RuntimeError("parse failed")
+
+    monkeypatch.setattr(rankaudit.dataset, "_parse_floats", failing_parse)
+    with pytest.raises(RuntimeError, match="parse failed"):
+        ingest(six_row_csv, make_spec())
+    assert enabled_in_loop == [False]
+    assert gc.isenabled()
+    monkeypatch.undo()
+
+    gc.disable()
+    try:
+        ingest(six_row_csv, make_spec())
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
 def test_export_of_repaired_dataset_writes_repaired_values(tmp_path):
     path = tmp_path / "ints.csv"
     path.write_text(
@@ -387,6 +513,15 @@ def test_split_reproducible():
     assert a.test_ids.tolist() == b.test_ids.tolist()
     c = split(d, (0.6, 0.2, 0.2), seed=6)
     assert c.train_ids.tolist() != a.train_ids.tolist()
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 1000])
+def test_permutation_equals_stable_argsort(n):
+    """The hash keys are distinct, so any sort gives the stable sort's order."""
+    for seed in (0, 1, 7, 2024, 2**64 - 1):
+        keys = prng.hash64(seed, np.arange(n))
+        assert len(np.unique(keys)) == n
+        assert np.array_equal(prng.permutation(seed, n), np.argsort(keys, kind="stable"))
 
 
 def test_split_rejects_bad_fractions():

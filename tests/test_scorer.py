@@ -131,11 +131,13 @@ def test_fit_diverging_loss_raises():
 
 
 def test_fit_on_overflowing_features_raises():
-    # the train mean of two cells at 1e308 overflows, so the standardized features are NaN
-    d = make_dataset([0, 1, 0, 1], [0, 1, 0, 1], features=[1e308, 1e308, 0.0, 1.0])
+    """The train mean of two cells at 1e308 overflows: fit names the column,
+    and numpy prints no RuntimeWarning first."""
+    features = [[0.0, 1e308], [1.0, 1e308], [2.0, 0.0], [3.0, 1.0]]
+    d = make_dataset([0, 1, 0, 1], [0, 1, 0, 1], features=features)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        with pytest.raises(NonFiniteLoss):
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonFiniteLoss, match="column 'f1' is not finite"):
             fit(d, _all_train_split(d), ScorerConfig())
 
 
