@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .dataset import Dataset, PROTECTED, require_aligned
+from .dataset import Dataset, require_aligned
 from .decide import DecisionPolicy, DecisionSet, decide
 from .errors import (
     AuditError,
@@ -153,15 +153,9 @@ def kendall_tau(x, y, variant: str = "tau-b") -> float:
     raise ValueError(f"unknown variant {variant!r}")
 
 
-def _group_masks(dec: DecisionSet, d: Dataset):
-    pos = d.positions_of(dec.instance_ids)
-    prot = d.sensitive[pos] == PROTECTED
-    return pos, prot
-
-
 def spd(dec: DecisionSet, d: Dataset) -> float:
     """Protected positive rate minus privileged positive rate."""
-    _, prot = _group_masks(dec, d)
+    prot, _ = d.cohort(dec.instance_ids)
     if not prot.any() or prot.all():
         raise EmptyGroup("SPD needs both groups present")
     labels = dec.labels
@@ -170,8 +164,8 @@ def spd(dec: DecisionSet, d: Dataset) -> float:
 
 def eod(dec: DecisionSet, d: Dataset) -> float:
     """Protected TPR minus privileged TPR."""
-    pos, prot = _group_masks(dec, d)
-    positives = crosstab(~prot, d.label[pos], dec.labels)[:, 1]  # [group, decision]
+    prot, truth = d.cohort(dec.instance_ids)
+    positives = crosstab(~prot, truth, dec.labels)[:, 1]  # [group, decision]
     for name, n in zip(("protected", "privileged"), positives.sum(axis=1)):
         if not n:
             raise NoPositivesInGroup(f"no positive instances in {name} group")
@@ -180,8 +174,8 @@ def eod(dec: DecisionSet, d: Dataset) -> float:
 
 
 def accuracy(dec: DecisionSet, d: Dataset) -> float:
-    pos, _ = _group_masks(dec, d)
-    return float((dec.labels == d.label[pos]).mean())
+    _, truth = d.cohort(dec.instance_ids)
+    return float((dec.labels == truth).mean())
 
 
 def crosstab(first, a, b) -> np.ndarray:
@@ -198,7 +192,7 @@ def quadrant_analysis(base: DecisionSet, mitigated: DecisionSet, d: Dataset):
     name, aligned with base.instance_ids.
     """
     require_aligned(base.instance_ids, mitigated.instance_ids, "quadrant ids")
-    prot = d.sensitive[d.positions_of(base.instance_ids)] == PROTECTED
+    prot, _ = d.cohort(base.instance_ids)
     cells = crosstab(~prot, base.labels, mitigated.labels)  # [group, base, mitigated]
     counts = {name: dict(zip(_QUADRANT_NAMES, c.ravel().tolist()))
               for name, c in zip(("protected", "privileged"), cells)}
@@ -273,9 +267,7 @@ def audit_scores(d: Dataset, baseline: ScoreSet, others: list[ScoreSet],
         try:
             require_aligned(baseline.instance_ids, ss.instance_ids, ss.method)
             if id(ss.scores) not in done:
-                pos = d.positions_of(ss.instance_ids)
-                truth = d.label[pos]
-                prot = d.sensitive[pos] == PROTECTED
+                prot, truth = d.cohort(ss.instance_ids)
                 if not prot.any() or prot.all():
                     raise EmptyGroup("metrics need both groups in the audited ids")
                 b, s = baseline.scores, ss.scores

@@ -23,12 +23,10 @@ from . import __version__
 from .audit import AuditReport, audit_scores, build_report
 from .dataset import (
     ColumnText, Dataset, DatasetSpec, atomic_open, builtin_specs, ingest,
-    positions_in, split, verify_base_rate, write_csv,
+    split, verify_base_rate, write_csv,
 )
 from .decide import DecisionPolicy, DecisionSet, decide, export_decisions
-from .errors import (
-    AuditError, ConfigError, PolicyMismatch, UnknownId,
-)
+from .errors import AuditError, ConfigError, PolicyMismatch
 from .mitigate import (
     apply_group_thresholds,
     apply_mixing,
@@ -301,15 +299,10 @@ class Pipeline:
     def _external_scores(self, path: str, name: str) -> ScoreSet:
         """A method's external test scores; a bad file is a ConfigError."""
         try:
-            full = ingest_external_scores(path, self.dataset, name)
+            return ingest_external_scores(path, self.dataset, self.splits.test_ids, name)
         except AuditError as exc:
-            raise ConfigError(f"method {name!r}: {exc}") from exc
-        try:
-            pos = positions_in(full.instance_ids, self.splits.test_ids)
-        except UnknownId as exc:
-            raise ConfigError(f"external scores {path} lack test ids: {exc}") from exc
-        return ScoreSet(method=name, instance_ids=self.splits.test_ids,
-                        scores=full.scores[pos], produced_on="test")
+            raise ConfigError(f"method {name!r}: external scores are malformed "
+                              f"or lack test ids: {exc}") from exc
 
     def train(self):
         postprocessors = [m["name"] for m in self.methods if m["kind"] in
@@ -324,25 +317,19 @@ class Pipeline:
                                   f"{part} partition of {self.dataset.n} rows empty, but {user}")
         self.scorer = fit(self.dataset, self.splits, ScorerConfig(**self.cfg["scorer"]))
         save_scorer(self.scorer, self.out / "scorer.txt")
-        self.baseline_validation = score(
-            self.scorer, self.dataset, self.splits.validation_ids,
-            method="baseline", role="validation",
-        )
-        self.baseline_test = score(
-            self.scorer, self.dataset, self.splits.test_ids,
-            method="baseline", role="test",
-        )
+        self.baseline_validation = score(self.scorer, self.dataset,
+                                         self.splits.validation_ids)
+        self.baseline_test = score(self.scorer, self.dataset, self.splits.test_ids)
         self._write_scores(self.baseline_test)
         return self
 
     def _write_scores(self, scores):
+        """Every score set a run writes is on the test split."""
         ids, _ = self.text.rows(self.dataset, scores.instance_ids)
-        write_csv(self.out / f"scores_{_slug(scores.method)}_{scores.produced_on}.csv",
+        write_csv(self.out / f"scores_{_slug(scores.method)}_test.csv",
                   ["instance_id", "score"], [ids, self.text.floats(scores.scores)])
 
     def mitigate(self):
-        test_ids = self.splits.test_ids
-        val_ids = self.splits.validation_ids
         # the native report, equalized odds and the baseline-pdr rate share it
         self.baseline_at_half = decide(self.baseline_test, self.dataset, AT_HALF)
         for m in self.methods:
@@ -352,25 +339,24 @@ class Pipeline:
                     self.dataset, float(m["repair_level"]), m["columns"],
                 )
                 refit = fit(repaired, self.splits, self.scorer.config)
-                scores = score(refit, repaired, test_ids, method=name, role="test")
+                scores = score(refit, repaired, self.splits.test_ids, method=name)
             elif kind == "external-scores":
                 scores = self.external[name]
             else:  # a postprocessor: fitted on validation, decides on test
                 scores = relabel(self.baseline_test, name)
                 if kind == "group-thresholds":
                     fitted = fit_threshold_optimizer(self.baseline_validation, self.dataset,
-                                                     val_ids, rate=m["rate"])
+                                                     rate=m["rate"])
                     decisions = apply_group_thresholds(fitted, scores, self.dataset)
                 elif kind == "reject-option":
                     fitted = reject_option_classify(self.baseline_validation, self.dataset,
-                                                    val_ids, epsilon=float(m["epsilon"])).region
-                    decisions = apply_reject_option(fitted, scores, self.dataset, test_ids)
+                                                    epsilon=float(m["epsilon"])).region
+                    decisions = apply_reject_option(fitted, scores, self.dataset)
                 else:  # equalized-odds
                     base_val = decide(self.baseline_validation, self.dataset, AT_HALF)
-                    fitted = fit_equalized_odds_post(base_val, self.dataset, val_ids,
-                                                     seed=m["seed"])
+                    fitted = fit_equalized_odds_post(base_val, self.dataset, seed=m["seed"])
                     decisions = apply_mixing(fitted, self.baseline_at_half, self.dataset,
-                                             test_ids, method=name)
+                                             method=name)
                 self.native_decisions[name] = decisions
                 with atomic_open(self.out / f"fitted_{_slug(name)}.txt") as fh:
                     fh.write(fitted.to_text())
@@ -385,8 +371,8 @@ class Pipeline:
     def _rate(self, ref: str) -> float:
         if ref == "baseline-pdr":
             return self.baseline_at_half.realized_pdr
-        pos = self.dataset.positions_of(self.splits.test_ids)  # base-rate
-        return float(self.dataset.label[pos].mean())
+        _, truth = self.dataset.cohort(self.splits.test_ids)  # base-rate
+        return float(truth.mean())
 
     def _provenance(self) -> dict:
         return {

@@ -289,6 +289,12 @@ class Dataset:
             raise UnknownId(f"ids not in dataset: {ids[bad][:5].tolist()}")
         return ids
 
+    def cohort(self, ids) -> tuple[np.ndarray, np.ndarray]:
+        """(protected mask, truth) of the rows of the given ids, in their
+        order; raises UnknownId as positions_of does."""
+        pos = self.positions_of(ids)
+        return self.sensitive[pos] == PROTECTED, self.label[pos]
+
     def feature_index(self, column: str) -> int:
         for i, c in enumerate(self.schema.feature_columns):
             if c.name == column:
@@ -498,16 +504,3 @@ def require_aligned(ids_a: np.ndarray, ids_b: np.ndarray, what: str = "") -> Non
     b = np.asarray(ids_b)
     if a.shape != b.shape or not np.array_equal(a, b):
         raise MisalignedIds(f"id vectors differ{': ' + what if what else ''}")
-
-
-def positions_in(haystack_ids, query_ids) -> np.ndarray:
-    """Positions of query_ids within haystack_ids; raises UnknownId on misses."""
-    hay = np.asarray(haystack_ids, dtype=np.int64)
-    query = np.asarray(query_ids, dtype=np.int64)
-    order = np.argsort(hay, kind="stable")
-    sorted_hay = hay[order]
-    idx = np.searchsorted(sorted_hay, query)
-    bad = (idx >= len(hay)) | (sorted_hay[np.minimum(idx, len(hay) - 1)] != query)
-    if bad.any():
-        raise UnknownId(f"ids not present: {query[bad][:5].tolist()}")
-    return order[idx]

@@ -11,9 +11,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dataset import (
-    ColumnText, Dataset, PRIVILEGED, PROTECTED, require_aligned, write_csv,
-)
+from .dataset import ColumnText, Dataset, require_aligned, write_csv
 from .errors import EmptyGroup, RateOutOfRange
 from .scorer import ScoreSet
 
@@ -29,15 +27,11 @@ def _check_unit(value: float, what: str) -> None:
 
 @dataclass(frozen=True)
 class DecisionPolicy:
-    """How scores become labels. kind selects which field applies.
-
-    group_thresholds is a mitigate.GroupThresholds.
-    """
+    """How scores become labels. kind selects which field applies."""
 
     kind: str
     threshold: float | None = None
     rate: float | None = None
-    group_thresholds: object | None = None
     group_rates: tuple[float, float] | None = None
     note: str = ""
 
@@ -50,9 +44,6 @@ class DecisionPolicy:
             if self.rate is None:
                 raise ValueError("global-top-rate policy needs a rate")
             _check_unit(self.rate, "rate")
-        elif self.kind == "per-group-thresholds":
-            if self.group_thresholds is None:
-                raise ValueError("per-group-thresholds policy needs thresholds")
         elif self.kind == "per-group-rates":
             if self.group_rates is None:
                 raise ValueError("per-group-rates policy needs two rates")
@@ -67,10 +58,8 @@ class DecisionPolicy:
             return f"fixed-threshold-{self.threshold:g}"
         if self.kind == "global-top-rate":
             return f"global-top-rate-{self.rate:g}"
-        if self.kind == "per-group-rates":
-            a, b = self.group_rates
-            return f"per-group-rates-{a:g}-{b:g}"
-        return self.kind
+        a, b = self.group_rates  # per-group-rates
+        return f"per-group-rates-{a:g}-{b:g}"
 
     def describe(self) -> dict:
         """The fields that are set, plus the tie rule."""
@@ -130,42 +119,20 @@ def decide(scores: ScoreSet, d: Dataset, policy: DecisionPolicy) -> DecisionSet:
 
     fixed-threshold labels score > t.  global-top-rate selects exactly
     floor(r*n) highest scores.  per-group-rates selects the per-group count
-    nearest to r_g*n_g.  per-group-thresholds labels score > t_g and then
-    fills boundary ties (score == t_g) by ascending id up to ceil(r*n_g)
-    when the thresholds carry a target rate.
+    nearest to r_g*n_g.
     """
-    pos = d.positions_of(scores.instance_ids)
     s = scores.scores
     ids = scores.instance_ids
-    group = d.sensitive[pos]
+    prot, _ = d.cohort(ids)
 
     if policy.kind == "fixed-threshold":
         labels = s > policy.threshold
     elif policy.kind == "global-top-rate":
         labels = _top_k(s, ids, _count_floor(policy.rate, len(s)))
-    elif policy.kind == "per-group-rates":
+    else:  # per-group-rates
         labels = np.zeros(len(s), dtype=bool)
-        for g, r in ((PROTECTED, policy.group_rates[0]),
-                     (PRIVILEGED, policy.group_rates[1])):
-            m = group == g
-            if m.any():
-                labels[m] = _top_k(s[m], ids[m], _count_nearest(r, int(m.sum())))
-    else:  # per-group-thresholds
-        gt = policy.group_thresholds
-        labels = np.zeros(len(s), dtype=bool)
-        for g, t in ((PROTECTED, gt.t_protected), (PRIVILEGED, gt.t_privileged)):
-            m = group == g
-            if not m.any():
-                continue
-            chosen = s[m] > t
-            if gt.rate is not None:
-                want = _count_ceil(gt.rate, int(m.sum()))
-                short = want - int(chosen.sum())
-                if short > 0:
-                    boundary_ids = ids[m][s[m] == t]
-                    fill = np.isin(ids[m], np.sort(boundary_ids)[:short])
-                    chosen = chosen | fill
-            labels[m] = chosen
+        for m, r in zip((prot, ~prot), policy.group_rates):
+            labels[m] = _top_k(s[m], ids[m], _count_nearest(r, int(m.sum())))
 
     return DecisionSet(
         instance_ids=ids,
@@ -182,9 +149,8 @@ def equalize_rates(scores: ScoreSet, d: Dataset, rate: float) -> DecisionSet:
     positive rate stays within 1/n of the target.
     """
     _check_unit(rate, "rate")
-    pos = d.positions_of(scores.instance_ids)
-    group = d.sensitive[pos]
-    if not (group == PROTECTED).any() or not (group == PRIVILEGED).any():
+    prot, _ = d.cohort(scores.instance_ids)
+    if not prot.any() or prot.all():
         raise EmptyGroup("equalize_rates needs both groups present")
     policy = DecisionPolicy(kind="per-group-rates", group_rates=(rate, rate))
     return decide(scores, d, policy)

@@ -15,14 +15,9 @@ import numpy as np
 
 from . import prng
 from .audit import _midranks, crosstab
-from .dataset import Dataset, PROTECTED, PRIVILEGED, positions_in
-from .decide import DecisionPolicy, DecisionSet, _check_unit, _count_ceil, decide
-from .errors import (
-    DegenerateGroup,
-    EmptyGroup,
-    NonNumericColumn,
-    UnknownId,
-)
+from .dataset import Dataset, PROTECTED, PRIVILEGED
+from .decide import DecisionSet, _check_unit, _count_ceil
+from .errors import DegenerateGroup, EmptyGroup, NonNumericColumn
 from .scorer import ScoreSet
 
 THETA_GRID = np.arange(51) / 100.0  # 0.00, 0.01, ..., 0.50
@@ -110,28 +105,17 @@ class GroupThresholds(Fitted):
     rate: float
 
 
-def _cohort(set_ids, values, d: Dataset, ids, what: str):
-    """(ids, values at ids, protected mask, truth) for ids taken from a score
-    or decision set whose ids and values are set_ids and values."""
-    ids = np.asarray(ids, dtype=np.int64)
-    try:
-        values = values[positions_in(set_ids, ids)]
-    except UnknownId as exc:
-        raise EmptyGroup(f"requested ids missing from the {what}: {exc}")
-    pos = d.positions_of(ids)
-    return ids, values, d.sensitive[pos] == PROTECTED, d.label[pos]
-
-
-def fit_threshold_optimizer(scores: ScoreSet, d: Dataset, ids,
+def fit_threshold_optimizer(scores: ScoreSet, d: Dataset,
                             rate: float | None = None) -> GroupThresholds:
     """Per-group cutoffs at the ceil(rate*n_g)-th highest score.
 
     With rate None the target defaults to the scores' own positive rate at
-    threshold 0.5 on the given ids (demographic parity at the status-quo
-    selection level).  Realized rates land within 1/n_g of the target when
-    the thresholds are applied with boundary-tie completion.
+    threshold 0.5 (demographic parity at the status-quo selection level).
+    Realized rates land within 1/n_g of the target when the thresholds are
+    applied with boundary-tie completion.
     """
-    _, s, prot, _ = _cohort(scores.instance_ids, scores.scores, d, ids, "score set")
+    s = scores.scores
+    prot, _ = d.cohort(scores.instance_ids)
     criterion = "selection-rate" if rate is not None else "demographic-parity"
     if rate is None:
         rate = float((s > 0.5).mean())
@@ -157,8 +141,19 @@ def fit_threshold_optimizer(scores: ScoreSet, d: Dataset, ids,
 
 def apply_group_thresholds(gt: GroupThresholds, scores: ScoreSet,
                            d: Dataset) -> DecisionSet:
-    policy = DecisionPolicy(kind="per-group-thresholds", group_thresholds=gt)
-    return decide(scores, d, policy)
+    """Label score > t_g, then fill boundary ties (score == t_g) by ascending
+    id up to ceil(rate*n_g) in each group."""
+    s, ids = scores.scores, scores.instance_ids
+    prot, _ = d.cohort(ids)
+    labels = np.zeros(len(s), dtype=bool)
+    for m, t in ((prot, gt.t_protected), (~prot, gt.t_privileged)):
+        chosen = s[m] > t
+        short = _count_ceil(gt.rate, int(m.sum())) - int(chosen.sum())
+        if short > 0:
+            chosen |= np.isin(ids[m], np.sort(ids[m][s[m] == t])[:short])
+        labels[m] = chosen
+    return DecisionSet(instance_ids=ids, labels=labels.astype(np.int8),
+                       policy="per-group-thresholds", source_method=scores.method)
 
 
 # --- critical-region label flipping ----------------------------------------------
@@ -190,18 +185,19 @@ def _band_labels(s: np.ndarray, prot: np.ndarray, theta: float) -> np.ndarray:
     return labels.astype(np.int8)
 
 
-def reject_option_classify(scores: ScoreSet, d: Dataset, ids,
+def reject_option_classify(scores: ScoreSet, d: Dataset,
                            epsilon: float) -> RejectOptionResult:
-    """Flip labels inside the smallest uncertainty band that evens the rates.
+    """Flip labels inside the smallest grid band that evens the rates.
 
     Inside the band, protected instances become positive and privileged
     ones negative.  theta is the smallest grid value in {0, 0.01, ..., 0.5}
-    with |SPD| <= epsilon on the given ids, else the grid argmin of |SPD|.
+    with |SPD| <= epsilon on the scores, else the grid argmin of |SPD|.
     theta = 0 means plain thresholding at 0.5.
     """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    ids, s, prot, _ = _cohort(scores.instance_ids, scores.scores, d, ids, "score set")
+    s = scores.scores
+    prot, _ = d.cohort(scores.instance_ids)
     if not prot.any() or prot.all():
         raise EmptyGroup("reject option needs both groups present")
 
@@ -218,19 +214,21 @@ def reject_option_classify(scores: ScoreSet, d: Dataset, ids,
     base = (s > 0.5).astype(np.int8)
     return RejectOptionResult(
         region=CriticalRegion(theta=best_theta),
-        decisions=DecisionSet(instance_ids=ids, labels=chosen, policy="reject-option",
+        decisions=DecisionSet(instance_ids=scores.instance_ids, labels=chosen,
+                              policy="reject-option",
                               source_method=scores.method),
         achieved_spd=best_abs,
         unchanged=bool(np.array_equal(chosen, base)),
     )
 
 
-def apply_reject_option(region: CriticalRegion, scores: ScoreSet, d: Dataset,
-                        ids, method: str | None = None) -> DecisionSet:
-    """Apply a frozen critical region to any id set."""
-    ids, s, prot, _ = _cohort(scores.instance_ids, scores.scores, d, ids, "score set")
-    return DecisionSet(instance_ids=ids, labels=_band_labels(s, prot, region.theta),
-                       policy="reject-option", source_method=method or scores.method)
+def apply_reject_option(region: CriticalRegion, scores: ScoreSet,
+                        d: Dataset) -> DecisionSet:
+    """Apply a frozen critical region to any score set."""
+    prot, _ = d.cohort(scores.instance_ids)
+    return DecisionSet(instance_ids=scores.instance_ids,
+                       labels=_band_labels(scores.scores, prot, region.theta),
+                       policy="reject-option", source_method=scores.method)
 
 
 # --- randomized odds-equalizing mixing ---------------------------------------------
@@ -254,14 +252,13 @@ class MixingRates(Fitted):
         return astuple(self)[:4]
 
 
-def _odds_table(pred: DecisionSet, d: Dataset, ids) -> tuple[np.ndarray, np.ndarray]:
-    """(n, rate) over the base predictions at ids: n[g, yhat, y] counts rows of
+def _odds_table(pred: DecisionSet, d: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """(n, rate) over the base predictions: n[g, yhat, y] counts rows of
     group g (0 protected, 1 privileged) with base label yhat and truth y, and
     rate[g, y] = P(yhat = 1 | g, y), FPR then TPR.  DegenerateGroup when a
     group lacks positives or negatives."""
-    _, base_labels, prot, truth = _cohort(pred.instance_ids, pred.labels, d, ids,
-                                          "base predictions")
-    n = crosstab(~prot, base_labels, truth)
+    prot, truth = d.cohort(pred.instance_ids)
+    n = crosstab(~prot, pred.labels, truth)
     totals = n.sum(axis=1)  # [g, y]
     for name, per_truth in zip(("prot", "priv"), totals):
         if not per_truth.all():
@@ -269,7 +266,7 @@ def _odds_table(pred: DecisionSet, d: Dataset, ids) -> tuple[np.ndarray, np.ndar
     return n, n[:, 1, :] / totals
 
 
-def fit_equalized_odds_post(pred: DecisionSet, d: Dataset, ids,
+def fit_equalized_odds_post(pred: DecisionSet, d: Dataset,
                             seed: int) -> MixingRates:
     """Mixing rates equalizing derived TPR and FPR at minimum expected error.
 
@@ -279,7 +276,7 @@ def fit_equalized_odds_post(pred: DecisionSet, d: Dataset, ids,
     for feasibility, and scored.  Objective ties break toward the
     lexicographically smallest (p_prot|0, p_prot|1, p_priv|0, p_priv|1).
     """
-    n, rate = _odds_table(pred, d, ids)
+    n, rate = _odds_table(pred, d)
 
     # objective: expected misclassifications, linear in p
     # p order: (prot|0, prot|1, priv|0, priv|1)
@@ -319,11 +316,10 @@ def fit_equalized_odds_post(pred: DecisionSet, d: Dataset, ids,
     return MixingRates(*map(float, best), seed=seed)  # best is in as_vector order
 
 
-def derived_group_rates(rates: MixingRates, pred: DecisionSet, d: Dataset,
-                        ids) -> dict:
-    """Analytic post-mixing TPR/FPR per group on the given ids; DegenerateGroup
-    as in the fit when a group lacks positives or negatives."""
-    _, base = _odds_table(pred, d, ids)  # [group, truth]: P(base label 1 | group, truth)
+def derived_group_rates(rates: MixingRates, pred: DecisionSet, d: Dataset) -> dict:
+    """Analytic post-mixing TPR/FPR per group of pred; DegenerateGroup as in
+    the fit when a group lacks positives or negatives."""
+    _, base = _odds_table(pred, d)  # [group, truth]: P(base label 1 | group, truth)
     p = np.reshape(rates.as_vector(), (2, 2))  # [group, base label]
     derived = p[:, 1:] * base + p[:, :1] * (1 - base)  # [group, truth]
     return {"tpr_protected": derived[0, 1], "fpr_protected": derived[0, 0],
@@ -331,15 +327,15 @@ def derived_group_rates(rates: MixingRates, pred: DecisionSet, d: Dataset,
 
 
 def apply_mixing(rates: MixingRates, pred: DecisionSet, d: Dataset,
-                 ids, method: str | None = None) -> DecisionSet:
+                 method: str | None = None) -> DecisionSet:
     """Resample labels with the mixing rates; scores are never touched.
 
     Draws are keyed by (seed, instance_id), so repeated application is
     bit-identical and independent of evaluation order.
     """
-    ids, base_labels, prot, _ = _cohort(pred.instance_ids, pred.labels, d, ids,
-                                        "base predictions")
-    p = np.array(rates.as_vector())[2 * ~prot + base_labels]  # as_vector order
+    ids = pred.instance_ids
+    prot, _ = d.cohort(ids)
+    p = np.array(rates.as_vector())[2 * ~prot + pred.labels]  # as_vector order
     draws = prng.uniform01(rates.seed, ids)
     return DecisionSet(instance_ids=ids, labels=(draws < p).astype(np.int8),
                        policy="randomized-mixing", source_method=method or pred.source_method)

@@ -22,6 +22,7 @@ from .errors import (
     IdMismatch,
     NonFiniteLoss,
     ScoreOutOfRange,
+    UnknownId,
 )
 
 log = logging.getLogger(__name__)
@@ -40,7 +41,6 @@ class ScoreSet:
     method: str
     instance_ids: np.ndarray
     scores: np.ndarray
-    produced_on: str = "test"  # train | validation | test | external
 
     def __post_init__(self):
         if len(self.scores) != len(self.instance_ids):
@@ -280,26 +280,27 @@ def _fit_mlp(model: Scorer, X: np.ndarray, y: np.ndarray) -> None:
     model.loss_history = history
 
 
-def score(m: Scorer, d: Dataset, ids, method: str = "baseline",
-          role: str = "test") -> ScoreSet:
+def score(m: Scorer, d: Dataset, ids, method: str = "baseline") -> ScoreSet:
     """Score the rows for the given ids; pure function of (model, rows)."""
     ids = np.asarray(ids, dtype=np.int64)
     pos = d.positions_of(ids)
     X = m.design_matrix(d, pos)
-    return ScoreSet(method=method, instance_ids=ids,
-                    scores=m.raw_scores(X), produced_on=role)
+    return ScoreSet(method=method, instance_ids=ids, scores=m.raw_scores(X))
 
 
-def ingest_external_scores(csv_path: str | Path, d: Dataset,
+def ingest_external_scores(csv_path: str | Path, d: Dataset, ids,
                            method: str) -> ScoreSet:
-    """Load scores produced by an external method from instance_id,score CSV.
+    """The scores an external method gave the given ids, read from an
+    instance_id,score CSV, in the order of ids.
 
-    Ids must exist in the dataset and be unique.  Scores more than 1e-9
-    outside [0, 1] raise ScoreOutOfRange; smaller excursions are clamped.
-    A row whose cells are not an integer and a number, both plain_number,
-    raises IdMismatch naming the file and line.
+    The file's ids must exist in the dataset and be unique, and it may hold
+    ids that were not asked for; UnknownId names up to five asked-for ids
+    it lacks.  Scores that are not finite or lie more than 1e-9 outside
+    [0, 1] raise ScoreOutOfRange; smaller excursions are clamped.  A row
+    whose cells are not an integer and a number, both plain_number, raises
+    IdMismatch naming the file and line.
     """
-    ids, scores = [], []
+    file_ids, scores = [], []
     with open(csv_path, "r", encoding="utf-8", newline="") as fh:
         if fh.read(1) != "\ufeff":  # skip a byte-order mark
             fh.seek(0)
@@ -314,24 +315,28 @@ def ingest_external_scores(csv_path: str | Path, d: Dataset,
             try:
                 if len(cells) < 2 or not plain_number("".join(cells)):
                     raise ValueError
-                ids.append(int(cells[0]))
+                file_ids.append(int(cells[0]))
                 scores.append(float(cells[1]))
             except ValueError:
                 raise IdMismatch(f"{csv_path}, line {reader.line_num}: expected "
                                  f"instance_id,score numbers, got {row}") from None
-    ids = np.asarray(ids, dtype=np.int64)
+    file_ids = np.asarray(file_ids, dtype=np.int64)
     scores = np.asarray(scores, dtype=np.float64)
-    if len(np.unique(ids)) != len(ids):
+    if len(np.unique(file_ids)) != len(file_ids):
         raise IdMismatch(f"{csv_path}: duplicate instance ids")
-    d.positions_of(ids)  # raises UnknownId on foreign ids
-    low, high = scores.min(initial=0.0), scores.max(initial=1.0)
-    if low < -_CLAMP_SLACK or high > 1.0 + _CLAMP_SLACK:
+    rows = d.positions_of(file_ids)  # raises UnknownId on foreign ids
+    if not ((scores >= -_CLAMP_SLACK) & (scores <= 1.0 + _CLAMP_SLACK)).all():
         raise ScoreOutOfRange(
-            f"{csv_path}: scores outside [0, 1] beyond {_CLAMP_SLACK}"
+            f"{csv_path}: scores not finite or outside [0, 1] beyond {_CLAMP_SLACK}"
         )
-    order = np.argsort(ids, kind="stable")
-    return ScoreSet(method=method, instance_ids=ids[order],
-                    scores=np.clip(scores[order], 0.0, 1.0), produced_on="external")
+    by_row = np.full(d.n, np.nan)  # an id is its row; nan where the file has none
+    by_row[rows] = np.clip(scores, 0.0, 1.0)
+    ids = np.asarray(ids, dtype=np.int64)
+    wanted = by_row[d.positions_of(ids)]
+    lacking = np.isnan(wanted)
+    if lacking.any():
+        raise UnknownId(f"{csv_path} lacks ids {ids[lacking][:5].tolist()}")
+    return ScoreSet(method=method, instance_ids=ids, scores=wanted)
 
 
 def relabel(scores: ScoreSet, method: str) -> ScoreSet:

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .audit import _count_exceeding_pairs
-from .dataset import Dataset, PROTECTED, float_text, write_csv
+from .dataset import Dataset, float_text, write_csv
 from .errors import ZeroMassDenominator
 from .scorer import ScoreSet
 
@@ -286,8 +286,7 @@ def monotonicity_check_empirical(baseline: ScoreSet, proxy_fair: ScoreSet,
     """
     if not np.array_equal(baseline.instance_ids, proxy_fair.instance_ids):
         raise ValueError("score sets must cover identical ids")
-    pos = d.positions_of(baseline.instance_ids)
-    prot = d.sensitive[pos] == PROTECTED
+    prot, _ = d.cohort(baseline.instance_ids)
     groups = []
     for mask, name in ((prot, "protected"), (~prot, "privileged")):
         groups.append((name, proxy_fair.scores[mask], baseline.scores[mask],

@@ -141,20 +141,18 @@ def test_criterion_02_metric_performance():
 
 def _postprocessing_report(d, splits):
     model = fit(d, splits, ScorerConfig(epochs=150))
-    baseline_val = score(model, d, splits.validation_ids, role="validation")
+    baseline_val = score(model, d, splits.validation_ids)
     baseline = score(model, d, splits.test_ids)
     threshold_05 = DecisionPolicy(kind="fixed-threshold", threshold=0.5)
 
-    gt = fit_threshold_optimizer(baseline_val, d, splits.validation_ids)
-    to_dec = decide(relabel(baseline, "thresholds"), d,
-                    DecisionPolicy(kind="per-group-thresholds", group_thresholds=gt))
-    roc = reject_option_classify(baseline_val, d, splits.validation_ids, epsilon=0.05)
-    roc_dec = apply_reject_option(roc.region, baseline, d, splits.test_ids,
-                                  method="band-flip")
+    gt = fit_threshold_optimizer(baseline_val, d)
+    to_dec = apply_group_thresholds(gt, relabel(baseline, "thresholds"), d)
+    roc = reject_option_classify(baseline_val, d, epsilon=0.05)
+    roc_dec = apply_reject_option(roc.region, relabel(baseline, "band-flip"), d)
     base_val_dec = decide(baseline_val, d, threshold_05)
-    mixing = fit_equalized_odds_post(base_val_dec, d, splits.validation_ids, seed=3)
+    mixing = fit_equalized_odds_post(base_val_dec, d, seed=3)
     eop_dec = apply_mixing(mixing, decide(baseline, d, threshold_05), d,
-                           splits.test_ids, method="odds-mixing")
+                           method="odds-mixing")
     scored = audit_scores(d, baseline, [relabel(baseline, name) for name in
                                         ("thresholds", "band-flip", "odds-mixing")])
     return build_report(d, scored, threshold_05, decisions={
@@ -244,7 +242,7 @@ def test_criterion_05_controlled_rate_fairness():
             bound = 1.0 / min(n_p, n_v) + 1e-12
             quota = equalize_rates(s, d, r)
             assert abs(spd(quota, d)) <= bound
-            gt = fit_threshold_optimizer(s, d, ids, rate=r)
+            gt = fit_threshold_optimizer(s, d, rate=r)
             via_t = apply_group_thresholds(gt, s, d)
             assert abs(spd(via_t, d)) <= bound
 
@@ -258,11 +256,11 @@ def test_criterion_05_controlled_rate_fairness():
                                truth, 1 - truth).astype(np.int8)
         base = make_scores(np.where(base_labels == 1, 0.9, 0.1))
         base_dec = decide(base, d, DecisionPolicy(kind="fixed-threshold", threshold=0.5))
-        rates_fit = fit_equalized_odds_post(base_dec, d, d.instance_ids, seed=19)
-        derived = derived_group_rates(rates_fit, base_dec, d, d.instance_ids)
+        rates_fit = fit_equalized_odds_post(base_dec, d, seed=19)
+        derived = derived_group_rates(rates_fit, base_dec, d)
         assert abs(derived["tpr_protected"] - derived["tpr_privileged"]) <= 1e-9
         assert abs(derived["fpr_protected"] - derived["fpr_privileged"]) <= 1e-9
-        mixed = apply_mixing(rates_fit, base_dec, d, d.instance_ids)
+        mixed = apply_mixing(rates_fit, base_dec, d)
         prot = d.protected_mask
         for mask, tag in ((prot, "protected"), (~prot, "privileged")):
             for y, kind in ((1, "tpr"), (0, "fpr")):

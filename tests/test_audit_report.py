@@ -180,10 +180,10 @@ def test_report_matches_hand_assembly():
 
 def test_report_postprocessing_rows_bitwise_equal_baseline():
     d, base = _report_fixture()
-    res = reject_option_classify(base, d, base.instance_ids, epsilon=0.05)
+    res = reject_option_classify(base, d, epsilon=0.05)
     base_dec = decide(base, d, DecisionPolicy(kind="fixed-threshold", threshold=0.5))
-    mixing = fit_equalized_odds_post(base_dec, d, d.instance_ids, seed=3)
-    mixed = apply_mixing(mixing, base_dec, d, d.instance_ids, method="mixing")
+    mixing = fit_equalized_odds_post(base_dec, d, seed=3)
+    mixed = apply_mixing(mixing, base_dec, d, method="mixing")
     scored = audit_scores(d, base, [relabel(base, "band-flip"), relabel(base, "mixing")])
     policy = DecisionPolicy(kind="fixed-threshold", threshold=0.5)
     report = build_report(d, scored, policy,

@@ -652,7 +652,7 @@ def test_run_computes_score_metrics_once(run_inputs, tmp_path, monkeypatch):
 def test_run_decides_baseline_at_half_once(run_inputs, tmp_path, monkeypatch):
     root, config_path, _ = run_inputs
     calls = []
-    for module in (rankaudit.cli, rankaudit.audit, rankaudit.mitigate):
+    for module in (rankaudit.cli, rankaudit.audit):
         original = module.decide
 
         def counted(scores, d, policy, original=original):
@@ -665,8 +665,8 @@ def test_run_decides_baseline_at_half_once(run_inputs, tmp_path, monkeypatch):
     # baseline-pdr rate and the native report), once on validation, once
     # under the configured fixed-threshold-0.5 policy
     assert calls.count(("baseline", "fixed-threshold-0.5")) == 3
-    # 3 in mitigate, 1 native (repair), 2 policies x 5 score sets
-    assert len(calls) == 14
+    # 2 in mitigate, 1 native (repair), 2 policies x 5 score sets
+    assert len(calls) == 13
 
 
 def test_run_turns_each_score_array_into_text_once(run_inputs, tmp_path, monkeypatch):

@@ -16,7 +16,6 @@ from rankaudit.dataset import (
     FeatureColumn,
     builtin_specs,
     ingest,
-    positions_in,
     split,
     verify_base_rate,
     write_csv,
@@ -544,10 +543,13 @@ def test_positions_of_and_unknown_id():
             d.positions_of([0, outside])
 
 
-def test_positions_in_unsorted_haystack():
-    assert positions_in([5, 2, 9], [9, 5]).tolist() == [2, 0]
-    with pytest.raises(UnknownId):
-        positions_in([5, 2, 9], [3])
+def test_cohort_reads_group_and_truth_at_the_ids_in_their_order():
+    d = make_dataset([1, 0, 1, 0], [0, 0, 1, 1])
+    prot, truth = d.cohort([3, 0, 2])
+    assert prot.tolist() == [False, True, True]
+    assert truth.tolist() == [1, 0, 1]
+    with pytest.raises(UnknownId, match="ids not in dataset"):
+        d.cohort([0, 4])
 
 
 def test_builtin_specs_ship_table_rates():

@@ -12,7 +12,6 @@ from rankaudit.decide import (
     export_decisions,
 )
 from rankaudit.errors import EmptyGroup, RateOutOfRange, UnknownId
-from rankaudit.mitigate import GroupThresholds
 from rankaudit.audit import spd
 
 from conftest import make_dataset, make_scores
@@ -121,7 +120,8 @@ def test_policy_validation():
         DecisionPolicy(kind="nonsense")
 
 
-@pytest.mark.parametrize("kind", ["reject-option", "randomized-mixing"])
+@pytest.mark.parametrize("kind", ["per-group-thresholds", "reject-option",
+                                  "randomized-mixing"])
 def test_postprocessor_labels_are_not_policy_kinds(kind):
     # the postprocessors label their own DecisionSets; decide cannot apply them
     with pytest.raises(ValueError, match="unknown policy kind"):
@@ -137,13 +137,8 @@ def test_postprocessor_labels_are_not_policy_kinds(kind):
      {"kind": "global-top-rate", "rate": 0.3}),
     (DecisionPolicy(kind="per-group-rates", group_rates=(0.25, 0.5), note="baseline-pdr"),
      {"kind": "per-group-rates", "group_rates": [0.25, 0.5], "note": "baseline-pdr"}),
-    (DecisionPolicy(kind="per-group-thresholds",
-                    group_thresholds=GroupThresholds(0.4, 0.6, "selection-rate", 0.3)),
-     {"kind": "per-group-thresholds",
-      "group_thresholds": {"t_protected": 0.4, "t_privileged": 0.6,
-                           "criterion": "selection-rate", "rate": 0.3}}),
 ], ids=["fixed-threshold-native", "fixed-threshold-0", "global-top-rate",
-        "per-group-rates", "per-group-thresholds"])
+        "per-group-rates"])
 def test_describe_lists_set_fields_and_tie_rule(policy, described):
     """What a report's policy entry holds: every field that is set, as JSON."""
     assert json.loads(json.dumps(policy.describe())) == {

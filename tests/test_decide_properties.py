@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from rankaudit.decide import DecisionPolicy, decide  # noqa: E402
+from rankaudit.mitigate import (  # noqa: E402
+    apply_group_thresholds,
+    fit_threshold_optimizer,
+)
 
 from conftest import make_dataset, make_scores  # noqa: E402
 
@@ -55,3 +59,19 @@ def test_per_group_rates_select_nearest_count(inputs):
         # nearest count, exact halves rounding up
         assert int(dec.labels[m].sum()) == (2 * permille * n_g + 1000) // 2000
         assert _ties_by_ascending_id(s.scores[m], s.instance_ids[m], dec.labels[m])
+
+
+@settings(max_examples=200, deadline=None)
+@given(decision_inputs())
+def test_group_thresholds_fill_boundary_ties_by_ascending_id(inputs):
+    """Fitted and applied on one set, each group selects its first
+    ceil(r * n_g) rows in (score descending, id ascending) order."""
+    d, s, permille = inputs
+    prot = d.sensitive[d.positions_of(s.instance_ids)] == 1
+    assume(prot.any() and not prot.all())
+    gt = fit_threshold_optimizer(s, d, rate=permille / 1000)
+    dec = apply_group_thresholds(gt, s, d)
+    for m in (prot, ~prot):
+        k = -(-permille * int(m.sum()) // 1000)
+        order = np.lexsort((s.instance_ids[m], -s.scores[m]))
+        assert dec.labels[m][order].tolist() == [1] * k + [0] * (int(m.sum()) - k)

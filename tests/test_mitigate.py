@@ -118,14 +118,14 @@ def test_repair_rejects_categorical_column():
 def test_thresholds_symmetric_groups_coincide():
     d = make_dataset([1, 1, 1, 0, 0, 0], [0, 1] * 3)
     s = make_scores([0.2, 0.5, 0.8, 0.2, 0.5, 0.8])
-    gt = fit_threshold_optimizer(s, d, d.instance_ids, rate=0.5)
+    gt = fit_threshold_optimizer(s, d, rate=0.5)
     assert gt.t_protected == gt.t_privileged
 
 
 def test_thresholds_hand_fixture_selects_top_of_each_group():
     d = make_dataset([1, 1, 1, 0, 0, 0], [0, 1] * 3)
     s = make_scores([0.1, 0.2, 0.9, 0.6, 0.7, 0.8])
-    gt = fit_threshold_optimizer(s, d, d.instance_ids, rate=1 / 3)
+    gt = fit_threshold_optimizer(s, d, rate=1 / 3)
     assert gt.t_protected == 0.9
     assert gt.t_privileged == 0.8
     dec = apply_group_thresholds(gt, s, d)
@@ -143,13 +143,13 @@ def test_thresholds_hand_fixture_selects_top_of_each_group():
 def test_thresholds_text_pinned(rate, text):
     d = make_dataset([1, 1, 1, 0, 0, 0], [0, 1] * 3)
     s = make_scores([0.1, 0.2, 0.9, 0.6, 0.7, 0.8])
-    assert fit_threshold_optimizer(s, d, d.instance_ids, rate=rate).to_text() == text
+    assert fit_threshold_optimizer(s, d, rate=rate).to_text() == text
 
 
 def test_thresholds_default_rate_is_status_quo_positive_rate():
     d = make_dataset([1, 1, 0, 0], [0, 1, 0, 1])
     s = make_scores([0.3, 0.8, 0.6, 0.9])
-    gt = fit_threshold_optimizer(s, d, d.instance_ids)
+    gt = fit_threshold_optimizer(s, d)
     assert gt.criterion == "demographic-parity"
     assert gt.rate == 0.75  # three of four above 0.5
 
@@ -158,17 +158,10 @@ def test_thresholds_errors():
     d = make_dataset([1, 1], [0, 1])
     s = make_scores([0.3, 0.8])
     with pytest.raises(EmptyGroup):
-        fit_threshold_optimizer(s, d, d.instance_ids, rate=0.5)
+        fit_threshold_optimizer(s, d, rate=0.5)
     d2 = make_dataset([1, 0], [0, 1])
     with pytest.raises(RateOutOfRange):
-        fit_threshold_optimizer(make_scores([0.3, 0.8]), d2, d2.instance_ids, rate=1.2)
-
-
-def test_thresholds_ids_missing_from_scores_raise_naming_them():
-    d = make_dataset([1, 0, 1, 0], [0, 1, 1, 0])
-    s = make_scores([0.3, 0.8], ids=[0, 1])
-    with pytest.raises(EmptyGroup, match=r"missing from the score set: .*\[2, 3\]"):
-        fit_threshold_optimizer(s, d, d.instance_ids)
+        fit_threshold_optimizer(make_scores([0.3, 0.8]), d2, rate=1.2)
 
 
 def test_thresholds_realized_rates_within_one_over_group_size():
@@ -180,7 +173,7 @@ def test_thresholds_realized_rates_within_one_over_group_size():
         d = make_dataset([1] * n_p + [0] * n_v,
                          [0, 1] * ((n_p + n_v) // 2) + [0] * ((n_p + n_v) % 2))
         s = make_scores(rng.random(n_p + n_v))
-        gt = fit_threshold_optimizer(s, d, d.instance_ids, rate=r)
+        gt = fit_threshold_optimizer(s, d, rate=r)
         dec = apply_group_thresholds(gt, s, d)
         prot = d.protected_mask
         for mask, n_g in ((prot, n_p), (~prot, n_v)):
@@ -193,7 +186,7 @@ def test_thresholds_match_equalized_rates_on_integral_fixture():
     # threshold constructions then select identical sets
     d = make_dataset([1] * 4 + [0] * 4, [0, 1] * 4)
     s = make_scores([0.11, 0.52, 0.33, 0.74, 0.25, 0.86, 0.47, 0.68])
-    gt = fit_threshold_optimizer(s, d, d.instance_ids, rate=0.5)
+    gt = fit_threshold_optimizer(s, d, rate=0.5)
     via_thresholds = apply_group_thresholds(gt, s, d)
     via_quota = equalize_rates(s, d, 0.5)
     assert via_thresholds.labels.tolist() == via_quota.labels.tolist()
@@ -207,7 +200,7 @@ def test_thresholds_reproduce_fair_rule_on_wage_gap_world():
     d = make_dataset(w.group.astype(np.int8), (w.fair_p > 0.5).astype(np.int8))
     s = make_scores(w.score_s)
     fair_rate = float((w.fair_p > 0.5).mean())
-    gt = fit_threshold_optimizer(s, d, d.instance_ids, rate=fair_rate)
+    gt = fit_threshold_optimizer(s, d, rate=fair_rate)
     dec = apply_group_thresholds(gt, s, d)
     assert np.array_equal(dec.labels.astype(bool), w.fair_p > 0.5)
     # realized cutoffs sit at the boundary scores of each group
@@ -219,7 +212,7 @@ def test_thresholds_never_alter_scores():
     d = make_dataset([1, 1, 0, 0], [0, 1, 0, 1])
     s = make_scores([0.3, 0.8, 0.6, 0.9])
     before = s.scores.copy()
-    gt = fit_threshold_optimizer(s, d, d.instance_ids, rate=0.5)
+    gt = fit_threshold_optimizer(s, d, rate=0.5)
     apply_group_thresholds(gt, s, d)
     assert np.array_equal(s.scores, before)
 
@@ -229,7 +222,7 @@ def test_thresholds_never_alter_scores():
 def test_reject_option_noop_when_already_fair():
     d = make_dataset([1, 1, 0, 0], [0, 1, 0, 1])
     s = make_scores([0.2, 0.8, 0.3, 0.7])  # both groups 50% positive
-    res = reject_option_classify(s, d, d.instance_ids, epsilon=0.01)
+    res = reject_option_classify(s, d, epsilon=0.01)
     assert res.region.theta == 0.0
     assert res.decisions.labels.tolist() == [0, 1, 0, 1]
     assert res.unchanged
@@ -238,7 +231,7 @@ def test_reject_option_noop_when_already_fair():
 def test_reject_option_hand_fixture_flips_at_005():
     d = make_dataset([1, 1, 0, 0], [0, 1, 0, 1])
     s = make_scores([0.45, 0.40, 0.55, 0.60])
-    res = reject_option_classify(s, d, d.instance_ids, epsilon=0.01)
+    res = reject_option_classify(s, d, epsilon=0.01)
     assert res.region.theta == 0.05
     assert res.decisions.labels.tolist() == [1, 0, 0, 1]
     assert res.achieved_spd == 0.0
@@ -260,14 +253,14 @@ def test_reject_option_hand_fixture_flips_at_005():
 ], ids=["0.05", "0.07", "0"])
 def test_critical_region_text_pinned(scores, text):
     d = make_dataset([1, 1, 0, 0], [0, 1, 0, 1])
-    res = reject_option_classify(make_scores(scores), d, d.instance_ids, epsilon=0.01)
+    res = reject_option_classify(make_scores(scores), d, epsilon=0.01)
     assert res.region.to_text() == text
 
 
 def test_reject_option_unreachable_band_reports_unchanged():
     d = make_dataset([1, 1, 0, 0], [0, 1, 0, 1])
     s = make_scores([0.05, 0.95, 0.05, 0.95])  # balanced far from the band
-    res = reject_option_classify(s, d, d.instance_ids, epsilon=0.001)
+    res = reject_option_classify(s, d, epsilon=0.001)
     assert res.region.theta == 0.0
     assert res.unchanged
     assert res.achieved_spd == 0.0
@@ -276,8 +269,10 @@ def test_reject_option_unreachable_band_reports_unchanged():
 def test_reject_option_frozen_rule_applies_to_new_ids():
     d = make_dataset([1, 1, 1, 0, 0, 0], [0, 1] * 3)
     s = make_scores([0.45, 0.40, 0.9, 0.55, 0.60, 0.1])
-    res = reject_option_classify(s, d, [0, 1, 3, 4], epsilon=0.01)
-    frozen = apply_reject_option(res.region, s, d, d.instance_ids)
+    fitted_on = [0, 1, 3, 4]
+    res = reject_option_classify(make_scores(s.scores[fitted_on], ids=fitted_on), d,
+                                 epsilon=0.01)
+    frozen = apply_reject_option(res.region, s, d)
     assert frozen.n == 6
     band = (s.scores >= 0.5 - res.region.theta) & (s.scores <= 0.5 + res.region.theta)
     expected = np.where(band, d.protected_mask, s.scores > 0.5)
@@ -288,10 +283,10 @@ def test_reject_option_requires_both_groups_and_positive_epsilon():
     d = make_dataset([1, 1], [0, 1])
     s = make_scores([0.3, 0.7])
     with pytest.raises(EmptyGroup):
-        reject_option_classify(s, d, d.instance_ids, epsilon=0.05)
+        reject_option_classify(s, d, epsilon=0.05)
     d2 = make_dataset([1, 0], [0, 1])
     with pytest.raises(ValueError):
-        reject_option_classify(make_scores([0.3, 0.7]), d2, d2.instance_ids, epsilon=0.0)
+        reject_option_classify(make_scores([0.3, 0.7]), d2, epsilon=0.0)
 
 
 # --- equalized odds mixing ------------------------------------------------------------
@@ -341,7 +336,7 @@ def test_eop_identity_when_base_is_perfect():
     d = make_dataset([1, 1, 1, 1, 0, 0, 0, 0], [1, 0, 1, 0, 1, 0, 1, 0])
     s = make_scores([0.9, 0.1, 0.8, 0.2, 0.9, 0.1, 0.8, 0.2])
     base = decide(s, d, DecisionPolicy(kind="fixed-threshold", threshold=0.5))
-    rates = fit_equalized_odds_post(base, d, d.instance_ids, seed=3)
+    rates = fit_equalized_odds_post(base, d, seed=3)
     assert rates.as_vector() == (0.0, 1.0, 0.0, 1.0)
 
 
@@ -353,8 +348,8 @@ def test_eop_unequal_tprs_vertex_matches_grid_oracle():
     d = make_dataset(sens, truth)
     s = make_scores(base_scores)
     base = decide(s, d, DecisionPolicy(kind="fixed-threshold", threshold=0.5))
-    rates = fit_equalized_odds_post(base, d, d.instance_ids, seed=5)
-    derived = derived_group_rates(rates, base, d, d.instance_ids)
+    rates = fit_equalized_odds_post(base, d, seed=5)
+    derived = derived_group_rates(rates, base, d)
     assert abs(derived["tpr_protected"] - derived["tpr_privileged"]) <= 1e-9
     assert abs(derived["fpr_protected"] - derived["fpr_privileged"]) <= 1e-9
     counts = _counts_from(d, base, d.instance_ids)
@@ -381,8 +376,8 @@ def test_eop_random_fixtures_match_grid_oracle():
         counts = _counts_from(d, base, d.instance_ids)
         if abs(counts["tpr_priv"] - counts["fpr_priv"]) < 1e-9:
             continue
-        rates = fit_equalized_odds_post(base, d, d.instance_ids, seed=trial)
-        derived = derived_group_rates(rates, base, d, d.instance_ids)
+        rates = fit_equalized_odds_post(base, d, seed=trial)
+        derived = derived_group_rates(rates, base, d)
         assert abs(derived["tpr_protected"] - derived["tpr_privileged"]) <= 1e-9
         assert abs(derived["fpr_protected"] - derived["fpr_privileged"]) <= 1e-9
         vertex_obj = (counts["c_p0"] * rates.p_protected_given0
@@ -397,7 +392,7 @@ def test_eop_degenerate_group_raises():
     s = make_scores([0.9, 0.8, 0.2, 0.7])
     base = decide(s, d, DecisionPolicy(kind="fixed-threshold", threshold=0.5))
     with pytest.raises(DegenerateGroup):
-        fit_equalized_odds_post(base, d, d.instance_ids, seed=1)
+        fit_equalized_odds_post(base, d, seed=1)
 
 
 def test_derived_rates_degenerate_group_raises_as_the_fit_does():
@@ -406,11 +401,11 @@ def test_derived_rates_degenerate_group_raises_as_the_fit_does():
     base = decide(s, d, DecisionPolicy(kind="fixed-threshold", threshold=0.5))
     rates = MixingRates(0.5, 0.5, 0.5, 0.5, seed=1)
     with pytest.raises(DegenerateGroup) as fit_error:
-        fit_equalized_odds_post(base, d, d.instance_ids, seed=1)
+        fit_equalized_odds_post(base, d, seed=1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a RuntimeWarning fails the test
         with pytest.raises(DegenerateGroup) as derived_error:
-            derived_group_rates(rates, base, d, d.instance_ids)
+            derived_group_rates(rates, base, d)
     assert str(derived_error.value) == str(fit_error.value) == (
         "prot group lacks positives or negatives")
 
@@ -419,9 +414,9 @@ def test_apply_mixing_deterministic_and_seed_sensitive():
     d = make_dataset([1, 1, 1, 1, 0, 0, 0, 0], [1, 0, 1, 0, 1, 0, 1, 0])
     s = make_scores([0.9, 0.1, 0.8, 0.2, 0.9, 0.1, 0.8, 0.2])
     base = decide(s, d, DecisionPolicy(kind="fixed-threshold", threshold=0.5))
-    rates = fit_equalized_odds_post(base, d, d.instance_ids, seed=11)
-    a = apply_mixing(rates, base, d, d.instance_ids)
-    b = apply_mixing(rates, base, d, d.instance_ids)
+    rates = fit_equalized_odds_post(base, d, seed=11)
+    a = apply_mixing(rates, base, d)
+    b = apply_mixing(rates, base, d)
     assert np.array_equal(a.labels, b.labels)
 
     from dataclasses import replace
@@ -429,8 +424,8 @@ def test_apply_mixing_deterministic_and_seed_sensitive():
     # half rates make different draws actually visible
     other = replace(other, p_protected_given1=0.5, p_privileged_given1=0.5)
     same = replace(rates, seed=12, p_protected_given1=0.5, p_privileged_given1=0.5)
-    assert np.array_equal(apply_mixing(other, base, d, d.instance_ids).labels,
-                          apply_mixing(same, base, d, d.instance_ids).labels)
+    assert np.array_equal(apply_mixing(other, base, d).labels,
+                          apply_mixing(same, base, d).labels)
 
 
 def test_apply_mixing_monte_carlo_matches_analytic_rates():
@@ -443,9 +438,9 @@ def test_apply_mixing_monte_carlo_matches_analytic_rates():
     base_labels = np.where(rng.random(n) < 0.7, truth, 1 - truth).astype(np.int8)
     base = make_scores(np.where(base_labels == 1, 0.9, 0.1))
     base_dec = decide(base, d, DecisionPolicy(kind="fixed-threshold", threshold=0.5))
-    rates = fit_equalized_odds_post(base_dec, d, d.instance_ids, seed=29)
-    mixed = apply_mixing(rates, base_dec, d, d.instance_ids)
-    derived = derived_group_rates(rates, base_dec, d, d.instance_ids)
+    rates = fit_equalized_odds_post(base_dec, d, seed=29)
+    mixed = apply_mixing(rates, base_dec, d)
+    derived = derived_group_rates(rates, base_dec, d)
     prot = d.protected_mask
     for mask, tag in ((prot, "protected"), (~prot, "privileged")):
         for y, kind in ((1, "tpr"), (0, "fpr")):
@@ -488,9 +483,9 @@ def test_mixing_rates_and_labels_pinned(name):
     sens, truth, scores, text, labels = _PINNED_MIXING[name]
     d = make_dataset(sens, truth)
     base = decide(make_scores(scores), d, DecisionPolicy(kind="fixed-threshold", threshold=0.5))
-    rates = fit_equalized_odds_post(base, d, d.instance_ids, seed=7)
+    rates = fit_equalized_odds_post(base, d, seed=7)
     assert rates.to_text() == text
-    assert apply_mixing(rates, base, d, d.instance_ids).labels.tolist() == labels
+    assert apply_mixing(rates, base, d).labels.tolist() == labels
 
 
 def test_mixing_never_touches_scores():
@@ -498,7 +493,7 @@ def test_mixing_never_touches_scores():
     s = make_scores([0.9, 0.1, 0.8, 0.2, 0.9, 0.1, 0.8, 0.2])
     before = s.scores.copy()
     base = decide(s, d, DecisionPolicy(kind="fixed-threshold", threshold=0.5))
-    rates = fit_equalized_odds_post(base, d, d.instance_ids, seed=31)
-    apply_mixing(rates, base, d, d.instance_ids)
+    rates = fit_equalized_odds_post(base, d, seed=31)
+    apply_mixing(rates, base, d)
     assert np.array_equal(s.scores, before)
     assert kendall_tau(s.scores, before) == 1.0

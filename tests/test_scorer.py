@@ -267,7 +267,7 @@ def test_external_scores_echoing_baseline_gives_tau_one(tmp_path):
     base = make_scores([0.1, 0.4, 0.6, 0.9])
     path = tmp_path / "ext.csv"
     _write_scores(path, zip(base.instance_ids, base.scores))
-    ext = ingest_external_scores(path, d, "echo")
+    ext = ingest_external_scores(path, d, d.instance_ids, "echo")
     assert kendall_tau(base.scores, ext.scores) == 1.0
 
 
@@ -276,7 +276,7 @@ def test_external_scores_reversed_gives_tau_minus_one(tmp_path):
     base = make_scores([0.1, 0.4, 0.6, 0.9])
     path = tmp_path / "ext.csv"
     _write_scores(path, zip(base.instance_ids, 1.0 - base.scores))
-    ext = ingest_external_scores(path, d, "reversed")
+    ext = ingest_external_scores(path, d, d.instance_ids, "reversed")
     assert kendall_tau(base.scores, ext.scores) == -1.0
 
 
@@ -284,7 +284,7 @@ def test_external_scores_skip_byte_order_mark(tmp_path):
     d = make_dataset([0, 1], [0, 1])
     path = tmp_path / "ext.csv"
     path.write_bytes(b"\xef\xbb\xbfinstance_id,score\n1,0.25\n0,0.75\n")
-    ext = ingest_external_scores(path, d, "bom")
+    ext = ingest_external_scores(path, d, d.instance_ids, "bom")
     assert ext.instance_ids.tolist() == [0, 1]
     assert ext.scores.tolist() == [0.75, 0.25]
 
@@ -294,14 +294,14 @@ def test_external_scores_out_of_range(tmp_path):
     path = tmp_path / "ext.csv"
     _write_scores(path, [(0, 1.2), (1, 0.5)])
     with pytest.raises(ScoreOutOfRange):
-        ingest_external_scores(path, d, "bad")
+        ingest_external_scores(path, d, d.instance_ids, "bad")
 
 
 def test_external_scores_clamps_tiny_excursions(tmp_path):
     d = make_dataset([0, 1], [0, 1])
     path = tmp_path / "ext.csv"
     _write_scores(path, [(0, 1.0 + 5e-10), (1, -5e-10)])
-    ext = ingest_external_scores(path, d, "clamped")
+    ext = ingest_external_scores(path, d, d.instance_ids, "clamped")
     assert ext.scores.tolist() == [1.0, 0.0]
 
 
@@ -310,10 +310,36 @@ def test_external_scores_id_contract(tmp_path):
     path = tmp_path / "ext.csv"
     _write_scores(path, [(0, 0.5), (9, 0.5)])
     with pytest.raises(UnknownId):
-        ingest_external_scores(path, d, "foreign")
+        ingest_external_scores(path, d, d.instance_ids, "foreign")
     _write_scores(path, [(0, 0.5), (0, 0.6)])
     with pytest.raises(IdMismatch):
-        ingest_external_scores(path, d, "dupes")
+        ingest_external_scores(path, d, d.instance_ids, "dupes")
+
+
+def test_external_scores_come_in_the_order_of_the_requested_ids(tmp_path):
+    d = make_dataset([0, 1, 0, 1], [0, 1, 0, 1])
+    path = tmp_path / "ext.csv"
+    _write_scores(path, [(2, 0.3), (0, 0.1), (3, 0.4), (1, 0.2)])
+    ext = ingest_external_scores(path, d, [3, 0, 2], "ordered")
+    assert ext.instance_ids.tolist() == [3, 0, 2]
+    assert ext.scores.tolist() == [0.4, 0.1, 0.3]
+
+
+def test_external_scores_may_hold_ids_not_requested(tmp_path):
+    d = make_dataset([0, 1, 0, 1], [0, 1, 0, 1])
+    path = tmp_path / "ext.csv"
+    _write_scores(path, [(0, 0.1), (1, 0.2), (2, 0.3), (3, 0.4)])
+    ext = ingest_external_scores(path, d, [1, 3], "subset")
+    assert ext.instance_ids.tolist() == [1, 3]
+    assert ext.scores.tolist() == [0.2, 0.4]
+
+
+def test_external_scores_lacking_requested_ids_name_them(tmp_path):
+    d = make_dataset([0, 1] * 5, [0, 1] * 5)
+    path = tmp_path / "ext.csv"
+    _write_scores(path, [(0, 0.1), (9, 0.9)])
+    with pytest.raises(UnknownId, match=r"lacks ids \[2, 3, 4, 5, 6\]$"):
+        ingest_external_scores(path, d, [9, 2, 3, 4, 0, 5, 6, 7], "partial")
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf"])
@@ -322,7 +348,7 @@ def test_external_scores_reject_non_finite_cells(tmp_path, cell):
     path = tmp_path / "ext.csv"
     _write_scores(path, [(0, cell), (1, 0.5)])
     with pytest.raises(ScoreOutOfRange):
-        ingest_external_scores(path, d, "bad")
+        ingest_external_scores(path, d, d.instance_ids, "bad")
 
 
 def test_score_set_rejects_nan():
