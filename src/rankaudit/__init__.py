@@ -57,7 +57,6 @@ from .worlds import (
     anti_monotone_world,
     decomposition_check,
     monotonicity_check,
-    monotonicity_check_empirical,
     pareto_check,
     rates,
     threshold_decision,

@@ -46,10 +46,11 @@ def _count_exceeding_pairs(seq: np.ndarray, tol: float = 0.0) -> int:
     pad = (-n) % block
     s = np.concatenate([np.asarray(seq, dtype=np.float64), np.full(pad, np.inf)])
     blocks = s.reshape(-1, block)
-    i_idx = np.arange(block)
-    inside = (blocks[:, :, None] > blocks[:, None, :] + tol) \
-        & (i_idx[:, None] < i_idx[None, :])
-    total = int(inside.sum())
+    upper = np.triu(np.ones((block, block), dtype=bool), 1)  # i < j inside a block
+    total = 0
+    for lo in range(0, len(blocks), 1024):  # 1,024 blocks compared at a time
+        chunk = blocks[lo:lo + 1024]
+        total += int(np.count_nonzero((chunk[:, :, None] > chunk[:, None, :] + tol) & upper))
     flat = np.sort(blocks, axis=1).ravel()
     size = block
     m = len(s)

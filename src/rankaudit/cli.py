@@ -88,9 +88,9 @@ def _distinct_slugs(names, what: str) -> None:
 # --- config -------------------------------------------------------------------------
 #
 # SCHEMA, METHODS and POLICIES give each key a config may carry: what its value must
-# be (a key of RULES) and its default.  Top-level, split and scorer defaults are
-# written into the config; dataset and method defaults are applied where they are
-# read, so those entries hash as written.
+# be (a key of RULES) and its default.  _load_config writes every default into the
+# config (method entries with their kinds' defaults), so a config that spells out a
+# default hashes as one that leaves it out.
 
 REQUIRED = object()
 RATE = 'a number in [0, 1], "baseline-pdr" or "base-rate"'
@@ -276,8 +276,10 @@ class Pipeline:
 
     # each stage returns self so calls chain
 
-    def ingest(self):
-        self.dataset = ingest(self.cfg["dataset"]["csv"], self.spec)
+    def ingest(self, export: Path | None = None):
+        """Read the dataset (writing export while reading it, if given),
+        check its base rate, split it and read external scores."""
+        self.dataset = ingest(self.cfg["dataset"]["csv"], self.spec, export)
         rate = verify_base_rate(self.dataset)
         self.splits = split(self.dataset, **self.cfg["split"])
         self.external = {m["name"]: self._external_scores(m["path"], m["name"])
@@ -451,9 +453,7 @@ class Pipeline:
         return self
 
     def run_all(self):
-        self.ingest()
-        # written before any score text is held, which would add to its peak memory
-        self.dataset.export_csv(self.out / "dataset_export.csv")
+        self.ingest(self.out / "dataset_export.csv")
         return self.train().mitigate().audit(write_decisions=True)
 
 
@@ -638,8 +638,7 @@ def main(argv=None) -> int:
 
         pipeline = Pipeline(*_load_config(args.config), Path(args.out))
         if args.command == "ingest":
-            pipeline.ingest()
-            pipeline.dataset.export_csv(pipeline.out / "dataset_export.csv")
+            pipeline.ingest(pipeline.out / "dataset_export.csv")
         elif args.command == "train":
             pipeline.ingest().train()
         elif args.command == "mitigate":

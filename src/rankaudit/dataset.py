@@ -3,11 +3,12 @@
 A Dataset holds one binary sensitive attribute (protected vs privileged),
 one binary target (1 = favorable), and a numeric feature matrix in which
 categorical columns are stored as small integer codes.  A Dataset is its
-columns: ingestion reads the file once, codes every non-numeric column in
-first-seen order, and keeps each numeric column's cell text as "\n"-joined
-blocks, so that export reproduces every ingested cell exactly.  An instance id
-is a row number: row i of every column belongs to instance i, counted from 0
-over the rows ingestion keeps.
+columns: ingestion reads the file once and codes every non-numeric column in
+first-seen order.  Asked for an export, it writes each kept row's cells back
+out as it reads them, so the export reproduces every ingested cell exactly
+and no cell text is held; `Dataset.export_csv` writes values instead.  An
+instance id is a row number: row i of every column belongs to instance i,
+counted from 0 over the rows ingestion keeps.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import gc
 import json
 import logging
 import os
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import asdict, dataclass, field
 from importlib import resources
 from itertools import chain, compress, islice, repeat
@@ -248,7 +249,6 @@ class Dataset:
     sensitive_values: tuple = ("protected", "privileged")
     target_values: tuple = ("1", "0")                  # (favorable, other)
     dropped_rows: int = 0
-    numeric_text: dict = field(default_factory=dict)   # column -> "\n"-joined blocks
 
     def __post_init__(self):
         n = len(self.label)
@@ -302,14 +302,13 @@ class Dataset:
         raise MissingColumn(f"no feature column named {column!r}")
 
     def export_csv(self, path: str | Path) -> None:
-        """Write the used columns back out; ingested cells round-trip exactly."""
+        """Write the used columns: a categorical cell as its code's text, a
+        number as the repr of its float.  ingest(..., export=) is what writes
+        the ingested cells back exactly."""
         columns = []
         for j, col in enumerate(self.schema.feature_columns):
             v = self.features[:, j]
-            if col.name in self.numeric_text:
-                columns.append(chain.from_iterable(
-                    block.split("\n") for block in self.numeric_text[col.name]))
-            elif col.kind == "categorical" and col.name in self.categories:
+            if col.kind == "categorical" and col.name in self.categories:
                 table = np.array(self.categories[col.name], dtype=object)
                 columns.append(table[v.astype(np.int64)].tolist())
             else:
@@ -364,7 +363,8 @@ def _binarize(column: str, table: dict, chunks: list, wanted: str, what: str,
     return binary, (wanted, others[0] if others else wanted)
 
 
-def ingest(csv_path: str | Path, spec: DatasetSpec) -> Dataset:
+def ingest(csv_path: str | Path, spec: DatasetSpec,
+           export: str | Path | None = None) -> Dataset:
     """Read a CSV into a Dataset, binarizing sensitive and target columns.
 
     One pass reads `_TEXT_BLOCK` rows at a time, with cyclic GC paused.
@@ -373,16 +373,20 @@ def ingest(csv_path: str | Path, spec: DatasetSpec) -> Dataset:
     is not a finite plain_number; only then are the other columns coded, in
     first-seen order.  Raises MissingColumn, NonBinarySensitive,
     NonBinaryTarget, or EmptyFile on contract violations.
+
+    With export, the used columns of the kept rows are written to that path
+    as each block is read, with their cells stripped, as csv.writer quotes
+    them; the file appears only if ingest returns.
     """
     csv_path = Path(csv_path)
     used = spec.used_columns
     numeric = [c.name for c in spec.feature_columns if c.kind == "numeric"]
     values = {name: [] for name in numeric}  # float chunks
-    text = {name: [] for name in numeric}    # "\n"-joined cell text per block
     tables = {name: {} for name in used if name not in values}  # cell -> code
     codes = {name: [] for name in tables}
     n_read = n_bad = 0
-    with _gc_paused(), open(csv_path, "r", encoding="utf-8", newline="") as fh:
+    with _gc_paused(), open(csv_path, "r", encoding="utf-8", newline="") as fh, \
+            (atomic_open(export) if export is not None else nullcontext()) as sink:
         if fh.read(1) != "\ufeff":  # skip a byte-order mark
             fh.seek(0)
         reader = csv.reader(fh)
@@ -393,6 +397,8 @@ def ingest(csv_path: str | Path, spec: DatasetSpec) -> Dataset:
         for col in used:
             if col not in file_header:
                 raise MissingColumn(f"{csv_path} lacks column {col!r}")
+        if sink:
+            sink.write(_lines([[_field(h)] for h in used]))
 
         while block := list(islice(reader, _TEXT_BLOCK)):
             n_read += len(block)
@@ -423,46 +429,46 @@ def ingest(csv_path: str | Path, spec: DatasetSpec) -> Dataset:
                 seen = {name: dict.fromkeys(cells[name]) for name in tables}
             for name in numeric:
                 values[name].append(parsed[name])
-                text[name].append("\n".join(cells[name]))  # a finite number has no "\n"
+            if sink:
+                sink.write(_lines([_fields(cells[name]) for name in used]))
             for name, table in tables.items():
                 for cell in seen[name]:
                     table.setdefault(cell, len(table))
                 codes[name].append(np.fromiter(map(table.__getitem__, cells[name]),
                                                dtype=np.int64, count=len(cells[name])))
 
-    n = sum(map(len, codes[spec.target_column]))
-    n_missing = n_read - n_bad - n
-    if n_missing == n_read:
-        raise EmptyFile(f"{csv_path} has no usable data rows ({n_missing} dropped)")
-    if n_missing:
-        log.warning("%s: dropped %d rows with missing values", csv_path.name, n_missing)
-    if n_bad:
-        log.warning("%s: dropped %d rows with non-numeric cells", csv_path.name, n_bad)
-    if not n:
-        raise EmptyFile(f"{csv_path} has no rows with parseable numeric cells")
+        n = sum(map(len, codes[spec.target_column]))
+        n_missing = n_read - n_bad - n
+        if n_missing == n_read:
+            raise EmptyFile(f"{csv_path} has no usable data rows ({n_missing} dropped)")
+        if n_missing:
+            log.warning("%s: dropped %d rows with missing values", csv_path.name, n_missing)
+        if n_bad:
+            log.warning("%s: dropped %d rows with non-numeric cells", csv_path.name, n_bad)
+        if not n:
+            raise EmptyFile(f"{csv_path} has no rows with parseable numeric cells")
 
-    features = np.empty((n, len(spec.feature_columns)), dtype=np.float64)
-    for j, col in enumerate(spec.feature_columns):
-        chunks = values[col.name] if col.kind == "numeric" else codes[col.name]
-        features[:, j] = np.concatenate(chunks)
-    sens, targ = spec.protected_attribute_column, spec.target_column
-    sensitive, sensitive_values = _binarize(sens, tables[sens], codes[sens],
-                                            spec.protected_value, "sensitive",
-                                            NonBinarySensitive)
-    label, target_values = _binarize(targ, tables[targ], codes[targ],
-                                     spec.favorable_value, "target", NonBinaryTarget)
-    return Dataset(
-        features=features,
-        sensitive=sensitive,
-        label=label,
-        schema=spec,
-        categories={c.name: tuple(tables[c.name]) for c in spec.feature_columns
-                    if c.kind == "categorical"},
-        sensitive_values=sensitive_values,
-        target_values=target_values,
-        dropped_rows=n_missing + n_bad,
-        numeric_text=text,
-    )
+        features = np.empty((n, len(spec.feature_columns)), dtype=np.float64)
+        for j, col in enumerate(spec.feature_columns):
+            chunks = values[col.name] if col.kind == "numeric" else codes[col.name]
+            features[:, j] = np.concatenate(chunks)
+        sens, targ = spec.protected_attribute_column, spec.target_column
+        sensitive, sensitive_values = _binarize(sens, tables[sens], codes[sens],
+                                                spec.protected_value, "sensitive",
+                                                NonBinarySensitive)
+        label, target_values = _binarize(targ, tables[targ], codes[targ],
+                                         spec.favorable_value, "target", NonBinaryTarget)
+        return Dataset(
+            features=features,
+            sensitive=sensitive,
+            label=label,
+            schema=spec,
+            categories={c.name: tuple(tables[c.name]) for c in spec.feature_columns
+                        if c.kind == "categorical"},
+            sensitive_values=sensitive_values,
+            target_values=target_values,
+            dropped_rows=n_missing + n_bad,
+        )
 
 
 def verify_base_rate(d: Dataset) -> float:

@@ -77,9 +77,8 @@ def disparate_impact_remove(d: Dataset, repair_level: float,
         q_median = np.median(q_stack, axis=0)
         features[:, j] = (1.0 - lam) * v + lam * q_median
 
-    # numeric_text is dropped, so that export_csv writes the repaired values
-    return RepairedDataset(**{**vars(d), "features": features, "numeric_text": {},
-                              "repair_level": lam, "repaired_columns": tuple(columns)})
+    return RepairedDataset(**{**vars(d), "features": features, "repair_level": lam,
+                              "repaired_columns": tuple(columns)})
 
 
 # --- per-group threshold fitting ------------------------------------------------

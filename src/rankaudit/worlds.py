@@ -16,11 +16,11 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .audit import _count_exceeding_pairs
-from .dataset import Dataset, float_text, write_csv
+from .dataset import float_text, write_csv
 from .errors import ZeroMassDenominator
-from .scorer import ScoreSet
 
 WEIGHT_TOLERANCE = 1e-12
+WITNESS_LIMIT = 10
 
 
 @dataclass(frozen=True)
@@ -228,36 +228,10 @@ class MonotonicityResult:
     witnesses: list  # dicts: {"group", "lower_p", "higher_p"}
     tolerance: float
     grid_size: int
-    caveat: str | None = None
+    caveat: str | None = None  # no check sets it; the result files keep the key
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-def _monotonicity_over_groups(groups, tolerance: float, caveat: str | None = None,
-                              witness_limit: int = 10) -> MonotonicityResult:
-    """groups: iterable of (name, p, s, keys), keys an array naming each point."""
-    total = 0
-    by_group = {}
-    witnesses = []
-    size = 0
-    for name, p, s, keys in groups:
-        size += len(p)
-        order = np.lexsort((s, p))  # tied-p runs ascend in s: never counted
-        p, s, keys = p[order], s[order], keys[order]
-        count = _count_exceeding_pairs(s, tolerance)
-        by_group[name] = count
-        total += count
-        if count and len(witnesses) < witness_limit:
-            for lo_p_key, hi_p_key in _witness_pairs(
-                    p, s, keys, tolerance, witness_limit - len(witnesses)):
-                # lo_p_key has the lower fair value but the higher score
-                witnesses.append(
-                    {"group": name, "lower_p": lo_p_key, "higher_p": hi_p_key}
-                )
-    return MonotonicityResult(holds=total == 0, violation_count=total,
-                              violations_by_group=by_group, witnesses=witnesses,
-                              tolerance=tolerance, grid_size=size, caveat=caveat)
 
 
 def monotonicity_check(w: FairWorld, tolerance: float = 0.0) -> MonotonicityResult:
@@ -266,35 +240,31 @@ def monotonicity_check(w: FairWorld, tolerance: float = 0.0) -> MonotonicityResu
     Per group, counts pairs whose fair probability strictly increases while
     the score drops by more than the tolerance.  Pairs tied in fair
     probability are ignored.  Zero violations in every group means any
-    fair threshold decision splits into per-group score thresholds.
+    fair threshold decision splits into per-group score thresholds.  Up to
+    WITNESS_LIMIT violating pairs are named by their x values.
     """
-    groups = []
+    total = 0
+    by_group = {}
+    witnesses = []
     for g in w.groups():
         mask = w.group == g
-        groups.append((w.name_of(g), w.fair_p[mask], w.score_s[mask], w.x[mask]))
-    return _monotonicity_over_groups(groups, tolerance)
-
-
-def monotonicity_check_empirical(baseline: ScoreSet, proxy_fair: ScoreSet,
-                                 d: Dataset,
-                                 tolerance: float = 0.0) -> MonotonicityResult:
-    """The same pairwise check on two empirical score vectors.
-
-    proxy_fair stands in for the fair probabilities and baseline for the
-    biased score.  The stand-in is observational: nothing here can verify
-    that the proxy is free of estimation noise, hence the caveat field.
-    """
-    if not np.array_equal(baseline.instance_ids, proxy_fair.instance_ids):
-        raise ValueError("score sets must cover identical ids")
-    prot, _ = d.cohort(baseline.instance_ids)
-    groups = []
-    for mask, name in ((prot, "protected"), (~prot, "privileged")):
-        groups.append((name, proxy_fair.scores[mask], baseline.scores[mask],
-                       baseline.instance_ids[mask]))
-    return _monotonicity_over_groups(
-        groups, tolerance,
-        caveat=("proxy scores are observed estimates; the check assumes they "
-                "carry no estimation noise and cannot verify that assumption"))
+        name = w.name_of(g)
+        p, s, keys = w.fair_p[mask], w.score_s[mask], w.x[mask]
+        order = np.lexsort((s, p))  # tied-p runs ascend in s: never counted
+        p, s, keys = p[order], s[order], keys[order]
+        count = _count_exceeding_pairs(s, tolerance)
+        by_group[name] = count
+        total += count
+        if count and len(witnesses) < WITNESS_LIMIT:
+            for lo_p_key, hi_p_key in _witness_pairs(
+                    p, s, keys, tolerance, WITNESS_LIMIT - len(witnesses)):
+                # lo_p_key has the lower fair value but the higher score
+                witnesses.append(
+                    {"group": name, "lower_p": lo_p_key, "higher_p": hi_p_key}
+                )
+    return MonotonicityResult(holds=total == 0, violation_count=total,
+                              violations_by_group=by_group, witnesses=witnesses,
+                              tolerance=tolerance, grid_size=w.m)
 
 
 @dataclass(frozen=True)

@@ -163,6 +163,40 @@ def test_stage_commands_stop_early(run_inputs, tmp_path):
     assert not list(out.glob("decisions_*.csv"))
 
 
+def test_ingest_export_is_the_input_when_it_holds_only_used_columns(run_inputs, tmp_path):
+    root, config_path, _ = run_inputs
+    out = tmp_path / "out"
+    assert main(["ingest", "--config", str(config_path), "--out", str(out)]) == 0
+    assert (out / "dataset_export.csv").read_bytes() == (root / "bench.csv").read_bytes()
+
+
+def test_failed_ingest_leaves_no_export(run_inputs, tmp_path, capsys):
+    """The export is written while the file is read; a target value found on
+    the last row still leaves neither it nor its temporary file."""
+    root, _, config = run_inputs
+    bad_csv = tmp_path / "bad.csv"
+    text = (root / "bench.csv").read_text(encoding="utf-8")
+    bad_csv.write_text(text + text.splitlines()[-1].replace(",favorable", ",maybe")
+                       .replace(",unfavorable", ",maybe") + "\n", encoding="utf-8")
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(dict(config, dataset={**config["dataset"],
+                                                         "csv": str(bad_csv)})),
+                        encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["ingest", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "NonBinaryTarget" in capsys.readouterr().err
+    assert not (out / "dataset_export.csv").exists()
+    assert not list(out.glob("*.tmp"))
+
+
+def test_train_writes_no_export(run_inputs, tmp_path):
+    _, config_path, _ = run_inputs
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(config_path), "--out", str(out)]) == 0
+    assert (out / "scorer.txt").exists()
+    assert not (out / "dataset_export.csv").exists()
+
+
 def test_external_scores_method(run_inputs, tmp_path):
     root, config_path, config = run_inputs
     base_out = tmp_path / "base"

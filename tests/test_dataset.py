@@ -156,11 +156,10 @@ def test_ingest_skips_byte_order_mark(tmp_path):
     path = tmp_path / "bom.csv"
     path.write_bytes(b"\xef\xbb\xbff0,group,outcome\n"
                      b"1.0,protected,favorable\n2.0,privileged,unfavorable\n")
-    d = ingest(path, make_spec())
+    out = tmp_path / "out.csv"
+    d = ingest(path, make_spec(), export=out)
     assert d.features[:, 0].tolist() == [1.0, 2.0]
     assert d.sensitive.tolist() == [1, 0]
-    out = tmp_path / "out.csv"
-    d.export_csv(out)
     assert out.read_bytes() == path.read_bytes()[3:].replace(b"\n", b"\r\n")
 
 
@@ -177,9 +176,8 @@ def test_ingest_categorical_codes(tmp_path):
 
 
 def test_export_round_trip_exact(tmp_path, six_row_csv):
-    d = ingest(six_row_csv, make_spec())
     out = tmp_path / "out.csv"
-    d.export_csv(out)
+    ingest(six_row_csv, make_spec(), export=out)
     with open(six_row_csv, newline="") as fh:
         original = list(csv.reader(fh))
     with open(out, newline="") as fh:
@@ -193,9 +191,8 @@ def test_export_round_trip_quoted_cells(tmp_path):
         'f0,group,outcome\n"a,b",protected,favorable\nplain,privileged,unfavorable\n',
         encoding="utf-8",
     )
-    d = ingest(path, make_spec(kinds=["categorical"]))
     out = tmp_path / "out.csv"
-    d.export_csv(out)
+    ingest(path, make_spec(kinds=["categorical"]), export=out)
     with open(path, newline="") as fh:
         original = list(csv.reader(fh))
     with open(out, newline="") as fh:
@@ -220,12 +217,11 @@ def test_export_round_trip_bytes(tmp_path, monkeypatch, text_block):
         writer = csv.writer(fh)
         writer.writerow(["f0", "f1", "group", "outcome"])
         writer.writerows(rows)
-    d = ingest(path, make_spec(n_features=2, kinds=["numeric", "categorical"]))
+    out = tmp_path / "out.csv"
+    d = ingest(path, make_spec(n_features=2, kinds=["numeric", "categorical"]), export=out)
     assert d.features[:, 0].tolist() == [39.0, 1e5, -0.0, 7.0]
     assert d.dropped_rows == 1
     assert d.categories["f1"] == ("a,b", "plain", 'say "x"')
-    out = tmp_path / "out.csv"
-    d.export_csv(out)
     dropped = "\u0663,plain,protected,favorable\r\n".encode()
     assert out.read_bytes() == path.read_bytes().removesuffix(dropped)
 
@@ -383,16 +379,18 @@ def test_ingest_matches_row_at_a_time_reading(tmp_path, monkeypatch, caplog, tex
     def check(table):
         header, rows = table
         path, out = tmp_path / "in.csv", tmp_path / "out.csv"
+        out.unlink(missing_ok=True)
         with open(path, "w", encoding="utf-8", newline="") as fh:
             csv.writer(fh).writerows([header, *rows])
         kept, n_missing, n_bad = _ingest_row_at_a_time(path, spec)
         caplog.clear()
         if not kept:
             with pytest.raises(EmptyFile):
-                ingest(path, spec)
+                ingest(path, spec, export=out)
+            assert not out.exists() and not (tmp_path / "out.csv.tmp").exists()
             return
         with caplog.at_level(logging.WARNING, logger="rankaudit.dataset"):
-            d = ingest(path, spec)
+            d = ingest(path, spec, export=out)
         categories = tuple(dict.fromkeys(row[1] for row in kept))
         assert d.categories == {"f1": categories}
         assert d.features.tolist() == [[float(row[0]), categories.index(row[1]),
@@ -405,7 +403,6 @@ def test_ingest_matches_row_at_a_time_reading(tmp_path, monkeypatch, caplog, tex
             + [f"in.csv: dropped {n_bad} rows with non-numeric cells"] * (n_bad > 0))
         with open(tmp_path / "want.csv", "w", encoding="utf-8", newline="") as fh:
             csv.writer(fh).writerows([spec.used_columns, *kept])
-        d.export_csv(out)
         assert out.read_bytes() == (tmp_path / "want.csv").read_bytes()
 
     check()
