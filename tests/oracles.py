@@ -52,3 +52,20 @@ def brute_exceeding_pairs(seq, tol):
     n = len(seq)
     return int(sum(seq[i] > seq[j] + tol
                    for i in range(n) for j in range(i + 1, n)))
+
+
+def brute_witnesses(p, s, keys, tol, limit):
+    """Up to limit (lower-p key, higher-p key) pairs of one group, straight
+    from the definition: for each row in (p, s) order, the first row holding
+    the highest score among rows of strictly lower p, kept when that score
+    exceeds the row's own score by more than tol."""
+    order = sorted(range(len(p)), key=lambda i: (p[i], s[i]))  # stable on ties
+    pairs = []
+    for j in order:
+        lower = [i for i in order if p[i] < p[j]]
+        if len(pairs) < limit and lower:
+            top = max(s[i] for i in lower)
+            first = next(i for i in lower if s[i] == top)
+            if top > s[j] + tol:
+                pairs.append((keys[first], keys[j]))
+    return pairs

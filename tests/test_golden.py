@@ -58,13 +58,10 @@ def _number_diffs(want, got, where: str = "") -> list[str]:
 
 def test_outputs_match_golden_manifest(golden, manifest):
     digests, docs = golden
-    recorded = manifest["files"]
-    problems = ([f"added: {name}" for name in sorted(set(digests) - set(recorded))]
-                + [f"removed: {name}" for name in sorted(set(recorded) - set(digests))])
-    if manifest["environment"] == record.environment():
-        problems += [f"changed: {name}" for name in sorted(digests)
-                     if recorded.get(name, digests[name]) != digests[name]]
-    else:
+    same_environment = manifest["environment"] == record.environment()
+    problems = [line for line in record.changes(manifest["files"], digests)
+                if same_environment or not line.startswith("changed")]
+    if not same_environment:
         warnings.warn(f"environment {record.environment()} differs from the recorded "
                       f"{manifest['environment']}: checked the file list and the output "
                       f"JSON numbers to {REL_TOL:g} relative, not the file hashes")

@@ -60,6 +60,28 @@ def test_repair_half_interpolates():
     assert r.features[:3, 0].tolist() == [3.5, 4.5, 5.5]
 
 
+def test_repair_one_row_group_sits_at_its_median_rank():
+    # the lone protected row takes rank 0.5, the middle of the other curve
+    d = make_dataset([1, 0, 0, 0], [0, 1, 0, 1], features=[5.0, 1.0, 2.0, 3.0])
+    r = disparate_impact_remove(d, 1.0, ["f0"])
+    assert r.features[:, 0].tolist() == [3.5, 3.0, 3.5, 4.0]
+
+
+def test_repair_with_one_group_keeps_the_values():
+    # one curve: each value's own quantile is the value
+    d = make_dataset([0, 0, 0, 0], [0, 1, 0, 1], features=[4.0, 1.0, 3.0, 2.0])
+    for lam in (0.5, 1.0):
+        r = disparate_impact_remove(d, lam, ["f0"])
+        assert r.features[:, 0].tolist() == [4.0, 1.0, 3.0, 2.0]
+
+
+def test_repair_half_level_with_ties():
+    d = make_dataset([1, 1, 1, 1, 0, 0, 0], [0, 1, 0, 1, 0, 1, 0],
+                     features=[2.0, 2.0, 5.0, 9.0, 10.0, 10.0, 30.0])
+    r = disparate_impact_remove(d, 0.5, ["f0"])
+    assert r.features[:, 0].tolist() == [4.0, 4.0, 7.916666666666666, 14.25, 8.0, 8.0, 24.75]
+
+
 def test_repair_preserves_within_group_order_all_levels():
     rng = np.random.default_rng(3)
     n_p, n_v = 23, 31

@@ -6,6 +6,7 @@ import pytest
 from rankaudit.audit import _count_exceeding_pairs
 from rankaudit.errors import ZeroMassDenominator
 from rankaudit.worlds import (
+    WITNESS_LIMIT,
     FairWorld,
     anti_monotone_world,
     decomposition_check,
@@ -16,7 +17,7 @@ from rankaudit.worlds import (
     wage_gap_world,
 )
 
-from oracles import brute_exceeding_pairs
+from oracles import brute_exceeding_pairs, brute_witnesses
 
 
 # --- the running world -----------------------------------------------------------
@@ -205,6 +206,37 @@ def test_anti_monotone_world_witnesses_pinned():
         {"group": "female", "lower_p": 0.0, "higher_p": x}
         for x in (12.5, 25.0, 37.5, 50.0)
     ]
+
+
+def test_witnesses_and_count_match_brute_force_on_tied_worlds():
+    """Two-group worlds on coarse p and s grids, so tied-p runs, tied scores
+    and ties within the tolerance all occur."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    rows = st.tuples(st.integers(0, 1), st.integers(0, 4), st.integers(0, 10))
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(st.lists(rows, min_size=1, max_size=40),
+                      st.sampled_from([0.0, 0.05, 0.2]))
+    def check(cells, tol):
+        group, p, s = (np.array(c) for c in zip(*cells))
+        m = len(cells)
+        w = FairWorld(x=np.arange(m, dtype=np.float64), group=group.astype(np.int8),
+                      weight=np.full(m, 1.0 / m), fair_p=p / 4.0, score_s=s / 10.0)
+        res = monotonicity_check(w, tol)
+        want, count = [], 0
+        for g in w.groups():
+            mask = w.group == g
+            fp, sc, keys = w.fair_p[mask], w.score_s[mask], w.x[mask].tolist()
+            count += brute_exceeding_pairs(sc[np.lexsort((sc, fp))], tol)
+            want += [{"group": w.name_of(g), "lower_p": lo, "higher_p": hi}
+                     for lo, hi in brute_witnesses(fp, sc, keys, tol,
+                                                   WITNESS_LIMIT - len(want))]
+        assert res.violation_count == count
+        assert res.witnesses == want
+        assert res.holds == (count == 0)
+
+    check()
 
 
 # --- decomposition ------------------------------------------------------------------------
