@@ -34,7 +34,6 @@ from .mitigate import (
     CriticalRegion,
     GroupThresholds,
     MixingRates,
-    RepairedDataset,
     apply_group_thresholds,
     apply_mixing,
     apply_reject_option,

@@ -1,15 +1,15 @@
 """The four audited bias-mitigation methods.
 
-Feature repair interpolates each numeric column toward the cross-group
-median quantile function, preserving within-group order.  The three
-postprocessors (per-group threshold fitting, critical-region label
-flipping, and randomized odds-equalizing label mixing) never touch score
-values; they only produce decisions.
+Feature repair returns a Dataset whose numeric columns move toward the
+mean of the two groups' quantile functions, preserving within-group
+order.  The three postprocessors (per-group threshold fitting,
+critical-region label flipping, and randomized odds-equalizing label
+mixing) never touch score values; they only produce decisions.
 """
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, fields
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
@@ -25,20 +25,16 @@ THETA_GRID = np.arange(51) / 100.0  # 0.00, 0.01, ..., 0.50
 
 # --- feature repair -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class RepairedDataset(Dataset):
-    repair_level: float = 0.0
-    repaired_columns: tuple = ()
-
-
 def disparate_impact_remove(d: Dataset, repair_level: float,
-                            columns: list[str] | None = None) -> RepairedDataset:
-    """Interpolate numeric columns toward the groups' median quantile curve.
+                            columns: list[str] | None = None) -> Dataset:
+    """A Dataset like d with numeric columns interpolated toward the mean of
+    the groups' quantile curves, each taken at a value's own within-group
+    rank (with two groups, the median of the curves is their mean).
 
     repair_level 0 returns the original values exactly; 1 aligns the two
     groups' per-column distributions up to interpolation error.  Within
-    each group the value ordering is preserved for every level; tied
-    values stay tied.
+    each group the value ordering is preserved for every level; tied values
+    stay tied.
     """
     lam = float(repair_level)
     if not 0.0 <= lam <= 1.0:
@@ -52,33 +48,19 @@ def disparate_impact_remove(d: Dataset, repair_level: float,
 
     features = d.features.copy()
     prot = d.protected_mask
-    group_rows = [np.flatnonzero(prot), np.flatnonzero(~prot)]
+    group_rows = [rows for rows in (np.flatnonzero(prot), np.flatnonzero(~prot)) if len(rows)]
     for col in columns:
         j = d.feature_index(col)
         v = d.features[:, j]
-        sorted_by_group = []
-        u = np.empty(d.n)
+        u = np.empty(d.n)  # each instance's rank in [0, 1] within its group
         for rows in group_rows:
-            if len(rows) == 0:
-                continue
-            vals = v[rows]
-            if len(rows) == 1:
-                u[rows] = 0.5
-            else:
-                u[rows] = (_midranks(vals) - 1.0) / (len(rows) - 1.0)
-            sorted_by_group.append(np.sort(vals))
-        # median across groups of the group quantile functions at each
-        # instance's own within-group rank
-        q_stack = np.stack([
-            np.interp(u * (len(sv) - 1.0), np.arange(len(sv)), sv)
-            if len(sv) > 1 else np.full(d.n, sv[0])
-            for sv in sorted_by_group
-        ])
-        q_median = np.median(q_stack, axis=0)
-        features[:, j] = (1.0 - lam) * v + lam * q_median
-
-    return RepairedDataset(**{**vars(d), "features": features, "repair_level": lam,
-                              "repaired_columns": tuple(columns)})
+            u[rows] = ((_midranks(v[rows]) - 1.0) / (len(rows) - 1.0)
+                       if len(rows) > 1 else 0.5)
+        # each group's quantile function at every instance's own rank
+        curves = [np.interp(u * (len(rows) - 1.0), np.arange(len(rows)), np.sort(v[rows]))
+                  for rows in group_rows]
+        features[:, j] = (1.0 - lam) * v + lam * (sum(curves[1:], curves[0]) / len(curves))
+    return replace(d, features=features)
 
 
 # --- per-group threshold fitting ------------------------------------------------

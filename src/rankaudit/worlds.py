@@ -79,7 +79,6 @@ class FairWorld:
 class RatePair:
     tpr: float
     tnr: float
-    basis: str
 
 
 def wage_gap_world(grid_size: int = 501) -> FairWorld:
@@ -125,7 +124,7 @@ def rates(w: FairWorld, decision: np.ndarray, basis: str) -> RatePair:
         )
     tpr = float((dec * q * w.weight).sum()) / pos_mass
     tnr = float(((1.0 - dec) * (1.0 - q) * w.weight).sum()) / neg_mass
-    return RatePair(tpr=tpr, tnr=tnr, basis=basis)
+    return RatePair(tpr=tpr, tnr=tnr)
 
 
 def threshold_decision(w: FairWorld, basis: str, tau: float,
@@ -189,36 +188,11 @@ def pareto_check(w: FairWorld, decision: np.ndarray, basis: str,
         maximal=False,
         decision_rates=dec_rates,
         dominated_by=labels,
-        dominating_rates=RatePair(tpr=float(tpr_k[k]), tnr=float(tnr_k[k]),
-                                  basis=basis),
+        dominating_rates=RatePair(tpr=float(tpr_k[k]), tnr=float(tnr_k[k])),
     )
 
 
 # --- within-group monotonicity and threshold decomposition ---------------------
-
-def _witness_pairs(p: np.ndarray, s: np.ndarray, keys: np.ndarray,
-                   tol: float, limit: int) -> list:
-    """Up to `limit` violating (lower-p key, higher-p key) pairs of one
-    group sorted by (p, s).
-
-    The first key of each pair has strictly lower p but a score more than
-    tol above the second's.
-    """
-    witnesses = []
-    best_s, best = -np.inf, None
-    run_start = 0
-    for j in range(len(p)):
-        if p[j] != p[run_start]:
-            for t in range(run_start, j):  # fold the finished run
-                if s[t] > best_s:
-                    best_s, best = s[t], t
-            run_start = j
-        if best is not None and best_s > s[j] + tol:
-            witnesses.append((keys[best].item(), keys[j].item()))
-            if len(witnesses) >= limit:
-                return witnesses
-    return witnesses
-
 
 @dataclass(frozen=True)
 class MonotonicityResult:
@@ -241,8 +215,11 @@ def monotonicity_check(w: FairWorld, tolerance: float = 0.0) -> MonotonicityResu
     the score drops by more than the tolerance.  Pairs tied in fair
     probability are ignored.  Zero violations in every group means any
     fair threshold decision splits into per-group score thresholds.  Up to
-    WITNESS_LIMIT violating pairs are named by their x values.
+    WITNESS_LIMIT violating pairs are named by their x values.  The
+    tolerance must be a finite number >= 0 (ValueError otherwise).
     """
+    if not 0.0 <= tolerance < np.inf:  # also rejects nan
+        raise ValueError(f"tolerance must be a finite number >= 0, got {tolerance}")
     total = 0
     by_group = {}
     witnesses = []
@@ -251,17 +228,19 @@ def monotonicity_check(w: FairWorld, tolerance: float = 0.0) -> MonotonicityResu
         name = w.name_of(g)
         p, s, keys = w.fair_p[mask], w.score_s[mask], w.x[mask]
         order = np.lexsort((s, p))  # tied-p runs ascend in s: never counted
-        p, s, keys = p[order], s[order], keys[order]
+        s, keys = s[order], keys[order]
         count = _count_exceeding_pairs(s, tolerance)
         by_group[name] = count
         total += count
         if count and len(witnesses) < WITNESS_LIMIT:
-            for lo_p_key, hi_p_key in _witness_pairs(
-                    p, s, keys, tolerance, WITNESS_LIMIT - len(witnesses)):
-                # lo_p_key has the lower fair value but the higher score
-                witnesses.append(
-                    {"group": name, "lower_p": lo_p_key, "higher_p": hi_p_key}
-                )
+            # earlier rows of j's own tied-p run score <= s[j], so only a
+            # lower-p row can lift the highest earlier score (top) above
+            # s[j] + tolerance; the witness is that score's first row
+            top = np.r_[-np.inf, np.maximum.accumulate(s)[:-1]]
+            first = np.maximum.accumulate(np.where(s > top, np.arange(len(s)), 0))
+            hi = np.flatnonzero(top > s + tolerance)[:WITNESS_LIMIT - len(witnesses)]
+            witnesses += [{"group": name, "lower_p": lo, "higher_p": h}
+                          for lo, h in zip(keys[first[hi - 1]].tolist(), keys[hi].tolist())]
     return MonotonicityResult(holds=total == 0, violation_count=total,
                               violations_by_group=by_group, witnesses=witnesses,
                               tolerance=tolerance, grid_size=w.m)

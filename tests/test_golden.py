@@ -1,4 +1,4 @@
-"""Golden outputs: the quick-start run, ingest and theory files hash as recorded.
+"""Golden outputs: every file of the golden run in record.py hashes as recorded.
 
 Under the Python, numpy and CPU that tests/golden/manifest.json was recorded
 with, every output file must hash as recorded.  Elsewhere floating-point

@@ -44,7 +44,6 @@ def test_repair_identity_at_zero():
     d = _repair_fixture()
     r = disparate_impact_remove(d, 0.0, ["f0"])
     assert np.array_equal(r.features, d.features)
-    assert r.repair_level == 0.0
 
 
 def test_repair_full_merges_to_per_rank_medians():
@@ -131,7 +130,6 @@ def test_repair_rejects_categorical_column():
     with pytest.raises(NonNumericColumn):
         disparate_impact_remove(d, 1.0, ["f1"])
     r = disparate_impact_remove(d, 1.0)  # default: numeric columns only
-    assert r.repaired_columns == ("f0",)
     assert np.array_equal(r.features[:, 1], d.features[:, 1])
 
 

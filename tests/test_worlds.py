@@ -208,6 +208,13 @@ def test_anti_monotone_world_witnesses_pinned():
     ]
 
 
+@pytest.mark.parametrize("tolerance", [-0.01, float("nan"), float("inf")])
+def test_monotonicity_rejects_a_negative_or_non_finite_tolerance(tolerance):
+    # at -0.01 tied-p pairs would count; at nan or inf nothing would
+    with pytest.raises(ValueError, match="tolerance must be a finite number >= 0"):
+        monotonicity_check(anti_monotone_world(5), tolerance)
+
+
 def test_witnesses_and_count_match_brute_force_on_tied_worlds():
     """Two-group worlds on coarse p and s grids, so tied-p runs, tied scores
     and ties within the tolerance all occur."""
