@@ -33,8 +33,8 @@ def disparate_impact_remove(d: Dataset, repair_level: float,
 
     repair_level 0 returns the original values exactly; 1 aligns the two
     groups' per-column distributions up to interpolation error.  Within
-    each group the value ordering is preserved for every level; tied values
-    stay tied.
+    each group the value ordering is preserved for every level; tied
+    values stay tied.
     """
     lam = float(repair_level)
     if not 0.0 <= lam <= 1.0:

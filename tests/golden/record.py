@@ -11,9 +11,11 @@ global-top-rate), tau-a and include_sensitive; it goes through `train`,
 one-hidden-layer run, one `compare` and a monotonicity check under a
 tolerance.  Its inputs and outputs sit in one directory under relative
 paths, so every output, provenance and config hash included, is the same
-from any checkout path.  manifest.json holds the sha256 of each output file, the environment
-it was recorded under, and the parsed content of each output JSON for the
-weaker check test_golden.py runs under another environment.
+from any checkout path.  manifest.json holds the sha256 of each output
+file, the environment it was recorded under, and the parsed content of
+each output JSON for the weaker check test_golden.py runs under another
+environment.  Recording prints which files it adds to, removes from or
+changes in the manifest it replaces.
 
 A change that alters outputs on purpose rewrites the manifest and commits
 it with the change:
