@@ -2,10 +2,13 @@
 
 AUC and Kendall-Tau are computed by O(n log n) rank algorithms that agree
 exactly with brute-force pair enumeration; the test suite holds them to
-that oracle.  The audit has two steps.  `audit_scores` runs once per run
-and holds what depends only on the scores: AUC (overall and per group),
-Kendall-Tau against the baseline ranking (overall and per group) and a
-pairwise tau matrix.  `build_report` runs once per decision policy and
+that oracle.  The shared pair counter returns 0 after one O(n) pass when
+no pair can exceed, so a tau between two identically ordered rankings (and
+a passing monotonicity check in `worlds`) costs one pass, not a merge.
+The audit has two steps.  `audit_scores` runs once per run and holds
+what depends only on the scores: AUC (overall and per group), Kendall-Tau
+against the baseline ranking (overall and per group) and a pairwise tau
+matrix.  `build_report` runs once per decision policy and
 adds accuracy, SPD, EOD, PDR, per-group quadrant transition counts and
 each row's quadrant.
 """
@@ -38,13 +41,19 @@ _QUADRANT_NAMES = np.array(["kept_negative", "upgraded", "downgraded", "kept_pos
 # --- rank machinery ----------------------------------------------------------
 
 def _count_exceeding_pairs(seq: np.ndarray, tol: float = 0.0) -> int:
-    """Pairs i < j with seq[i] > seq[j] + tol, counted by merge passes."""
-    n = len(seq)
-    if n < 2:
+    """Pairs i < j with seq[i] > seq[j] + tol, counted by merge passes.
+
+    One O(n) pass first compares each row with the highest row before it,
+    in the merge's own expression (right + tol); when none exceeds, no
+    pair can, and 0 is returned without sorting.
+    """
+    s = np.asarray(seq, dtype=np.float64)
+    n = len(s)
+    if n < 2 or not (np.maximum.accumulate(s)[:-1] > s[1:] + tol).any():
         return 0
     block = 64
     pad = (-n) % block
-    s = np.concatenate([np.asarray(seq, dtype=np.float64), np.full(pad, np.inf)])
+    s = np.concatenate([s, np.full(pad, np.inf)])
     blocks = s.reshape(-1, block)
     upper = np.triu(np.ones((block, block), dtype=bool), 1)  # i < j inside a block
     total = 0

@@ -574,6 +574,7 @@ def cmd_compare(paths: list[str], out_path: str,
 
     rows = [(name, method, m) for name, doc in reports
             for method, m in sorted(doc["rows"].items())]
+    Path(out_path).parent.mkdir(parents=True, exist_ok=True)
     write_csv(Path(out_path), ["report", "method"] + COMPARED + ["warning"],
               [[r[0] for r in rows], [r[1] for r in rows]]
               + [[repr(m[k]) for _, _, m in rows] for k in COMPARED]

@@ -12,6 +12,7 @@ decomposition that monotonicity is equivalent to.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -54,8 +55,13 @@ class FairWorld:
     def m(self) -> int:
         return len(self.x)
 
+    @cached_property  # the world is frozen: its group array is not replaced
+    def _group_codes(self) -> list[int]:
+        return np.unique(self.group).tolist()
+
     def groups(self) -> list[int]:
-        return sorted(int(g) for g in np.unique(self.group))
+        """The sorted group codes, found on the first call."""
+        return list(self._group_codes)
 
     def name_of(self, g: int) -> str:
         return self.group_names.get(int(g), f"group{g}")
@@ -170,7 +176,7 @@ def pareto_check(w: FairWorld, decision: np.ndarray, basis: str,
     pos_mass = float((q * w.weight).sum())
     neg_mass = float(((1.0 - q) * w.weight).sum())
 
-    order = np.lexsort((np.arange(w.m), -q))
+    order = np.argsort(-q, kind="stable")  # ties keep grid order
     sel_pos = np.concatenate([[0.0], np.cumsum(q[order] * w.weight[order])])
     sel_neg = np.concatenate([[0.0], np.cumsum((1.0 - q[order]) * w.weight[order])])
     tpr_k = sel_pos / pos_mass
@@ -215,8 +221,9 @@ def monotonicity_check(w: FairWorld, tolerance: float = 0.0) -> MonotonicityResu
     the score drops by more than the tolerance.  Pairs tied in fair
     probability are ignored.  Zero violations in every group means any
     fair threshold decision splits into per-group score thresholds.  Up to
-    WITNESS_LIMIT violating pairs are named by their x values.  The
-    tolerance must be a finite number >= 0 (ValueError otherwise).
+    WITNESS_LIMIT violating pairs are named by their x values.  A group
+    that passes costs one O(n) pass of the pair counter, besides its sort.
+    The tolerance must be a finite number >= 0 (ValueError otherwise).
     """
     if not 0.0 <= tolerance < np.inf:  # also rejects nan
         raise ValueError(f"tolerance must be a finite number >= 0, got {tolerance}")

@@ -825,6 +825,17 @@ def test_compare_zero_diff(tmp_path):
     assert all(line.endswith(",") for line in lines[1:])  # no warnings set
 
 
+def test_compare_creates_the_out_directory(tmp_path):
+    a = tmp_path / "a.json"
+    b = tmp_path / "b.json"
+    _fake_report(a, "fixed-threshold-0.5", {"baseline": 0.30})
+    _fake_report(b, "fixed-threshold-0.5", {"baseline": 0.30})
+    out = tmp_path / "nodir" / "deeper" / "c.csv"
+    assert main(["compare", str(a), str(b), "--out", str(out)]) == 0
+    assert out.read_text().startswith("report,method,")
+    assert sorted(p.name for p in out.parent.iterdir()) == ["c.csv"]  # no .tmp left
+
+
 def test_compare_identical_reports_pass_despite_internal_spread(tmp_path):
     # methods inside one report may sit at very different rates; comparing a
     # report against an identical twin juxtaposes nothing new and must pass

@@ -100,6 +100,21 @@ def test_tau_matches_brute_force_bitwise():
             assert got == want or abs(got - want) <= 1e-12
 
 
+def test_tau_of_identically_ordered_rankings_matches_brute_force():
+    # y is a non-decreasing function of x, so once sorted by (x, y) it never
+    # descends: the pair count returns 0 from its one-pass check
+    rng = np.random.default_rng(23)
+    for trial in range(40):
+        n = int(rng.integers(2, 150))
+        x = np.round(rng.random(n), 1 if trial % 2 else 3)
+        y = np.floor(3 * x) if trial % 4 < 2 else x ** 2 - 1.0
+        assert _count_exceeding_pairs(y[np.lexsort((y, x))]) == 0
+        for variant in ("tau-a", "tau-b"):
+            got = kendall_tau(x, y, variant)
+            want = brute_tau(x, y, variant)
+            assert got == want or abs(got - want) <= 1e-12 or (np.isnan(got) and np.isnan(want))
+
+
 def test_auc_matches_brute_force():
     rng = np.random.default_rng(13)
     for trial in range(300):

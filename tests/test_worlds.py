@@ -1,5 +1,7 @@
 """Synthetic world rates, Pareto checks, monotonicity, decomposition."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -171,6 +173,43 @@ def test_exceeding_pair_count_matches_brute_force():
         seq = np.round(rng.random(n), 2)
         tol = float(rng.choice([0.0, 0.05, 0.2]))
         assert _count_exceeding_pairs(seq, tol) == brute_exceeding_pairs(seq, tol)
+
+
+@pytest.mark.parametrize("seq, tol, want", [
+    ([0.0, -0.0, 0.0, 0.25, 0.25, 0.5, 0.5, 1.0], 0.0, 0),  # ties, signed zeros
+    ([0.1, 0.2, 0.3, 0.4, 0.35], 0.0, 1),                    # lone drop at the last row
+    ([1, 2, 2, 3], 0.0, 0),                                   # a plain list of ints
+    ([3, 1, 2], 0.0, 2),
+])
+def test_exceeding_pair_shortcut_edges(seq, tol, want):
+    assert _count_exceeding_pairs(seq, tol) == brute_exceeding_pairs(seq, tol) == want
+
+
+@pytest.mark.parametrize("tol", [0.0, 0.05, 1e-300, 0.3])
+def test_exceeding_pair_shortcut_at_exactly_tol(tol):
+    # a single descent of exactly tol does not count; one ulp more does
+    exact = [tol, 0.0]
+    assert _count_exceeding_pairs(exact, tol) == brute_exceeding_pairs(exact, tol) == 0
+    over = [np.nextafter(tol, np.inf), 0.0, 1.0]
+    assert _count_exceeding_pairs(over, tol) == brute_exceeding_pairs(over, tol) == 1
+    for top, want in ((tol, 0), (np.nextafter(tol, np.inf), 200)):
+        # 200 rows at top, then a last row of 0 after them, across blocks
+        long = np.r_[np.linspace(-1.0, 0.0, 100), np.full(200, top), 0.0]
+        assert _count_exceeding_pairs(long, tol) == brute_exceeding_pairs(long, tol) == want
+
+
+def test_groups_are_sorted_codes_kept_per_world():
+    w = wage_gap_world(5)
+    codes = np.array([2, 0] * 5, dtype=np.int8)  # unsorted
+    w2 = FairWorld(x=w.x, group=codes, weight=w.weight, fair_p=w.fair_p,
+                   score_s=w.score_s)
+    assert w2.groups() == sorted(np.unique(codes).tolist()) == [0, 2]
+    assert all(type(g) is int for g in w2.groups())
+    assert w2.groups() == w2.groups()
+    w3 = replace(w2, group=np.where(codes == 2, 5, 1).astype(np.int8))
+    assert w3.groups() == [1, 5]
+    assert w2.groups() == [0, 2]
+    assert w.groups() == [0, 1]
 
 
 def test_wage_gap_world_is_within_group_monotone():
