@@ -3,12 +3,14 @@
 A Dataset holds one binary sensitive attribute (protected vs privileged),
 one binary target (1 = favorable), and a numeric feature matrix in which
 categorical columns are stored as small integer codes.  A Dataset is its
-columns: ingestion reads the file once and codes every non-numeric column in
-first-seen order.  Asked for an export, it writes each kept row's cells back
-out as it reads them, so the export reproduces every ingested cell exactly
-and no cell text is held; `Dataset.export_csv` writes values instead.  An
-instance id is a row number: row i of every column belongs to instance i,
-counted from 0 over the rows ingestion keeps.
+columns: ingestion reads the file once, codes every non-numeric column in
+first-seen order and fills the feature matrix in place as blocks are read,
+so its peak is about the dataset plus one block.  Asked for an export, it
+writes each kept row's cells back out as it reads them, so the export
+reproduces every ingested cell exactly and no cell text is held;
+`Dataset.export_csv` writes values instead.  An instance id is a row number:
+row i of every column belongs to instance i, counted from 0 over the rows
+ingestion keeps.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import numpy as np
 
 from . import prng
 from .errors import (
+    DuplicateColumn,
     EmptyFile,
     MisalignedIds,
     MissingColumn,
@@ -352,14 +355,20 @@ def _parse_floats(cells) -> np.ndarray:
     return values
 
 
-def _binarize(column: str, table: dict, chunks: list, wanted: str, what: str,
+def _codes(table: dict, cells: list, dtype) -> np.ndarray:
+    """The code of each cell in table, as dtype."""
+    return np.fromiter(map(table.__getitem__, cells), dtype=dtype, count=len(cells))
+
+
+def _binarize(column: str, table: dict, codes: np.ndarray, wanted: str, what: str,
               error) -> tuple[np.ndarray, tuple[str, str]]:
-    """1 where a coded cell is `wanted`; and (wanted, the other value)."""
+    """1 where a coded cell is `wanted`; and (wanted, the other value).
+    codes is the column's one code vector, as ingest filled it."""
     others = sorted(set(table) - {wanted})
     if len(others) > 1:
         raise error(f"{what} column {column!r} has values {sorted(table)}; "
                     f"expected {wanted!r} plus one other")
-    binary = (np.concatenate(chunks) == table.get(wanted, -1)).astype(np.int8)
+    binary = (codes == table.get(wanted, -1)).astype(np.int8)
     return binary, (wanted, others[0] if others else wanted)
 
 
@@ -371,8 +380,11 @@ def ingest(csv_path: str | Path, spec: DatasetSpec,
     Rows that are short or have a missing value ("" or "?") in any used
     column are dropped and counted, and so are rows with a numeric cell that
     is not a finite plain_number; only then are the other columns coded, in
-    first-seen order.  Raises MissingColumn, NonBinarySensitive,
-    NonBinaryTarget, or EmptyFile on contract violations.
+    first-seen order.  The feature matrix and the sensitive and target code
+    vectors grow by each block's kept rows and are filled in place, so the
+    peak is about the dataset plus one block.  Raises MissingColumn,
+    DuplicateColumn (a used column named twice in the header),
+    NonBinarySensitive, NonBinaryTarget, or EmptyFile on contract violations.
 
     With export, the used columns of the kept rows are written to that path
     as each block is read, with their cells stripped, as csv.writer quotes
@@ -381,10 +393,15 @@ def ingest(csv_path: str | Path, spec: DatasetSpec,
     csv_path = Path(csv_path)
     used = spec.used_columns
     numeric = [c.name for c in spec.feature_columns if c.kind == "numeric"]
-    values = {name: [] for name in numeric}  # float chunks
-    tables = {name: {} for name in used if name not in values}  # cell -> code
-    codes = {name: [] for name in tables}
-    n_read = n_bad = 0
+    tables = {name: {} for name in used if name not in numeric}  # cell -> code
+    sens, targ = spec.protected_attribute_column, spec.target_column
+    # Grown by resize(refcheck=False), a realloc that may move the buffer and
+    # free the old one: no view of these arrays may live across a resize, so
+    # each block indexes them afresh.  (refcheck=True would raise whenever a
+    # debugger or profiler holds the frame's locals.)
+    features = np.empty((0, len(spec.feature_columns)), dtype=np.float64)
+    coded = {sens: np.empty(0, dtype=np.int32), targ: np.empty(0, dtype=np.int32)}
+    n = n_read = n_bad = 0
     with _gc_paused(), open(csv_path, "r", encoding="utf-8", newline="") as fh, \
             (atomic_open(export) if export is not None else nullcontext()) as sink:
         if fh.read(1) != "\ufeff":  # skip a byte-order mark
@@ -395,8 +412,11 @@ def ingest(csv_path: str | Path, spec: DatasetSpec,
         except StopIteration:
             raise EmptyFile(f"{csv_path} has no header row")
         for col in used:
-            if col not in file_header:
+            count = file_header.count(col)
+            if not count:
                 raise MissingColumn(f"{csv_path} lacks column {col!r}")
+            if count > 1:
+                raise DuplicateColumn(f"{csv_path} names column {col!r} {count} times")
         if sink:
             sink.write(_lines([[_field(h)] for h in used]))
 
@@ -427,17 +447,21 @@ def ingest(csv_path: str | Path, spec: DatasetSpec,
                 cells = {name: list(compress(col, keep)) for name, col in cells.items()}
                 parsed = {name: v[keep] for name, v in parsed.items()}
                 seen = {name: dict.fromkeys(cells[name]) for name in tables}
-            for name in numeric:
-                values[name].append(parsed[name])
             if sink:
                 sink.write(_lines([_fields(cells[name]) for name in used]))
             for name, table in tables.items():
                 for cell in seen[name]:
                     table.setdefault(cell, len(table))
-                codes[name].append(np.fromiter(map(table.__getitem__, cells[name]),
-                                               dtype=np.int64, count=len(cells[name])))
+            m = len(cells[targ])
+            features.resize((n + m, features.shape[1]), refcheck=False)
+            for j, col in enumerate(spec.feature_columns):
+                features[n:, j] = (parsed[col.name] if col.kind == "numeric" else
+                                   _codes(tables[col.name], cells[col.name], np.float64))
+            for name, vec in coded.items():
+                vec.resize(n + m, refcheck=False)
+                vec[n:] = _codes(tables[name], cells[name], np.int32)
+            n += m
 
-        n = sum(map(len, codes[spec.target_column]))
         n_missing = n_read - n_bad - n
         if n_missing == n_read:
             raise EmptyFile(f"{csv_path} has no usable data rows ({n_missing} dropped)")
@@ -448,15 +472,10 @@ def ingest(csv_path: str | Path, spec: DatasetSpec,
         if not n:
             raise EmptyFile(f"{csv_path} has no rows with parseable numeric cells")
 
-        features = np.empty((n, len(spec.feature_columns)), dtype=np.float64)
-        for j, col in enumerate(spec.feature_columns):
-            chunks = values[col.name] if col.kind == "numeric" else codes[col.name]
-            features[:, j] = np.concatenate(chunks)
-        sens, targ = spec.protected_attribute_column, spec.target_column
-        sensitive, sensitive_values = _binarize(sens, tables[sens], codes[sens],
+        sensitive, sensitive_values = _binarize(sens, tables[sens], coded[sens],
                                                 spec.protected_value, "sensitive",
                                                 NonBinarySensitive)
-        label, target_values = _binarize(targ, tables[targ], codes[targ],
+        label, target_values = _binarize(targ, tables[targ], coded[targ],
                                          spec.favorable_value, "target", NonBinaryTarget)
         return Dataset(
             features=features,

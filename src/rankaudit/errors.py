@@ -11,6 +11,10 @@ class MissingColumn(AuditError):
     pass
 
 
+class DuplicateColumn(AuditError):
+    pass
+
+
 class NonBinarySensitive(AuditError):
     pass
 

@@ -17,16 +17,22 @@ _MASK = 0xFFFFFFFFFFFFFFFF
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * _M1
-    z = (z ^ (z >> np.uint64(27))) * _M2
-    return z ^ (z >> np.uint64(31))
+    """SplitMix64's finalizer, in place on z (a uint64 array), which it returns."""
+    z ^= z >> np.uint64(30)
+    z *= _M1
+    z ^= z >> np.uint64(27)
+    z *= _M2
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def hash64(seed: int, counter) -> np.ndarray:
-    """Hash (seed, counter) to uint64. counter may be a scalar or an array."""
-    c = np.atleast_1d(np.asarray(counter)).astype(np.int64).astype(np.uint64)
-    s = np.full(1, seed & _MASK, dtype=np.uint64)
-    z = (c + np.uint64(1)) * _GOLDEN + _mix(s)
+    """Hash (seed, counter) to uint64. counter may be a scalar or an array;
+    the hash is made in a fresh array, so an array counter is left as it is."""
+    z = np.atleast_1d(np.asarray(counter)).astype(np.int64, copy=False).astype(np.uint64)
+    z += np.uint64(1)
+    z *= _GOLDEN
+    z += _mix(np.full(1, seed & _MASK, dtype=np.uint64))
     return _mix(_mix(z))
 
 

@@ -1,7 +1,8 @@
 """Brute-force reference implementations the fast paths are held to.
 
-Everything here is O(n^2) pair enumeration, kept deliberately independent
-of the library's rank-based algorithms.
+The rank metrics here are O(n^2) pair enumeration, kept deliberately
+independent of the library's rank-based algorithms; the hash is SplitMix64
+in Python ints, independent of numpy's uint64 arithmetic.
 """
 
 import math
@@ -69,3 +70,19 @@ def brute_witnesses(p, s, keys, tol, limit):
             if top > s[j] + tol:
                 pairs.append((keys[first], keys[j]))
     return pairs
+
+
+_MOD64 = 2**64
+
+
+def _splitmix64_mix(z):
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % _MOD64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % _MOD64
+    return z ^ (z >> 31)
+
+
+def splitmix64(seed, counter):
+    """SplitMix64 hash of (seed, counter), both taken mod 2**64: the mixed
+    seed plus (counter + 1) golden gammas, then mixed twice."""
+    z = ((counter + 1) * 0x9E3779B97F4A7C15 + _splitmix64_mix(seed % _MOD64)) % _MOD64
+    return _splitmix64_mix(_splitmix64_mix(z))

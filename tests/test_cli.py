@@ -189,6 +189,23 @@ def test_failed_ingest_leaves_no_export(run_inputs, tmp_path, capsys):
     assert not list(out.glob("*.tmp"))
 
 
+def test_ingest_of_a_used_column_named_twice_exits_2(run_inputs, tmp_path, capsys):
+    root, _, config = run_inputs
+    lines = (root / "bench.csv").read_text(encoding="utf-8").splitlines()
+    dup_csv = tmp_path / "dup.csv"
+    dup_csv.write_text("".join(f"{line},{line.split(',')[0]}\n" for line in lines),
+                       encoding="utf-8")
+    cfg_path = tmp_path / "dup.json"
+    cfg_path.write_text(json.dumps(dict(config, dataset={**config["dataset"],
+                                                         "csv": str(dup_csv)})),
+                        encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["ingest", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "DuplicateColumn" in err and f"{lines[0].split(',')[0]!r}" in err
+    assert not (out / "dataset_export.csv").exists()
+
+
 def test_train_writes_no_export(run_inputs, tmp_path):
     _, config_path, _ = run_inputs
     out = tmp_path / "out"

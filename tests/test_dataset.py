@@ -4,6 +4,7 @@ import csv
 import gc
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from rankaudit.dataset import (
     write_csv,
 )
 from rankaudit.errors import (
+    DuplicateColumn,
     EmptyFile,
     MissingColumn,
     NonBinarySensitive,
@@ -28,7 +30,7 @@ from rankaudit.errors import (
     UnknownId,
 )
 from rankaudit.mitigate import disparate_impact_remove
-from rankaudit.synthetic import biased_benchmark
+from rankaudit.synthetic import biased_benchmark, write_biased_benchmark_csv
 
 from conftest import make_dataset, make_spec
 
@@ -56,6 +58,19 @@ def test_ingest_missing_column(tmp_path):
     path.write_text("f0,outcome\n1.0,favorable\n", encoding="utf-8")
     with pytest.raises(MissingColumn):
         ingest(path, make_spec())
+
+
+def test_ingest_used_column_named_twice_raises(tmp_path):
+    """A used column named twice is an error naming it, not a silent pick of
+    the first copy; an unused column named twice is harmless."""
+    path = tmp_path / "dup.csv"
+    path.write_text("f0,f0,group,outcome\n1,5,protected,favorable\n"
+                    "2,6,privileged,unfavorable\n", encoding="utf-8")
+    with pytest.raises(DuplicateColumn, match="'f0' 2 times"):
+        ingest(path, make_spec())
+    path.write_text("note,f0,note,group,outcome\na,1,b,protected,favorable\n"
+                    "c,2,d,privileged,unfavorable\n", encoding="utf-8")
+    assert ingest(path, make_spec()).features[:, 0].tolist() == [1.0, 2.0]
 
 
 def test_ingest_three_sensitive_values(tmp_path):
@@ -434,6 +449,23 @@ def test_ingest_pauses_cyclic_gc_and_restores_it(tmp_path, monkeypatch, six_row_
         assert not gc.isenabled()
     finally:
         gc.enable()
+
+
+def test_ingest_peak_is_about_the_dataset(tmp_path, monkeypatch):
+    """The feature matrix and code vectors are filled in place as blocks are
+    read, so ingest's traced peak stays under twice the arrays it returns."""
+    path = tmp_path / "bench.csv"
+    spec = write_biased_benchmark_csv(path, n=10_000, seed=5)
+    monkeypatch.setattr(rankaudit.dataset, "_TEXT_BLOCK", 128)
+    tracemalloc.start()
+    try:
+        d = ingest(path, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * (d.features.nbytes + d.sensitive.nbytes + d.label.nbytes)
+    assert d.features.flags.owndata and d.features.flags.c_contiguous
+    assert d.features.shape == (d.n, len(spec.feature_columns)) == (10_000, 4)
 
 
 def test_export_of_repaired_dataset_writes_repaired_values(tmp_path):
