@@ -45,36 +45,29 @@ def _count_exceeding_pairs(seq: np.ndarray, tol: float = 0.0) -> int:
 
     One O(n) pass first compares each row with the highest row before it,
     in the merge's own expression (right + tol); when none exceeds, no
-    pair can, and 0 is returned without sorting.
+    pair can, and 0 is returned without sorting.  Otherwise the passes sort
+    a padded copy of seq in place, run by run; seq itself is never written.
     """
     s = np.asarray(seq, dtype=np.float64)
     n = len(s)
     if n < 2 or not (np.maximum.accumulate(s)[:-1] > s[1:] + tol).any():
         return 0
     block = 64
-    pad = (-n) % block
-    s = np.concatenate([s, np.full(pad, np.inf)])
+    s = np.concatenate([s, np.full((-n) % block, np.inf)])  # the copy that is sorted
     blocks = s.reshape(-1, block)
     upper = np.triu(np.ones((block, block), dtype=bool), 1)  # i < j inside a block
     total = 0
     for lo in range(0, len(blocks), 1024):  # 1,024 blocks compared at a time
         chunk = blocks[lo:lo + 1024]
         total += int(np.count_nonzero((chunk[:, :, None] > chunk[:, None, :] + tol) & upper))
-    flat = np.sort(blocks, axis=1).ravel()
+    blocks.sort(axis=1)
     size = block
-    m = len(s)
-    while size < m:
-        pieces = []
-        for start in range(0, m, 2 * size):
-            left = flat[start:start + size]
-            right = flat[start + size:start + 2 * size]
-            if len(right):
-                found = np.searchsorted(left, right + tol, side="right")
-                total += int((len(left) - found).sum())
-                pieces.append(np.sort(np.concatenate([left, right])))
-            else:
-                pieces.append(left)
-        flat = np.concatenate(pieces)
+    while size < len(s):
+        for lo in range(0, len(s) - size, 2 * size):  # each run that has a right neighbour
+            left = s[lo:lo + size]
+            found = np.searchsorted(left, s[lo + size:lo + 2 * size] + tol, side="right")
+            total += int((size - found).sum())
+            s[lo:lo + 2 * size].sort()
         size *= 2
     return total
 

@@ -260,9 +260,9 @@ class Dataset:
         for name, vec in (("features", self.features), ("sensitive", self.sensitive)):
             if len(vec) != n:
                 raise ValueError(f"{name} length {len(vec)} != {n}")
-        if not np.isin(self.sensitive, (PROTECTED, PRIVILEGED)).all():
+        if not ((self.sensitive == PROTECTED) | (self.sensitive == PRIVILEGED)).all():
             raise ValueError("sensitive values must be 0/1")
-        if not np.isin(self.label, (0, 1)).all():
+        if not ((self.label == 0) | (self.label == 1)).all():
             raise ValueError("labels must be 0/1")
 
     @property
@@ -402,10 +402,8 @@ def ingest(csv_path: str | Path, spec: DatasetSpec,
     features = np.empty((0, len(spec.feature_columns)), dtype=np.float64)
     coded = {sens: np.empty(0, dtype=np.int32), targ: np.empty(0, dtype=np.int32)}
     n = n_read = n_bad = 0
-    with _gc_paused(), open(csv_path, "r", encoding="utf-8", newline="") as fh, \
+    with _gc_paused(), open(csv_path, "r", encoding="utf-8-sig", newline="") as fh, \
             (atomic_open(export) if export is not None else nullcontext()) as sink:
-        if fh.read(1) != "\ufeff":  # skip a byte-order mark
-            fh.seek(0)
         reader = csv.reader(fh)
         try:
             file_header = [h.strip() for h in next(reader)]

@@ -2,7 +2,8 @@
 
 Thresholds, quotas, and selection rates live here, deliberately separated
 from the prediction model.  All selection is deterministic; boundary ties
-are always resolved by ascending instance id.
+are always resolved by ascending instance id, in _top_k, the one place the
+tie rule lives (mitigate's group thresholds select through it too).
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ class DecisionSet:
     def __post_init__(self):
         if len(self.labels) != len(self.instance_ids):
             raise ValueError("labels and ids differ in length")
-        if not np.isin(self.labels, (0, 1)).all():
+        if not ((self.labels == 0) | (self.labels == 1)).all():
             raise ValueError("labels must be 0/1")
 
     @property

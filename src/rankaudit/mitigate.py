@@ -16,7 +16,7 @@ import numpy as np
 from . import prng
 from .audit import _midranks, crosstab
 from .dataset import Dataset, PROTECTED, PRIVILEGED
-from .decide import DecisionSet, _check_unit, _count_ceil
+from .decide import DecisionSet, _check_unit, _count_ceil, _top_k
 from .errors import DegenerateGroup, EmptyGroup, NonNumericColumn
 from .scorer import ScoreSet
 
@@ -122,17 +122,15 @@ def fit_threshold_optimizer(scores: ScoreSet, d: Dataset,
 
 def apply_group_thresholds(gt: GroupThresholds, scores: ScoreSet,
                            d: Dataset) -> DecisionSet:
-    """Label score > t_g, then fill boundary ties (score == t_g) by ascending
-    id up to ceil(rate*n_g) in each group."""
+    """Select each group's k highest scores by the decision layer's _top_k
+    (ties by ascending id), k = ceil(rate*n_g) clipped to [#(s > t_g), #(s >= t_g)]."""
     s, ids = scores.scores, scores.instance_ids
     prot, _ = d.cohort(ids)
     labels = np.zeros(len(s), dtype=bool)
     for m, t in ((prot, gt.t_protected), (~prot, gt.t_privileged)):
-        chosen = s[m] > t
-        short = _count_ceil(gt.rate, int(m.sum())) - int(chosen.sum())
-        if short > 0:
-            chosen |= np.isin(ids[m], np.sort(ids[m][s[m] == t])[:short])
-        labels[m] = chosen
+        sg = s[m]
+        k = min(max(_count_ceil(gt.rate, len(sg)), int((sg > t).sum())), int((sg >= t).sum()))
+        labels[m] = _top_k(sg, ids[m], k)
     return DecisionSet(instance_ids=ids, labels=labels.astype(np.int8),
                        policy="per-group-thresholds", source_method=scores.method)
 

@@ -83,11 +83,6 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
-def _bce(p: np.ndarray, y: np.ndarray) -> float:
-    """Mean binary cross-entropy for 0/1 labels y."""
-    return float(-np.mean(np.log(np.where(y == 1, p, 1 - p) + 1e-12)))
-
-
 @dataclass
 class Scorer:
     """A fitted model plus the preprocessing frozen from its train split."""
@@ -102,10 +97,8 @@ class Scorer:
     loss_history: list = field(default_factory=list, repr=False)
 
     def design_matrix(self, d: Dataset, pos: np.ndarray) -> np.ndarray:
-        blocks = []
-        if len(self.numeric_idx):
-            num = d.features[np.ix_(pos, self.numeric_idx)]
-            blocks.append((num - self.mean) / self.std)
+        num = d.features[np.ix_(pos, self.numeric_idx)]  # (n, 0) without numeric columns
+        blocks = [(num - self.mean) / self.std]
         for j, levels in zip(self.categorical_idx, self.categorical_levels):
             codes = d.features[pos, j].astype(np.int64)
             onehot = np.zeros((len(pos), int(levels)), dtype=np.float64)
@@ -114,8 +107,6 @@ class Scorer:
             blocks.append(onehot[:, 1:])  # drop first level
         if self.config.include_sensitive:
             blocks.append(d.sensitive[pos].astype(np.float64)[:, None])
-        if not blocks:
-            return np.zeros((len(pos), 0))
         return np.hstack(blocks)
 
     def raw_scores(self, X: np.ndarray) -> np.ndarray:
@@ -148,25 +139,22 @@ def fit(d: Dataset, split: Split, cfg: ScorerConfig) -> Scorer:
     Features are standardized with train statistics only.  Raises
     EmptyTrain for an empty train partition and NonFiniteLoss when a train
     mean or std, or the loss, is not finite.  The loss at each iteration
-    (logistic) or epoch (one-hidden-layer) is kept on the scorer.
+    (logistic) or epoch (one-hidden-layer) is kept on the scorer: the mean
+    log loss over train, plus the L2 penalty for the logistic model.
     """
     if len(split.train_ids) == 0:
         raise EmptyTrain("train partition is empty")
     pos = d.positions_of(split.train_ids)
     numeric_idx, cat_idx, cat_levels = _feature_layout(d)
 
-    if len(numeric_idx):
-        train_num = d.features[np.ix_(pos, numeric_idx)]
-        with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-            mean, std = train_num.mean(axis=0), train_num.std(axis=0)
-        not_finite = ~np.isfinite([mean, std]).all(axis=0)
-        if not_finite.any():
-            column = d.schema.feature_columns[numeric_idx[not_finite.argmax()]].name
-            raise NonFiniteLoss(f"train mean or std of column {column!r} is not finite")
-        std[std == 0.0] = 1.0
-    else:
-        mean = np.zeros(0)
-        std = np.ones(0)
+    train_num = d.features[np.ix_(pos, numeric_idx)]  # (n, 0) without numeric columns
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        mean, std = train_num.mean(axis=0), train_num.std(axis=0)
+    not_finite = ~np.isfinite([mean, std]).all(axis=0)
+    if not_finite.any():
+        column = d.schema.feature_columns[numeric_idx[not_finite.argmax()]].name
+        raise NonFiniteLoss(f"train mean or std of column {column!r} is not finite")
+    std[std == 0.0] = 1.0
 
     model = Scorer(
         config=cfg,
@@ -256,8 +244,9 @@ def _fit_mlp(model: Scorer, X: np.ndarray, y: np.ndarray) -> None:
             xb, yb = X[idx], y[idx]
             z1 = xb @ w1 + b1
             a1 = np.maximum(z1, 0.0)
-            p = _sigmoid(a1 @ w2 + b2[0])
-            losses.append(_bce(p, yb) * len(idx))
+            z2 = a1 @ w2 + b2[0]
+            p = _sigmoid(z2)
+            losses.append(float(np.logaddexp(0.0, (1.0 - 2.0 * yb) * z2).sum()))
             dz2 = (p - yb) / len(idx)
             gw2 = a1.T @ dz2 + 2.0 * cfg.l2_penalty * w2
             gb2 = np.array([dz2.sum()])
@@ -301,9 +290,7 @@ def ingest_external_scores(csv_path: str | Path, d: Dataset, ids,
     IdMismatch naming the file and line.
     """
     file_ids, scores = [], []
-    with open(csv_path, "r", encoding="utf-8", newline="") as fh:
-        if fh.read(1) != "\ufeff":  # skip a byte-order mark
-            fh.seek(0)
+    with open(csv_path, "r", encoding="utf-8-sig", newline="") as fh:  # drops a byte-order mark
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header[:2]] != ["instance_id", "score"]:

@@ -55,6 +55,19 @@ def brute_exceeding_pairs(seq, tol):
                    for i in range(n) for j in range(i + 1, n)))
 
 
+def group_threshold_labels(s, ids, prot, t_protected, t_privileged, rate):
+    """Per group, label score > t_g, then fill boundary ties (score == t_g)
+    by ascending id up to ceil(rate * n_g)."""
+    labels = np.zeros(len(s), dtype=bool)
+    for m, t in ((prot, t_protected), (~prot, t_privileged)):
+        chosen = s[m] > t
+        short = min(len(chosen), math.ceil(rate * len(chosen) - 1e-9)) - int(chosen.sum())
+        if short > 0:
+            chosen |= np.isin(ids[m], np.sort(ids[m][s[m] == t])[:short])
+        labels[m] = chosen
+    return labels
+
+
 def brute_witnesses(p, s, keys, tol, limit):
     """Up to limit (lower-p key, higher-p key) pairs of one group, straight
     from the definition: for each row in (p, s) order, the first row holding

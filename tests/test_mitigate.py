@@ -14,6 +14,7 @@ from rankaudit.errors import (
     RateOutOfRange,
 )
 from rankaudit.mitigate import (
+    GroupThresholds,
     MixingRates,
     apply_group_thresholds,
     apply_mixing,
@@ -27,6 +28,7 @@ from rankaudit.mitigate import (
 from rankaudit.dataset import DatasetSpec, FeatureColumn, Dataset
 
 from conftest import make_dataset, make_scores
+from oracles import group_threshold_labels
 
 
 # --- feature repair ------------------------------------------------------------
@@ -235,6 +237,25 @@ def test_thresholds_never_alter_scores():
     gt = fit_threshold_optimizer(s, d, rate=0.5)
     apply_group_thresholds(gt, s, d)
     assert np.array_equal(s.scores, before)
+
+
+def test_thresholds_match_the_tie_fill_reference():
+    # few score levels make boundary ties common; ids are shuffled so that
+    # ascending id is not row order
+    rng = np.random.default_rng(31)
+    for trial in range(2000):
+        n = int(rng.integers(1, 16))
+        d = make_dataset(rng.integers(0, 2, n), rng.integers(0, 2, n))
+        levels = np.round(rng.random(int(rng.integers(1, 6))), 2)
+        ids = rng.permutation(n)
+        s = make_scores(rng.choice(levels, n), ids=ids)
+        on_grid = rng.choice(levels, 2)
+        t_prot, t_priv = on_grid if trial % 2 else on_grid + rng.choice([-0.005, 0.005], 2)
+        rate = float(rng.choice([0.0, 1.0, rng.random()]))
+        gt = GroupThresholds(float(t_prot), float(t_priv), "selection-rate", rate)
+        prot, _ = d.cohort(ids)
+        want = group_threshold_labels(s.scores, ids, prot, t_prot, t_priv, rate)
+        assert apply_group_thresholds(gt, s, d).labels.tolist() == want.astype(int).tolist()
 
 
 # --- reject option ------------------------------------------------------------------

@@ -17,6 +17,7 @@ from rankaudit.audit import kendall_tau
 from rankaudit.scorer import (
     Scorer,
     ScorerConfig,
+    _fit_logistic,
     fit,
     ingest_external_scores,
     load_scorer,
@@ -26,7 +27,7 @@ from rankaudit.scorer import (
 )
 from rankaudit.synthetic import biased_benchmark
 
-from conftest import make_dataset, make_scores
+from conftest import make_dataset, make_scores, make_spec
 
 
 def _all_train_split(d):
@@ -93,6 +94,22 @@ def test_fit_reaches_zero_penalized_gradient():
     assert np.linalg.norm(f(theta)[1]) <= 1e-9
     assert len(model.loss_history) <= 20
     assert (np.diff(model.loss_history) <= 1e-15).all()  # the loss never rises beyond rounding
+
+
+def test_fit_halves_newton_steps_on_an_unstandardized_offset():
+    # x near 1e4: near the optimum a full Newton step loses to rounding, so
+    # the fit halves steps to keep the loss from rising; taking every full
+    # step leaves the loss rising by ~1e-12 and the gradient near 1e-8
+    X = np.array([[10000.3], [10000.2], [10000.2]])
+    y = np.array([0.0, 1.0, 1.0])
+    cfg = ScorerConfig()
+    none = np.zeros(0, dtype=np.int64)
+    model = Scorer(cfg, none, none, none, mean=np.zeros(0), std=np.ones(0))
+    with np.errstate(over="ignore"):  # as in fit
+        _fit_logistic(model, X, y)
+    theta = np.append(model.weights["w"], model.weights["b"])
+    assert np.linalg.norm(_penalized_loss_and_grad(X, y, cfg.l2_penalty)(theta)[1]) <= 1e-9
+    assert (np.diff(model.loss_history) <= 0.0).all()
 
 
 def test_fit_agrees_with_bfgs():
@@ -239,6 +256,23 @@ def test_scorer_persistence_round_trip(tmp_path):
     a = score(model, d, d.instance_ids).scores
     b = score(loaded, d, d.instance_ids).scores
     assert np.array_equal(a, b)
+
+
+def test_categorical_only_spec_fits_scores_and_round_trips(tmp_path):
+    # no numeric column: the standardized block is (n, 0), mean and std empty
+    rng = np.random.default_rng(12)
+    codes = rng.integers(0, 3, (60, 2)).astype(np.float64)
+    label = (codes[:, 0] + rng.integers(0, 2, 60) >= 2).astype(np.int8)
+    d = Dataset(features=codes, sensitive=rng.integers(0, 2, 60).astype(np.int8),
+                label=label, schema=make_spec(2, kinds=["categorical"] * 2))
+    model = fit(d, _all_train_split(d), ScorerConfig())
+    assert model.mean.shape == model.std.shape == (0,)
+    assert model.design_matrix(d, d.positions_of(d.instance_ids)).shape == (60, 4)
+    path = tmp_path / "scorer.txt"
+    save_scorer(model, path)
+    a = score(model, d, d.instance_ids).scores
+    assert np.array_equal(score(load_scorer(path), d, d.instance_ids).scores, a)
+    assert len(np.unique(a)) > 1
 
 
 def test_scorer_persistence_keeps_include_sensitive(tmp_path):

@@ -198,6 +198,28 @@ def test_exceeding_pair_shortcut_at_exactly_tol(tol):
         assert _count_exceeding_pairs(long, tol) == brute_exceeding_pairs(long, tol) == want
 
 
+@pytest.mark.parametrize("tol", [0.0, 0.05])
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 129, 323, 705, 1500])
+def test_exceeding_pair_count_across_merge_levels(n, tol):
+    # padded to 64-row blocks, these lengths leave a run with no right
+    # neighbour at one or more merge levels (323: at 128; 1500: at 256 and 512)
+    rng = np.random.default_rng(n)
+    seq = np.round(rng.random(n), 1)  # ties at every level
+    assert _count_exceeding_pairs(seq, tol) == brute_exceeding_pairs(seq, tol)
+
+
+def test_exceeding_pair_count_leaves_its_input_unchanged():
+    # float64, so asarray makes no copy; 320 rows fill whole blocks, so no padding either
+    seq = np.round(np.random.default_rng(4).random(320), 1)
+    before = seq.copy()
+    want = brute_exceeding_pairs(seq, 0.0)
+    assert _count_exceeding_pairs(seq) == want
+    assert np.array_equal(seq, before)
+    as_list = seq.tolist()
+    assert _count_exceeding_pairs(as_list) == want
+    assert as_list == before.tolist()
+
+
 def test_groups_are_sorted_codes_kept_per_world():
     w = wage_gap_world(5)
     codes = np.array([2, 0] * 5, dtype=np.int8)  # unsorted
