@@ -14,7 +14,6 @@ from .audit import (
     auc,
     build_report,
     kendall_tau,
-    method_correlation_matrix,
     quadrant_analysis,
     spd,
     eod,
@@ -29,7 +28,7 @@ from .dataset import (
     split,
     verify_base_rate,
 )
-from .decide import DecisionPolicy, DecisionSet, decide, equalize_rates
+from .decide import DecisionPolicy, DecisionSet, decide
 from .mitigate import (
     CriticalRegion,
     GroupThresholds,

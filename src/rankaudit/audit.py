@@ -202,27 +202,6 @@ def quadrant_analysis(base: DecisionSet, mitigated: DecisionSet, d: Dataset):
     return counts, _QUADRANT_NAMES[2 * base.labels + mitigated.labels]
 
 
-def method_correlation_matrix(score_sets: list[ScoreSet],
-                              variant: str = "tau-b", tau=None):
-    """Symmetric tau matrix across methods; diagonal is exactly 1.0.
-
-    tau(x, y), when given, stands in for kendall_tau(x, y, variant), so a
-    caller can reuse the values it already holds.
-    """
-    if not score_sets:
-        return [], np.zeros((0, 0))
-    for ss in score_sets[1:]:
-        require_aligned(score_sets[0].instance_ids, ss.instance_ids, ss.method)
-    tau = tau or (lambda x, y: kendall_tau(x, y, variant))
-    names = [ss.method for ss in score_sets]
-    k = len(score_sets)
-    matrix = np.eye(k)
-    for i in range(k):
-        for j in range(i + 1, k):
-            matrix[i, j] = matrix[j, i] = tau(score_sets[i].scores, score_sets[j].scores)
-    return names, matrix
-
-
 # --- report ---------------------------------------------------------------------
 
 def _with_context(name: str, exc: AuditError) -> AuditError:
@@ -287,12 +266,14 @@ def audit_scores(d: Dataset, baseline: ScoreSet, others: list[ScoreSet],
         except AuditError as exc:
             raise _with_context(ss.method, exc)
 
-    pairwise_names, matrix = method_correlation_matrix(score_sets, tau_variant, tau)
+    matrix = np.eye(len(score_sets))  # the diagonal is exactly 1.0
+    for i, j in zip(*np.triu_indices(len(score_sets), 1)):
+        matrix[i, j] = matrix[j, i] = tau(score_sets[i].scores, score_sets[j].scores)
     return ScoreAudit(
         score_sets=score_sets,
         auc=aucs,
         tau_vs_baseline=taus,
-        pairwise_tau={"methods": pairwise_names, "matrix": matrix.tolist()},
+        pairwise_tau={"methods": [ss.method for ss in score_sets], "matrix": matrix.tolist()},
     )
 
 

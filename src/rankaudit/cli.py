@@ -67,9 +67,20 @@ AT_HALF = DecisionPolicy(kind="fixed-threshold", threshold=0.5)
 
 # --- small file helpers -----------------------------------------------------------
 
+def _nan_to_none(doc):
+    """doc with every nan float replaced by None, which JSON writes as null."""
+    if isinstance(doc, dict):
+        return {k: _nan_to_none(v) for k, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [_nan_to_none(v) for v in doc]
+    return None if isinstance(doc, float) and math.isnan(doc) else doc
+
+
 def _write_json(path: Path, doc) -> None:
+    """Strict JSON: an undefined value (a nan tau) is written as null."""
     with atomic_open(path) as fh:
-        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        fh.write(json.dumps(_nan_to_none(doc), indent=2, sort_keys=True,
+                            allow_nan=False) + "\n")
 
 
 def _slug(label: str) -> str:
@@ -332,8 +343,15 @@ class Pipeline:
                   ["instance_id", "score"], [ids, self.text.floats(scores.scores)])
 
     def mitigate(self):
-        # the native report, equalized odds and the baseline-pdr rate share it
+        # the native report and the baseline-pdr rate share it
         self.baseline_at_half = decide(self.baseline_test, self.dataset, AT_HALF)
+        # each postprocessor's fit, apply and config key, looked up per run so
+        # that a wrapped module attribute is the one called
+        postprocessors = {
+            "group-thresholds": (fit_threshold_optimizer, apply_group_thresholds, "rate"),
+            "reject-option": (reject_option_classify, apply_reject_option, "epsilon"),
+            "equalized-odds": (fit_equalized_odds_post, apply_mixing, "seed"),
+        }
         for m in self.methods:
             kind, name = m["kind"], m["name"]
             if kind == "feature-repair":
@@ -345,21 +363,10 @@ class Pipeline:
             elif kind == "external-scores":
                 scores = self.external[name]
             else:  # a postprocessor: fitted on validation, decides on test
+                fit_on, apply_to, key = postprocessors[kind]
+                fitted = fit_on(self.baseline_validation, self.dataset, m[key])
                 scores = relabel(self.baseline_test, name)
-                if kind == "group-thresholds":
-                    fitted = fit_threshold_optimizer(self.baseline_validation, self.dataset,
-                                                     rate=m["rate"])
-                    decisions = apply_group_thresholds(fitted, scores, self.dataset)
-                elif kind == "reject-option":
-                    fitted = reject_option_classify(self.baseline_validation, self.dataset,
-                                                    epsilon=float(m["epsilon"])).region
-                    decisions = apply_reject_option(fitted, scores, self.dataset)
-                else:  # equalized-odds
-                    base_val = decide(self.baseline_validation, self.dataset, AT_HALF)
-                    fitted = fit_equalized_odds_post(base_val, self.dataset, seed=m["seed"])
-                    decisions = apply_mixing(fitted, self.baseline_at_half, self.dataset,
-                                             method=name)
-                self.native_decisions[name] = decisions
+                self.native_decisions[name] = apply_to(fitted, scores, self.dataset)
                 with atomic_open(self.out / f"fitted_{_slug(name)}.txt") as fh:
                     fh.write(fitted.to_text())
             self.method_scores.append(scores)

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .dataset import ColumnText, Dataset, require_aligned, write_csv
-from .errors import EmptyGroup, RateOutOfRange
+from .errors import RateOutOfRange
 from .scorer import ScoreSet
 
 TIE_RULE = "ascending instance_id"
@@ -141,20 +141,6 @@ def decide(scores: ScoreSet, d: Dataset, policy: DecisionPolicy) -> DecisionSet:
         policy=policy.label(),
         source_method=scores.method,
     )
-
-
-def equalize_rates(scores: ScoreSet, d: Dataset, rate: float) -> DecisionSet:
-    """Select the same per-group rate in both groups.
-
-    Group counts round to nearest, so |SPD| <= 1/min(n_g) and the global
-    positive rate stays within 1/n of the target.
-    """
-    _check_unit(rate, "rate")
-    prot, _ = d.cohort(scores.instance_ids)
-    if not prot.any() or prot.all():
-        raise EmptyGroup("equalize_rates needs both groups present")
-    policy = DecisionPolicy(kind="per-group-rates", group_rates=(rate, rate))
-    return decide(scores, d, policy)
 
 
 def export_decisions(dec: DecisionSet, d: Dataset, scores: ScoreSet,

@@ -3,8 +3,11 @@
 Feature repair returns a Dataset whose numeric columns move toward the
 mean of the two groups' quantile functions, preserving within-group
 order.  The three postprocessors (per-group threshold fitting,
-critical-region label flipping, and randomized odds-equalizing label
-mixing) never touch score values; they only produce decisions.
+critical-region label flipping, and randomized odds-equalizing mixing of
+the base prediction score > CUT) share one contract: `fit_*(scores, d,
+<key>)` returns the Fitted parameters from validation scores, and
+`apply_*(fitted, scores, d)` returns a DecisionSet named after the scores
+it is given.  They never touch score values; they only produce decisions.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from .decide import DecisionSet, _check_unit, _count_ceil, _top_k
 from .errors import DegenerateGroup, EmptyGroup, NonNumericColumn
 from .scorer import ScoreSet
 
+CUT = 0.5  # the default decision cut: score > CUT is the base prediction
 THETA_GRID = np.arange(51) / 100.0  # 0.00, 0.01, ..., 0.50
 
 
@@ -91,7 +95,7 @@ def fit_threshold_optimizer(scores: ScoreSet, d: Dataset,
     """Per-group cutoffs at the ceil(rate*n_g)-th highest score.
 
     With rate None the target defaults to the scores' own positive rate at
-    threshold 0.5 (demographic parity at the status-quo selection level).
+    CUT (demographic parity at the status-quo selection level).
     Realized rates land within 1/n_g of the target when the thresholds are
     applied with boundary-tie completion.
     """
@@ -99,7 +103,7 @@ def fit_threshold_optimizer(scores: ScoreSet, d: Dataset,
     prot, _ = d.cohort(scores.instance_ids)
     criterion = "selection-rate" if rate is not None else "demographic-parity"
     if rate is None:
-        rate = float((s > 0.5).mean())
+        rate = float(_base_labels(scores).mean())
     _check_unit(rate, "target rate")
 
     cutoffs = {}
@@ -139,7 +143,7 @@ def apply_group_thresholds(gt: GroupThresholds, scores: ScoreSet,
 
 @dataclass(frozen=True)
 class CriticalRegion(Fitted):
-    """Uncertainty band [0.5 - theta, 0.5 + theta] around the default cut."""
+    """Uncertainty band [CUT - theta, CUT + theta] around the default cut."""
 
     theta: float
 
@@ -148,30 +152,22 @@ class CriticalRegion(Fitted):
             raise ValueError(f"theta must lie in [0, 0.5], got {self.theta}")
 
 
-@dataclass(frozen=True)
-class RejectOptionResult:
-    region: CriticalRegion
-    decisions: DecisionSet
-    achieved_spd: float
-    unchanged: bool  # True when no label differs from plain thresholding
-
-
 def _band_labels(s: np.ndarray, prot: np.ndarray, theta: float) -> np.ndarray:
-    labels = s > 0.5
+    labels = s > CUT
     if theta > 0.0:
-        in_band = (s >= 0.5 - theta) & (s <= 0.5 + theta)
+        in_band = (s >= CUT - theta) & (s <= CUT + theta)
         labels = np.where(in_band, prot, labels)
     return labels.astype(np.int8)
 
 
 def reject_option_classify(scores: ScoreSet, d: Dataset,
-                           epsilon: float) -> RejectOptionResult:
-    """Flip labels inside the smallest grid band that evens the rates.
+                           epsilon: float) -> CriticalRegion:
+    """The smallest grid band whose flipped labels even the rates.
 
     Inside the band, protected instances become positive and privileged
     ones negative.  theta is the smallest grid value in {0, 0.01, ..., 0.5}
-    with |SPD| <= epsilon on the scores, else the grid argmin of |SPD|.
-    theta = 0 means plain thresholding at 0.5.
+    with |SPD| <= epsilon on the scores, else the first grid argmin of
+    |SPD|.  theta = 0 means plain thresholding at CUT.
     """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
@@ -180,25 +176,13 @@ def reject_option_classify(scores: ScoreSet, d: Dataset,
     if not prot.any() or prot.all():
         raise EmptyGroup("reject option needs both groups present")
 
-    best_theta, best_abs, chosen = None, None, None
+    gaps = []
     for theta in THETA_GRID:
         labels = _band_labels(s, prot, float(theta))
-        gap = float(labels[prot].mean() - labels[~prot].mean())
-        if abs(gap) <= epsilon:
-            best_theta, best_abs, chosen = float(theta), gap, labels
-            break
-        if best_abs is None or abs(gap) < abs(best_abs):
-            best_theta, best_abs, chosen = float(theta), gap, labels
-
-    base = (s > 0.5).astype(np.int8)
-    return RejectOptionResult(
-        region=CriticalRegion(theta=best_theta),
-        decisions=DecisionSet(instance_ids=scores.instance_ids, labels=chosen,
-                              policy="reject-option",
-                              source_method=scores.method),
-        achieved_spd=best_abs,
-        unchanged=bool(np.array_equal(chosen, base)),
-    )
+        gaps.append(abs(float(labels[prot].mean() - labels[~prot].mean())))
+        if gaps[-1] <= epsilon:
+            break  # every earlier gap exceeds epsilon, so this one is the argmin
+    return CriticalRegion(theta=float(THETA_GRID[np.argmin(gaps)]))
 
 
 def apply_reject_option(region: CriticalRegion, scores: ScoreSet,
@@ -231,13 +215,18 @@ class MixingRates(Fitted):
         return astuple(self)[:4]
 
 
-def _odds_table(pred: DecisionSet, d: Dataset) -> tuple[np.ndarray, np.ndarray]:
+def _base_labels(scores: ScoreSet) -> np.ndarray:
+    """The base prediction, score > CUT, as int8 labels."""
+    return (scores.scores > CUT).astype(np.int8)
+
+
+def _odds_table(scores: ScoreSet, d: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """(n, rate) over the base predictions: n[g, yhat, y] counts rows of
     group g (0 protected, 1 privileged) with base label yhat and truth y, and
     rate[g, y] = P(yhat = 1 | g, y), FPR then TPR.  DegenerateGroup when a
     group lacks positives or negatives."""
-    prot, truth = d.cohort(pred.instance_ids)
-    n = crosstab(~prot, pred.labels, truth)
+    prot, truth = d.cohort(scores.instance_ids)
+    n = crosstab(~prot, _base_labels(scores), truth)
     totals = n.sum(axis=1)  # [g, y]
     for name, per_truth in zip(("prot", "priv"), totals):
         if not per_truth.all():
@@ -245,7 +234,7 @@ def _odds_table(pred: DecisionSet, d: Dataset) -> tuple[np.ndarray, np.ndarray]:
     return n, n[:, 1, :] / totals
 
 
-def fit_equalized_odds_post(pred: DecisionSet, d: Dataset,
+def fit_equalized_odds_post(scores: ScoreSet, d: Dataset,
                             seed: int) -> MixingRates:
     """Mixing rates equalizing derived TPR and FPR at minimum expected error.
 
@@ -255,7 +244,7 @@ def fit_equalized_odds_post(pred: DecisionSet, d: Dataset,
     for feasibility, and scored.  Objective ties break toward the
     lexicographically smallest (p_prot|0, p_prot|1, p_priv|0, p_priv|1).
     """
-    n, rate = _odds_table(pred, d)
+    n, rate = _odds_table(scores, d)
 
     # objective: expected misclassifications, linear in p
     # p order: (prot|0, prot|1, priv|0, priv|1)
@@ -295,26 +284,26 @@ def fit_equalized_odds_post(pred: DecisionSet, d: Dataset,
     return MixingRates(*map(float, best), seed=seed)  # best is in as_vector order
 
 
-def derived_group_rates(rates: MixingRates, pred: DecisionSet, d: Dataset) -> dict:
-    """Analytic post-mixing TPR/FPR per group of pred; DegenerateGroup as in
-    the fit when a group lacks positives or negatives."""
-    _, base = _odds_table(pred, d)  # [group, truth]: P(base label 1 | group, truth)
+def derived_group_rates(rates: MixingRates, scores: ScoreSet, d: Dataset) -> dict:
+    """Analytic post-mixing TPR/FPR per group of scores; DegenerateGroup as
+    in the fit when a group lacks positives or negatives."""
+    _, base = _odds_table(scores, d)  # [group, truth]: P(base label 1 | group, truth)
     p = np.reshape(rates.as_vector(), (2, 2))  # [group, base label]
     derived = p[:, 1:] * base + p[:, :1] * (1 - base)  # [group, truth]
     return {"tpr_protected": derived[0, 1], "fpr_protected": derived[0, 0],
             "tpr_privileged": derived[1, 1], "fpr_privileged": derived[1, 0]}
 
 
-def apply_mixing(rates: MixingRates, pred: DecisionSet, d: Dataset,
-                 method: str | None = None) -> DecisionSet:
-    """Resample labels with the mixing rates; scores are never touched.
+def apply_mixing(rates: MixingRates, scores: ScoreSet, d: Dataset) -> DecisionSet:
+    """Resample the base prediction with the mixing rates; scores are never
+    touched.
 
     Draws are keyed by (seed, instance_id), so repeated application is
     bit-identical and independent of evaluation order.
     """
-    ids = pred.instance_ids
+    ids = scores.instance_ids
     prot, _ = d.cohort(ids)
-    p = np.array(rates.as_vector())[2 * ~prot + pred.labels]  # as_vector order
+    p = np.array(rates.as_vector())[2 * ~prot + _base_labels(scores)]  # as_vector order
     draws = prng.uniform01(rates.seed, ids)
     return DecisionSet(instance_ids=ids, labels=(draws < p).astype(np.int8),
-                       policy="randomized-mixing", source_method=method or pred.source_method)
+                       policy="randomized-mixing", source_method=scores.method)

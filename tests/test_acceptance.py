@@ -25,7 +25,6 @@ from rankaudit import (
     decide,
     decomposition_check,
     disparate_impact_remove,
-    equalize_rates,
     fit,
     fit_equalized_odds_post,
     fit_threshold_optimizer,
@@ -147,12 +146,10 @@ def _postprocessing_report(d, splits):
 
     gt = fit_threshold_optimizer(baseline_val, d)
     to_dec = apply_group_thresholds(gt, relabel(baseline, "thresholds"), d)
-    roc = reject_option_classify(baseline_val, d, epsilon=0.05)
-    roc_dec = apply_reject_option(roc.region, relabel(baseline, "band-flip"), d)
-    base_val_dec = decide(baseline_val, d, threshold_05)
-    mixing = fit_equalized_odds_post(base_val_dec, d, seed=3)
-    eop_dec = apply_mixing(mixing, decide(baseline, d, threshold_05), d,
-                           method="odds-mixing")
+    region = reject_option_classify(baseline_val, d, epsilon=0.05)
+    roc_dec = apply_reject_option(region, relabel(baseline, "band-flip"), d)
+    mixing = fit_equalized_odds_post(baseline_val, d, seed=3)
+    eop_dec = apply_mixing(mixing, relabel(baseline, "odds-mixing"), d)
     scored = audit_scores(d, baseline, [relabel(baseline, name) for name in
                                         ("thresholds", "band-flip", "odds-mixing")])
     return build_report(d, scored, threshold_05, decisions={
@@ -240,7 +237,7 @@ def test_criterion_05_controlled_rate_fairness():
             n_p = int((d.sensitive[pos] == PROTECTED).sum())
             n_v = len(ids) - n_p
             bound = 1.0 / min(n_p, n_v) + 1e-12
-            quota = equalize_rates(s, d, r)
+            quota = decide(s, d, DecisionPolicy(kind="per-group-rates", group_rates=(r, r)))
             assert abs(spd(quota, d)) <= bound
             gt = fit_threshold_optimizer(s, d, rate=r)
             via_t = apply_group_thresholds(gt, s, d)
@@ -255,12 +252,11 @@ def test_criterion_05_controlled_rate_fairness():
         base_labels = np.where(rng.random(n) < np.where(sens == 1, 0.6, 0.8),
                                truth, 1 - truth).astype(np.int8)
         base = make_scores(np.where(base_labels == 1, 0.9, 0.1))
-        base_dec = decide(base, d, DecisionPolicy(kind="fixed-threshold", threshold=0.5))
-        rates_fit = fit_equalized_odds_post(base_dec, d, seed=19)
-        derived = derived_group_rates(rates_fit, base_dec, d)
+        rates_fit = fit_equalized_odds_post(base, d, seed=19)
+        derived = derived_group_rates(rates_fit, base, d)
         assert abs(derived["tpr_protected"] - derived["tpr_privileged"]) <= 1e-9
         assert abs(derived["fpr_protected"] - derived["fpr_privileged"]) <= 1e-9
-        mixed = apply_mixing(rates_fit, base_dec, d)
+        mixed = apply_mixing(rates_fit, base, d)
         prot = d.protected_mask
         for mask, tag in ((prot, "protected"), (~prot, "privileged")):
             for y, kind in ((1, "tpr"), (0, "fpr")):
@@ -348,7 +344,9 @@ def test_criterion_08_qualitative_biased_data():
             dec = decide(baseline, d,
                          DecisionPolicy(kind="fixed-threshold", threshold=0.5))
             assert spd(dec, d) < -0.10
-            controlled = equalize_rates(baseline, d, dec.realized_pdr)
+            rate = dec.realized_pdr
+            controlled = decide(baseline, d,
+                                DecisionPolicy(kind="per-group-rates", group_rates=(rate, rate)))
             assert abs(spd(controlled, d)) <= 0.02
 
 

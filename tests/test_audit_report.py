@@ -13,10 +13,11 @@ from rankaudit.audit import (
     quadrant_analysis,
     spd,
 )
-from rankaudit.decide import DecisionPolicy, DecisionSet, decide, equalize_rates
+from rankaudit.decide import DecisionPolicy, DecisionSet, decide
 from rankaudit.errors import EmptyGroup, MisalignedIds, NoPositivesInGroup
 from rankaudit.mitigate import (
     apply_mixing,
+    apply_reject_option,
     fit_equalized_odds_post,
     reject_option_classify,
 )
@@ -113,7 +114,7 @@ def test_quadrants_conservation_under_fixed_rates():
     s = make_scores(rng.random(16))
     base = decide(s, d, DecisionPolicy(kind="fixed-threshold", threshold=0.5))
     rate = base.realized_pdr
-    mit = equalize_rates(s, d, rate)
+    mit = decide(s, d, DecisionPolicy(kind="per-group-rates", group_rates=(rate, rate)))
     counts, _ = quadrant_analysis(base, mit, d)
     for g in ("protected", "privileged"):
         # per-group counts move by at most the rounding slack of the quota
@@ -180,14 +181,13 @@ def test_report_matches_hand_assembly():
 
 def test_report_postprocessing_rows_bitwise_equal_baseline():
     d, base = _report_fixture()
-    res = reject_option_classify(base, d, epsilon=0.05)
-    base_dec = decide(base, d, DecisionPolicy(kind="fixed-threshold", threshold=0.5))
-    mixing = fit_equalized_odds_post(base_dec, d, seed=3)
-    mixed = apply_mixing(mixing, base_dec, d, method="mixing")
-    scored = audit_scores(d, base, [relabel(base, "band-flip"), relabel(base, "mixing")])
+    band_flip, mixing = relabel(base, "band-flip"), relabel(base, "mixing")
+    region = reject_option_classify(base, d, epsilon=0.05)
+    mixed = apply_mixing(fit_equalized_odds_post(base, d, seed=3), mixing, d)
+    scored = audit_scores(d, base, [band_flip, mixing])
     policy = DecisionPolicy(kind="fixed-threshold", threshold=0.5)
-    report = build_report(d, scored, policy,
-                          decisions={"band-flip": res.decisions, "mixing": mixed})
+    report = build_report(d, scored, policy, decisions={
+        "band-flip": apply_reject_option(region, band_flip, d), "mixing": mixed})
     for name in ("band-flip", "mixing"):
         assert report.tau_vs_baseline[name]["overall"] == 1.0
         assert report.tau_vs_baseline[name]["protected"] == 1.0

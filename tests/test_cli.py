@@ -233,6 +233,34 @@ def test_external_scores_method(run_inputs, tmp_path):
     assert report["tau_vs_baseline"]["mirror"]["overall"] == 1.0
 
 
+def test_undefined_tau_is_null_in_report_json(run_inputs, tmp_path):
+    # tau-b against a constant score vector is undefined: report JSON writes
+    # it as null, which a strict parser reads, and the CSVs keep nan
+    root, config_path, config = run_inputs
+    assert main(["train", "--config", str(config_path), "--out", str(tmp_path / "base")]) == 0
+    header, *rows = (tmp_path / "base" / "scores_baseline_test.csv").read_text().splitlines()
+    flat_path = tmp_path / "flat.csv"
+    flat_path.write_text("\n".join([header] + [r.split(",")[0] + ",0.5" for r in rows]) + "\n",
+                         encoding="utf-8")
+    cfg = {**config, "methods": [{"kind": "external-scores", "name": "flat",
+                                  "path": str(flat_path)}]}
+    cfg_path = tmp_path / "flat.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+
+    def strict(constant):
+        raise ValueError(f"not JSON: {constant}")
+    reports = sorted(out.glob("report_*.json"))
+    assert len(reports) == 3
+    for path in reports:
+        report = json.loads(path.read_text(encoding="utf-8"), parse_constant=strict)
+        assert report["tau_vs_baseline"]["flat"] == {
+            "overall": None, "protected": None, "privileged": None}
+        assert report["pairwise_tau"]["matrix"] == [[1.0, None], [None, 1.0]]
+    assert _csv_rows(out / "tau_vs_baseline.csv")[1] == ["flat", "nan", "nan", "nan"]
+
+
 def test_external_scores_missing_test_ids_exit_1(run_inputs, tmp_path, capsys):
     root, config_path, config = run_inputs
     base_out = tmp_path / "base"
@@ -712,12 +740,34 @@ def test_run_decides_baseline_at_half_once(run_inputs, tmp_path, monkeypatch):
         monkeypatch.setattr(module, "decide", counted)
     out = tmp_path / "out"
     assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
-    # the baseline at 0.5: once on test (shared by equalized odds, the
-    # baseline-pdr rate and the native report), once on validation, once
-    # under the configured fixed-threshold-0.5 policy
-    assert calls.count(("baseline", "fixed-threshold-0.5")) == 3
-    # 2 in mitigate, 1 native (repair), 2 policies x 5 score sets
-    assert len(calls) == 13
+    # the baseline at 0.5: once on test (shared by the baseline-pdr rate and
+    # the native report), once under the configured fixed-threshold-0.5
+    # policy; equalized odds reads the scores, not a decision
+    assert calls.count(("baseline", "fixed-threshold-0.5")) == 2
+    # 1 in mitigate, 1 native (repair), 2 policies x 5 score sets
+    assert len(calls) == 12
+
+
+def test_mitigate_calls_each_postprocessor_by_its_module_name(run_inputs, tmp_path,
+                                                              monkeypatch):
+    # a wrapper put on a module attribute after import (as a tracer does)
+    # must be the function that runs
+    root, config_path, _ = run_inputs
+    calls = {}
+    for name in ("fit_threshold_optimizer", "apply_group_thresholds",
+                 "reject_option_classify", "apply_reject_option",
+                 "fit_equalized_odds_post", "apply_mixing"):
+        original = getattr(rankaudit.cli, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args)
+        monkeypatch.setattr(rankaudit.cli, name, counted)
+    assert main(["mitigate", "--config", str(config_path),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert calls == {"fit_threshold_optimizer": 1, "apply_group_thresholds": 1,
+                     "reject_option_classify": 1, "apply_reject_option": 1,
+                     "fit_equalized_odds_post": 1, "apply_mixing": 1}
 
 
 def test_run_turns_each_score_array_into_text_once(run_inputs, tmp_path, monkeypatch):

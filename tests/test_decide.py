@@ -8,10 +8,9 @@ import pytest
 from rankaudit.decide import (
     DecisionPolicy,
     decide,
-    equalize_rates,
     export_decisions,
 )
-from rankaudit.errors import EmptyGroup, RateOutOfRange, UnknownId
+from rankaudit.errors import RateOutOfRange, UnknownId
 from rankaudit.audit import spd
 
 from conftest import make_dataset, make_scores
@@ -57,7 +56,7 @@ def test_realized_pdr_recomputed():
 def test_equalize_rates_exact_per_group():
     d = make_dataset([1, 1, 1, 1, 0, 0, 0, 0], [0, 1] * 4)
     s = make_scores([0.1, 0.9, 0.3, 0.5, 0.2, 0.8, 0.7, 0.4])
-    dec = equalize_rates(s, d, 0.25)
+    dec = decide(s, d, DecisionPolicy(kind="per-group-rates", group_rates=(0.25, 0.25)))
     prot = d.protected_mask
     assert dec.labels[prot].sum() == 1
     assert dec.labels[~prot].sum() == 1
@@ -72,18 +71,9 @@ def test_equalize_rates_bounds():
         r = float(rng.random())
         d = make_dataset([1] * n_p + [0] * n_v, [0, 1] * ((n_p + n_v) // 2) + [0] * ((n_p + n_v) % 2))
         s = make_scores(rng.random(n_p + n_v))
-        dec = equalize_rates(s, d, r)
+        dec = decide(s, d, DecisionPolicy(kind="per-group-rates", group_rates=(r, r)))
         assert abs(spd(dec, d)) <= 1.0 / min(n_p, n_v) + 1e-12
         assert abs(dec.realized_pdr - r) <= 1.0 / (n_p + n_v) + 1e-12
-
-
-def test_equalize_rates_needs_both_groups():
-    d = make_dataset([1, 1], [0, 1])
-    s = make_scores([0.3, 0.7])
-    with pytest.raises(EmptyGroup):
-        equalize_rates(s, d, 0.5)
-    with pytest.raises(RateOutOfRange):
-        equalize_rates(make_scores([0.3, 0.7]), make_dataset([1, 0], [0, 1]), 1.5)
 
 
 def test_top_rate_sets_nested_as_rate_grows():
@@ -116,6 +106,8 @@ def test_policy_validation():
         DecisionPolicy(kind="fixed-threshold")
     with pytest.raises(RateOutOfRange):
         DecisionPolicy(kind="global-top-rate", rate=1.5)
+    with pytest.raises(RateOutOfRange):
+        DecisionPolicy(kind="per-group-rates", group_rates=(0.5, 1.5))
     with pytest.raises(ValueError):
         DecisionPolicy(kind="nonsense")
 

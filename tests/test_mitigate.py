@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rankaudit.audit import kendall_tau, spd
-from rankaudit.decide import DecisionPolicy, decide, equalize_rates
+from rankaudit.decide import DecisionPolicy, decide
 from rankaudit.errors import (
     DegenerateGroup,
     EmptyGroup,
@@ -14,6 +14,8 @@ from rankaudit.errors import (
     RateOutOfRange,
 )
 from rankaudit.mitigate import (
+    THETA_GRID,
+    CriticalRegion,
     GroupThresholds,
     MixingRates,
     apply_group_thresholds,
@@ -26,6 +28,7 @@ from rankaudit.mitigate import (
     reject_option_classify,
 )
 from rankaudit.dataset import DatasetSpec, FeatureColumn, Dataset
+from rankaudit.scorer import relabel
 
 from conftest import make_dataset, make_scores
 from oracles import group_threshold_labels
@@ -210,7 +213,7 @@ def test_thresholds_match_equalized_rates_on_integral_fixture():
     s = make_scores([0.11, 0.52, 0.33, 0.74, 0.25, 0.86, 0.47, 0.68])
     gt = fit_threshold_optimizer(s, d, rate=0.5)
     via_thresholds = apply_group_thresholds(gt, s, d)
-    via_quota = equalize_rates(s, d, 0.5)
+    via_quota = decide(s, d, DecisionPolicy(kind="per-group-rates", group_rates=(0.5, 0.5)))
     assert via_thresholds.labels.tolist() == via_quota.labels.tolist()
 
 
@@ -263,20 +266,22 @@ def test_thresholds_match_the_tie_fill_reference():
 def test_reject_option_noop_when_already_fair():
     d = make_dataset([1, 1, 0, 0], [0, 1, 0, 1])
     s = make_scores([0.2, 0.8, 0.3, 0.7])  # both groups 50% positive
-    res = reject_option_classify(s, d, epsilon=0.01)
-    assert res.region.theta == 0.0
-    assert res.decisions.labels.tolist() == [0, 1, 0, 1]
-    assert res.unchanged
+    region = reject_option_classify(s, d, epsilon=0.01)
+    assert region.theta == 0.0
+    labels = apply_reject_option(region, s, d).labels
+    assert labels.tolist() == [0, 1, 0, 1]
+    assert np.array_equal(labels, s.scores > 0.5)  # unchanged
 
 
 def test_reject_option_hand_fixture_flips_at_005():
     d = make_dataset([1, 1, 0, 0], [0, 1, 0, 1])
     s = make_scores([0.45, 0.40, 0.55, 0.60])
-    res = reject_option_classify(s, d, epsilon=0.01)
-    assert res.region.theta == 0.05
-    assert res.decisions.labels.tolist() == [1, 0, 0, 1]
-    assert res.achieved_spd == 0.0
-    assert not res.unchanged
+    region = reject_option_classify(s, d, epsilon=0.01)
+    assert region.theta == 0.05
+    dec = apply_reject_option(region, s, d)
+    assert dec.labels.tolist() == [1, 0, 0, 1]
+    assert spd(dec, d) == 0.0
+    assert not np.array_equal(dec.labels, s.scores > 0.5)  # changed
     # grid-scan oracle: no smaller theta satisfies the bound
     for theta in np.arange(0.0, 0.05, 0.01):
         labels = s.scores > 0.5
@@ -294,28 +299,50 @@ def test_reject_option_hand_fixture_flips_at_005():
 ], ids=["0.05", "0.07", "0"])
 def test_critical_region_text_pinned(scores, text):
     d = make_dataset([1, 1, 0, 0], [0, 1, 0, 1])
-    res = reject_option_classify(make_scores(scores), d, epsilon=0.01)
-    assert res.region.to_text() == text
+    assert reject_option_classify(make_scores(scores), d, epsilon=0.01).to_text() == text
 
 
 def test_reject_option_unreachable_band_reports_unchanged():
     d = make_dataset([1, 1, 0, 0], [0, 1, 0, 1])
     s = make_scores([0.05, 0.95, 0.05, 0.95])  # balanced far from the band
-    res = reject_option_classify(s, d, epsilon=0.001)
-    assert res.region.theta == 0.0
-    assert res.unchanged
-    assert res.achieved_spd == 0.0
+    region = reject_option_classify(s, d, epsilon=0.001)
+    assert region.theta == 0.0
+    dec = apply_reject_option(region, s, d)
+    assert np.array_equal(dec.labels, s.scores > 0.5)  # unchanged
+    assert spd(dec, d) == 0.0
+
+
+def test_reject_option_matches_a_scan_of_the_grid():
+    # the fitted theta is the first grid value whose applied region brings
+    # |SPD| within epsilon, else the first argmin of |SPD|
+    rng = np.random.default_rng(53)
+    branches = {"within": 0, "argmin": 0}
+    for trial in range(500):
+        n = int(rng.integers(8, 41))
+        sens = rng.integers(0, 2, n)
+        sens[:2] = [1, 0]  # both groups present
+        d = make_dataset(sens, rng.integers(0, 2, n))
+        on_grid = rng.random(n) < 0.5  # on the 0.01 grid, else anywhere
+        s = make_scores(np.where(on_grid, np.round(rng.random(n), 2), rng.random(n)))
+        epsilon = float(rng.choice([0.001, 0.02, 0.05, 0.2]))
+        gaps = [abs(spd(apply_reject_option(CriticalRegion(float(theta)), s, d), d))
+                for theta in THETA_GRID]
+        within = [i for i, gap in enumerate(gaps) if gap <= epsilon]
+        branches["within" if within else "argmin"] += 1
+        want = THETA_GRID[within[0] if within else int(np.argmin(gaps))]
+        assert reject_option_classify(s, d, epsilon).theta == want, trial
+    assert min(branches.values()) >= 25, branches
 
 
 def test_reject_option_frozen_rule_applies_to_new_ids():
     d = make_dataset([1, 1, 1, 0, 0, 0], [0, 1] * 3)
     s = make_scores([0.45, 0.40, 0.9, 0.55, 0.60, 0.1])
     fitted_on = [0, 1, 3, 4]
-    res = reject_option_classify(make_scores(s.scores[fitted_on], ids=fitted_on), d,
-                                 epsilon=0.01)
-    frozen = apply_reject_option(res.region, s, d)
+    region = reject_option_classify(make_scores(s.scores[fitted_on], ids=fitted_on), d,
+                                    epsilon=0.01)
+    frozen = apply_reject_option(region, s, d)
     assert frozen.n == 6
-    band = (s.scores >= 0.5 - res.region.theta) & (s.scores <= 0.5 + res.region.theta)
+    band = (s.scores >= 0.5 - region.theta) & (s.scores <= 0.5 + region.theta)
     expected = np.where(band, d.protected_mask, s.scores > 0.5)
     assert np.array_equal(frozen.labels.astype(bool), expected)
 
@@ -353,11 +380,11 @@ def _eop_grid_oracle(counts, step=1e-3):
     return float(obj.min())
 
 
-def _counts_from(d, base_dec, ids):
+def _counts_from(d, scores, ids):
     pos = d.positions_of(ids)
     truth = d.label[pos]
     prot = d.protected_mask[pos]
-    lbl = base_dec.labels
+    lbl = (scores.scores > 0.5).astype(np.int8)  # the base prediction
     out = {
         "tpr_prot": lbl[prot & (truth == 1)].mean(),
         "fpr_prot": lbl[prot & (truth == 0)].mean(),
@@ -376,8 +403,7 @@ def test_eop_identity_when_base_is_perfect():
     # perfect base predictor in both groups: zero-loss point is unique
     d = make_dataset([1, 1, 1, 1, 0, 0, 0, 0], [1, 0, 1, 0, 1, 0, 1, 0])
     s = make_scores([0.9, 0.1, 0.8, 0.2, 0.9, 0.1, 0.8, 0.2])
-    base = decide(s, d, DecisionPolicy(kind="fixed-threshold", threshold=0.5))
-    rates = fit_equalized_odds_post(base, d, seed=3)
+    rates = fit_equalized_odds_post(s, d, seed=3)
     assert rates.as_vector() == (0.0, 1.0, 0.0, 1.0)
 
 
@@ -388,12 +414,11 @@ def test_eop_unequal_tprs_vertex_matches_grid_oracle():
     base_scores = [0.9, 0.9, 0.1, 0.1, 0.9, 0.1, 0.1, 0.1]
     d = make_dataset(sens, truth)
     s = make_scores(base_scores)
-    base = decide(s, d, DecisionPolicy(kind="fixed-threshold", threshold=0.5))
-    rates = fit_equalized_odds_post(base, d, seed=5)
-    derived = derived_group_rates(rates, base, d)
+    rates = fit_equalized_odds_post(s, d, seed=5)
+    derived = derived_group_rates(rates, s, d)
     assert abs(derived["tpr_protected"] - derived["tpr_privileged"]) <= 1e-9
     assert abs(derived["fpr_protected"] - derived["fpr_privileged"]) <= 1e-9
-    counts = _counts_from(d, base, d.instance_ids)
+    counts = _counts_from(d, s, d.instance_ids)
     vertex_obj = (counts["c_p0"] * rates.p_protected_given0
                   + counts["c_p1"] * rates.p_protected_given1
                   + counts["c_v0"] * rates.p_privileged_given0
@@ -413,12 +438,11 @@ def test_eop_random_fixtures_match_grid_oracle():
         truth[:4] = [0, 1, 0, 1]
         d = make_dataset(sens, truth)
         s = make_scores(rng.random(n))
-        base = decide(s, d, DecisionPolicy(kind="fixed-threshold", threshold=0.5))
-        counts = _counts_from(d, base, d.instance_ids)
+        counts = _counts_from(d, s, d.instance_ids)
         if abs(counts["tpr_priv"] - counts["fpr_priv"]) < 1e-9:
             continue
-        rates = fit_equalized_odds_post(base, d, seed=trial)
-        derived = derived_group_rates(rates, base, d)
+        rates = fit_equalized_odds_post(s, d, seed=trial)
+        derived = derived_group_rates(rates, s, d)
         assert abs(derived["tpr_protected"] - derived["tpr_privileged"]) <= 1e-9
         assert abs(derived["fpr_protected"] - derived["fpr_privileged"]) <= 1e-9
         vertex_obj = (counts["c_p0"] * rates.p_protected_given0
@@ -431,22 +455,20 @@ def test_eop_random_fixtures_match_grid_oracle():
 def test_eop_degenerate_group_raises():
     d = make_dataset([1, 1, 0, 0], [1, 1, 0, 1])  # protected lacks negatives
     s = make_scores([0.9, 0.8, 0.2, 0.7])
-    base = decide(s, d, DecisionPolicy(kind="fixed-threshold", threshold=0.5))
     with pytest.raises(DegenerateGroup):
-        fit_equalized_odds_post(base, d, seed=1)
+        fit_equalized_odds_post(s, d, seed=1)
 
 
 def test_derived_rates_degenerate_group_raises_as_the_fit_does():
     d = make_dataset([1, 1, 0, 0], [0, 0, 0, 1])  # protected lacks positives
     s = make_scores([0.9, 0.2, 0.2, 0.7])
-    base = decide(s, d, DecisionPolicy(kind="fixed-threshold", threshold=0.5))
     rates = MixingRates(0.5, 0.5, 0.5, 0.5, seed=1)
     with pytest.raises(DegenerateGroup) as fit_error:
-        fit_equalized_odds_post(base, d, seed=1)
+        fit_equalized_odds_post(s, d, seed=1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a RuntimeWarning fails the test
         with pytest.raises(DegenerateGroup) as derived_error:
-            derived_group_rates(rates, base, d)
+            derived_group_rates(rates, s, d)
     assert str(derived_error.value) == str(fit_error.value) == (
         "prot group lacks positives or negatives")
 
@@ -454,19 +476,19 @@ def test_derived_rates_degenerate_group_raises_as_the_fit_does():
 def test_apply_mixing_deterministic_and_seed_sensitive():
     d = make_dataset([1, 1, 1, 1, 0, 0, 0, 0], [1, 0, 1, 0, 1, 0, 1, 0])
     s = make_scores([0.9, 0.1, 0.8, 0.2, 0.9, 0.1, 0.8, 0.2])
-    base = decide(s, d, DecisionPolicy(kind="fixed-threshold", threshold=0.5))
-    rates = fit_equalized_odds_post(base, d, seed=11)
-    a = apply_mixing(rates, base, d)
-    b = apply_mixing(rates, base, d)
+    rates = fit_equalized_odds_post(s, d, seed=11)
+    a = apply_mixing(rates, s, d)
+    b = apply_mixing(rates, relabel(s, "odds-mixing"), d)
     assert np.array_equal(a.labels, b.labels)
+    assert (b.source_method, b.policy) == ("odds-mixing", "randomized-mixing")
 
     from dataclasses import replace
     other = replace(rates, seed=12)
     # half rates make different draws actually visible
     other = replace(other, p_protected_given1=0.5, p_privileged_given1=0.5)
     same = replace(rates, seed=12, p_protected_given1=0.5, p_privileged_given1=0.5)
-    assert np.array_equal(apply_mixing(other, base, d).labels,
-                          apply_mixing(same, base, d).labels)
+    assert np.array_equal(apply_mixing(other, s, d).labels,
+                          apply_mixing(same, s, d).labels)
 
 
 def test_apply_mixing_monte_carlo_matches_analytic_rates():
@@ -478,10 +500,9 @@ def test_apply_mixing_monte_carlo_matches_analytic_rates():
     d = make_dataset(sens, truth)
     base_labels = np.where(rng.random(n) < 0.7, truth, 1 - truth).astype(np.int8)
     base = make_scores(np.where(base_labels == 1, 0.9, 0.1))
-    base_dec = decide(base, d, DecisionPolicy(kind="fixed-threshold", threshold=0.5))
-    rates = fit_equalized_odds_post(base_dec, d, seed=29)
-    mixed = apply_mixing(rates, base_dec, d)
-    derived = derived_group_rates(rates, base_dec, d)
+    rates = fit_equalized_odds_post(base, d, seed=29)
+    mixed = apply_mixing(rates, base, d)
+    derived = derived_group_rates(rates, base, d)
     prot = d.protected_mask
     for mask, tag in ((prot, "protected"), (~prot, "privileged")):
         for y, kind in ((1, "tpr"), (0, "fpr")):
@@ -523,18 +544,17 @@ _PINNED_MIXING = {
 def test_mixing_rates_and_labels_pinned(name):
     sens, truth, scores, text, labels = _PINNED_MIXING[name]
     d = make_dataset(sens, truth)
-    base = decide(make_scores(scores), d, DecisionPolicy(kind="fixed-threshold", threshold=0.5))
-    rates = fit_equalized_odds_post(base, d, seed=7)
+    s = make_scores(scores)
+    rates = fit_equalized_odds_post(s, d, seed=7)
     assert rates.to_text() == text
-    assert apply_mixing(rates, base, d).labels.tolist() == labels
+    assert apply_mixing(rates, s, d).labels.tolist() == labels
 
 
 def test_mixing_never_touches_scores():
     d = make_dataset([1, 1, 1, 1, 0, 0, 0, 0], [1, 0, 1, 0, 1, 0, 1, 0])
     s = make_scores([0.9, 0.1, 0.8, 0.2, 0.9, 0.1, 0.8, 0.2])
     before = s.scores.copy()
-    base = decide(s, d, DecisionPolicy(kind="fixed-threshold", threshold=0.5))
-    rates = fit_equalized_odds_post(base, d, seed=31)
-    apply_mixing(rates, base, d)
+    rates = fit_equalized_odds_post(s, d, seed=31)
+    apply_mixing(rates, s, d)
     assert np.array_equal(s.scores, before)
     assert kendall_tau(s.scores, before) == 1.0

@@ -7,14 +7,15 @@ from rankaudit.audit import (
     _count_exceeding_pairs,
     _midranks,
     auc,
+    audit_scores,
     kendall_tau,
-    method_correlation_matrix,
 )
 from rankaudit.errors import (
     LengthMismatch, MisalignedIds, ScoreOutOfRange, SingleClass, TooShort,
 )
+from rankaudit.scorer import relabel
 
-from conftest import make_scores
+from conftest import make_dataset, make_scores
 from oracles import brute_auc, brute_inversions, brute_tau
 
 
@@ -184,7 +185,9 @@ def test_correlation_matrix_diagonal_and_reversal():
         make_scores(1.0 - base, "b"),
         make_scores(np.round(base, 1), "c"),
     ]
-    names, matrix = method_correlation_matrix(sets)
+    d = make_dataset([1, 0] * 20, [0, 0, 1, 1] * 10)  # both classes in both groups
+    pairwise = audit_scores(d, sets[0], sets[1:]).pairwise_tau
+    names, matrix = pairwise["methods"], np.array(pairwise["matrix"])
     assert names == ["a", "b", "c"]
     assert np.allclose(np.diag(matrix), 1.0)
     assert matrix[0, 1] == -1.0
@@ -197,9 +200,19 @@ def test_correlation_matrix_diagonal_and_reversal():
                 assert abs(matrix[i, j] - want) <= 1e-12
 
 
+def test_correlation_matrix_tau_a_cell_of_a_relabelled_copy():
+    # under tau-a a tied vector against itself is below 1: the diagonal is
+    # 1.0, but the cell of the baseline and a relabelled copy is computed
+    d = make_dataset([1, 0] * 4, [0, 0, 1, 1] * 2)
+    base = make_scores([0.1, 0.1, 0.5, 0.5, 0.9, 0.9, 0.3, 0.7])
+    matrix = audit_scores(d, base, [relabel(base, "copy")], "tau-a").pairwise_tau["matrix"]
+    want = brute_tau(base.scores, base.scores, "tau-a")
+    assert want < 1.0
+    assert matrix == [[1.0, want], [want, 1.0]]
+
+
 def test_correlation_matrix_rejects_misaligned():
+    d = make_dataset([1, 1, 0, 0], [0, 1, 0, 1])
     with pytest.raises(MisalignedIds):
-        method_correlation_matrix([
-            make_scores([0.1, 0.2], "a"),
-            make_scores([0.1, 0.2], "b", ids=[5, 6]),
-        ])
+        audit_scores(d, make_scores([0.1, 0.2, 0.3, 0.4], "a"),
+                     [make_scores([0.1, 0.2, 0.3, 0.4], "b", ids=[5, 6, 7, 8])])
