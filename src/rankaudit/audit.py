@@ -8,9 +8,9 @@ a passing monotonicity check in `worlds`) costs one pass, not a merge.
 The audit has two steps.  `audit_scores` runs once per run and holds
 what depends only on the scores: AUC (overall and per group), Kendall-Tau
 against the baseline ranking (overall and per group) and a pairwise tau
-matrix.  `build_report` runs once per decision policy and
-adds accuracy, SPD, EOD, PDR, per-group quadrant transition counts and
-each row's quadrant.
+matrix.  `build_report` runs once per decision policy and reports on the
+decisions it is given: accuracy, SPD, EOD, PDR, per-group quadrant
+transition counts and each row's quadrant.  It never decides.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .dataset import Dataset, require_aligned
-from .decide import DecisionPolicy, DecisionSet, decide
+from .decide import DecisionPolicy, DecisionSet
 from .errors import (
     AuditError,
     EmptyGroup,
@@ -289,33 +289,29 @@ class AuditReport:
     quadrants: dict
     scatter: dict = field(default_factory=dict, repr=False)  # method -> row quadrants
     scatter_files: dict = field(default_factory=dict)
-    decisions: dict = field(default_factory=dict, repr=False)  # not serialized
 
     def to_dict(self) -> dict:
-        """Every field but scatter and decisions."""
-        return {f.name: getattr(self, f.name) for f in fields(self)
-                if f.name not in ("scatter", "decisions")}
+        """Every field but scatter."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "scatter"}
 
 
 def build_report(d: Dataset, scored: ScoreAudit, policy: DecisionPolicy,
-                 provenance: dict | None = None,
-                 decisions: dict[str, DecisionSet] | None = None) -> AuditReport:
+                 decisions: dict[str, DecisionSet],
+                 provenance: dict | None = None) -> AuditReport:
     """Assemble the full audit for one decision policy.
 
-    decisions maps a method name to the DecisionSet the method made itself
-    (the postprocessors); every other score set is decided under policy.
-    The DecisionSets used are kept on the report, keyed by method.
+    decisions maps each score set's method name to its DecisionSet, made
+    under policy or by the method itself (the postprocessors); a missing
+    method is a ValueError.  policy names and describes the report.
     """
-    decisions = decisions or {}
+    if missing := [ss.method for ss in scored.score_sets if ss.method not in decisions]:
+        raise ValueError(f"no decision set for method(s) {', '.join(missing)}")
     baseline = scored.score_sets[0]
-    rows, used, quadrants, scatter = {}, {}, {}, {}
+    rows, quadrants, scatter = {}, {}, {}
     for ss in scored.score_sets:
         try:
-            dec = decisions.get(ss.method)
-            if dec is None:
-                dec = decide(ss, d, policy)
-            else:
-                require_aligned(baseline.instance_ids, dec.instance_ids, ss.method)
+            dec = decisions[ss.method]
+            require_aligned(baseline.instance_ids, dec.instance_ids, ss.method)
             rows[ss.method] = {
                 **scored.auc[ss.method],
                 "acc": accuracy(dec, d),
@@ -323,10 +319,9 @@ def build_report(d: Dataset, scored: ScoreAudit, policy: DecisionPolicy,
                 "eod": eod(dec, d),
                 "pdr": dec.realized_pdr,
             }
-            used[ss.method] = dec
             if ss is not baseline:
                 quadrants[ss.method], scatter[ss.method] = quadrant_analysis(
-                    used[baseline.method], dec, d)
+                    decisions[baseline.method], dec, d)
         except AuditError as exc:
             raise _with_context(ss.method, exc)
 
@@ -340,5 +335,4 @@ def build_report(d: Dataset, scored: ScoreAudit, policy: DecisionPolicy,
         pairwise_tau=scored.pairwise_tau,
         quadrants=quadrants,
         scatter=scatter,
-        decisions=used,
     )

@@ -62,7 +62,7 @@ EXIT_RUNTIME = 2
 
 PDR_COMPARE_TOLERANCE = 0.05
 
-AT_HALF = DecisionPolicy(kind="fixed-threshold", threshold=0.5)
+NATIVE = DecisionPolicy("fixed-threshold", threshold=0.5, note="method-native contexts")
 
 
 # --- small file helpers -----------------------------------------------------------
@@ -279,10 +279,9 @@ class Pipeline:
         self.scorer = None
         self.baseline_test = None
         self.baseline_validation = None
-        self.baseline_at_half: DecisionSet | None = None
         self.external: dict[str, ScoreSet] = {}  # test scores by method name
         self.method_scores: list[ScoreSet] = []
-        self.native_decisions: dict[str, DecisionSet] = {}
+        self.native: dict[str, DecisionSet] = {}  # the baseline's at 0.5, each postprocessor's
         self.text = ColumnText()  # every CSV's ids, groups and scores
 
     # each stage returns self so calls chain
@@ -328,6 +327,15 @@ class Pipeline:
             if len(ids) == 0 and user:
                 raise ConfigError(f"split fractions {self.cfg['split']['fractions']} leave the "
                                   f"{part} partition of {self.dataset.n} rows empty, but {user}")
+        prot, truth = self.dataset.cohort(self.splits.test_ids)
+        spec = self.dataset.schema
+        for group, label in ((1, 1), (1, 0), (0, 1), (0, 0)):  # 1: protected, favorable
+            if not ((prot == group) & (truth == label)).any():
+                raise ConfigError(
+                    f"the test partition has no row with {spec.protected_attribute_column} "
+                    f"{('!=', '=')[group]} {spec.protected_value!r} and {spec.target_column} "
+                    f"{('!=', '=')[label]} {spec.favorable_value!r}, but the audit reports "
+                    "per-group AUC and EOD on it")
         self.scorer = fit(self.dataset, self.splits, ScorerConfig(**self.cfg["scorer"]))
         save_scorer(self.scorer, self.out / "scorer.txt")
         self.baseline_validation = score(self.scorer, self.dataset,
@@ -344,7 +352,7 @@ class Pipeline:
 
     def mitigate(self):
         # the native report and the baseline-pdr rate share it
-        self.baseline_at_half = decide(self.baseline_test, self.dataset, AT_HALF)
+        self.native[self.baseline_test.method] = decide(self.baseline_test, self.dataset, NATIVE)
         # each postprocessor's fit, apply and config key, looked up per run so
         # that a wrapped module attribute is the one called
         postprocessors = {
@@ -366,7 +374,7 @@ class Pipeline:
                 fit_on, apply_to, key = postprocessors[kind]
                 fitted = fit_on(self.baseline_validation, self.dataset, m[key])
                 scores = relabel(self.baseline_test, name)
-                self.native_decisions[name] = apply_to(fitted, scores, self.dataset)
+                self.native[name] = apply_to(fitted, scores, self.dataset)
                 with atomic_open(self.out / f"fitted_{_slug(name)}.txt") as fh:
                     fh.write(fitted.to_text())
             self.method_scores.append(scores)
@@ -379,7 +387,7 @@ class Pipeline:
 
     def _rate(self, ref: str) -> float:
         if ref == "baseline-pdr":
-            return self.baseline_at_half.realized_pdr
+            return self.native[self.baseline_test.method].realized_pdr
         _, truth = self.dataset.cohort(self.splits.test_ids)  # base-rate
         return float(truth.mean())
 
@@ -415,20 +423,23 @@ class Pipeline:
 
         # native report: every method under its own decision context;
         # rate-controlled reports: same policy applied to every score set
-        native_policy = DecisionPolicy(kind="fixed-threshold", threshold=0.5,
-                                       note="method-native contexts")
-        native = {self.baseline_test.method: self.baseline_at_half,
-                  **self.native_decisions}
-        contexts = [("native", native_policy, native)]
-        contexts += [(label, policy, None) for label, policy in self._policies()]
+        contexts = [("native", NATIVE, self.native)]
+        contexts += [(label, policy, {}) for label, policy in self._policies()]
         for label, policy, own in contexts:
-            report = build_report(self.dataset, scored, policy,
-                                  provenance=provenance, decisions=own)
+            decisions = self._decisions(policy, own)
+            report = build_report(self.dataset, scored, policy, decisions, provenance)
             report.policy_label = label
-            self._emit_report(report, write_decisions)
+            self._emit_report(report)
+            if write_decisions:
+                self._write_decisions(label, decisions)
         return self
 
-    def _emit_report(self, report: AuditReport, write_decisions: bool):
+    def _decisions(self, policy: DecisionPolicy, own: dict) -> dict[str, DecisionSet]:
+        """Each score set's decisions by method: its own in own, else under policy."""
+        return {ss.method: own[ss.method] if ss.method in own else decide(ss, self.dataset, policy)
+                for ss in [self.baseline_test] + self.method_scores}
+
+    def _emit_report(self, report: AuditReport):
         label = _slug(report.policy_label)
         base = self.baseline_test
         for ss in self.method_scores:
@@ -439,8 +450,6 @@ class Pipeline:
                        report.scatter[ss.method]])
             report.scatter_files[ss.method] = path.name
         _write_json(self.out / f"report_{label}.json", report.to_dict())
-        if write_decisions:
-            self._write_decisions(report.policy_label, report.decisions)
 
     def _write_decisions(self, label: str, decisions: dict[str, DecisionSet]):
         for scores in [self.baseline_test] + self.method_scores:
@@ -453,10 +462,7 @@ class Pipeline:
     def decide_all(self):
         """Decision CSVs for every configured policy, without the audit."""
         for label, policy in self._policies():
-            self._write_decisions(label, {
-                ss.method: decide(ss, self.dataset, policy)
-                for ss in [self.baseline_test] + self.method_scores
-            })
+            self._write_decisions(label, self._decisions(policy, {}))
         return self
 
     def run_all(self):

@@ -32,20 +32,19 @@ def exact_rate_spec(name: str, expected_base_rate: float) -> DatasetSpec:
     )
 
 
-def write_exact_rate_csv(path: str | Path, n: int, positives: int,
-                         protected_share: float = 0.4) -> None:
+def write_exact_rate_csv(path: str | Path, n: int, positives: int) -> None:
     """Table with exactly `positives` favorable rows out of n.
 
     Favorable rows are spread evenly over the file (Bresenham-style), and
-    group membership cycles deterministically, so both groups see both
-    outcomes for any non-degenerate sizes.
+    every other row (the even ones) is protected: a protected share of 1/2.
+    The two patterns can line up so that a group sees one outcome only
+    (with 10 positives in 100 rows, every favorable row is protected).
     """
     if not 0 <= positives <= n:
         raise ValueError("positives must lie in [0, n]")
-    cycle = max(1, round(1.0 / protected_share)) if protected_share > 0 else 0
     i = np.arange(n)
     favorable = (i * positives) % n < positives
-    protected = i % cycle == 0 if cycle > 0 else np.zeros(n, dtype=bool)
+    protected = i % 2 == 0
     write_csv(path, ["x1", "x2", "group", "outcome"],
               [float_text((i % 97) / 96.0), float_text((i % 31) / 30.0),
                np.where(protected, "protected", "privileged").tolist(),

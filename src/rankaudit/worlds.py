@@ -22,6 +22,7 @@ from .errors import ZeroMassDenominator
 
 WEIGHT_TOLERANCE = 1e-12
 WITNESS_LIMIT = 10
+PARETO_MARGIN = 1e-9  # how much higher a rate must be to count as strictly higher
 
 
 @dataclass(frozen=True)
@@ -161,15 +162,14 @@ class ParetoResult:
                 "dominating": None if dom is None else {"tpr": dom.tpr, "tnr": dom.tnr}}
 
 
-def pareto_check(w: FairWorld, decision: np.ndarray, basis: str,
-                 tolerance: float = 1e-9) -> ParetoResult:
+def pareto_check(w: FairWorld, decision: np.ndarray, basis: str) -> ParetoResult:
     """Search threshold-family decisions for one that strictly dominates.
 
     Candidates are all top-k selections under (basis value desc, grid
     position asc): every strict-threshold decision on the value grid, plus
     the boundary-tie completions that stand in for the measure-zero tie
     splits of the continuous setting.  Dominating means both rates >= and
-    at least one greater than `tolerance`.
+    at least one greater by more than PARETO_MARGIN.
     """
     q = w.basis_values(basis)
     dec_rates = rates(w, decision, basis)
@@ -183,7 +183,7 @@ def pareto_check(w: FairWorld, decision: np.ndarray, basis: str,
     tnr_k = (neg_mass - sel_neg) / neg_mass
 
     at_least = (tpr_k >= dec_rates.tpr - 1e-12) & (tnr_k >= dec_rates.tnr - 1e-12)
-    strictly = (tpr_k > dec_rates.tpr + tolerance) | (tnr_k > dec_rates.tnr + tolerance)
+    strictly = (tpr_k > dec_rates.tpr + PARETO_MARGIN) | (tnr_k > dec_rates.tnr + PARETO_MARGIN)
     dominating = np.flatnonzero(at_least & strictly)
     if len(dominating) == 0:
         return ParetoResult(maximal=True, decision_rates=dec_rates)

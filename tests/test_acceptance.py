@@ -152,7 +152,8 @@ def _postprocessing_report(d, splits):
     eop_dec = apply_mixing(mixing, relabel(baseline, "odds-mixing"), d)
     scored = audit_scores(d, baseline, [relabel(baseline, name) for name in
                                         ("thresholds", "band-flip", "odds-mixing")])
-    return build_report(d, scored, threshold_05, decisions={
+    return build_report(d, scored, threshold_05, {
+        "baseline": decide(baseline, d, threshold_05),
         "thresholds": to_dec, "band-flip": roc_dec, "odds-mixing": eop_dec,
     })
 
@@ -369,6 +370,7 @@ def test_criterion_09_base_rates_to_four_decimals(tmp_path):
                 write_exact_rate_csv(path, n=10_000,
                                      positives=round(expected * 10_000))
                 d = ingest(path, exact_rate_spec(name, expected))
+                assert d.group_sizes() == (5_000, 5_000)  # every other row is protected
             assert round(verify_base_rate(d), 4) == expected
 
 

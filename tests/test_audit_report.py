@@ -146,11 +146,19 @@ def _report_fixture():
     return d, base
 
 
+def _report(d, scored, policy, own=None):
+    """build_report with every score set decided under policy, but those in own."""
+    own = own or {}
+    return build_report(d, scored, policy, {
+        ss.method: own[ss.method] if ss.method in own else decide(ss, d, policy)
+        for ss in scored.score_sets})
+
+
 def test_report_baseline_clone_rows_identical():
     d, base = _report_fixture()
     clone = relabel(base, "clone")
     policy = DecisionPolicy(kind="fixed-threshold", threshold=0.5)
-    report = build_report(d, audit_scores(d, base, [clone]), policy)
+    report = _report(d, audit_scores(d, base, [clone]), policy)
     assert report.tau_vs_baseline["clone"] == {
         "overall": 1.0, "protected": 1.0, "privileged": 1.0,
     }
@@ -163,7 +171,7 @@ def test_report_matches_hand_assembly():
     rng = np.random.default_rng(9)
     other = make_scores(np.clip(base.scores + rng.normal(0, 0.1, base.n), 0, 1), "bent")
     policy = DecisionPolicy(kind="global-top-rate", rate=0.4)
-    report = build_report(d, audit_scores(d, base, [other]), policy)
+    report = _report(d, audit_scores(d, base, [other]), policy)
 
     from rankaudit.audit import auc, kendall_tau
     dec = decide(other, d, policy)
@@ -186,7 +194,7 @@ def test_report_postprocessing_rows_bitwise_equal_baseline():
     mixed = apply_mixing(fit_equalized_odds_post(base, d, seed=3), mixing, d)
     scored = audit_scores(d, base, [band_flip, mixing])
     policy = DecisionPolicy(kind="fixed-threshold", threshold=0.5)
-    report = build_report(d, scored, policy, decisions={
+    report = _report(d, scored, policy, own={
         "band-flip": apply_reject_option(region, band_flip, d), "mixing": mixed})
     for name in ("band-flip", "mixing"):
         assert report.tau_vs_baseline[name]["overall"] == 1.0
@@ -212,12 +220,21 @@ def test_report_rejects_duplicate_method_names():
         build_report(d, audit_scores(d, base, [clone, clone]), policy)
 
 
+def test_report_needs_a_decision_set_per_score_set():
+    d, base = _report_fixture()
+    scored = audit_scores(d, base, [relabel(base, "clone"), relabel(base, "other")])
+    policy = DecisionPolicy(kind="fixed-threshold", threshold=0.5)
+    decisions = {"baseline": decide(base, d, policy)}
+    with pytest.raises(ValueError, match="clone, other"):
+        build_report(d, scored, policy, decisions)
+
+
 def test_report_json_is_deterministic():
     d, base = _report_fixture()
     policy = DecisionPolicy(kind="fixed-threshold", threshold=0.5)
-    a = json.dumps(build_report(d, audit_scores(d, base, [relabel(base, "c")]), policy)
+    a = json.dumps(_report(d, audit_scores(d, base, [relabel(base, "c")]), policy)
                    .to_dict(), sort_keys=True)
-    b = json.dumps(build_report(d, audit_scores(d, base, [relabel(base, "c")]), policy)
+    b = json.dumps(_report(d, audit_scores(d, base, [relabel(base, "c")]), policy)
                    .to_dict(), sort_keys=True)
     assert a == b
     doc = json.loads(a)

@@ -355,6 +355,42 @@ def test_empty_fitted_partition_exits_1_before_training(run_inputs, tmp_path, ca
     assert not (out / "scorer.txt").exists()
 
 
+@pytest.mark.parametrize("protected, favorable, missing", [
+    (lambda i: i < 0, lambda i: i % 3 == 0,
+     "group = 'protected' and outcome = 'favorable'"),
+    (lambda i: i % 2 == 0, lambda i: (i % 2 == 1) & (i % 3 == 0),
+     "group = 'protected' and outcome = 'favorable'"),
+    (lambda i: i % 2 == 0, lambda i: i < 0,
+     "group = 'protected' and outcome = 'favorable'"),
+    (lambda i: i >= 0, lambda i: i % 3 == 0,
+     "group != 'protected' and outcome = 'favorable'"),
+], ids=["one-group", "group-without-favorable", "one-class", "no-privileged"])
+def test_empty_test_cell_exits_1_before_training(tmp_path, capsys, caplog,
+                                                 protected, favorable, missing):
+    from rankaudit.dataset import float_text
+    from rankaudit.synthetic import exact_rate_spec
+
+    i = np.arange(400)
+    csv_path = tmp_path / "cells.csv"
+    write_csv(csv_path, ["x1", "x2", "group", "outcome"],
+              [float_text((i % 97) / 96.0), float_text((i % 31) / 30.0),
+               np.where(protected(i), "protected", "privileged").tolist(),
+               np.where(favorable(i), "favorable", "unfavorable").tolist()])
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(exact_rate_spec("cells", None).to_dict()),
+                         encoding="utf-8")
+    cfg_path = tmp_path / "cells.json"
+    cfg_path.write_text(json.dumps({"dataset": {"csv": str(csv_path),
+                                                "spec": str(spec_path)}}), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: the test partition has no row with {missing}, but the audit reports "
+        "per-group AUC and EOD on it\n")
+    assert not (out / "scorer.txt").exists()
+    assert not any("did not converge" in m for m in caplog.messages)
+
+
 def test_empty_validation_partition_runs_without_postprocessors(run_inputs, tmp_path):
     root, config_path, config = run_inputs
     cfg = dict(config, split={"fractions": [0.8, 0.0, 0.2], "seed": 1},
@@ -731,13 +767,12 @@ def test_run_computes_score_metrics_once(run_inputs, tmp_path, monkeypatch):
 def test_run_decides_baseline_at_half_once(run_inputs, tmp_path, monkeypatch):
     root, config_path, _ = run_inputs
     calls = []
-    for module in (rankaudit.cli, rankaudit.audit):
-        original = module.decide
+    original = rankaudit.cli.decide
 
-        def counted(scores, d, policy, original=original):
-            calls.append((scores.method, policy.label()))
-            return original(scores, d, policy)
-        monkeypatch.setattr(module, "decide", counted)
+    def counted(scores, d, policy):
+        calls.append((scores.method, policy.label()))
+        return original(scores, d, policy)
+    monkeypatch.setattr(rankaudit.cli, "decide", counted)
     out = tmp_path / "out"
     assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
     # the baseline at 0.5: once on test (shared by the baseline-pdr rate and
