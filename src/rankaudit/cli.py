@@ -25,7 +25,7 @@ from .dataset import (
     ColumnText, Dataset, DatasetSpec, atomic_open, builtin_specs, ingest,
     split, verify_base_rate, write_csv,
 )
-from .decide import DecisionPolicy, DecisionSet, decide, export_decisions
+from .decide import POLICY_FIELDS, DecisionPolicy, DecisionSet, decide, export_decisions
 from .errors import AuditError, ConfigError, PolicyMismatch
 from .mitigate import (
     apply_group_thresholds,
@@ -197,16 +197,13 @@ def _policy(doc: dict, resolve) -> tuple[str, DecisionPolicy]:
     """A policy entry's label and policy; resolve(ref) is the rate that a
     "baseline-pdr" or "base-rate" reference stands for.  A policy with such
     a reference notes it, so its label ends in the reference."""
-    kind, ref = doc["kind"], doc.get("rate")
-    note = ref if isinstance(ref, str) else ""
-    rate = resolve(ref) if note else ref
-    if kind == "fixed-threshold":
-        policy = DecisionPolicy(kind=kind, threshold=float(doc["threshold"]))
-    elif kind == "global-top-rate":
-        policy = DecisionPolicy(kind=kind, rate=float(rate), note=note)
-    else:  # per-group-rates: one rate for both groups
-        policy = DecisionPolicy(kind=kind, group_rates=(float(rate),) * 2, note=note)
-    return policy.label() + (f"-{_slug(policy.note)}" if policy.note else ""), policy
+    kind = doc["kind"]
+    (key,), (field, count) = POLICIES[kind], POLICY_FIELDS[kind]
+    note = doc[key] if isinstance(doc[key], str) else ""
+    number = float(resolve(note) if note else doc[key])  # per-group-rates: one for each group
+    policy = DecisionPolicy(kind=kind, note=note,
+                            **{field: (number,) * count if count > 1 else number})
+    return policy.label() + (f"-{_slug(note)}" if note else ""), policy
 
 
 def _load_config(path: str) -> tuple[dict, DatasetSpec]:
@@ -284,9 +281,7 @@ class Pipeline:
         self.native: dict[str, DecisionSet] = {}  # the baseline's at 0.5, each postprocessor's
         self.text = ColumnText()  # every CSV's ids, groups and scores
 
-    # each stage returns self so calls chain
-
-    def ingest(self, export: Path | None = None):
+    def ingest(self, export: Path | None):
         """Read the dataset (writing export while reading it, if given),
         check its base rate, split it and read external scores."""
         self.dataset = ingest(self.cfg["dataset"]["csv"], self.spec, export)
@@ -306,7 +301,6 @@ class Pipeline:
                                     self.splits.sizes())),
             "split_seed": self.splits.seed,
         })
-        return self
 
     def _external_scores(self, path: str, name: str) -> ScoreSet:
         """A method's external test scores; a bad file is a ConfigError."""
@@ -317,32 +311,41 @@ class Pipeline:
                               f"or lack test ids: {exc}") from exc
 
     def train(self):
-        postprocessors = [m["name"] for m in self.methods if m["kind"] in
+        postprocessors = [m for m in self.methods if m["kind"] in
                           ("group-thresholds", "reject-option", "equalized-odds")]
         for part, ids, user in (
                 ("train", self.splits.train_ids, "the scorer fits on it"),
                 ("validation", self.splits.validation_ids,
-                 f"method {postprocessors[0]!r} fits on it" if postprocessors else None),
+                 f"method {postprocessors[0]['name']!r} fits on it" if postprocessors else None),
                 ("test", self.splits.test_ids, "the audit reports on it")):
             if len(ids) == 0 and user:
                 raise ConfigError(f"split fractions {self.cfg['split']['fractions']} leave the "
                                   f"{part} partition of {self.dataset.n} rows empty, but {user}")
-        prot, truth = self.dataset.cohort(self.splits.test_ids)
+        # each (partition, group, label) cell that must hold a row, and who needs it;
+        # group 1 is protected, label 1 favorable and label None either label
+        cells = [(1, 1), (1, 0), (0, 1), (0, 0)]
+        needs = [("validation", group, label if m["kind"] == "equalized-odds" else None,
+                  f"method {m['name']!r} fits on it")
+                 for m in postprocessors for group, label in cells]
+        needs += [("test", group, label, "the audit reports per-group AUC and EOD on it")
+                  for group, label in cells]
+        cohorts = {"validation": self.dataset.cohort(self.splits.validation_ids),
+                   "test": self.dataset.cohort(self.splits.test_ids)}
         spec = self.dataset.schema
-        for group, label in ((1, 1), (1, 0), (0, 1), (0, 0)):  # 1: protected, favorable
-            if not ((prot == group) & (truth == label)).any():
+        for part, group, label, user in needs:
+            prot, truth = cohorts[part]
+            if not ((prot == group) & (label is None or truth == label)).any():
                 raise ConfigError(
-                    f"the test partition has no row with {spec.protected_attribute_column} "
-                    f"{('!=', '=')[group]} {spec.protected_value!r} and {spec.target_column} "
-                    f"{('!=', '=')[label]} {spec.favorable_value!r}, but the audit reports "
-                    "per-group AUC and EOD on it")
+                    f"the {part} partition has no row with {spec.protected_attribute_column} "
+                    f"{('!=', '=')[group]} {spec.protected_value!r}"
+                    + (f" and {spec.target_column} {('!=', '=')[label]} {spec.favorable_value!r}"
+                       if label is not None else "") + f", but {user}")
         self.scorer = fit(self.dataset, self.splits, ScorerConfig(**self.cfg["scorer"]))
         save_scorer(self.scorer, self.out / "scorer.txt")
         self.baseline_validation = score(self.scorer, self.dataset,
                                          self.splits.validation_ids)
         self.baseline_test = score(self.scorer, self.dataset, self.splits.test_ids)
         self._write_scores(self.baseline_test)
-        return self
 
     def _write_scores(self, scores):
         """Every score set a run writes is on the test split."""
@@ -380,7 +383,6 @@ class Pipeline:
             self.method_scores.append(scores)
         for scores in self.method_scores:
             self._write_scores(scores)
-        return self
 
     def _policies(self) -> list[tuple[str, DecisionPolicy]]:
         return [_policy(doc, self._rate) for doc in self.cfg["policies"]]
@@ -405,7 +407,7 @@ class Pipeline:
             "metrics_reported_on": "test",
         }
 
-    def audit(self, write_decisions: bool = True):
+    def audit(self, write_decisions: bool):
         provenance = self._provenance()
         _write_json(self.out / "provenance.json",
                     {**provenance, "expanded_config": self.cfg})
@@ -432,7 +434,6 @@ class Pipeline:
             self._emit_report(report)
             if write_decisions:
                 self._write_decisions(label, decisions)
-        return self
 
     def _decisions(self, policy: DecisionPolicy, own: dict) -> dict[str, DecisionSet]:
         """Each score set's decisions by method: its own in own, else under policy."""
@@ -463,11 +464,6 @@ class Pipeline:
         """Decision CSVs for every configured policy, without the audit."""
         for label, policy in self._policies():
             self._write_decisions(label, self._decisions(policy, {}))
-        return self
-
-    def run_all(self):
-        self.ingest(self.out / "dataset_export.csv")
-        return self.train().mitigate().audit(write_decisions=True)
 
 
 # --- theory command ---------------------------------------------------------------------
@@ -650,20 +646,17 @@ def main(argv=None) -> int:
         if args.command == "compare":
             return cmd_compare(args.reports, args.out, args.allow_uncontrolled)
 
-        pipeline = Pipeline(*_load_config(args.config), Path(args.out))
-        if args.command == "ingest":
-            pipeline.ingest(pipeline.out / "dataset_export.csv")
-        elif args.command == "train":
-            pipeline.ingest().train()
-        elif args.command == "mitigate":
-            pipeline.ingest().train().mitigate()
-        elif args.command == "decide":
-            pipeline.ingest().train().mitigate().decide_all()
-        elif args.command == "audit":
-            pipeline.ingest().train().mitigate()
-            pipeline.audit(write_decisions=False)
-        elif args.command == "run":
-            pipeline.run_all()
+        command, out = args.command, Path(args.out)  # each runs a prefix of the stages
+        pipeline = Pipeline(*_load_config(args.config), out)
+        pipeline.ingest(out / "dataset_export.csv" if command in ("ingest", "run") else None)
+        if command != "ingest":
+            pipeline.train()
+        if command not in ("ingest", "train"):
+            pipeline.mitigate()
+        if command == "decide":
+            pipeline.decide_all()
+        elif command in ("audit", "run"):
+            pipeline.audit(write_decisions=command == "run")
         return EXIT_OK
     except (ConfigError, PolicyMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)

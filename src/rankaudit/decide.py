@@ -1,14 +1,16 @@
 """The decision layer: turn scores into labels under an explicit policy.
 
 Thresholds, quotas, and selection rates live here, deliberately separated
-from the prediction model.  All selection is deterministic; boundary ties
-are always resolved by ascending instance id, in _top_k, the one place the
-tie rule lives (mitigate's group thresholds select through it too).
+from the prediction model; each policy kind sets the one field that
+POLICY_FIELDS names.  All selection is deterministic; boundary ties are
+resolved by ascending instance id, in _top_k, the one place the tie rule
+lives (mitigate's group thresholds select through it too).
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -26,9 +28,14 @@ def _check_unit(value: float, what: str) -> None:
         raise RateOutOfRange(f"{what} must lie in [0, 1], got {value}")
 
 
+# each policy kind: the one field that holds its numbers, and how many it holds
+POLICY_FIELDS = {"fixed-threshold": ("threshold", 1), "global-top-rate": ("rate", 1),
+                 "per-group-rates": ("group_rates", 2)}
+
+
 @dataclass(frozen=True)
 class DecisionPolicy:
-    """How scores become labels. kind selects which field applies."""
+    """How scores become labels. kind selects the one field that is set."""
 
     kind: str
     threshold: float | None = None
@@ -37,30 +44,25 @@ class DecisionPolicy:
     note: str = ""
 
     def __post_init__(self):
-        if self.kind == "fixed-threshold":
-            if self.threshold is None:
-                raise ValueError("fixed-threshold policy needs a threshold")
-            _check_unit(self.threshold, "threshold")
-        elif self.kind == "global-top-rate":
-            if self.rate is None:
-                raise ValueError("global-top-rate policy needs a rate")
-            _check_unit(self.rate, "rate")
-        elif self.kind == "per-group-rates":
-            if self.group_rates is None:
-                raise ValueError("per-group-rates policy needs two rates")
-            for r in self.group_rates:
-                _check_unit(r, "group rate")
-        else:
+        if self.kind not in POLICY_FIELDS:
             raise ValueError(f"unknown policy kind {self.kind!r}")
+        field, count = POLICY_FIELDS[self.kind]
+        numbers = self._numbers()
+        if not (type(numbers) is tuple and len(numbers) == count
+                and all(isinstance(v, Real) for v in numbers)):
+            raise ValueError(f"{self.kind} policy needs {count} number(s) as {field}")
+        for v in numbers:
+            _check_unit(v, field)
+        if any(getattr(self, f) is not None for f, _ in POLICY_FIELDS.values() if f != field):
+            raise ValueError(f"{self.kind} policy sets a field other than {field}")
+
+    def _numbers(self) -> tuple:
+        field, count = POLICY_FIELDS[self.kind]
+        return getattr(self, field) if count > 1 else (getattr(self, field),)
 
     def label(self) -> str:
         """Stable short label used for report keys and file names."""
-        if self.kind == "fixed-threshold":
-            return f"fixed-threshold-{self.threshold:g}"
-        if self.kind == "global-top-rate":
-            return f"global-top-rate-{self.rate:g}"
-        a, b = self.group_rates  # per-group-rates
-        return f"per-group-rates-{a:g}-{b:g}"
+        return "-".join([self.kind, *(f"{v:g}" for v in self._numbers())])
 
     def describe(self) -> dict:
         """The fields that are set, plus the tie rule."""

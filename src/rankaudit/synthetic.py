@@ -16,6 +16,8 @@ import numpy as np
 from . import prng
 from .dataset import Dataset, DatasetSpec, FeatureColumn, float_text, write_csv
 
+BIAS = 0.9  # biased_benchmark's weight on the group-shifted proxy feature
+
 
 def exact_rate_spec(name: str, expected_base_rate: float) -> DatasetSpec:
     return DatasetSpec(
@@ -51,8 +53,7 @@ def write_exact_rate_csv(path: str | Path, n: int, positives: int) -> None:
                np.where(favorable, "favorable", "unfavorable").tolist()])
 
 
-def biased_benchmark(n: int = 2400, seed: int = 2024,
-                     bias: float = 0.9) -> Dataset:
+def biased_benchmark(n: int = 2400, seed: int = 2024) -> Dataset:
     """Group-biased table: a proxy feature carries the group signal.
 
     Labels follow a logistic model over (x1, x2, proxy) where the proxy is
@@ -65,7 +66,7 @@ def biased_benchmark(n: int = 2400, seed: int = 2024,
     sign = np.where(protected, -1.0, 1.0)
     proxy = 0.9 * sign + prng.normal(prng.derive(seed, 4), n)
     tier = (prng.uniform01(prng.derive(seed, 5), np.arange(n)) * 4).astype(int)
-    logit = (1.0 * x1 + 0.7 * x2 + bias * proxy + 0.15 * (tier - 1.5) - 0.3)
+    logit = (1.0 * x1 + 0.7 * x2 + BIAS * proxy + 0.15 * (tier - 1.5) - 0.3)
     p = 1.0 / (1.0 + np.exp(-logit))
     label = (prng.uniform01(prng.derive(seed, 6), np.arange(n)) < p)
 
@@ -94,9 +95,8 @@ def biased_benchmark(n: int = 2400, seed: int = 2024,
     )
 
 
-def write_biased_benchmark_csv(path: str | Path, n: int = 2400,
-                               seed: int = 2024, bias: float = 0.9) -> DatasetSpec:
+def write_biased_benchmark_csv(path: str | Path, n: int = 2400, seed: int = 2024) -> DatasetSpec:
     """CSV form of biased_benchmark, for exercising ingestion and the CLI."""
-    d = biased_benchmark(n=n, seed=seed, bias=bias)
+    d = biased_benchmark(n=n, seed=seed)
     d.export_csv(path)
     return d.schema

@@ -204,20 +204,29 @@ def test_report_postprocessing_rows_bitwise_equal_baseline():
             assert report.rows[name][key] == report.rows["baseline"][key]
 
 
-def test_report_surfaces_method_name_on_group_errors():
+def test_audit_scores_surfaces_method_name_on_group_errors():
     d = make_dataset([1, 1, 1, 1], [0, 1, 0, 1])  # privileged group missing
     base = make_scores([0.2, 0.8, 0.4, 0.6])
-    policy = DecisionPolicy(kind="fixed-threshold", threshold=0.5)
     with pytest.raises(EmptyGroup, match="baseline"):
-        build_report(d, audit_scores(d, base, []), policy)
+        audit_scores(d, base, [])
 
 
-def test_report_rejects_duplicate_method_names():
+def test_audit_scores_rejects_duplicate_method_names():
     d, base = _report_fixture()
     clone = relabel(base, "dup")
-    policy = DecisionPolicy(kind="fixed-threshold", threshold=0.5)
     with pytest.raises(ValueError):
-        build_report(d, audit_scores(d, base, [clone, clone]), policy)
+        audit_scores(d, base, [clone, clone])
+
+
+def test_report_names_the_method_whose_decisions_are_misaligned():
+    d, base = _report_fixture()
+    clone = relabel(base, "clone")
+    scored = audit_scores(d, base, [clone])
+    policy = DecisionPolicy(kind="fixed-threshold", threshold=0.5)
+    reversed_ids = make_scores(base.scores[::-1], "clone", base.instance_ids[::-1])
+    decisions = {"baseline": decide(base, d, policy), "clone": decide(reversed_ids, d, policy)}
+    with pytest.raises(MisalignedIds, match="^clone: "):
+        build_report(d, scored, policy, decisions)
 
 
 def test_report_needs_a_decision_set_per_score_set():

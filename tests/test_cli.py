@@ -355,6 +355,26 @@ def test_empty_fitted_partition_exits_1_before_training(run_inputs, tmp_path, ca
     assert not (out / "scorer.txt").exists()
 
 
+def _cells_config(tmp_path, protected, favorable, methods):
+    """A config over 400 rows of the given groups and labels, with methods."""
+    from rankaudit.dataset import float_text
+    from rankaudit.synthetic import exact_rate_spec
+
+    i = np.arange(len(protected))
+    csv_path = tmp_path / "cells.csv"
+    write_csv(csv_path, ["x1", "x2", "group", "outcome"],
+              [float_text((i % 97) / 96.0), float_text((i % 31) / 30.0),
+               np.where(protected, "protected", "privileged").tolist(),
+               np.where(favorable, "favorable", "unfavorable").tolist()])
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(exact_rate_spec("cells", None).to_dict()),
+                         encoding="utf-8")
+    cfg_path = tmp_path / "cells.json"
+    cfg_path.write_text(json.dumps({"dataset": {"csv": str(csv_path), "spec": str(spec_path)},
+                                    "methods": methods}), encoding="utf-8")
+    return cfg_path
+
+
 @pytest.mark.parametrize("protected, favorable, missing", [
     (lambda i: i < 0, lambda i: i % 3 == 0,
      "group = 'protected' and outcome = 'favorable'"),
@@ -367,21 +387,8 @@ def test_empty_fitted_partition_exits_1_before_training(run_inputs, tmp_path, ca
 ], ids=["one-group", "group-without-favorable", "one-class", "no-privileged"])
 def test_empty_test_cell_exits_1_before_training(tmp_path, capsys, caplog,
                                                  protected, favorable, missing):
-    from rankaudit.dataset import float_text
-    from rankaudit.synthetic import exact_rate_spec
-
     i = np.arange(400)
-    csv_path = tmp_path / "cells.csv"
-    write_csv(csv_path, ["x1", "x2", "group", "outcome"],
-              [float_text((i % 97) / 96.0), float_text((i % 31) / 30.0),
-               np.where(protected(i), "protected", "privileged").tolist(),
-               np.where(favorable(i), "favorable", "unfavorable").tolist()])
-    spec_path = tmp_path / "spec.json"
-    spec_path.write_text(json.dumps(exact_rate_spec("cells", None).to_dict()),
-                         encoding="utf-8")
-    cfg_path = tmp_path / "cells.json"
-    cfg_path.write_text(json.dumps({"dataset": {"csv": str(csv_path),
-                                                "spec": str(spec_path)}}), encoding="utf-8")
+    cfg_path = _cells_config(tmp_path, protected(i), favorable(i), [])
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
     assert capsys.readouterr().err == (
@@ -389,6 +396,41 @@ def test_empty_test_cell_exits_1_before_training(tmp_path, capsys, caplog,
         "per-group AUC and EOD on it\n")
     assert not (out / "scorer.txt").exists()
     assert not any("did not converge" in m for m in caplog.messages)
+
+
+@pytest.mark.parametrize("kind, emptied, message", [
+    ("equalized-odds", "privileged-favorable",
+     "group != 'protected' and outcome = 'favorable', but method 'equalized-odds' fits on it"),
+    ("group-thresholds", "privileged",
+     "group != 'protected', but method 'group-thresholds' fits on it"),
+    ("group-thresholds", "privileged-favorable", None),
+    ("reject-option", "privileged-favorable", None),
+], ids=["odds-label-cell", "thresholds-group", "thresholds-label-cell", "reject-label-cell"])
+def test_validation_cells_a_postprocessor_needs_exit_1_before_training(
+        tmp_path, capsys, kind, emptied, message):
+    # every postprocessor fits on both groups of the validation partition, and
+    # equalized-odds on both labels in each; the others run without a label cell
+    from rankaudit.dataset import split
+
+    from conftest import make_dataset
+
+    i = np.arange(400)
+    protected, favorable = i % 2 == 0, i % 3 == 0
+    validation = np.zeros(400, dtype=bool)  # the rows the config's split validates on
+    validation[split(make_dataset(protected, favorable), (0.6, 0.2, 0.2), 7).validation_ids] = True
+    if emptied == "privileged":
+        protected = protected | validation
+    else:
+        favorable = favorable & ~(validation & ~protected)
+    cfg_path = _cells_config(tmp_path, protected, favorable, [{"kind": kind}])
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == (1 if message else 0)
+    err = capsys.readouterr().err
+    if message:
+        assert err == f"error: the validation partition has no row with {message}\n"
+        assert not (out / "scorer.txt").exists()
+    else:
+        assert (out / "report_native.json").exists()
 
 
 def test_empty_validation_partition_runs_without_postprocessors(run_inputs, tmp_path):

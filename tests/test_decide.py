@@ -112,6 +112,18 @@ def test_policy_validation():
         DecisionPolicy(kind="nonsense")
 
 
+@pytest.mark.parametrize("fields", [
+    {"kind": "per-group-rates", "group_rates": (0.5,)},
+    {"kind": "per-group-rates", "group_rates": (0.5, 0.5, 0.5)},
+    {"kind": "fixed-threshold", "threshold": 0.5, "rate": 0.3},
+], ids=["one-group-rate", "three-group-rates", "threshold-with-rate"])
+def test_policy_sets_exactly_its_kinds_field(fields):
+    # each kind reads one field: a policy that sets more or fewer numbers
+    # would be labelled, described or decided on numbers it does not hold
+    with pytest.raises(ValueError):
+        DecisionPolicy(**fields)
+
+
 @pytest.mark.parametrize("kind", ["per-group-thresholds", "reject-option",
                                   "randomized-mixing"])
 def test_postprocessor_labels_are_not_policy_kinds(kind):
