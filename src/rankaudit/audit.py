@@ -277,9 +277,8 @@ def audit_scores(d: Dataset, baseline: ScoreSet, others: list[ScoreSet],
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class AuditReport:
-    provenance: dict
     policy_label: str
     policy: dict
     methods: list
@@ -287,8 +286,7 @@ class AuditReport:
     tau_vs_baseline: dict
     pairwise_tau: dict
     quadrants: dict
-    scatter: dict = field(default_factory=dict, repr=False)  # method -> row quadrants
-    scatter_files: dict = field(default_factory=dict)
+    scatter: dict = field(repr=False)  # method -> row quadrants
 
     def to_dict(self) -> dict:
         """Every field but scatter."""
@@ -296,8 +294,7 @@ class AuditReport:
 
 
 def build_report(d: Dataset, scored: ScoreAudit, policy: DecisionPolicy,
-                 decisions: dict[str, DecisionSet],
-                 provenance: dict | None = None) -> AuditReport:
+                 decisions: dict[str, DecisionSet]) -> AuditReport:
     """Assemble the full audit for one decision policy.
 
     decisions maps each score set's method name to its DecisionSet, made
@@ -326,7 +323,6 @@ def build_report(d: Dataset, scored: ScoreAudit, policy: DecisionPolicy,
             raise _with_context(ss.method, exc)
 
     return AuditReport(
-        provenance=provenance or {},
         policy_label=policy.label(),
         policy=policy.describe(),
         methods=[ss.method for ss in scored.score_sets],

@@ -121,6 +121,7 @@ RULES = {  # what a value must be: its test
     "three numbers >= 0 that sum to 1": lambda v: type(v) is list and len(v) == 3
     and all(_number(f, 0) for f in v) and abs(sum(v) - 1) <= 1e-9,
     "an integer": lambda v: type(v) is int,
+    "an integer in [-2**53, 2**53]": lambda v: type(v) is int and -2**53 <= v <= 2**53,
     "an integer >= 1": lambda v: type(v) is int and v >= 1,
     "a number > 0": lambda v: _number(v, 0) and v > 0,
     "a number >= 0": lambda v: _number(v, 0),
@@ -148,7 +149,8 @@ SCHEMA = {
     "split": {"fractions": ("three numbers >= 0 that sum to 1", [0.6, 0.2, 0.2]),
               "seed": ("an integer", 7)},
     "scorer": {"learning_rate": ("a number > 0", 0.1), "epochs": ("an integer >= 1", 500),
-               "l2_penalty": ("a number >= 0", 1e-4), "seed": ("an integer", 42),
+               "l2_penalty": ("a number >= 0", 1e-4),
+               "seed": ("an integer in [-2**53, 2**53]", 42),
                "model_kind": ('"logistic" or "one-hidden-layer"', "logistic"),
                "include_sensitive": ("true or false", False)},
     # the keys of every method and every policy; a method's name defaults to its kind
@@ -429,9 +431,8 @@ class Pipeline:
         contexts += [(label, policy, {}) for label, policy in self._policies()]
         for label, policy, own in contexts:
             decisions = self._decisions(policy, own)
-            report = build_report(self.dataset, scored, policy, decisions, provenance)
-            report.policy_label = label
-            self._emit_report(report)
+            report = build_report(self.dataset, scored, policy, decisions)
+            self._emit_report(report, label, provenance)
             if write_decisions:
                 self._write_decisions(label, decisions)
 
@@ -440,17 +441,19 @@ class Pipeline:
         return {ss.method: own[ss.method] if ss.method in own else decide(ss, self.dataset, policy)
                 for ss in [self.baseline_test] + self.method_scores}
 
-    def _emit_report(self, report: AuditReport):
-        label = _slug(report.policy_label)
-        base = self.baseline_test
+    def _emit_report(self, report: AuditReport, label: str, provenance: dict):
+        """Scatter CSVs, then the report JSON with its label, provenance and scatter files."""
+        base, files = self.baseline_test, {}
         for ss in self.method_scores:
-            path = self.out / f"scatter_{label}_{_slug(ss.method)}.csv"
+            path = self.out / f"scatter_{_slug(label)}_{_slug(ss.method)}.csv"
             write_csv(path, ["id", "group", "score_base", "score_mitigated", "quadrant"],
                       [*self.text.rows(self.dataset, base.instance_ids),
                        self.text.floats(base.scores), self.text.floats(ss.scores),
                        report.scatter[ss.method]])
-            report.scatter_files[ss.method] = path.name
-        _write_json(self.out / f"report_{label}.json", report.to_dict())
+            files[ss.method] = path.name
+        _write_json(self.out / f"report_{_slug(label)}.json", {
+            **report.to_dict(), "policy_label": label, "provenance": provenance,
+            "scatter_files": files})
 
     def _write_decisions(self, label: str, decisions: dict[str, DecisionSet]):
         for scores in [self.baseline_test] + self.method_scores:

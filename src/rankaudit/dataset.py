@@ -199,6 +199,9 @@ class DatasetSpec:
                 raise ValueError(
                     f"column {special!r} cannot be both special and a feature"
                 )
+        rate = self.expected_base_rate  # nan fails 0 <= rate <= 1
+        if rate is not None and not (type(rate) in (int, float) and 0 <= rate <= 1):
+            raise ValueError(f"expected_base_rate must be null or a number in [0, 1], got {rate!r}")
 
     @property
     def used_columns(self) -> list[str]:

@@ -77,7 +77,6 @@ class DecisionSet:
     instance_ids: np.ndarray
     labels: np.ndarray  # int8
     policy: str  # the policy column of its decisions file
-    source_method: str
 
     def __post_init__(self):
         if len(self.labels) != len(self.instance_ids):
@@ -141,7 +140,6 @@ def decide(scores: ScoreSet, d: Dataset, policy: DecisionPolicy) -> DecisionSet:
         instance_ids=ids,
         labels=labels.astype(np.int8),
         policy=policy.label(),
-        source_method=scores.method,
     )
 
 
@@ -157,4 +155,4 @@ def export_decisions(dec: DecisionSet, d: Dataset, scores: ScoreSet,
     ids, groups = text.rows(d, dec.instance_ids)
     write_csv(path, ["instance_id", "group", "score", "label", "method", "policy"],
               [ids, groups, text.floats(scores.scores), _LABEL_TEXT[dec.labels].tolist(),
-               dec.source_method, dec.policy])
+               scores.method, dec.policy])

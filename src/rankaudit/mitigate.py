@@ -136,7 +136,7 @@ def apply_group_thresholds(gt: GroupThresholds, scores: ScoreSet,
         k = min(max(_count_ceil(gt.rate, len(sg)), int((sg > t).sum())), int((sg >= t).sum()))
         labels[m] = _top_k(sg, ids[m], k)
     return DecisionSet(instance_ids=ids, labels=labels.astype(np.int8),
-                       policy="per-group-thresholds", source_method=scores.method)
+                       policy="per-group-thresholds")
 
 
 # --- critical-region label flipping ----------------------------------------------
@@ -191,7 +191,7 @@ def apply_reject_option(region: CriticalRegion, scores: ScoreSet,
     prot, _ = d.cohort(scores.instance_ids)
     return DecisionSet(instance_ids=scores.instance_ids,
                        labels=_band_labels(scores.scores, prot, region.theta),
-                       policy="reject-option", source_method=scores.method)
+                       policy="reject-option")
 
 
 # --- randomized odds-equalizing mixing ---------------------------------------------
@@ -306,4 +306,4 @@ def apply_mixing(rates: MixingRates, scores: ScoreSet, d: Dataset) -> DecisionSe
     p = np.array(rates.as_vector())[2 * ~prot + _base_labels(scores)]  # as_vector order
     draws = prng.uniform01(rates.seed, ids)
     return DecisionSet(instance_ids=ids, labels=(draws < p).astype(np.int8),
-                       policy="randomized-mixing", source_method=scores.method)
+                       policy="randomized-mixing")

@@ -76,6 +76,8 @@ class ScorerConfig:
             raise ValueError("l2_penalty must be nonnegative")
         if self.model_kind not in ("logistic", "one-hidden-layer"):
             raise ValueError(f"unknown model_kind {self.model_kind!r}")
+        if not -2**53 <= self.seed <= 2**53:  # save_scorer writes it as a float64
+            raise ValueError(f"seed must lie in [-2**53, 2**53], got {self.seed}")
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -83,7 +85,7 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scorer:
     """A fitted model plus the preprocessing frozen from its train split."""
 
@@ -169,18 +171,17 @@ def fit(d: Dataset, split: Split, cfg: ScorerConfig) -> Scorer:
 
     with np.errstate(over="ignore", invalid="ignore"):  # each fit checks its loss itself
         if cfg.model_kind == "logistic":
-            _fit_logistic(model, X, y)
+            weights, history = _fit_logistic(cfg, X, y)
         else:
-            _fit_mlp(model, X, y)
-    return model
+            weights, history = _fit_mlp(cfg, X, y)
+    return replace(model, weights=weights, loss_history=history)
 
 
-def _fit_logistic(model: Scorer, X: np.ndarray, y: np.ndarray) -> None:
+def _fit_logistic(cfg: ScorerConfig, X: np.ndarray, y: np.ndarray) -> tuple[dict, list]:
     """Newton's method (IRLS) on mean BCE + l2_penalty * |w|^2, the intercept
     unpenalized.  A step is halved until it lowers the loss (or, for a change
     within rounding, the gradient); the fit stops once a step would be at most
     1e-10 * max(1, max|theta|).  epochs caps the iterations."""
-    cfg = model.config
     n, k = X.shape
     sign = 1.0 - 2.0 * y  # a row's loss is softplus(sign * z)
 
@@ -217,12 +218,10 @@ def _fit_logistic(model: Scorer, X: np.ndarray, y: np.ndarray) -> None:
         current, grad, q = loss, trial_grad, trial_q
     else:
         log.warning("logistic fit did not converge within %d iterations", cfg.epochs)
-    model.weights = {"w": theta[:k].copy(), "b": theta[k:].copy()}
-    model.loss_history = history
+    return {"w": theta[:k].copy(), "b": theta[k:].copy()}, history
 
 
-def _fit_mlp(model: Scorer, X: np.ndarray, y: np.ndarray) -> None:
-    cfg = model.config
+def _fit_mlp(cfg: ScorerConfig, X: np.ndarray, y: np.ndarray) -> tuple[dict, list]:
     n, k = X.shape
     h = _MLP_HIDDEN
     s = cfg.seed
@@ -265,8 +264,7 @@ def _fit_mlp(model: Scorer, X: np.ndarray, y: np.ndarray) -> None:
         if not np.isfinite(epoch_loss):
             raise NonFiniteLoss(f"loss became non-finite at epoch {epoch}")
         history.append(epoch_loss)
-    model.weights = {"w1": w1, "b1": b1, "w2": w2, "b2": b2}
-    model.loss_history = history
+    return {"w1": w1, "b1": b1, "w2": w2, "b2": b2}, history
 
 
 def score(m: Scorer, d: Dataset, ids, method: str = "baseline") -> ScoreSet:
@@ -379,13 +377,12 @@ def load_scorer(path: str | Path) -> Scorer:
         model_kind="logistic" if cfg_vec[4] == 0.0 else "one-hidden-layer",
         include_sensitive=bool(arrays.pop("include_sensitive")[0]),
     )
-    model = Scorer(
+    return Scorer(
         config=cfg,
         numeric_idx=arrays.pop("numeric_idx").astype(np.int64),
         categorical_idx=arrays.pop("categorical_idx").astype(np.int64),
         categorical_levels=arrays.pop("categorical_levels").astype(np.int64),
         mean=arrays.pop("mean"),
         std=arrays.pop("std"),
+        weights=arrays,
     )
-    model.weights = arrays
-    return model

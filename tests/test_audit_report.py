@@ -26,12 +26,11 @@ from rankaudit.scorer import relabel
 from conftest import make_dataset, make_scores
 
 
-def _decision(labels, d, method="m"):
+def _decision(labels, d):
     return DecisionSet(
         instance_ids=d.instance_ids,
         labels=np.asarray(labels, dtype=np.int8),
         policy="fixed-threshold-0.5",
-        source_method=method,
     )
 
 
@@ -127,7 +126,7 @@ def test_quadrants_misaligned_ids():
     base = _decision([1, 0], d)
     other = DecisionSet(
         instance_ids=np.array([1, 0]), labels=np.array([0, 1], dtype=np.int8),
-        policy=base.policy, source_method="m",
+        policy=base.policy,
     )
     with pytest.raises(MisalignedIds):
         quadrant_analysis(base, other, d)

@@ -546,6 +546,21 @@ def test_config_error_names_entry_and_key(run_inputs, tmp_path, capsys, mutate, 
     assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
+@pytest.mark.parametrize("seed", [2**53 + 1, -2**53 - 1])
+def test_scorer_seed_beyond_2_pow_53_exits_1_before_ingest(run_inputs, tmp_path, capsys,
+                                                           seed):
+    # scorer.txt holds the seed as a float64, which is exact only up to 2**53
+    root, config_path, config = run_inputs
+    cfg = dict(config, scorer=dict(config["scorer"], seed=seed))
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["ingest", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: scorer: seed must be an integer in [-2**53, 2**53], got {seed}")
+    assert not (out / "dataset_summary.json").exists()
+
+
 @pytest.mark.parametrize("inline", [True, False], ids=["inline", "file"])
 def test_spec_missing_key_exits_1_before_ingest(run_inputs, tmp_path, capsys, inline):
     root, config_path, config = run_inputs
@@ -561,6 +576,21 @@ def test_spec_missing_key_exits_1_before_ingest(run_inputs, tmp_path, capsys, in
     out = tmp_path / "out"
     assert main(["ingest", "--config", str(cfg_path), "--out", str(out)]) == 1
     assert "lacks key 'protected_attribute_column'" in capsys.readouterr().err
+    assert not (out / "dataset_summary.json").exists()
+
+
+@pytest.mark.parametrize("rate", ["0.5", True, float("nan"), 2.0, -1],
+                         ids=["str", "true", "nan", "2.0", "-1"])
+def test_bad_expected_base_rate_exits_1_before_ingest(run_inputs, tmp_path, capsys, rate):
+    root, config_path, config = run_inputs
+    spec = json.loads(Path(config["dataset"]["spec"]).read_text(encoding="utf-8"))
+    spec["expected_base_rate"] = rate
+    cfg = dict(config, dataset=dict(config["dataset"], spec=spec))
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")  # nan is written as NaN
+    out = tmp_path / "out"
+    assert main(["ingest", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert "expected_base_rate must be null or a number in [0, 1]" in capsys.readouterr().err
     assert not (out / "dataset_summary.json").exists()
 
 

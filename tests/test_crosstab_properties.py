@@ -56,7 +56,7 @@ def test_quadrants_match_brute_force_transition_count(inputs):
     def decisions(labels):
         return DecisionSet(instance_ids=np.array(ids, dtype=np.int64),
                            labels=np.array(labels, dtype=np.int8),
-                           policy="fixed-threshold-0.5", source_method="m")
+                           policy="fixed-threshold-0.5")
 
     counts, quadrant = quadrant_analysis(decisions(base), decisions(mitigated), d)
     expected = [TRANSITION[pair] for pair in zip(base, mitigated)]

@@ -15,7 +15,6 @@ from rankaudit.errors import (
 )
 from rankaudit.audit import kendall_tau
 from rankaudit.scorer import (
-    Scorer,
     ScorerConfig,
     _fit_logistic,
     fit,
@@ -103,13 +102,11 @@ def test_fit_halves_newton_steps_on_an_unstandardized_offset():
     X = np.array([[10000.3], [10000.2], [10000.2]])
     y = np.array([0.0, 1.0, 1.0])
     cfg = ScorerConfig()
-    none = np.zeros(0, dtype=np.int64)
-    model = Scorer(cfg, none, none, none, mean=np.zeros(0), std=np.ones(0))
     with np.errstate(over="ignore"):  # as in fit
-        _fit_logistic(model, X, y)
-    theta = np.append(model.weights["w"], model.weights["b"])
+        weights, history = _fit_logistic(cfg, X, y)
+    theta = np.append(weights["w"], weights["b"])
     assert np.linalg.norm(_penalized_loss_and_grad(X, y, cfg.l2_penalty)(theta)[1]) <= 1e-9
-    assert (np.diff(model.loss_history) <= 0.0).all()
+    assert (np.diff(history) <= 0.0).all()
 
 
 def test_fit_agrees_with_bfgs():
@@ -273,6 +270,21 @@ def test_categorical_only_spec_fits_scores_and_round_trips(tmp_path):
     a = score(model, d, d.instance_ids).scores
     assert np.array_equal(score(load_scorer(path), d, d.instance_ids).scores, a)
     assert len(np.unique(a)) > 1
+
+
+@pytest.mark.parametrize("seed", [2**53, -2**53])
+def test_scorer_persistence_keeps_the_widest_seed(tmp_path, seed):
+    d = biased_benchmark(n=200, seed=8)
+    model = fit(d, _all_train_split(d), ScorerConfig(epochs=5, seed=seed))
+    path = tmp_path / "scorer.txt"
+    save_scorer(model, path)
+    assert load_scorer(path).config == model.config
+
+
+@pytest.mark.parametrize("seed", [2**53 + 1, -2**60 - 3, 2**64 + 5])
+def test_scorer_config_rejects_a_seed_scorer_txt_cannot_hold(seed):
+    with pytest.raises(ValueError, match=r"seed must lie in \[-2\*\*53, 2\*\*53\]"):
+        ScorerConfig(seed=seed)
 
 
 def test_scorer_persistence_keeps_include_sensitive(tmp_path):
