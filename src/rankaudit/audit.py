@@ -10,7 +10,7 @@ what depends only on the scores: AUC (overall and per group), Kendall-Tau
 against the baseline ranking (overall and per group) and a pairwise tau
 matrix.  `build_report` runs once per decision policy and reports on the
 decisions it is given: accuracy, SPD, EOD, PDR, per-group quadrant
-transition counts and each row's quadrant.  It never decides.
+transition counts and each row's quadrant.  It never decides or sees a policy.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .dataset import Dataset, require_aligned
-from .decide import DecisionPolicy, DecisionSet
+from .decide import DecisionSet
 from .errors import (
     AuditError,
     EmptyGroup,
@@ -279,12 +279,9 @@ def audit_scores(d: Dataset, baseline: ScoreSet, others: list[ScoreSet],
 
 @dataclass(frozen=True)
 class AuditReport:
-    policy_label: str
-    policy: dict
-    methods: list
+    """What one set of decisions determines."""
+
     rows: dict
-    tau_vs_baseline: dict
-    pairwise_tau: dict
     quadrants: dict
     scatter: dict = field(repr=False)  # method -> row quadrants
 
@@ -293,13 +290,13 @@ class AuditReport:
         return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "scatter"}
 
 
-def build_report(d: Dataset, scored: ScoreAudit, policy: DecisionPolicy,
+def build_report(d: Dataset, scored: ScoreAudit,
                  decisions: dict[str, DecisionSet]) -> AuditReport:
-    """Assemble the full audit for one decision policy.
+    """Assemble the audit of one set of decisions.
 
     decisions maps each score set's method name to its DecisionSet, made
-    under policy or by the method itself (the postprocessors); a missing
-    method is a ValueError.  policy names and describes the report.
+    under one policy or by the method itself (the postprocessors); a
+    missing method is a ValueError.
     """
     if missing := [ss.method for ss in scored.score_sets if ss.method not in decisions]:
         raise ValueError(f"no decision set for method(s) {', '.join(missing)}")
@@ -322,13 +319,4 @@ def build_report(d: Dataset, scored: ScoreAudit, policy: DecisionPolicy,
         except AuditError as exc:
             raise _with_context(ss.method, exc)
 
-    return AuditReport(
-        policy_label=policy.label(),
-        policy=policy.describe(),
-        methods=[ss.method for ss in scored.score_sets],
-        rows=rows,
-        tau_vs_baseline=scored.tau_vs_baseline,
-        pairwise_tau=scored.pairwise_tau,
-        quadrants=quadrants,
-        scatter=scatter,
-    )
+    return AuditReport(rows=rows, quadrants=quadrants, scatter=scatter)

@@ -424,6 +424,9 @@ class Pipeline:
         write_csv(self.out / "correlation_matrix.csv", ["method"] + pairwise["methods"],
                   [pairwise["methods"]] + [list(map(repr, column))
                                            for column in zip(*pairwise["matrix"])])
+        # what every report file shares: the run's score-level audit and provenance
+        frame = {"methods": pairwise["methods"], "tau_vs_baseline": taus,
+                 "pairwise_tau": pairwise, "provenance": provenance}
 
         # native report: every method under its own decision context;
         # rate-controlled reports: same policy applied to every score set
@@ -431,8 +434,8 @@ class Pipeline:
         contexts += [(label, policy, {}) for label, policy in self._policies()]
         for label, policy, own in contexts:
             decisions = self._decisions(policy, own)
-            report = build_report(self.dataset, scored, policy, decisions)
-            self._emit_report(report, label, provenance)
+            report = build_report(self.dataset, scored, decisions)
+            self._emit_report(frame, label, policy, report)
             if write_decisions:
                 self._write_decisions(label, decisions)
 
@@ -441,8 +444,8 @@ class Pipeline:
         return {ss.method: own[ss.method] if ss.method in own else decide(ss, self.dataset, policy)
                 for ss in [self.baseline_test] + self.method_scores}
 
-    def _emit_report(self, report: AuditReport, label: str, provenance: dict):
-        """Scatter CSVs, then the report JSON with its label, provenance and scatter files."""
+    def _emit_report(self, frame: dict, label: str, policy: DecisionPolicy, report: AuditReport):
+        """Scatter CSVs, then the report JSON: frame, label, policy, report and scatter files."""
         base, files = self.baseline_test, {}
         for ss in self.method_scores:
             path = self.out / f"scatter_{_slug(label)}_{_slug(ss.method)}.csv"
@@ -452,8 +455,8 @@ class Pipeline:
                        report.scatter[ss.method]])
             files[ss.method] = path.name
         _write_json(self.out / f"report_{_slug(label)}.json", {
-            **report.to_dict(), "policy_label": label, "provenance": provenance,
-            "scatter_files": files})
+            **frame, "policy_label": label, "policy": policy.describe(),
+            **report.to_dict(), "scatter_files": files})
 
     def _write_decisions(self, label: str, decisions: dict[str, DecisionSet]):
         for scores in [self.baseline_test] + self.method_scores:
@@ -521,17 +524,17 @@ COMPARED = ["auc", "auc_protected", "auc_privileged", "acc", "spd", "eod", "pdr"
 
 def _read_report(path: str) -> dict:
     """The report at path; ConfigError unless it holds a policy_label and a
-    non-empty rows object whose every row has a number for each compared key."""
+    non-empty rows object whose every row has a finite number for each compared key."""
     try:
         doc = json.loads(Path(path).read_text("utf-8"))
     except (OSError, ValueError) as exc:  # missing, unreadable, or not UTF-8 JSON
         raise ConfigError(f"cannot read report {path}: {exc}")
     rows = doc.get("rows") if type(doc) is dict else None
     if type(rows) is not dict or not rows or "policy_label" not in doc or not all(
-            type(r) is dict and all(type(r.get(k)) in (int, float) for k in COMPARED)
+            type(r) is dict and all(_number(r.get(k)) for k in COMPARED)
             for r in rows.values()):
         raise ConfigError(f"report {path} needs a policy_label and a non-empty rows object "
-                          f"with a number for each of {', '.join(COMPARED)} in every row")
+                          f"with a finite number for each of {', '.join(COMPARED)} in every row")
     return doc
 
 

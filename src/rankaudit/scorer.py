@@ -68,12 +68,12 @@ class ScorerConfig:
     include_sensitive: bool = False
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.epochs <= 0:
-            raise ValueError("epochs must be positive")
-        if self.l2_penalty < 0:
-            raise ValueError("l2_penalty must be nonnegative")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be a finite number > 0, got {self.learning_rate}")
+        if type(self.epochs) is not int or self.epochs <= 0:
+            raise ValueError(f"epochs must be an integer >= 1, got {self.epochs!r}")
+        if not (np.isfinite(self.l2_penalty) and self.l2_penalty >= 0):
+            raise ValueError(f"l2_penalty must be a finite number >= 0, got {self.l2_penalty}")
         if self.model_kind not in ("logistic", "one-hidden-layer"):
             raise ValueError(f"unknown model_kind {self.model_kind!r}")
         if not -2**53 <= self.seed <= 2**53:  # save_scorer writes it as a float64

@@ -152,7 +152,7 @@ def _postprocessing_report(d, splits):
     eop_dec = apply_mixing(mixing, relabel(baseline, "odds-mixing"), d)
     scored = audit_scores(d, baseline, [relabel(baseline, name) for name in
                                         ("thresholds", "band-flip", "odds-mixing")])
-    return build_report(d, scored, threshold_05, {
+    return scored, build_report(d, scored, {
         "baseline": decide(baseline, d, threshold_05),
         "thresholds": to_dec, "band-flip": roc_dec, "odds-mixing": eop_dec,
     })
@@ -166,9 +166,9 @@ def test_criterion_03_postprocessing_rank_preservation():
             fixtures.append(ingest(path, spec))
         for d in fixtures:
             splits = split(d, (0.6, 0.2, 0.2), seed=7)
-            report = _postprocessing_report(d, splits)
+            scored, report = _postprocessing_report(d, splits)
             for method in ("thresholds", "band-flip", "odds-mixing"):
-                taus = report.tau_vs_baseline[method]
+                taus = scored.tau_vs_baseline[method]
                 assert taus["overall"] == 1.0
                 assert taus["protected"] == 1.0
                 assert taus["privileged"] == 1.0

@@ -1077,8 +1077,15 @@ def test_compare_policy_mismatch(tmp_path):
     '"auc_privileged": 0.8, "acc": 0.7, "spd": 0, "eod": 0, "pdr": "0.3"}}}',
     '{"policy_label": "a", "rows": {"m": {"auc": 0.8, "auc_protected": 0.8, '
     '"auc_privileged": 0.8, "acc": 0.7, "spd": 0, "eod": 0, "pdr": true}}}',
+    '{"policy_label": "a", "rows": {"m": {"auc": 0.8, "auc_protected": 0.8, '
+    '"auc_privileged": 0.8, "acc": 0.7, "spd": 0, "eod": 0, "pdr": NaN}}}',
+    '{"policy_label": "a", "rows": {"m": {"auc": Infinity, "auc_protected": 0.8, '
+    '"auc_privileged": 0.8, "acc": 0.7, "spd": 0, "eod": 0, "pdr": 0.3}}}',
+    '{"policy_label": "a", "rows": {"m": {"auc": 0.8, "auc_protected": 0.8, '
+    '"auc_privileged": 0.8, "acc": 0.7, "spd": -Infinity, "eod": 0, "pdr": 0.3}}}',
 ], ids=["not-json", "list", "no-rows", "no-policy-label", "rows-list", "rows-empty",
-        "row-not-object", "row-missing-keys", "pdr-string", "pdr-true"])
+        "row-not-object", "row-missing-keys", "pdr-string", "pdr-true", "pdr-nan",
+        "auc-infinity", "spd-minus-infinity"])
 def test_compare_malformed_report_exit_1(tmp_path, capsys, content):
     good = tmp_path / "good.json"
     _fake_report(good, "a", {"m": 0.3})

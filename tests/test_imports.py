@@ -1,0 +1,40 @@
+"""No rankaudit module imports a name it never uses.
+
+An AST scan, so it needs no linter: a module's imported names, less those
+that any Name node reads.  `__init__.py` is skipped, since its imports are
+the package's re-exports.
+"""
+
+import ast
+from pathlib import Path
+
+import rankaudit
+
+SRC = Path(rankaudit.__file__).parent
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Each name source imports and never reads, with its line."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):  # `import a.b` binds a
+            imported.update({alias.asname or alias.name.split(".")[0]: node.lineno
+                             for alias in node.names})
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update({alias.asname or alias.name: node.lineno for alias in node.names})
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+def test_the_scan_finds_an_unused_import():
+    source = ("from __future__ import annotations\nimport os.path\nimport numpy as np\n"
+              "from .decide import DecisionPolicy, DecisionSet\n"
+              "def f(x: DecisionSet) -> None:\n    return np.sort(x)\n")
+    assert _unused_imports(source) == ["os (line 2)", "DecisionPolicy (line 4)"]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = {path.name: _unused_imports(path.read_text("utf-8"))
+              for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
+    assert {name: names for name, names in unused.items() if names} == {}

@@ -287,6 +287,24 @@ def test_scorer_config_rejects_a_seed_scorer_txt_cannot_hold(seed):
         ScorerConfig(seed=seed)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -0.1])
+def test_scorer_config_rejects_a_learning_rate_fit_cannot_use(value):
+    with pytest.raises(ValueError, match="learning_rate must be a finite number > 0"):
+        ScorerConfig(learning_rate=value)
+
+
+@pytest.mark.parametrize("value", [2.5, True, 3.0, 0])
+def test_scorer_config_rejects_epochs_that_are_not_a_positive_integer(value):
+    with pytest.raises(ValueError, match="epochs must be an integer >= 1"):
+        ScorerConfig(epochs=value)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1e-4])
+def test_scorer_config_rejects_an_l2_penalty_fit_cannot_use(value):
+    with pytest.raises(ValueError, match="l2_penalty must be a finite number >= 0"):
+        ScorerConfig(l2_penalty=value)
+
+
 def test_scorer_persistence_keeps_include_sensitive(tmp_path):
     d = biased_benchmark(n=200, seed=8)
     model = fit(d, _all_train_split(d), ScorerConfig(epochs=40, include_sensitive=True))
