@@ -76,8 +76,12 @@ class ScorerConfig:
             raise ValueError(f"l2_penalty must be a finite number >= 0, got {self.l2_penalty}")
         if self.model_kind not in ("logistic", "one-hidden-layer"):
             raise ValueError(f"unknown model_kind {self.model_kind!r}")
+        if type(self.seed) is not int:  # bool is refused, as by the config rules
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if not -2**53 <= self.seed <= 2**53:  # save_scorer writes it as a float64
             raise ValueError(f"seed must lie in [-2**53, 2**53], got {self.seed}")
+        if type(self.include_sensitive) is not bool:
+            raise ValueError(f"include_sensitive must be a bool, got {self.include_sensitive!r}")
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:

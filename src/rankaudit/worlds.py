@@ -23,6 +23,7 @@ from .errors import ZeroMassDenominator
 WEIGHT_TOLERANCE = 1e-12
 WITNESS_LIMIT = 10
 PARETO_MARGIN = 1e-9  # how much higher a rate must be to count as strictly higher
+_PARETO_BLOCK = 1 << 16  # candidates pareto_check scores at a time
 
 
 @dataclass(frozen=True)
@@ -97,40 +98,57 @@ def wage_gap_world(grid_size: int = 501) -> FairWorld:
     """
     if grid_size < 2:
         raise ValueError("grid_size must be at least 2")
-    x = 50.0 * np.arange(grid_size) / (grid_size - 1)
-    xs = np.concatenate([x, x])
-    group = np.concatenate([
-        np.zeros(grid_size, dtype=np.int8),
-        np.ones(grid_size, dtype=np.int8),
-    ])
-    p = xs / 50.0
-    s = np.where(group == 1, 0.9 * p, p)
+    x = np.arange(grid_size, dtype=np.float64)
+    x *= 50.0
+    x /= grid_size - 1
+    x = np.concatenate([x, x])
+    group = np.repeat(np.arange(2, dtype=np.int8), grid_size)
+    p = x / 50.0
+    s = p.copy()
+    s[grid_size:] *= 0.9
     weight = np.full(2 * grid_size, 1.0 / (2 * grid_size))
-    return FairWorld(x=xs, group=group, weight=weight, fair_p=p, score_s=s,
+    return FairWorld(x=x, group=group, weight=weight, fair_p=p, score_s=s,
                      group_names={0: "male", 1: "female"})
 
 
 def anti_monotone_world(grid_size: int = 501) -> FairWorld:
     """wage_gap_world with group "female" scored in reverse of merit."""
     w = wage_gap_world(grid_size)
-    s = np.where(w.group == 1, (50.0 - w.x) / 50.0, w.score_s)
+    s = w.score_s.copy()
+    np.subtract(50.0, w.x[grid_size:], out=s[grid_size:])
+    s[grid_size:] /= 50.0
     return replace(w, score_s=s)
+
+
+def _masses(w: FairWorld, basis: str) -> tuple[np.ndarray, float, float]:
+    """The basis values and their positive and negative weighted masses."""
+    q = w.basis_values(basis)
+    buf = q * w.weight
+    pos_mass = float(buf.sum())
+    np.subtract(1.0, q, out=buf)
+    buf *= w.weight
+    neg_mass = float(buf.sum())
+    if pos_mass <= 0.0 or neg_mass <= 0.0:
+        raise ZeroMassDenominator(f"basis {basis!r} has zero mass on one label side")
+    return q, pos_mass, neg_mass
 
 
 def rates(w: FairWorld, decision: np.ndarray, basis: str) -> RatePair:
     """True positive/negative rates of a decision under fair or biased mass."""
-    q = w.basis_values(basis)
-    dec = np.asarray(decision, dtype=np.float64)
+    q, pos_mass, neg_mass = _masses(w, basis)
+    dec = np.array(decision, dtype=np.float64)  # a private copy: rewritten below
     if len(dec) != w.m:
         raise ValueError("decision length does not match the world grid")
-    pos_mass = float((q * w.weight).sum())
-    neg_mass = float(((1.0 - q) * w.weight).sum())
-    if pos_mass <= 0.0 or neg_mass <= 0.0:
-        raise ZeroMassDenominator(
-            f"basis {basis!r} has zero mass on one label side"
-        )
-    tpr = float((dec * q * w.weight).sum()) / pos_mass
-    tnr = float(((1.0 - dec) * (1.0 - q) * w.weight).sum()) / neg_mass
+    # each product runs in the order (dec * q * weight) of the formula, so
+    # every sum sees the same contiguous values
+    buf = dec * q
+    buf *= w.weight
+    tpr = float(buf.sum()) / pos_mass
+    np.subtract(1.0, dec, out=dec)
+    np.subtract(1.0, q, out=buf)
+    dec *= buf
+    dec *= w.weight
+    tnr = float(dec.sum()) / neg_mass
     return RatePair(tpr=tpr, tnr=tnr)
 
 
@@ -169,33 +187,49 @@ def pareto_check(w: FairWorld, decision: np.ndarray, basis: str) -> ParetoResult
     position asc): every strict-threshold decision on the value grid, plus
     the boundary-tie completions that stand in for the measure-zero tie
     splits of the continuous setting.  Dominating means both rates >= and
-    at least one greater by more than PARETO_MARGIN.
+    at least one greater by more than PARETO_MARGIN.  The scan holds one
+    sort index and stops at the first (smallest k) dominating candidate.
     """
-    q = w.basis_values(basis)
     dec_rates = rates(w, decision, basis)
-    pos_mass = float((q * w.weight).sum())
-    neg_mass = float(((1.0 - q) * w.weight).sum())
-
+    q, pos_mass, neg_mass = _masses(w, basis)
     order = np.argsort(-q, kind="stable")  # ties keep grid order
-    sel_pos = np.concatenate([[0.0], np.cumsum(q[order] * w.weight[order])])
-    sel_neg = np.concatenate([[0.0], np.cumsum((1.0 - q[order]) * w.weight[order])])
-    tpr_k = sel_pos / pos_mass
-    tnr_k = (neg_mass - sel_neg) / neg_mass
+    for first_k, sel_pos, sel_neg in _selected_masses(q, w.weight, order):
+        tpr_k = sel_pos / pos_mass
+        tnr_k = (neg_mass - sel_neg) / neg_mass
+        at_least = (tpr_k >= dec_rates.tpr - 1e-12) & (tnr_k >= dec_rates.tnr - 1e-12)
+        strictly = (tpr_k > dec_rates.tpr + PARETO_MARGIN) | (tnr_k > dec_rates.tnr + PARETO_MARGIN)
+        dominating = np.flatnonzero(at_least & strictly)
+        if len(dominating):
+            i = int(dominating[0])
+            labels = np.zeros(w.m, dtype=np.int8)
+            labels[order[:first_k + i]] = 1
+            return ParetoResult(
+                maximal=False,
+                decision_rates=dec_rates,
+                dominated_by=labels,
+                dominating_rates=RatePair(tpr=float(tpr_k[i]), tnr=float(tnr_k[i])),
+            )
+    return ParetoResult(maximal=True, decision_rates=dec_rates)
 
-    at_least = (tpr_k >= dec_rates.tpr - 1e-12) & (tnr_k >= dec_rates.tnr - 1e-12)
-    strictly = (tpr_k > dec_rates.tpr + PARETO_MARGIN) | (tnr_k > dec_rates.tnr + PARETO_MARGIN)
-    dominating = np.flatnonzero(at_least & strictly)
-    if len(dominating) == 0:
-        return ParetoResult(maximal=True, decision_rates=dec_rates)
-    k = int(dominating[0])
-    labels = np.zeros(w.m, dtype=np.int8)
-    labels[order[:k]] = 1
-    return ParetoResult(
-        maximal=False,
-        decision_rates=dec_rates,
-        dominated_by=labels,
-        dominating_rates=RatePair(tpr=float(tpr_k[k]), tnr=float(tnr_k[k])),
-    )
+
+def _selected_masses(q: np.ndarray, weight: np.ndarray, order: np.ndarray):
+    """Yield (k, pos, neg) per block of candidates, the first being k = 0
+    alone: pos[i] and neg[i] are the positive and negative mass of the
+    first k + i rows of order.  Each block's running sums continue the
+    previous block's, so they equal the whole-grid cumsum bit for bit (the
+    first row's mass is never added to 0, so a -0.0 survives)."""
+    yield 0, np.zeros(1), np.zeros(1)
+    for start in range(0, len(order), _PARETO_BLOCK):
+        rows = order[start:start + _PARETO_BLOCK]
+        qb, wb = q[rows], weight[rows]
+        pos, neg = qb * wb, (1.0 - qb) * wb
+        if start:
+            pos[0] += last_pos
+            neg[0] += last_neg
+        np.cumsum(pos, out=pos)
+        np.cumsum(neg, out=neg)
+        last_pos, last_neg = pos[-1], neg[-1]
+        yield start + 1, pos, neg
 
 
 # --- within-group monotonicity and threshold decomposition ---------------------
@@ -231,26 +265,36 @@ def monotonicity_check(w: FairWorld, tolerance: float = 0.0) -> MonotonicityResu
     by_group = {}
     witnesses = []
     for g in w.groups():
-        mask = w.group == g
         name = w.name_of(g)
-        p, s, keys = w.fair_p[mask], w.score_s[mask], w.x[mask]
-        order = np.lexsort((s, p))  # tied-p runs ascend in s: never counted
-        s, keys = s[order], keys[order]
-        count = _count_exceeding_pairs(s, tolerance)
+        count, pairs = _group_violations(w, g, tolerance, WITNESS_LIMIT - len(witnesses))
         by_group[name] = count
         total += count
-        if count and len(witnesses) < WITNESS_LIMIT:
-            # earlier rows of j's own tied-p run score <= s[j], so only a
-            # lower-p row can lift the highest earlier score (top) above
-            # s[j] + tolerance; the witness is that score's first row
-            top = np.r_[-np.inf, np.maximum.accumulate(s)[:-1]]
-            first = np.maximum.accumulate(np.where(s > top, np.arange(len(s)), 0))
-            hi = np.flatnonzero(top > s + tolerance)[:WITNESS_LIMIT - len(witnesses)]
-            witnesses += [{"group": name, "lower_p": lo, "higher_p": h}
-                          for lo, h in zip(keys[first[hi - 1]].tolist(), keys[hi].tolist())]
+        witnesses += [{"group": name, "lower_p": lo, "higher_p": h} for lo, h in pairs]
     return MonotonicityResult(holds=total == 0, violation_count=total,
                               violations_by_group=by_group, witnesses=witnesses,
                               tolerance=tolerance, grid_size=w.m)
+
+
+def _group_violations(w: FairWorld, g: int, tolerance: float, limit: int) -> tuple[int, list]:
+    """Group g's violating pairs and up to limit witnesses as (lower x, higher x).
+
+    Holds the group's row index and scores in (p, s) order, nothing of the
+    previous group's, and reads x only at the witness rows.
+    """
+    rows = np.flatnonzero(w.group == g)
+    # tied-p runs ascend in s: never counted
+    rows = rows[np.lexsort((w.score_s[rows], w.fair_p[rows]))]
+    s = w.score_s[rows]
+    count = _count_exceeding_pairs(s, tolerance)
+    if not count or limit <= 0:
+        return count, []
+    # earlier rows of j's own tied-p run score <= s[j], so only a
+    # lower-p row can lift the highest earlier score (top) above
+    # s[j] + tolerance; the witness is that score's first row
+    top = np.r_[-np.inf, np.maximum.accumulate(s)[:-1]]
+    first = np.maximum.accumulate(np.where(s > top, np.arange(len(s)), 0))
+    hi = np.flatnonzero(top > s + tolerance)[:limit]
+    return count, list(zip(w.x[rows[first[hi - 1]]].tolist(), w.x[rows[hi]].tolist()))
 
 
 @dataclass(frozen=True)

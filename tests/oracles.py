@@ -85,6 +85,41 @@ def brute_witnesses(p, s, keys, tol, limit):
     return pairs
 
 
+def reference_rates(q, weight, decision):
+    """(tpr, tnr) of a decision, from whole-grid products: the formula as written."""
+    dec = np.asarray(decision, dtype=np.float64)
+    pos_mass = float((q * weight).sum())
+    neg_mass = float(((1.0 - q) * weight).sum())
+    tpr = float((dec * q * weight).sum()) / pos_mass
+    tnr = float(((1.0 - dec) * (1.0 - q) * weight).sum()) / neg_mass
+    return tpr, tnr
+
+
+def reference_pareto(q, weight, decision, margin):
+    """The whole-grid Pareto search: every top-k candidate's rates at once.
+
+    Returns (maximal, decision rates, dominating labels or None, their
+    rates or None); the first dominating k in (q desc, position asc) wins.
+    """
+    tpr, tnr = reference_rates(q, weight, decision)
+    pos_mass = float((q * weight).sum())
+    neg_mass = float(((1.0 - q) * weight).sum())
+    order = np.argsort(-q, kind="stable")
+    sel_pos = np.concatenate([[0.0], np.cumsum(q[order] * weight[order])])
+    sel_neg = np.concatenate([[0.0], np.cumsum((1.0 - q[order]) * weight[order])])
+    tpr_k = sel_pos / pos_mass
+    tnr_k = (neg_mass - sel_neg) / neg_mass
+    at_least = (tpr_k >= tpr - 1e-12) & (tnr_k >= tnr - 1e-12)
+    strictly = (tpr_k > tpr + margin) | (tnr_k > tnr + margin)
+    dominating = np.flatnonzero(at_least & strictly)
+    if len(dominating) == 0:
+        return True, (tpr, tnr), None, None
+    k = int(dominating[0])
+    labels = np.zeros(len(q), dtype=np.int8)
+    labels[order[:k]] = 1
+    return False, (tpr, tnr), labels, (float(tpr_k[k]), float(tnr_k[k]))
+
+
 _MOD64 = 2**64
 
 

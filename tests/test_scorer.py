@@ -287,6 +287,18 @@ def test_scorer_config_rejects_a_seed_scorer_txt_cannot_hold(seed):
         ScorerConfig(seed=seed)
 
 
+@pytest.mark.parametrize("value", [2.5, 3.0, True, "7", None])
+def test_scorer_config_rejects_a_seed_that_is_not_an_integer(value):
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        ScorerConfig(seed=value)
+
+
+@pytest.mark.parametrize("value", ["no", 0, 1, None])
+def test_scorer_config_rejects_an_include_sensitive_that_is_not_a_bool(value):
+    with pytest.raises(ValueError, match="include_sensitive must be a bool"):
+        ScorerConfig(include_sensitive=value)
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -0.1])
 def test_scorer_config_rejects_a_learning_rate_fit_cannot_use(value):
     with pytest.raises(ValueError, match="learning_rate must be a finite number > 0"):

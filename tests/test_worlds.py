@@ -1,13 +1,16 @@
 """Synthetic world rates, Pareto checks, monotonicity, decomposition."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import rankaudit.worlds
 from rankaudit.audit import _count_exceeding_pairs
 from rankaudit.errors import ZeroMassDenominator
 from rankaudit.worlds import (
+    PARETO_MARGIN,
     WITNESS_LIMIT,
     FairWorld,
     anti_monotone_world,
@@ -19,7 +22,7 @@ from rankaudit.worlds import (
     wage_gap_world,
 )
 
-from oracles import brute_exceeding_pairs, brute_witnesses
+from oracles import brute_exceeding_pairs, brute_witnesses, reference_pareto, reference_rates
 
 
 # --- the running world -----------------------------------------------------------
@@ -162,6 +165,118 @@ def test_interior_flip_is_dominated():
     flipped = dec.copy()
     flipped[interior] = 0
     assert not pareto_check(w, flipped, "fair").maximal
+
+
+def _tied_world(rng):
+    """A small world whose values repeat, include 0, -0.0 and 1, and whose
+    weights include 0 and -0.0."""
+    m = int(rng.integers(1, 30))
+    values = np.array([0.0, -0.0, 0.125, 0.5, 0.5, 0.75, 1.0])
+    weight = rng.choice(np.array([0.0, -0.0, 1.0, 2.0, 3.0]), size=m)
+    weight[0] = 1.0  # some mass
+    return FairWorld(x=np.arange(m, dtype=np.float64), group=rng.integers(0, 2, m).astype(np.int8),
+                     weight=weight / weight.sum(), fair_p=rng.choice(values, m),
+                     score_s=rng.choice(values, m))
+
+
+def _bits(rate_pair):
+    return None if rate_pair is None else tuple(float(r).hex() for r in rate_pair)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7, rankaudit.worlds._PARETO_BLOCK])
+def test_pareto_check_matches_the_whole_grid_reference_bitwise(monkeypatch, block):
+    monkeypatch.setattr(rankaudit.worlds, "_PARETO_BLOCK", block)
+    rng = np.random.default_rng(28)
+    compared = 0
+    for _ in range(120):
+        w = _tied_world(rng)
+        decisions = [rng.integers(0, 2, w.m).astype(np.int8), rng.random(w.m),
+                     np.zeros(w.m), np.ones(w.m, dtype=np.int8),
+                     threshold_decision(w, "unfair", float(rng.choice([0.0, 0.25, 0.5])))]
+        for basis in ("fair", "unfair"):
+            q = w.basis_values(basis)
+            for dec in decisions:
+                try:
+                    want = reference_pareto(q, w.weight, dec, PARETO_MARGIN)
+                except ZeroDivisionError:  # a basis with no mass on one side
+                    with pytest.raises(ZeroMassDenominator):
+                        pareto_check(w, dec, basis)
+                    continue
+                got = pareto_check(w, dec, basis)
+                r = rates(w, dec, basis)
+                assert _bits((r.tpr, r.tnr)) == _bits(reference_rates(q, w.weight, dec))
+                assert got.maximal == want[0]
+                d, dom = got.decision_rates, got.dominating_rates
+                assert _bits((d.tpr, d.tnr)) == _bits(want[1])
+                assert _bits(None if dom is None else (dom.tpr, dom.tnr)) == _bits(want[3])
+                if want[2] is None:
+                    assert got.dominated_by is None
+                else:
+                    assert got.dominated_by.dtype == want[2].dtype
+                    assert np.array_equal(got.dominated_by, want[2])
+                compared += 1
+    assert compared > 1000
+
+
+def test_rates_leaves_a_float_decision_unchanged():
+    w = wage_gap_world(51)
+    dec = np.random.default_rng(3).random(w.m)
+    kept = dec.copy()
+    rates(w, dec, "fair")
+    pareto_check(w, dec, "unfair")
+    assert np.array_equal(dec, kept)
+
+
+# --- memory: each check holds the world plus one sort index -----------------------------
+
+def _peak_over_world(call):
+    """(peak bytes traced while call() runs, above those traced before it;
+    call's result).  numpy reports its arrays to tracemalloc."""
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        result = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - before, result
+
+
+def _world_bytes(w):
+    return sum(a.nbytes for a in (w.x, w.group, w.weight, w.fair_p, w.score_s))
+
+
+@pytest.fixture(scope="module")
+def worlds_200k():
+    return {"wage-gap": wage_gap_world(200_000), "anti-monotone": anti_monotone_world(200_000)}
+
+
+@pytest.mark.parametrize("basis", ["unfair", "fair"])
+def test_pareto_check_holds_one_sort_index(worlds_200k, basis):
+    w = worlds_200k["anti-monotone"]
+    dec = threshold_decision(w, "unfair", 0.5)
+    peak, _ = _peak_over_world(lambda: pareto_check(w, dec, basis))
+    assert peak / _world_bytes(w) <= 0.75
+
+
+def test_rates_holds_two_grid_vectors(worlds_200k):
+    w = worlds_200k["anti-monotone"]
+    dec = threshold_decision(w, "unfair", 0.5)
+    peak, _ = _peak_over_world(lambda: rates(w, dec, "fair"))
+    assert peak / _world_bytes(w) <= 0.6
+
+
+def test_anti_monotone_world_builds_without_full_grid_temporaries():
+    peak, w = _peak_over_world(lambda: anti_monotone_world(200_000))
+    assert peak / _world_bytes(w) <= 1.4
+
+
+def test_monotonicity_check_holds_one_sort_index(worlds_200k):
+    w = worlds_200k["wage-gap"]
+    peak, res = _peak_over_world(lambda: monotonicity_check(w))
+    assert res.holds
+    assert peak / _world_bytes(w) <= 0.75
 
 
 # --- monotonicity -----------------------------------------------------------------------
