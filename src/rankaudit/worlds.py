@@ -23,7 +23,7 @@ from .errors import ZeroMassDenominator
 WEIGHT_TOLERANCE = 1e-12
 WITNESS_LIMIT = 10
 PARETO_MARGIN = 1e-9  # how much higher a rate must be to count as strictly higher
-_PARETO_BLOCK = 1 << 16  # candidates pareto_check scores at a time
+_BLOCK = 1 << 14  # rows each blockwise scan (rates, pareto_check, witnesses) takes at a time
 
 
 @dataclass(frozen=True)
@@ -38,9 +38,11 @@ class FairWorld:
     group_names: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        m = len(self.x)
-        for name, vec in (("group", self.group), ("weight", self.weight),
+        m = np.size(self.x)  # len(x) once x passes as 1-D
+        for name, vec in (("x", self.x), ("group", self.group), ("weight", self.weight),
                           ("fair_p", self.fair_p), ("score_s", self.score_s)):
+            if np.ndim(vec) != 1:
+                raise ValueError(f"{name} must be 1-D, got {np.ndim(vec)} dimensions")
             if len(vec) != m:
                 raise ValueError(f"{name} length {len(vec)} != {m}")
             if not np.isfinite(vec).all():
@@ -94,7 +96,8 @@ def wage_gap_world(grid_size: int = 501) -> FairWorld:
 
     x is a uniform grid on [0, 50], both groups weighted 1/2.  The fair
     favorable probability is x/50 for everyone; scores match it for group
-    "male" and are 0.9 * x/50 for group "female".
+    "male" and are 0.9 * x/50 for group "female".  The uniform weight is a
+    read-only zero-stride view of one number.
     """
     if grid_size < 2:
         raise ValueError("grid_size must be at least 2")
@@ -106,7 +109,7 @@ def wage_gap_world(grid_size: int = 501) -> FairWorld:
     p = x / 50.0
     s = p.copy()
     s[grid_size:] *= 0.9
-    weight = np.full(2 * grid_size, 1.0 / (2 * grid_size))
+    weight = np.broadcast_to(1.0 / (2 * grid_size), (2 * grid_size,))
     return FairWorld(x=x, group=group, weight=weight, fair_p=p, score_s=s,
                      group_names={0: "male", 1: "female"})
 
@@ -136,19 +139,20 @@ def _masses(w: FairWorld, basis: str) -> tuple[np.ndarray, float, float]:
 def rates(w: FairWorld, decision: np.ndarray, basis: str) -> RatePair:
     """True positive/negative rates of a decision under fair or biased mass."""
     q, pos_mass, neg_mass = _masses(w, basis)
-    dec = np.array(decision, dtype=np.float64)  # a private copy: rewritten below
+    dec = np.asarray(decision)  # never written
     if len(dec) != w.m:
         raise ValueError("decision length does not match the world grid")
-    # each product runs in the order (dec * q * weight) of the formula, so
-    # every sum sees the same contiguous values
-    buf = dec * q
+    # one buffer; each product runs in the order (dec * q * weight) of the
+    # formula, so every sum sees the same contiguous values
+    buf = np.multiply(dec, q, dtype=np.float64)
     buf *= w.weight
     tpr = float(buf.sum()) / pos_mass
-    np.subtract(1.0, dec, out=dec)
-    np.subtract(1.0, q, out=buf)
-    dec *= buf
-    dec *= w.weight
-    tnr = float(dec.sum()) / neg_mass
+    for start in range(0, w.m, _BLOCK):
+        part = slice(start, start + _BLOCK)
+        np.subtract(1.0, dec[part], out=buf[part], dtype=np.float64)
+        buf[part] *= 1.0 - q[part]
+        buf[part] *= w.weight[part]
+    tnr = float(buf.sum()) / neg_mass
     return RatePair(tpr=tpr, tnr=tnr)
 
 
@@ -188,12 +192,13 @@ def pareto_check(w: FairWorld, decision: np.ndarray, basis: str) -> ParetoResult
     the boundary-tie completions that stand in for the measure-zero tie
     splits of the continuous setting.  Dominating means both rates >= and
     at least one greater by more than PARETO_MARGIN.  The scan holds one
-    sort index and stops at the first (smallest k) dominating candidate.
+    ascending sort index and stops at the first (smallest k) dominating
+    candidate.
     """
     dec_rates = rates(w, decision, basis)
     q, pos_mass, neg_mass = _masses(w, basis)
-    order = np.argsort(-q, kind="stable")  # ties keep grid order
-    for first_k, sel_pos, sel_neg in _selected_masses(q, w.weight, order):
+    order = np.argsort(q, kind="stable")  # ties keep grid order
+    for end, rows, sel_pos, sel_neg in _selected_masses(q, w.weight, order):
         tpr_k = sel_pos / pos_mass
         tnr_k = (neg_mass - sel_neg) / neg_mass
         at_least = (tpr_k >= dec_rates.tpr - 1e-12) & (tnr_k >= dec_rates.tnr - 1e-12)
@@ -202,7 +207,8 @@ def pareto_check(w: FairWorld, decision: np.ndarray, basis: str) -> ParetoResult
         if len(dominating):
             i = int(dominating[0])
             labels = np.zeros(w.m, dtype=np.int8)
-            labels[order[:first_k + i]] = 1
+            labels[order[end:]] = 1
+            labels[rows[:i + 1]] = 1
             return ParetoResult(
                 maximal=False,
                 decision_rates=dec_rates,
@@ -213,23 +219,55 @@ def pareto_check(w: FairWorld, decision: np.ndarray, basis: str) -> ParetoResult
 
 
 def _selected_masses(q: np.ndarray, weight: np.ndarray, order: np.ndarray):
-    """Yield (k, pos, neg) per block of candidates, the first being k = 0
-    alone: pos[i] and neg[i] are the positive and negative mass of the
-    first k + i rows of order.  Each block's running sums continue the
+    """Yield (end, rows, pos, neg) per block of candidates in (q desc, grid
+    position asc) order, the first being k = 0 alone with no rows: pos[i]
+    and neg[i] are the positive and negative mass of order[end:] plus
+    rows[:i + 1].  order ascends in q, ties in grid order; the blocks walk
+    it from its end, each starting at a tie run, so reversing a block's runs
+    gives the descending order.  Each block's running sums continue the
     previous block's, so they equal the whole-grid cumsum bit for bit (the
     first row's mass is never added to 0, so a -0.0 survives)."""
-    yield 0, np.zeros(1), np.zeros(1)
-    for start in range(0, len(order), _PARETO_BLOCK):
-        rows = order[start:start + _PARETO_BLOCK]
+    yield len(order), order[:0], np.zeros(1), np.zeros(1)
+    hi = len(order)
+    while hi:
+        lo = _run_start(q, order, hi - _BLOCK) if hi > _BLOCK else 0
+        rows = _runs_reversed(q, order[lo:hi])
         qb, wb = q[rows], weight[rows]
         pos, neg = qb * wb, (1.0 - qb) * wb
-        if start:
+        if hi < len(order):
             pos[0] += last_pos
             neg[0] += last_neg
         np.cumsum(pos, out=pos)
         np.cumsum(neg, out=neg)
         last_pos, last_neg = pos[-1], neg[-1]
-        yield start + 1, pos, neg
+        yield hi, rows, pos, neg
+        hi = lo
+
+
+def _run_start(q: np.ndarray, order: np.ndarray, i: int) -> int:
+    """The first position of the tie run that holds order[i], order
+    ascending in q; a run longer than a block is searched block by block."""
+    v = q[order[i]]
+    while i:
+        lo = max(i - _BLOCK, 0)
+        below = int(np.searchsorted(q[order[lo:i]], v))  # rows of lo:i under v
+        i = lo + below
+        if below:
+            break
+    return i
+
+
+def _runs_reversed(q: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """rows, ascending in q and starting at a tie run, with their tie runs
+    in reverse order and each run's rows kept in order."""
+    v = q[rows]
+    n = len(rows)
+    starts = np.flatnonzero(np.r_[True, v[1:] != v[:-1]])
+    lengths = np.diff(np.r_[starts, n])
+    out = np.empty_like(rows)
+    # the run at [s, s + length) moves to [n - s - length, n - s)
+    out[np.arange(n) + np.repeat(n - 2 * starts - lengths, lengths)] = rows
+    return out
 
 
 # --- within-group monotonicity and threshold decomposition ---------------------
@@ -278,23 +316,44 @@ def monotonicity_check(w: FairWorld, tolerance: float = 0.0) -> MonotonicityResu
 def _group_violations(w: FairWorld, g: int, tolerance: float, limit: int) -> tuple[int, list]:
     """Group g's violating pairs and up to limit witnesses as (lower x, higher x).
 
-    Holds the group's row index and scores in (p, s) order, nothing of the
-    previous group's, and reads x only at the witness rows.
+    Holds the group's scores in (p, s) order, and their row index only
+    until the witnesses are found, so not during the pair count; holds
+    nothing of the previous group's, and reads x only at the witness rows.
     """
     rows = np.flatnonzero(w.group == g)
     # tied-p runs ascend in s: never counted
     rows = rows[np.lexsort((w.score_s[rows], w.fair_p[rows]))]
     s = w.score_s[rows]
-    count = _count_exceeding_pairs(s, tolerance)
-    if not count or limit <= 0:
-        return count, []
-    # earlier rows of j's own tied-p run score <= s[j], so only a
-    # lower-p row can lift the highest earlier score (top) above
-    # s[j] + tolerance; the witness is that score's first row
-    top = np.r_[-np.inf, np.maximum.accumulate(s)[:-1]]
-    first = np.maximum.accumulate(np.where(s > top, np.arange(len(s)), 0))
-    hi = np.flatnonzero(top > s + tolerance)[:limit]
-    return count, list(zip(w.x[rows[first[hi - 1]]].tolist(), w.x[rows[hi]].tolist()))
+    lower, higher = _witnesses(s, tolerance, limit)
+    witnesses = list(zip(w.x[rows[lower]].tolist(), w.x[rows[higher]].tolist()))
+    del rows
+    return _count_exceeding_pairs(s, tolerance), witnesses
+
+
+def _witnesses(s: np.ndarray, tolerance: float, limit: int) -> tuple[list, list]:
+    """The first limit positions j whose highest earlier score (top)
+    exceeds s[j] + tolerance, and for each the first position that reached
+    top, found a block at a time.
+
+    Earlier rows of j's own tied-p run score <= s[j], so only a lower-p row
+    can lift top above s[j] + tolerance.
+    """
+    lower, higher = [], []
+    top, first = -np.inf, 0  # the highest score so far and the first row that reached it
+    for start in range(0, len(s), _BLOCK):
+        if len(higher) >= limit:
+            break
+        block = s[start:start + _BLOCK]
+        tops = np.maximum.accumulate(np.r_[top, block])  # tops[j]: highest before block[j]
+        rises = np.flatnonzero(block > tops[:-1]) + start  # rows that first reach a new top
+        hi = np.flatnonzero(tops[:-1] > block + tolerance)[:limit - len(higher)] + start
+        # a witness never rises (tolerance >= 0): its lower row is the last rise before it
+        lower += [int(rises[k - 1]) if k else first for k in np.searchsorted(rises, hi)]
+        higher += hi.tolist()
+        top = tops[-1]
+        if len(rises):
+            first = int(rises[-1])
+    return lower, higher
 
 
 @dataclass(frozen=True)
