@@ -128,6 +128,8 @@ def kendall_tau(x, y, variant: str = "tau-b") -> float:
     O(n log n) (Knight 1966); results match pair enumeration exactly.
     Returns nan for tau-b when either vector is constant.
     """
+    if variant not in ("tau-a", "tau-b"):
+        raise ValueError(f"unknown variant {variant!r}")
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if len(x) != len(y):
@@ -148,12 +150,10 @@ def kendall_tau(x, y, variant: str = "tau-b") -> float:
     conc = n0 - n1 - n2 + n3 - disc
     if variant == "tau-a":
         return float(conc - disc) / float(n0)
-    if variant == "tau-b":
-        denom = math.sqrt(float(n0 - n1) * float(n0 - n2))
-        if denom == 0.0:
-            return float("nan")
-        return float(conc - disc) / denom
-    raise ValueError(f"unknown variant {variant!r}")
+    denom = math.sqrt(float(n0 - n1) * float(n0 - n2))
+    if denom == 0.0:
+        return float("nan")
+    return float(conc - disc) / denom
 
 
 def spd(dec: DecisionSet, d: Dataset) -> float:

@@ -49,7 +49,7 @@ class DecisionPolicy:
         field, count = POLICY_FIELDS[self.kind]
         numbers = self._numbers()
         if not (type(numbers) is tuple and len(numbers) == count
-                and all(isinstance(v, Real) for v in numbers)):
+                and all(isinstance(v, Real) and not isinstance(v, bool) for v in numbers)):
             raise ValueError(f"{self.kind} policy needs {count} number(s) as {field}")
         for v in numbers:
             _check_unit(v, field)

@@ -169,8 +169,8 @@ def reject_option_classify(scores: ScoreSet, d: Dataset,
     with |SPD| <= epsilon on the scores, else the first grid argmin of
     |SPD|.  theta = 0 means plain thresholding at CUT.
     """
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not 0 < epsilon < np.inf:  # also rejects nan
+        raise ValueError(f"epsilon must be a finite number > 0, got {epsilon}")
     s = scores.scores
     prot, _ = d.cohort(scores.instance_ids)
     if not prot.any() or prot.all():

@@ -68,11 +68,12 @@ class ScorerConfig:
     include_sensitive: bool = False
 
     def __post_init__(self):
-        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+        # a bool is refused, as by the config rules; nan fails both comparisons
+        if isinstance(self.learning_rate, bool) or not 0 < self.learning_rate < np.inf:
             raise ValueError(f"learning_rate must be a finite number > 0, got {self.learning_rate}")
         if type(self.epochs) is not int or self.epochs <= 0:
             raise ValueError(f"epochs must be an integer >= 1, got {self.epochs!r}")
-        if not (np.isfinite(self.l2_penalty) and self.l2_penalty >= 0):
+        if isinstance(self.l2_penalty, bool) or not 0 <= self.l2_penalty < np.inf:
             raise ValueError(f"l2_penalty must be a finite number >= 0, got {self.l2_penalty}")
         if self.model_kind not in ("logistic", "one-hidden-layer"):
             raise ValueError(f"unknown model_kind {self.model_kind!r}")

@@ -23,7 +23,7 @@ from .errors import ZeroMassDenominator
 WEIGHT_TOLERANCE = 1e-12
 WITNESS_LIMIT = 10
 PARETO_MARGIN = 1e-9  # how much higher a rate must be to count as strictly higher
-_BLOCK = 1 << 14  # rows each blockwise scan (rates, pareto_check, witnesses) takes at a time
+_BLOCK = 1 << 14  # rows each blockwise scan (rates, pareto_check) takes at a time
 
 
 @dataclass(frozen=True)
@@ -316,44 +316,23 @@ def monotonicity_check(w: FairWorld, tolerance: float = 0.0) -> MonotonicityResu
 def _group_violations(w: FairWorld, g: int, tolerance: float, limit: int) -> tuple[int, list]:
     """Group g's violating pairs and up to limit witnesses as (lower x, higher x).
 
-    Holds the group's scores in (p, s) order, and their row index only
-    until the witnesses are found, so not during the pair count; holds
-    nothing of the previous group's, and reads x only at the witness rows.
+    In (p, s) order, a witness is one of the first limit rows j whose
+    highest earlier score exceeds s[j] + tolerance, paired with the first
+    row that holds that score.  The running maximum and the row index are
+    dropped before the pair count; x is read only at the witness rows.
     """
     rows = np.flatnonzero(w.group == g)
     # tied-p runs ascend in s: never counted
     rows = rows[np.lexsort((w.score_s[rows], w.fair_p[rows]))]
     s = w.score_s[rows]
-    lower, higher = _witnesses(s, tolerance, limit)
+    top = np.maximum.accumulate(s)  # top[j]: the highest score in s[:j + 1]
+    # earlier rows of j's own tied-p run score <= s[j], so only a lower-p
+    # row can lift top[j - 1] above s[j] + tolerance
+    higher = np.flatnonzero(top[:-1] > s[1:] + tolerance)[:limit] + 1
+    lower = [int(np.argmax(s[:j] == top[j - 1])) for j in higher]
     witnesses = list(zip(w.x[rows[lower]].tolist(), w.x[rows[higher]].tolist()))
-    del rows
+    del rows, top
     return _count_exceeding_pairs(s, tolerance), witnesses
-
-
-def _witnesses(s: np.ndarray, tolerance: float, limit: int) -> tuple[list, list]:
-    """The first limit positions j whose highest earlier score (top)
-    exceeds s[j] + tolerance, and for each the first position that reached
-    top, found a block at a time.
-
-    Earlier rows of j's own tied-p run score <= s[j], so only a lower-p row
-    can lift top above s[j] + tolerance.
-    """
-    lower, higher = [], []
-    top, first = -np.inf, 0  # the highest score so far and the first row that reached it
-    for start in range(0, len(s), _BLOCK):
-        if len(higher) >= limit:
-            break
-        block = s[start:start + _BLOCK]
-        tops = np.maximum.accumulate(np.r_[top, block])  # tops[j]: highest before block[j]
-        rises = np.flatnonzero(block > tops[:-1]) + start  # rows that first reach a new top
-        hi = np.flatnonzero(tops[:-1] > block + tolerance)[:limit - len(higher)] + start
-        # a witness never rises (tolerance >= 0): its lower row is the last rise before it
-        lower += [int(rises[k - 1]) if k else first for k in np.searchsorted(rises, hi)]
-        higher += hi.tolist()
-        top = tops[-1]
-        if len(rises):
-            first = int(rises[-1])
-    return lower, higher
 
 
 @dataclass(frozen=True)

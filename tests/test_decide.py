@@ -124,6 +124,17 @@ def test_policy_sets_exactly_its_kinds_field(fields):
         DecisionPolicy(**fields)
 
 
+@pytest.mark.parametrize("fields", [
+    {"kind": "fixed-threshold", "threshold": True},
+    {"kind": "global-top-rate", "rate": False},
+    {"kind": "per-group-rates", "group_rates": (0.5, True)},
+], ids=["threshold", "rate", "group-rate"])
+def test_policy_refuses_a_bool_for_a_number(fields):
+    # True is a Real to isinstance; it would label as fixed-threshold-1
+    with pytest.raises(ValueError, match="number"):
+        DecisionPolicy(**fields)
+
+
 @pytest.mark.parametrize("kind", ["per-group-thresholds", "reject-option",
                                   "randomized-mixing"])
 def test_postprocessor_labels_are_not_policy_kinds(kind):

@@ -357,6 +357,15 @@ def test_reject_option_requires_both_groups_and_positive_epsilon():
         reject_option_classify(make_scores([0.3, 0.7]), d2, epsilon=0.0)
 
 
+@pytest.mark.parametrize("epsilon", [float("nan"), float("inf")])
+def test_reject_option_refuses_a_non_finite_epsilon(epsilon):
+    # with nan no grid band meets the test and the fit would return the
+    # argmin; with inf it would return theta 0
+    d = make_dataset([1, 0], [0, 1])
+    with pytest.raises(ValueError, match="epsilon must be a finite number > 0"):
+        reject_option_classify(make_scores([0.3, 0.7]), d, epsilon)
+
+
 # --- equalized odds mixing ------------------------------------------------------------
 
 def _eop_grid_oracle(counts, step=1e-3):

@@ -61,6 +61,15 @@ def test_tau_contract_errors():
         kendall_tau([1.0], [2.0])
 
 
+@pytest.mark.parametrize("variant", ["tau-c", "b", None])
+def test_tau_checks_the_variant_before_counting(monkeypatch, variant):
+    def count(*_):
+        raise AssertionError("pairs counted before the variant was checked")
+    monkeypatch.setattr("rankaudit.audit._count_exceeding_pairs", count)
+    with pytest.raises(ValueError, match="unknown variant"):
+        kendall_tau([1.0, 3.0, 2.0], [2.0, 1.0, 3.0], variant)
+
+
 def test_tau_b_constant_vector_is_nan():
     assert np.isnan(kendall_tau([1, 1, 1], [1, 2, 3], "tau-b"))
 

@@ -299,7 +299,7 @@ def test_scorer_config_rejects_an_include_sensitive_that_is_not_a_bool(value):
         ScorerConfig(include_sensitive=value)
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -0.1])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -0.1, True, False])
 def test_scorer_config_rejects_a_learning_rate_fit_cannot_use(value):
     with pytest.raises(ValueError, match="learning_rate must be a finite number > 0"):
         ScorerConfig(learning_rate=value)
@@ -311,7 +311,7 @@ def test_scorer_config_rejects_epochs_that_are_not_a_positive_integer(value):
         ScorerConfig(epochs=value)
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1e-4])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1e-4, True, False])
 def test_scorer_config_rejects_an_l2_penalty_fit_cannot_use(value):
     with pytest.raises(ValueError, match="l2_penalty must be a finite number >= 0"):
         ScorerConfig(l2_penalty=value)

@@ -431,10 +431,9 @@ def test_monotonicity_rejects_a_negative_or_non_finite_tolerance(tolerance):
         monotonicity_check(anti_monotone_world(5), tolerance)
 
 
-def test_witnesses_and_count_match_brute_force_on_tied_worlds(monkeypatch):
+def test_witnesses_and_count_match_brute_force_on_tied_worlds():
     """Two-group worlds on coarse p and s grids, so tied-p runs, tied scores
-    and ties within the tolerance all occur; the witness scan runs at each
-    block size."""
+    and ties within the tolerance all occur."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     rows = st.tuples(st.integers(0, 1), st.integers(0, 4), st.integers(0, 10))
@@ -460,9 +459,7 @@ def test_witnesses_and_count_match_brute_force_on_tied_worlds(monkeypatch):
         assert res.witnesses == want
         assert res.holds == (count == 0)
 
-    for block in BLOCKS:
-        monkeypatch.setattr(rankaudit.worlds, "_BLOCK", block)
-        check()
+    check()
 
 
 # --- decomposition ------------------------------------------------------------------------
