@@ -79,9 +79,9 @@ def _tie_pairs(tied: np.ndarray) -> int:
     return int((counts * (counts - 1) // 2).sum())
 
 
-def _midranks(v: np.ndarray) -> np.ndarray:
-    """1-based ranks, tied values sharing the mean rank of their run."""
-    order = np.argsort(v, kind="stable")
+def _midranks(v: np.ndarray, order: np.ndarray | None = None) -> np.ndarray:
+    """1-based ranks, ties sharing their run's mean rank; order: v's stable argsort."""
+    order = np.argsort(v, kind="stable") if order is None else order
     sv = v[order]
     n = len(v)
     starts = np.flatnonzero(np.r_[True, sv[1:] != sv[:-1]])

@@ -20,9 +20,9 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .audit import AuditReport, audit_scores, build_report
+from .audit import _QUADRANT_NAMES, AuditReport, audit_scores, build_report
 from .dataset import (
-    ColumnText, Dataset, DatasetSpec, atomic_open, builtin_specs, ingest,
+    ColumnText, CsvText, Dataset, DatasetSpec, atomic_open, builtin_specs, ingest,
     split, verify_base_rate, write_csv,
 )
 from .decide import POLICY_FIELDS, DecisionPolicy, DecisionSet, decide, export_decisions
@@ -351,9 +351,8 @@ class Pipeline:
 
     def _write_scores(self, scores):
         """Every score set a run writes is on the test split."""
-        ids, _ = self.text.rows(self.dataset, scores.instance_ids)
-        write_csv(self.out / f"scores_{_slug(scores.method)}_test.csv",
-                  ["instance_id", "score"], [ids, self.text.floats(scores.scores)])
+        write_csv(self.out / f"scores_{_slug(scores.method)}_test.csv", ["instance_id", "score"],
+                  [self.text.ids(scores.instance_ids), self.text.floats(scores.scores)])
 
     def mitigate(self):
         # the native report and the baseline-pdr rate share it
@@ -447,12 +446,13 @@ class Pipeline:
     def _emit_report(self, frame: dict, label: str, policy: DecisionPolicy, report: AuditReport):
         """Scatter CSVs, then the report JSON: frame, label, policy, report and scatter files."""
         base, files = self.baseline_test, {}
+        tails = {q: f",{q}\r\n" for q in _QUADRANT_NAMES}  # a quadrant name needs no quotes
         for ss in self.method_scores:
             path = self.out / f"scatter_{_slug(label)}_{_slug(ss.method)}.csv"
             write_csv(path, ["id", "group", "score_base", "score_mitigated", "quadrant"],
-                      [*self.text.rows(self.dataset, base.instance_ids),
+                      [self.text.heads(self.dataset, base.instance_ids),
                        self.text.floats(base.scores), self.text.floats(ss.scores),
-                       report.scatter[ss.method]])
+                       CsvText(map(tails.__getitem__, report.scatter[ss.method].tolist()))])
             files[ss.method] = path.name
         _write_json(self.out / f"report_{_slug(label)}.json", {
             **frame, "policy_label": label, "policy": policy.describe(),

@@ -100,32 +100,45 @@ def _lines(block: list) -> str:
     return "\r\n".join(map(",".join, zip(*block))) + "\r\n"
 
 
+class CsvText(list):
+    """A column that write_csv writes as it is: per row, CSV text that holds
+    the commas on both of its sides and, in the last column, the line end."""
+
+
 def write_csv(path: str | Path, header, columns) -> None:
     """Atomically write a header line and then one line per row of columns.
 
-    Each column is an iterable of str, or one str that every row holds; at
-    least one must be an iterable, and the iterables must be equally long.
-    The bytes are those csv.writer writes: a cell holding a comma, a quote
-    or a line break is quoted, and lines end in \\r\\n.  The iterables are read
-    _TEXT_BLOCK values at a time, so a long column never exists as text all
-    at once; a constant column is quoted once.
+    Each column is an iterable of str, one str that every row holds (quoted
+    once), or a CsvText; the others must be equally long.  The bytes are
+    those csv.writer writes: a cell holding a comma, a quote or a line break
+    is quoted, and lines end in \\r\\n.  Columns are read _TEXT_BLOCK rows at
+    a time, so no long column exists as text all at once, and each block is
+    one join of its cells interleaved with the commas and line ends.
     """
     columns = list(columns)
-    constant = [isinstance(c, str) for c in columns]
-    if all(constant):
+    if all(isinstance(c, str) for c in columns):
         raise ValueError("write_csv needs at least one column that is not one str")
-    sources = [repeat(_field(c)) if k else iter(c) for c, k in zip(columns, constant)]
+    parts = []  # a line's parts in order: each column, then its comma or line end
+    for c, after in zip(columns, [*columns[1:], None]):
+        parts.append(_field(c) if isinstance(c, str) else c)  # a str: every row's text
+        if not (isinstance(c, CsvText) or isinstance(after, CsvText)):
+            parts.append("\r\n" if after is None else ",")
+    sources = [repeat(p) if isinstance(p, str) else iter(p) for p in parts]
     with atomic_open(path) as fh:
         fh.write(_lines([[_field(h)] for h in header]))
         while True:
-            block = [src if k else _fields(list(islice(src, _TEXT_BLOCK)))
-                     for src, k in zip(sources, constant)]
-            sizes = {len(cells) for cells, k in zip(block, constant) if not k}
+            block = [src if isinstance(p, str) else
+                     list(islice(src, _TEXT_BLOCK)) if isinstance(p, CsvText) else
+                     _fields(list(islice(src, _TEXT_BLOCK)))
+                     for p, src in zip(parts, sources)]
+            sizes = {len(cells) for cells in block if isinstance(cells, list)}
             if len(sizes) > 1:
                 raise ValueError(f"columns differ in length: {sorted(sizes)}")
             if sizes == {0}:
                 break
-            fh.write(_lines(block))
+            if len(columns) == 1:  # csv.writer quotes a lone empty field: no blank line
+                block[0] = [c or '""' for c in block[0]]
+            fh.write("".join(chain.from_iterable(zip(*block))))
 
 
 def float_text(values):
@@ -161,11 +174,14 @@ class ColumnText:
         """float_text of values."""
         return self._once("floats", (values,), lambda: list(float_text(values)))
 
-    def rows(self, d: "Dataset", ids: np.ndarray) -> tuple[list[str], list[str]]:
-        """The text of ids, and the group name of each id's row in d."""
-        return self._once("rows", (d, ids), lambda: (
-            list(map(str, ids.tolist())),
-            group_names(d.sensitive[d.positions_of(ids)]).tolist()))
+    def ids(self, ids: np.ndarray) -> list[str]:
+        """The text of each id."""
+        return self._once("ids", (ids,), lambda: list(map(str, ids.tolist())))
+
+    def heads(self, d: "Dataset", ids: np.ndarray) -> CsvText:
+        """`<id>,<group>,`, the start of each id's row, its group named as in d."""
+        return self._once("heads", (d, ids), lambda: CsvText(map(
+            "{},{},".format, self.ids(ids), group_names(d.sensitive[d.positions_of(ids)]))))
 
 
 @dataclass(frozen=True)

@@ -14,13 +14,11 @@ from numbers import Real
 
 import numpy as np
 
-from .dataset import ColumnText, Dataset, require_aligned, write_csv
+from .dataset import ColumnText, CsvText, Dataset, _field, require_aligned, write_csv
 from .errors import RateOutOfRange
 from .scorer import ScoreSet
 
 TIE_RULE = "ascending instance_id"
-
-_LABEL_TEXT = np.array(["0", "1"], dtype=object)
 
 
 def _check_unit(value: float, what: str) -> None:
@@ -148,11 +146,13 @@ def export_decisions(dec: DecisionSet, d: Dataset, scores: ScoreSet,
     """CSV dump: instance_id,group,score,label,method,policy.
 
     A caller writing many files passes one ColumnText as text, so the ids
-    and each score array are turned into text once.
+    and each score array are turned into text once.  A row's cells after
+    its score come from a table of two, one for each label.
     """
     require_aligned(dec.instance_ids, scores.instance_ids, "decision export")
     text = ColumnText() if text is None else text
-    ids, groups = text.rows(d, dec.instance_ids)
+    tails = np.array([f",{label},{_field(scores.method)},{_field(dec.policy)}\r\n"
+                      for label in "01"], dtype=object)
     write_csv(path, ["instance_id", "group", "score", "label", "method", "policy"],
-              [ids, groups, text.floats(scores.scores), _LABEL_TEXT[dec.labels].tolist(),
-               scores.method, dec.policy])
+              [text.heads(d, dec.instance_ids), text.floats(scores.scores),
+               CsvText(tails[dec.labels].tolist())])

@@ -57,14 +57,26 @@ def disparate_impact_remove(d: Dataset, repair_level: float,
         j = d.feature_index(col)
         v = d.features[:, j]
         u = np.empty(d.n)  # each instance's rank in [0, 1] within its group
+        quantiles = []  # each group's sorted values: its quantile function on 0..n_g-1
         for rows in group_rows:
-            u[rows] = ((_midranks(v[rows]) - 1.0) / (len(rows) - 1.0)
+            vg = v[rows]
+            order = np.argsort(vg, kind="stable")  # the one sort of this group and column
+            quantiles.append(vg[order])
+            u[rows] = ((_midranks(vg, order) - 1.0) / (len(rows) - 1.0)
                        if len(rows) > 1 else 0.5)
         # each group's quantile function at every instance's own rank
-        curves = [np.interp(u * (len(rows) - 1.0), np.arange(len(rows)), np.sort(v[rows]))
-                  for rows in group_rows]
+        curves = [_on_grid(u * (len(q) - 1.0), q) for q in quantiles]
         features[:, j] = (1.0 - lam) * v + lam * (sum(curves[1:], curves[0]) / len(curves))
     return replace(d, features=features)
+
+
+def _on_grid(x: np.ndarray, fp: np.ndarray) -> np.ndarray:
+    """np.interp(x, np.arange(len(fp)), fp) for x in [0, len(fp) - 1], by
+    np.interp's own formula without its search: fp[x] where x is a grid
+    point, else (fp[j + 1] - fp[j]) * (x - j) + fp[j] with j = floor(x)."""
+    j = x.astype(np.intp)
+    left, right = fp[j], fp[np.minimum(j + 1, len(fp) - 1)]
+    return np.where(x == j, left, (right - left) * (x - j) + left)
 
 
 # --- per-group threshold fitting ------------------------------------------------
@@ -148,8 +160,8 @@ class CriticalRegion(Fitted):
     theta: float
 
     def __post_init__(self):
-        if not 0.0 <= self.theta <= 0.5:
-            raise ValueError(f"theta must lie in [0, 0.5], got {self.theta}")
+        if isinstance(self.theta, bool) or not 0.0 <= self.theta <= 0.5:
+            raise ValueError(f"theta must be a number in [0, 0.5], got {self.theta!r}")
 
 
 def _band_labels(s: np.ndarray, prot: np.ndarray, theta: float) -> np.ndarray:
@@ -169,8 +181,8 @@ def reject_option_classify(scores: ScoreSet, d: Dataset,
     with |SPD| <= epsilon on the scores, else the first grid argmin of
     |SPD|.  theta = 0 means plain thresholding at CUT.
     """
-    if not 0 < epsilon < np.inf:  # also rejects nan
-        raise ValueError(f"epsilon must be a finite number > 0, got {epsilon}")
+    if isinstance(epsilon, bool) or not 0 < epsilon < np.inf:  # also rejects nan
+        raise ValueError(f"epsilon must be a finite number > 0, got {epsilon!r}")
     s = scores.scores
     prot, _ = d.cohort(scores.instance_ids)
     if not prot.any() or prot.all():

@@ -297,7 +297,7 @@ def monotonicity_check(w: FairWorld, tolerance: float = 0.0) -> MonotonicityResu
     that passes costs one O(n) pass of the pair counter, besides its sort.
     The tolerance must be a finite number >= 0 (ValueError otherwise).
     """
-    if not 0.0 <= tolerance < np.inf:  # also rejects nan
+    if isinstance(tolerance, bool) or not 0.0 <= tolerance < np.inf:  # also rejects nan
         raise ValueError(f"tolerance must be a finite number >= 0, got {tolerance}")
     total = 0
     by_group = {}

@@ -120,6 +120,29 @@ def reference_pareto(q, weight, decision, margin):
     return False, (tpr, tnr), labels, (float(tpr_k[k]), float(tnr_k[k]))
 
 
+def reference_repair(features, protected, repair_level, columns):
+    """Feature repair by its first formula: per group and column, midranks
+    from a sort and the quantile curve from np.sort, read by np.interp's
+    search at every row's within-group rank.  columns are column indices;
+    returns the repaired feature matrix."""
+    lam = float(repair_level)
+    groups = [rows for rows in (np.flatnonzero(protected), np.flatnonzero(~protected))
+              if len(rows)]
+    out = features.copy()
+    for j in columns:
+        v = features[:, j]
+        u = np.empty(len(v))
+        for rows in groups:
+            ranked = np.sort(v[rows])  # a tie's midrank: (#below + #at or below + 1) / 2
+            mid = (np.searchsorted(ranked, v[rows], "left")
+                   + np.searchsorted(ranked, v[rows], "right") + 1) / 2.0
+            u[rows] = (mid - 1.0) / (len(rows) - 1.0) if len(rows) > 1 else 0.5
+        curves = [np.interp(u * (len(rows) - 1.0), np.arange(len(rows)), np.sort(v[rows]))
+                  for rows in groups]
+        out[:, j] = (1.0 - lam) * v + lam * (sum(curves[1:], curves[0]) / len(curves))
+    return out
+
+
 _MOD64 = 2**64
 
 

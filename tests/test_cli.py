@@ -892,12 +892,46 @@ def test_run_turns_each_score_array_into_text_once(run_inputs, tmp_path, monkeyp
         for module in modules:
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, wrapper)
+    heads = []
+    original_heads = rankaudit.dataset.ColumnText.heads
+
+    def counted_heads(self, d, ids):
+        heads.append(original_heads(self, d, ids))
+        return heads[-1]
+    monkeypatch.setattr(rankaudit.dataset.ColumnText, "heads", counted_heads)
     out = tmp_path / "out"
     assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
-    # 32 CSVs carry scores, but there are two score arrays (the baseline's,
-    # shared by the postprocessors, and the repair's) and one set of test ids
+    # 32 CSVs carry scores (5 scores, 15 decisions and 12 scatter files), but
+    # there are two score arrays (the baseline's, shared by the
+    # postprocessors, and the repair's) and one set of test ids, whose
+    # `id,group,` text starts every decisions and scatter row
     assert len(converted["float_text"]) == len(set(converted["float_text"])) == 2
     assert len(converted["group_names"]) == 1
+    assert len(heads) == 15 + 12 and len(set(map(id, heads))) == 1
+
+
+def test_every_run_csv_is_csv_writer_bytes_with_a_quoted_method_name(run_inputs, tmp_path):
+    """A run whose method name needs quotes writes every CSV, that method's
+    decisions and scatter files among them, as csv.writer writes its cells."""
+    _, _, config = run_inputs
+    name = 'repair, "v2"'
+    cfg = {**config, "methods": [{**config["methods"][0], "name": name},
+                                 *config["methods"][1:]]}
+    cfg_path = tmp_path / "quoted.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+    files = sorted(out.glob("*.csv"))
+    assert len(files) == 35 and out / "scatter_native_repair---v2-.csv" in files
+    for path in files:
+        with open(path, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        with open(tmp_path / "want.csv", "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        assert path.read_bytes() == (tmp_path / "want.csv").read_bytes(), path.name
+    decisions = _csv_rows(out / "decisions_native_repair---v2-.csv")
+    assert {row[4] for row in decisions} == {name}
+    assert b'"repair, ""v2"""' in (out / "decisions_native_repair---v2-.csv").read_bytes()
 
 
 def test_failed_write_keeps_previous_file(tmp_path):

@@ -2,6 +2,7 @@
 
 import csv
 import gc
+import itertools
 import logging
 import math
 import tracemalloc
@@ -12,6 +13,7 @@ import pytest
 import rankaudit.dataset
 from rankaudit import prng
 from rankaudit.dataset import (
+    CsvText,
     Dataset,
     DatasetSpec,
     FeatureColumn,
@@ -272,6 +274,20 @@ def test_write_csv_matches_csv_writer(tmp_path, monkeypatch):
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
     check()
+
+
+def test_write_csv_writes_csv_text_as_it_is(tmp_path, monkeypatch):
+    """A CsvText carries its own commas and line end; any other iterable,
+    itertools.repeat too, is read as cells and must be as long as the rest."""
+    monkeypatch.setattr(rankaudit.dataset, "_TEXT_BLOCK", 2)
+    path = tmp_path / "t.csv"
+    write_csv(path, ["id", "group", "v", "w", "label"],
+              [CsvText(["0,a,", "1,b,", "2,c,"]), ["x", 'y"', "z"], itertools.repeat("1,2", 3),
+               CsvText([",p\r\n", ",q\r\n", ",r\r\n"])])
+    assert path.read_bytes() == (b'id,group,v,w,label\r\n0,a,x,"1,2",p\r\n'
+                                 b'1,b,"y""","1,2",q\r\n2,c,z,"1,2",r\r\n')
+    with pytest.raises(ValueError, match="columns differ in length"):
+        write_csv(path, ["a", "b"], [["1", "2", "3"], itertools.repeat("x", 2)])
 
 
 def test_ingest_codes_after_dropped_row(tmp_path, caplog):

@@ -16,6 +16,7 @@ from rankaudit.errors import (
 from rankaudit.mitigate import (
     THETA_GRID,
     CriticalRegion,
+    _on_grid,
     GroupThresholds,
     MixingRates,
     apply_group_thresholds,
@@ -31,7 +32,7 @@ from rankaudit.dataset import DatasetSpec, FeatureColumn, Dataset
 from rankaudit.scorer import relabel
 
 from conftest import make_dataset, make_scores
-from oracles import group_threshold_labels
+from oracles import group_threshold_labels, reference_repair
 
 
 # --- feature repair ------------------------------------------------------------
@@ -117,6 +118,81 @@ def test_repair_aligns_group_distributions_at_full_level():
     q_v = np.quantile(repaired[~d.protected_mask], grid)
     bound = (repaired.max() - repaired.min()) / min(n_p, n_v)
     assert np.abs(q_p - q_v).max() <= bound
+
+
+def test_repair_matches_the_interp_reference_bit_for_bit():
+    """One stable sort per group and column, and no np.interp search, give
+    the first formula's bits: on ties, groups of one and two rows, levels
+    0, 0.5 and 1 and any subset of the columns."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    # -0.0 is left out: np.sort orders it among tied 0.0s by its kernel, the
+    # stable sort by row; test_repair_signed_zero_ties_agree_as_numbers
+    value = (st.sampled_from([-3.0, 0.0, 0.5, 1.0, 1.0 + 2 ** -52, 7.25, 1e300])
+             | st.floats(allow_nan=False, allow_infinity=False)).map(lambda x: x + 0.0)
+
+    @st.composite
+    def cases(draw):
+        n_prot = draw(st.sampled_from([1, 2]) | st.integers(0, 9))
+        n_priv = draw(st.sampled_from([1, 2]) | st.integers(1 if n_prot == 0 else 0, 9))
+        sensitive = draw(st.permutations([1] * n_prot + [0] * n_priv))
+        n = n_prot + n_priv
+        features = draw(st.lists(st.lists(value, min_size=3, max_size=3),
+                                 min_size=n, max_size=n))
+        columns = draw(st.none() | st.lists(st.sampled_from(["f0", "f1", "f2"]),
+                                            unique=True, max_size=3))
+        level = draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0))
+        return make_dataset(sensitive, [0] * n, features=features), level, columns
+
+    @hypothesis.settings(max_examples=400, deadline=None)
+    @hypothesis.given(cases())
+    def check(case):
+        d, level, columns = case
+        want = reference_repair(d.features, d.protected_mask, level,
+                                [0, 1, 2] if columns is None else
+                                [d.feature_index(c) for c in columns])
+        got = disparate_impact_remove(d, level, columns).features
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        check()
+
+
+def test_repair_signed_zero_ties_agree_as_numbers():
+    # np.sort may put -0.0 after a tied 0.0; the stable sort keeps row order,
+    # so the two formulas can differ only in the sign of a zero
+    d = make_dataset([1, 1, 1, 1, 0, 0, 0], [0] * 7,
+                     features=[0.0, -0.0, 0.0, 2.0, -0.0, 0.0, 5.0])
+    for level in (0.5, 1.0):
+        want = reference_repair(d.features, d.protected_mask, level, [0])
+        assert np.array_equal(disparate_impact_remove(d, level).features, want)
+
+
+def test_grid_interpolation_is_np_interp_bit_for_bit():
+    """_on_grid takes np.interp's formula without its search: grid points,
+    the last one included, read fp itself; between them the same slope."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def cases(draw):
+        fp = np.array(draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                    min_size=1, max_size=12)))
+        last = len(fp) - 1
+        point = (st.integers(0, last).map(float) | st.just(float(last))
+                 | st.integers(0, last).map(lambda k: min(k + 0.5, last))
+                 | st.floats(0.0, float(last)))
+        return np.array(draw(st.lists(point, min_size=1, max_size=20))), fp
+
+    @hypothesis.settings(max_examples=400, deadline=None)
+    @hypothesis.given(cases())
+    def check(case):
+        x, fp = case
+        want = np.interp(x, np.arange(len(fp)), fp)
+        assert np.array_equal(_on_grid(x, fp).view(np.int64), want.view(np.int64))
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        check()
 
 
 def test_repair_rejects_categorical_column():
@@ -355,6 +431,19 @@ def test_reject_option_requires_both_groups_and_positive_epsilon():
     d2 = make_dataset([1, 0], [0, 1])
     with pytest.raises(ValueError):
         reject_option_classify(make_scores([0.3, 0.7]), d2, epsilon=0.0)
+
+
+def test_reject_option_refuses_a_bool_epsilon():
+    # True would fit at epsilon 1 and return theta 0
+    d = make_dataset([1, 0], [0, 1])
+    with pytest.raises(ValueError, match="epsilon must be a finite number > 0, got True"):
+        reject_option_classify(make_scores([0.3, 0.7]), d, True)
+
+
+@pytest.mark.parametrize("theta", [False, True])
+def test_critical_region_refuses_a_bool_theta(theta):
+    with pytest.raises(ValueError, match="theta must be a number in"):
+        CriticalRegion(theta=theta)
 
 
 @pytest.mark.parametrize("epsilon", [float("nan"), float("inf")])

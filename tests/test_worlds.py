@@ -431,6 +431,12 @@ def test_monotonicity_rejects_a_negative_or_non_finite_tolerance(tolerance):
         monotonicity_check(anti_monotone_world(5), tolerance)
 
 
+def test_monotonicity_refuses_a_bool_tolerance():
+    # True would run at tolerance 1, and the anti-monotone world would pass
+    with pytest.raises(ValueError, match="tolerance must be a finite number >= 0, got True"):
+        monotonicity_check(anti_monotone_world(5), True)
+
+
 def test_witnesses_and_count_match_brute_force_on_tied_worlds():
     """Two-group worlds on coarse p and s grids, so tied-p runs, tied scores
     and ties within the tolerance all occur."""
