@@ -4,7 +4,8 @@ AUC and Kendall-Tau are computed by O(n log n) rank algorithms that agree
 exactly with brute-force pair enumeration; the test suite holds them to
 that oracle.  The shared pair counter returns 0 after one O(n) pass when
 no pair can exceed, so a tau between two identically ordered rankings (and
-a passing monotonicity check in `worlds`) costs one pass, not a merge.
+a passing monotonicity check in `worlds`) costs one pass, not a merge;
+a tau between a ranking and its reversal costs one search.
 The audit has two steps.  `audit_scores` runs once per run and holds
 what depends only on the scores: AUC (overall and per group), Kendall-Tau
 against the baseline ranking (overall and per group) and a pairwise tau
@@ -45,20 +46,24 @@ def _count_exceeding_pairs(seq: np.ndarray, tol: float = 0.0) -> int:
 
     One O(n) pass first compares each row with the highest row before it,
     in the merge's own expression (right + tol); when none exceeds, no
-    pair can, and 0 is returned without sorting.  Otherwise the passes sort
-    a padded copy of seq in place, run by run; seq itself is never written.
+    pair can, and 0 is returned without sorting.  A non-increasing seq is
+    counted by one search of its reversal, which is ascending: there every
+    row above s[j] + tol comes before j.  Otherwise the passes sort a padded
+    copy of seq in place, run by run; seq itself is never written.
     """
     s = np.asarray(seq, dtype=np.float64)
     n = len(s)
     if n < 2 or not (np.maximum.accumulate(s)[:-1] > s[1:] + tol).any():
         return 0
+    if (s[:-1] >= s[1:]).all():
+        return n * n - int(np.searchsorted(s[::-1], s + tol, side="right").sum())
     block = 64
     s = np.concatenate([s, np.full((-n) % block, np.inf)])  # the copy that is sorted
     blocks = s.reshape(-1, block)
     upper = np.triu(np.ones((block, block), dtype=bool), 1)  # i < j inside a block
     total = 0
-    for lo in range(0, len(blocks), 1024):  # 1,024 blocks compared at a time
-        chunk = blocks[lo:lo + 1024]
+    for lo in range(0, len(blocks), 256):  # 256 blocks, two 1 MB masks, at a time
+        chunk = blocks[lo:lo + 256]
         total += int(np.count_nonzero((chunk[:, :, None] > chunk[:, None, :] + tol) & upper))
     blocks.sort(axis=1)
     size = block

@@ -3,9 +3,10 @@
 A Dataset holds one binary sensitive attribute (protected vs privileged),
 one binary target (1 = favorable), and a numeric feature matrix in which
 categorical columns are stored as small integer codes.  A Dataset is its
-columns: ingestion reads the file once, codes every non-numeric column in
-first-seen order and fills the feature matrix in place as blocks are read,
-so its peak is about the dataset plus one block.  Asked for an export, it
+columns: ingestion reads the file once, codes every non-numeric feature
+column in first-seen order and fills the feature matrix in place as blocks
+are read, with sensitive and target filled as 0/1, so its peak is about the
+dataset plus one 2,048-row block.  Asked for an export, it
 writes each kept row's cells back out as it reads them, so the export
 reproduces every ingested cell exactly and no cell text is held;
 `Dataset.export_csv` writes values instead.  An instance id is a row number:
@@ -50,7 +51,7 @@ BASE_RATE_TOLERANCE = 5e-4
 # cells treated as missing; rows containing one in a used column are dropped
 _MISSING_CELLS = {"", "?"}
 
-_TEXT_BLOCK = 1 << 14  # rows read, or values turned into CSV text, per step
+_TEXT_BLOCK = 1 << 11  # rows read, or values turned into CSV text, per step
 
 
 @contextmanager
@@ -374,36 +375,36 @@ def _parse_floats(cells) -> np.ndarray:
     return values
 
 
-def _codes(table: dict, cells: list, dtype) -> np.ndarray:
-    """The code of each cell in table, as dtype."""
-    return np.fromiter(map(table.__getitem__, cells), dtype=dtype, count=len(cells))
+def _codes(table: dict, cells: list) -> np.ndarray:
+    """The code of each cell in table, as float64."""
+    return np.fromiter(map(table.__getitem__, cells), dtype=np.float64, count=len(cells))
 
 
-def _binarize(column: str, table: dict, codes: np.ndarray, wanted: str, what: str,
-              error) -> tuple[np.ndarray, tuple[str, str]]:
-    """1 where a coded cell is `wanted`; and (wanted, the other value).
-    codes is the column's one code vector, as ingest filled it."""
+def _binarize(column: str, table: dict, wanted: str, what: str, error) -> tuple[str, str]:
+    """(wanted, the other value) of a column whose distinct values are table's
+    keys; raises error when the column holds more than one other value."""
     others = sorted(set(table) - {wanted})
     if len(others) > 1:
         raise error(f"{what} column {column!r} has values {sorted(table)}; "
                     f"expected {wanted!r} plus one other")
-    binary = (codes == table.get(wanted, -1)).astype(np.int8)
-    return binary, (wanted, others[0] if others else wanted)
+    return wanted, others[0] if others else wanted
 
 
 def ingest(csv_path: str | Path, spec: DatasetSpec,
            export: str | Path | None = None) -> Dataset:
     """Read a CSV into a Dataset, binarizing sensitive and target columns.
 
-    One pass reads `_TEXT_BLOCK` rows at a time, with cyclic GC paused.
-    Rows that are short or have a missing value ("" or "?") in any used
-    column are dropped and counted, and so are rows with a numeric cell that
-    is not a finite plain_number; only then are the other columns coded, in
-    first-seen order.  The feature matrix and the sensitive and target code
-    vectors grow by each block's kept rows and are filled in place, so the
-    peak is about the dataset plus one block.  Raises MissingColumn,
-    DuplicateColumn (a used column named twice in the header),
-    NonBinarySensitive, NonBinaryTarget, or EmptyFile on contract violations.
+    One pass reads `_TEXT_BLOCK` (2,048) rows at a time, with cyclic GC
+    paused.  Rows that are short or have a missing value ("" or "?") in any
+    used column are dropped and counted, and so are rows with a numeric cell
+    that is not a finite plain_number; only then are the other columns
+    coded, in first-seen order.  The feature matrix grows by each block's
+    kept rows and is filled in place, and sensitive and target are filled
+    as 0/1 (int8), each cell compared with the protected or favorable value,
+    so the peak is about the dataset plus one 2,048-row block.  Raises
+    MissingColumn, DuplicateColumn (a used column named twice in the
+    header), NonBinarySensitive, NonBinaryTarget, or EmptyFile on contract
+    violations.
 
     With export, the used columns of the kept rows are written to that path
     as each block is read, with their cells stripped, as csv.writer quotes
@@ -419,7 +420,9 @@ def ingest(csv_path: str | Path, spec: DatasetSpec,
     # each block indexes them afresh.  (refcheck=True would raise whenever a
     # debugger or profiler holds the frame's locals.)
     features = np.empty((0, len(spec.feature_columns)), dtype=np.float64)
-    coded = {sens: np.empty(0, dtype=np.int32), targ: np.empty(0, dtype=np.int32)}
+    # (column, the value filled as 1, its 0/1 vector): sensitive, then target
+    binary = [(sens, spec.protected_value, np.empty(0, dtype=np.int8)),
+              (targ, spec.favorable_value, np.empty(0, dtype=np.int8))]
     n = n_read = n_bad = 0
     with _gc_paused(), open(csv_path, "r", encoding="utf-8-sig", newline="") as fh, \
             (atomic_open(export) if export is not None else nullcontext()) as sink:
@@ -473,10 +476,10 @@ def ingest(csv_path: str | Path, spec: DatasetSpec,
             features.resize((n + m, features.shape[1]), refcheck=False)
             for j, col in enumerate(spec.feature_columns):
                 features[n:, j] = (parsed[col.name] if col.kind == "numeric" else
-                                   _codes(tables[col.name], cells[col.name], np.float64))
-            for name, vec in coded.items():
+                                   _codes(tables[col.name], cells[col.name]))
+            for name, wanted, vec in binary:
                 vec.resize(n + m, refcheck=False)
-                vec[n:] = _codes(tables[name], cells[name], np.int32)
+                vec[n:] = np.fromiter(map(wanted.__eq__, cells[name]), bool, count=m)
             n += m
 
         n_missing = n_read - n_bad - n
@@ -489,11 +492,7 @@ def ingest(csv_path: str | Path, spec: DatasetSpec,
         if not n:
             raise EmptyFile(f"{csv_path} has no rows with parseable numeric cells")
 
-        sensitive, sensitive_values = _binarize(sens, tables[sens], coded[sens],
-                                                spec.protected_value, "sensitive",
-                                                NonBinarySensitive)
-        label, target_values = _binarize(targ, tables[targ], coded[targ],
-                                         spec.favorable_value, "target", NonBinaryTarget)
+        (_, _, sensitive), (_, _, label) = binary
         return Dataset(
             features=features,
             sensitive=sensitive,
@@ -501,8 +500,10 @@ def ingest(csv_path: str | Path, spec: DatasetSpec,
             schema=spec,
             categories={c.name: tuple(tables[c.name]) for c in spec.feature_columns
                         if c.kind == "categorical"},
-            sensitive_values=sensitive_values,
-            target_values=target_values,
+            sensitive_values=_binarize(sens, tables[sens], spec.protected_value,
+                                       "sensitive", NonBinarySensitive),
+            target_values=_binarize(targ, tables[targ], spec.favorable_value,
+                                    "target", NonBinaryTarget),
             dropped_rows=n_missing + n_bad,
         )
 
@@ -521,9 +522,11 @@ def verify_base_rate(d: Dataset) -> float:
 
 def split(d: Dataset, fractions: tuple[float, float, float], seed: int) -> Split:
     """Deterministic shuffle-then-partition; floor sizes, remainder to train."""
+    if type(seed) is not int:  # bool is refused, as by the config rules
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     fractions = tuple(float(f) for f in fractions)
-    if len(fractions) != 3 or any(f < 0 for f in fractions):
-        raise ValueError(f"need three nonnegative fractions, got {fractions}")
+    if len(fractions) != 3 or not all(0 <= f < np.inf for f in fractions):  # nan fails
+        raise ValueError(f"need three finite nonnegative fractions, got {fractions}")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ValueError(f"fractions must sum to 1, got {sum(fractions)}")
     n = d.n

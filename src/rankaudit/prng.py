@@ -26,14 +26,19 @@ def _mix(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def hash64(seed: int, counter) -> np.ndarray:
-    """Hash (seed, counter) to uint64. counter may be a scalar or an array;
-    the hash is made in a fresh array, so an array counter is left as it is."""
-    z = np.atleast_1d(np.asarray(counter)).astype(np.int64, copy=False).astype(np.uint64)
+def _hash_in_place(seed: int, z: np.ndarray) -> np.ndarray:
+    """hash64(seed, z), written over z (a uint64 array), which it returns."""
     z += np.uint64(1)
     z *= _GOLDEN
     z += _mix(np.full(1, seed & _MASK, dtype=np.uint64))
     return _mix(_mix(z))
+
+
+def hash64(seed: int, counter) -> np.ndarray:
+    """Hash (seed, counter) to uint64. counter may be a scalar or an array;
+    the hash is made in a fresh array, so an array counter is left as it is."""
+    z = np.atleast_1d(np.asarray(counter)).astype(np.int64, copy=False).astype(np.uint64)
+    return _hash_in_place(seed, z)
 
 
 def derive(seed: int, tag: int) -> int:
@@ -50,8 +55,9 @@ def permutation(seed: int, n: int) -> np.ndarray:
     """Deterministic permutation of range(n): argsort of per-index hashes.
     hash64 is a bijection of the counter mod 2**64 (adding a constant, odd
     multiplies and xorshifts each are), so the keys are distinct and any
-    sort, stable or not, gives the same permutation."""
-    return np.argsort(hash64(seed, np.arange(n)))
+    sort, stable or not, gives the same permutation.  The keys are hashed
+    in place over one counter array."""
+    return np.argsort(_hash_in_place(seed, np.arange(n, dtype=np.uint64)))
 
 
 def normal(seed: int, n: int) -> np.ndarray:

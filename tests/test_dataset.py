@@ -468,8 +468,9 @@ def test_ingest_pauses_cyclic_gc_and_restores_it(tmp_path, monkeypatch, six_row_
 
 
 def test_ingest_peak_is_about_the_dataset(tmp_path, monkeypatch):
-    """The feature matrix and code vectors are filled in place as blocks are
-    read, so ingest's traced peak stays under twice the arrays it returns."""
+    """The feature matrix and the 0/1 sensitive and target vectors are filled
+    in place as blocks are read, so ingest's traced peak stays under twice
+    the arrays it returns."""
     path = tmp_path / "bench.csv"
     spec = write_biased_benchmark_csv(path, n=10_000, seed=5)
     monkeypatch.setattr(rankaudit.dataset, "_TEXT_BLOCK", 128)
@@ -482,6 +483,43 @@ def test_ingest_peak_is_about_the_dataset(tmp_path, monkeypatch):
     assert peak < 2 * (d.features.nbytes + d.sensitive.nbytes + d.label.nbytes)
     assert d.features.flags.owndata and d.features.flags.c_contiguous
     assert d.features.shape == (d.n, len(spec.feature_columns)) == (10_000, 4)
+
+
+def test_ingest_peak_is_the_dataset_plus_one_block(tmp_path):
+    """At the module's own block size, ingest holds one block of cells beside
+    the arrays it returns, and fills sensitive and target as 0/1 directly."""
+    path = tmp_path / "bench.csv"
+    spec = write_biased_benchmark_csv(path, n=50_000, seed=5)
+    tracemalloc.start()
+    try:
+        d = ingest(path, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - (d.features.nbytes + d.sensitive.nbytes + d.label.nbytes) < 3_000_000
+
+
+@pytest.mark.parametrize("groups, outcomes, sensitive_values, target_values", [
+    # each value of 1 first appears in a later block
+    (["privileged"] * 3 + ["protected", "privileged"], ["unfavorable"] * 4 + ["favorable"],
+     ("protected", "privileged"), ("favorable", "unfavorable")),
+    (["protected"] * 5, ["favorable"] * 5,  # only the value of 1
+     ("protected", "protected"), ("favorable", "favorable")),
+    (["privileged"] * 5, ["unfavorable"] * 5,  # only the other value
+     ("protected", "privileged"), ("favorable", "unfavorable")),
+])
+def test_ingest_binarizes_across_blocks(tmp_path, monkeypatch, groups, outcomes,
+                                        sensitive_values, target_values):
+    monkeypatch.setattr(rankaudit.dataset, "_TEXT_BLOCK", 2)
+    path = tmp_path / "t.csv"
+    path.write_text("f0,group,outcome\n" + "".join(
+        f"{i},{g},{o}\n" for i, (g, o) in enumerate(zip(groups, outcomes))), encoding="utf-8")
+    d = ingest(path, make_spec())
+    assert d.sensitive.dtype == d.label.dtype == np.int8
+    assert d.sensitive.tolist() == [int(g == "protected") for g in groups]
+    assert d.label.tolist() == [int(o == "favorable") for o in outcomes]
+    assert d.sensitive_values == sensitive_values
+    assert d.target_values == target_values
 
 
 def test_export_of_repaired_dataset_writes_repaired_values(tmp_path):
@@ -574,6 +612,39 @@ def test_split_rejects_bad_fractions():
         split(d, (0.5, 0.3, 0.3), seed=0)
     with pytest.raises(ValueError):
         split(d, (-0.1, 0.6, 0.5), seed=0)
+
+
+def test_split_rejects_a_bool_seed():
+    d = make_dataset([0, 1], [0, 1])
+    with pytest.raises(ValueError, match="seed"):
+        split(d, (0.5, 0.25, 0.25), seed=True)
+
+
+def test_split_rejects_a_seed_that_is_not_an_int():
+    d = make_dataset([0, 1], [0, 1])
+    with pytest.raises(ValueError, match="seed"):
+        split(d, (0.5, 0.25, 0.25), seed=2.5)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_split_rejects_non_finite_fractions(bad):
+    d = make_dataset([0, 1], [0, 1])
+    with pytest.raises(ValueError, match="fractions"):
+        split(d, (bad, 0.5, 0.5), seed=0)
+
+
+def test_split_peak_is_about_two_id_vectors():
+    """permutation hashes its keys over its own counter array, so split holds
+    the keys and one temporary, then the keys and their argsort."""
+    d = make_dataset(np.zeros(50_000), np.zeros(50_000))
+    tracemalloc.start()
+    try:
+        s = split(d, (0.6, 0.2, 0.2), seed=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(s.sizes()) == d.n
+    assert peak <= 2.5 * d.n * np.dtype(np.int64).itemsize
 
 
 # --- lookups and registry -----------------------------------------------------------

@@ -49,6 +49,12 @@ def test_tau_reversed_vectors():
     assert kendall_tau([1, 2, 3, 4], [4, 3, 2, 1], "tau-b") == -1.0
 
 
+def test_tau_of_a_ranking_and_its_reversal_is_minus_one():
+    x = np.random.default_rng(29).permutation(1000).astype(np.float64)  # untied
+    for variant in ("tau-a", "tau-b"):
+        assert kendall_tau(x, -x, variant) == -1.0
+
+
 def test_tau_one_swap_example():
     # pairs (1,2),(1,3) concordant, (2,3)->(3,2) discordant: (2-1)/3
     assert kendall_tau([1, 2, 3], [1, 3, 2], "tau-a") == pytest.approx(1 / 3)

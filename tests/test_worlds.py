@@ -375,6 +375,26 @@ def test_exceeding_pair_count_leaves_its_input_unchanged():
     assert as_list == before.tolist()
 
 
+@pytest.mark.parametrize("tol", [0.0, 0.5, 1e-300])
+def test_exceeding_pair_count_of_non_increasing_sequences(tol):
+    # counted by one search of the reversal, not by the merge
+    rng = np.random.default_rng(17)
+    for n in (2, 3, 63, 64, 65, 200):
+        for digits in (0, 1, 3):  # few levels, so long runs of ties
+            seq = np.sort(np.round(rng.random(n), digits))[::-1]
+            assert _count_exceeding_pairs(seq, tol) == brute_exceeding_pairs(seq, tol)
+    tiny = [3e-300, 2e-300, 1e-300, 1e-300, 0.0, -0.0, -1e-300]
+    assert _count_exceeding_pairs(tiny, tol) == brute_exceeding_pairs(tiny, tol)
+
+
+def test_exceeding_pair_count_bounds_its_block_compare():
+    # the in-block compare takes 256 blocks of 64 at a time: two 1 MB masks, whatever n is
+    seq = np.random.default_rng(5).random(200_000)
+    peak, count = _peak_over_world(lambda: _count_exceeding_pairs(seq))
+    assert count > 0
+    assert peak <= 3 * seq.nbytes
+
+
 def test_groups_are_sorted_codes_kept_per_world():
     w = wage_gap_world(5)
     codes = np.array([2, 0] * 5, dtype=np.int8)  # unsorted
