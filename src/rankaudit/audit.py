@@ -27,10 +27,12 @@ from .errors import (
     AuditError,
     EmptyGroup,
     LengthMismatch,
+    NonBinaryTarget,
     NoPositivesInGroup,
     ScoreOutOfRange,
     SingleClass,
     TooShort,
+    require,
 )
 from .scorer import ScoreSet
 
@@ -109,6 +111,7 @@ def auc(scores, labels) -> float:
     """Probability that a random positive outranks a random negative.
 
     Rank-based with mid-ranks, so tied scores count one half.  Raises
+    NonBinaryTarget for a label other than 0 or 1 (a bool is one), and
     SingleClass unless both classes are present.
     """
     s = np.asarray(scores, dtype=np.float64)
@@ -118,6 +121,8 @@ def auc(scores, labels) -> float:
     _require_finite(s)
     n_pos = int((y == 1).sum())
     n_neg = int((y == 0).sum())
+    if n_pos + n_neg != len(y):  # another label would take a rank in neither class
+        raise NonBinaryTarget(f"labels must be 0 or 1; {len(y) - n_pos - n_neg} are not")
     if n_pos == 0 or n_neg == 0:
         raise SingleClass(f"need both classes, got {n_pos} pos / {n_neg} neg")
     r_pos = float(_midranks(s)[y == 1].sum())
@@ -133,8 +138,7 @@ def kendall_tau(x, y, variant: str = "tau-b") -> float:
     O(n log n) (Knight 1966); results match pair enumeration exactly.
     Returns nan for tau-b when either vector is constant.
     """
-    if variant not in ("tau-a", "tau-b"):
-        raise ValueError(f"unknown variant {variant!r}")
+    require(variant, "variant", '"tau-a" or "tau-b"')
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if len(x) != len(y):

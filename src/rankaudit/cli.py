@@ -2,10 +2,11 @@
 
 Every run is reproducible from its config: all seeds are explicit, every
 artifact is written atomically, and report JSON is byte-identical across
-re-runs.  `compare` refuses to put reports side by side when their
-realized positive rates differ materially, unless explicitly overridden:
-metrics taken at very different selection rates describe different
-decision problems.
+re-runs.  A config and the `theory` flags are checked before any compute,
+by errors.RULES, the rules every library entry point checks its values by.
+`compare` refuses to put reports side by side when their realized positive
+rates differ materially, unless explicitly overridden: metrics taken at
+very different selection rates describe different decision problems.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .dataset import (
     split, verify_base_rate, write_csv,
 )
 from .decide import POLICY_FIELDS, DecisionPolicy, DecisionSet, decide, export_decisions
-from .errors import AuditError, ConfigError, PolicyMismatch
+from .errors import NAME, RATE, RULES, AuditError, ConfigError, PolicyMismatch, require
 from .mitigate import (
     apply_group_thresholds,
     apply_mixing,
@@ -99,42 +100,11 @@ def _distinct_slugs(names, what: str) -> None:
 # --- config -------------------------------------------------------------------------
 #
 # SCHEMA, METHODS and POLICIES give each key a config may carry: what its value must
-# be (a key of RULES) and its default.  _load_config writes every default into the
-# config (method entries with their kinds' defaults), so a config that spells out a
-# default hashes as one that leaves it out.
+# be (a key of errors.RULES) and its default; the scorer keys are ScorerConfig's own.
+# _load_config writes every default into the config (method entries with their kinds'
+# defaults), so a config that spells out a default hashes as one that leaves it out.
 
 REQUIRED = object()
-RATE = 'a number in [0, 1], "baseline-pdr" or "base-rate"'
-NAME = 'a non-empty string other than "baseline"'
-
-
-def _number(v, low=-math.inf, high=math.inf) -> bool:
-    return type(v) in (int, float) and low <= v <= high and abs(v) != math.inf
-
-
-RULES = {  # what a value must be: its test
-    "anything": lambda v: True,
-    "a JSON object": lambda v: type(v) is dict,
-    "a list of JSON objects": lambda v: type(v) is list and all(type(e) is dict for e in v),
-    "an existing file": lambda v: type(v) is str and Path(v).is_file(),
-    "a spec name, path or object": lambda v: type(v) in (str, dict),
-    "three numbers >= 0 that sum to 1": lambda v: type(v) is list and len(v) == 3
-    and all(_number(f, 0) for f in v) and abs(sum(v) - 1) <= 1e-9,
-    "an integer": lambda v: type(v) is int,
-    "an integer in [-2**53, 2**53]": lambda v: type(v) is int and -2**53 <= v <= 2**53,
-    "an integer >= 1": lambda v: type(v) is int and v >= 1,
-    "a number > 0": lambda v: _number(v, 0) and v > 0,
-    "a number >= 0": lambda v: _number(v, 0),
-    "a number in [0, 1]": lambda v: _number(v, 0, 1),
-    "null or a number in [0, 1]": lambda v: v is None or _number(v, 0, 1),
-    RATE: lambda v: v in ("baseline-pdr", "base-rate") or _number(v, 0, 1),
-    "true or false": lambda v: type(v) is bool,
-    '"tau-a" or "tau-b"': lambda v: v in ("tau-a", "tau-b"),
-    '"logistic" or "one-hidden-layer"': lambda v: v in ("logistic", "one-hidden-layer"),
-    "null or a list of column names": lambda v: v is None
-    or type(v) is list and all(type(c) is str for c in v),
-    NAME: lambda v: type(v) is str and v not in ("", "baseline"),
-}
 
 SCHEMA = {
     "config": {"dataset": ("a JSON object", REQUIRED), "split": ("a JSON object", {}),
@@ -148,11 +118,8 @@ SCHEMA = {
                 "spec": ("a spec name, path or object", "adult")},
     "split": {"fractions": ("three numbers >= 0 that sum to 1", [0.6, 0.2, 0.2]),
               "seed": ("an integer", 7)},
-    "scorer": {"learning_rate": ("a number > 0", 0.1), "epochs": ("an integer >= 1", 500),
-               "l2_penalty": ("a number >= 0", 1e-4),
-               "seed": ("an integer in [-2**53, 2**53]", 42),
-               "model_kind": ('"logistic" or "one-hidden-layer"', "logistic"),
-               "include_sensitive": ("true or false", False)},
+    "scorer": {key: (what, getattr(ScorerConfig, key))  # each field's rule and default
+               for key, what in ScorerConfig.FIELD_RULES.items()},
     # the keys of every method and every policy; a method's name defaults to its kind
     "method": {"kind": ("anything", REQUIRED), "name": (NAME, REQUIRED)},
     "policy": {"kind": ("anything", REQUIRED)},
@@ -161,7 +128,7 @@ METHODS = {  # feature-repair columns are also checked against the spec
     "feature-repair": {"repair_level": ("a number in [0, 1]", 1.0),
                        "columns": ("null or a list of column names", None)},
     "group-thresholds": {"rate": ("null or a number in [0, 1]", None)},
-    "reject-option": {"epsilon": ("a number > 0", 0.02)},
+    "reject-option": {"epsilon": ("a finite number > 0", 0.02)},
     "equalized-odds": {"seed": ("an integer", 11)},
     "external-scores": {"path": ("an existing file", REQUIRED)},
 }
@@ -478,14 +445,13 @@ WORLDS = {"wage-gap": wage_gap_world, "anti-monotone": anti_monotone_world}
 
 
 def cmd_theory(args) -> int:
-    for flag, values, ok, what in (  # checked before any world is built
-            ("--grid-size", [args.grid_size], lambda v: v >= 2, "an integer >= 2"),
-            ("--tau", args.tau, lambda v: 0 < v < 1, "a number in (0, 1)"),
-            ("--tolerance", [args.tolerance], lambda v: _number(v, 0), "a finite number >= 0"),
-            ("--cut", [args.cut], _number, "a finite number")):
+    for flag, values, what in (  # checked before any world is built
+            ("--grid-size", [args.grid_size], "an integer >= 2"),
+            ("--tau", args.tau, "a number in (0, 1)"),
+            ("--tolerance", [args.tolerance], "a finite number >= 0"),
+            ("--cut", [args.cut], "a finite number")):
         for v in values:
-            if not ok(v):
-                raise ConfigError(f"{flag} must be {what}, got {v}")
+            require(v, flag, what, ConfigError)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     w = WORLDS[args.world](args.grid_size)
@@ -531,7 +497,7 @@ def _read_report(path: str) -> dict:
         raise ConfigError(f"cannot read report {path}: {exc}")
     rows = doc.get("rows") if type(doc) is dict else None
     if type(rows) is not dict or not rows or "policy_label" not in doc or not all(
-            type(r) is dict and all(_number(r.get(k)) for k in COMPARED)
+            type(r) is dict and all(RULES["a finite number"](r.get(k)) for k in COMPARED)
             for r in rows.values()):
         raise ConfigError(f"report {path} needs a policy_label and a non-empty rows object "
                           f"with a finite number for each of {', '.join(COMPARED)} in every row")

@@ -38,6 +38,7 @@ from .errors import (
     NonBinarySensitive,
     NonBinaryTarget,
     UnknownId,
+    require,
 )
 
 log = logging.getLogger(__name__)
@@ -216,9 +217,7 @@ class DatasetSpec:
                 raise ValueError(
                     f"column {special!r} cannot be both special and a feature"
                 )
-        rate = self.expected_base_rate  # nan fails 0 <= rate <= 1
-        if rate is not None and not (type(rate) in (int, float) and 0 <= rate <= 1):
-            raise ValueError(f"expected_base_rate must be null or a number in [0, 1], got {rate!r}")
+        require(self.expected_base_rate, "expected_base_rate", "null or a number in [0, 1]")
 
     @property
     def used_columns(self) -> list[str]:
@@ -522,13 +521,8 @@ def verify_base_rate(d: Dataset) -> float:
 
 def split(d: Dataset, fractions: tuple[float, float, float], seed: int) -> Split:
     """Deterministic shuffle-then-partition; floor sizes, remainder to train."""
-    if type(seed) is not int:  # bool is refused, as by the config rules
-        raise ValueError(f"seed must be an integer, got {seed!r}")
-    fractions = tuple(float(f) for f in fractions)
-    if len(fractions) != 3 or not all(0 <= f < np.inf for f in fractions):  # nan fails
-        raise ValueError(f"need three finite nonnegative fractions, got {fractions}")
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValueError(f"fractions must sum to 1, got {sum(fractions)}")
+    require(seed, "seed", "an integer")
+    require(fractions, "fractions", "three numbers >= 0 that sum to 1")
     n = d.n
     shuffled = prng.permutation(seed, n)
     n_train = int(np.floor(fractions[0] * n + 1e-9))

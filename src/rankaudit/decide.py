@@ -10,20 +10,14 @@ lives (mitigate's group thresholds select through it too).
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from numbers import Real
 
 import numpy as np
 
 from .dataset import ColumnText, CsvText, Dataset, _field, require_aligned, write_csv
-from .errors import RateOutOfRange
+from .errors import RateOutOfRange, require
 from .scorer import ScoreSet
 
 TIE_RULE = "ascending instance_id"
-
-
-def _check_unit(value: float, what: str) -> None:
-    if not 0.0 <= value <= 1.0:
-        raise RateOutOfRange(f"{what} must lie in [0, 1], got {value}")
 
 
 # each policy kind: the one field that holds its numbers, and how many it holds
@@ -46,11 +40,11 @@ class DecisionPolicy:
             raise ValueError(f"unknown policy kind {self.kind!r}")
         field, count = POLICY_FIELDS[self.kind]
         numbers = self._numbers()
-        if not (type(numbers) is tuple and len(numbers) == count
-                and all(isinstance(v, Real) and not isinstance(v, bool) for v in numbers)):
+        if not (type(numbers) is tuple and len(numbers) == count):
             raise ValueError(f"{self.kind} policy needs {count} number(s) as {field}")
         for v in numbers:
-            _check_unit(v, field)
+            require(v, field, "a finite number")
+            require(v, field, "a number in [0, 1]", RateOutOfRange)
         if any(getattr(self, f) is not None for f, _ in POLICY_FIELDS.values() if f != field):
             raise ValueError(f"{self.kind} policy sets a field other than {field}")
 

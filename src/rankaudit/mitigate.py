@@ -19,8 +19,8 @@ import numpy as np
 from . import prng
 from .audit import _midranks, crosstab
 from .dataset import Dataset, PROTECTED, PRIVILEGED
-from .decide import DecisionSet, _check_unit, _count_ceil, _top_k
-from .errors import DegenerateGroup, EmptyGroup, NonNumericColumn
+from .decide import DecisionSet, _count_ceil, _top_k
+from .errors import DegenerateGroup, EmptyGroup, NonNumericColumn, RateOutOfRange, require
 from .scorer import ScoreSet
 
 CUT = 0.5  # the default decision cut: score > CUT is the base prediction
@@ -40,9 +40,8 @@ def disparate_impact_remove(d: Dataset, repair_level: float,
     each group the value ordering is preserved for every level; tied
     values stay tied.
     """
+    require(repair_level, "repair_level", "a number in [0, 1]")
     lam = float(repair_level)
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"repair_level must lie in [0, 1], got {lam}")
     numeric_names = [c.name for c in d.schema.feature_columns if c.kind == "numeric"]
     if columns is None:
         columns = numeric_names
@@ -116,7 +115,7 @@ def fit_threshold_optimizer(scores: ScoreSet, d: Dataset,
     criterion = "selection-rate" if rate is not None else "demographic-parity"
     if rate is None:
         rate = float(_base_labels(scores).mean())
-    _check_unit(rate, "target rate")
+    require(rate, "rate", "a number in [0, 1]", RateOutOfRange)
 
     cutoffs = {}
     for g, m in ((PROTECTED, prot), (PRIVILEGED, ~prot)):
@@ -160,8 +159,7 @@ class CriticalRegion(Fitted):
     theta: float
 
     def __post_init__(self):
-        if isinstance(self.theta, bool) or not 0.0 <= self.theta <= 0.5:
-            raise ValueError(f"theta must be a number in [0, 0.5], got {self.theta!r}")
+        require(self.theta, "theta", "a number in [0, 0.5]")
 
 
 def _band_labels(s: np.ndarray, prot: np.ndarray, theta: float) -> np.ndarray:
@@ -181,8 +179,7 @@ def reject_option_classify(scores: ScoreSet, d: Dataset,
     with |SPD| <= epsilon on the scores, else the first grid argmin of
     |SPD|.  theta = 0 means plain thresholding at CUT.
     """
-    if isinstance(epsilon, bool) or not 0 < epsilon < np.inf:  # also rejects nan
-        raise ValueError(f"epsilon must be a finite number > 0, got {epsilon!r}")
+    require(epsilon, "epsilon", "a finite number > 0")
     s = scores.scores
     prot, _ = d.cohort(scores.instance_ids)
     if not prot.any() or prot.all():
@@ -219,9 +216,9 @@ class MixingRates(Fitted):
     seed: int
 
     def __post_init__(self):
-        for v in self.as_vector():
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"mixing rate {v} outside [0, 1]")
+        for f, v in zip(fields(self), self.as_vector()):
+            require(v, f.name, "a number in [0, 1]")
+        require(self.seed, "seed", "an integer")
 
     def as_vector(self) -> tuple[float, float, float, float]:
         return astuple(self)[:4]
@@ -284,10 +281,7 @@ def fit_equalized_odds_post(scores: ScoreSet, d: Dataset,
             continue
         if p.min() < -tol or p.max() > 1.0 + tol:
             continue
-        candidates.append(np.clip(p, 0.0, 1.0))
-
-    if not candidates:
-        raise DegenerateGroup("no feasible mixing rates found")
+        candidates.append(np.clip(p, 0.0, 1.0))  # all four fixed at 0 is always kept
 
     def objective(p):
         return float(coeff @ p) + const

@@ -23,6 +23,7 @@ from .errors import (
     NonFiniteLoss,
     ScoreOutOfRange,
     UnknownId,
+    require,
 )
 
 log = logging.getLogger(__name__)
@@ -67,22 +68,15 @@ class ScorerConfig:
     model_kind: str = "logistic"  # logistic | one-hidden-layer
     include_sensitive: bool = False
 
+    FIELD_RULES = {  # not a field: what each field must be, a key of errors.RULES
+        "learning_rate": "a finite number > 0", "epochs": "an integer >= 1",
+        "l2_penalty": "a finite number >= 0",
+        "seed": "an integer in [-2**53, 2**53]",  # save_scorer writes it as a float64
+        "model_kind": '"logistic" or "one-hidden-layer"', "include_sensitive": "true or false"}
+
     def __post_init__(self):
-        # a bool is refused, as by the config rules; nan fails both comparisons
-        if isinstance(self.learning_rate, bool) or not 0 < self.learning_rate < np.inf:
-            raise ValueError(f"learning_rate must be a finite number > 0, got {self.learning_rate}")
-        if type(self.epochs) is not int or self.epochs <= 0:
-            raise ValueError(f"epochs must be an integer >= 1, got {self.epochs!r}")
-        if isinstance(self.l2_penalty, bool) or not 0 <= self.l2_penalty < np.inf:
-            raise ValueError(f"l2_penalty must be a finite number >= 0, got {self.l2_penalty}")
-        if self.model_kind not in ("logistic", "one-hidden-layer"):
-            raise ValueError(f"unknown model_kind {self.model_kind!r}")
-        if type(self.seed) is not int:  # bool is refused, as by the config rules
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        if not -2**53 <= self.seed <= 2**53:  # save_scorer writes it as a float64
-            raise ValueError(f"seed must lie in [-2**53, 2**53], got {self.seed}")
-        if type(self.include_sensitive) is not bool:
-            raise ValueError(f"include_sensitive must be a bool, got {self.include_sensitive!r}")
+        for name, what in self.FIELD_RULES.items():
+            require(getattr(self, name), name, what)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:

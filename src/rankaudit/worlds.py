@@ -18,7 +18,7 @@ import numpy as np
 
 from .audit import _count_exceeding_pairs
 from .dataset import float_text, write_csv
-from .errors import ZeroMassDenominator
+from .errors import ZeroMassDenominator, require
 
 WEIGHT_TOLERANCE = 1e-12
 WITNESS_LIMIT = 10
@@ -99,8 +99,7 @@ def wage_gap_world(grid_size: int = 501) -> FairWorld:
     "male" and are 0.9 * x/50 for group "female".  The uniform weight is a
     read-only zero-stride view of one number.
     """
-    if grid_size < 2:
-        raise ValueError("grid_size must be at least 2")
+    require(grid_size, "grid_size", "an integer >= 2")
     x = np.arange(grid_size, dtype=np.float64)
     x *= 50.0
     x /= grid_size - 1
@@ -297,8 +296,7 @@ def monotonicity_check(w: FairWorld, tolerance: float = 0.0) -> MonotonicityResu
     that passes costs one O(n) pass of the pair counter, besides its sort.
     The tolerance must be a finite number >= 0 (ValueError otherwise).
     """
-    if isinstance(tolerance, bool) or not 0.0 <= tolerance < np.inf:  # also rejects nan
-        raise ValueError(f"tolerance must be a finite number >= 0, got {tolerance}")
+    require(tolerance, "tolerance", "a finite number >= 0")
     total = 0
     by_group = {}
     witnesses = []
@@ -353,8 +351,7 @@ def decomposition_check(w: FairWorld, tau: float) -> DecompositionResult:
     set of the group's scores; the reported per-group threshold is the
     largest unselected score (0 when the whole group is selected).
     """
-    if not 0.0 < tau < 1.0:
-        raise ValueError(f"tau must lie in (0, 1), got {tau}")
+    require(tau, "tau", "a number in (0, 1)")
     fair_dec = w.fair_p > tau
     thresholds = {}
     failed = []

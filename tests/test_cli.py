@@ -454,6 +454,15 @@ def test_config_validation_exit_codes(tmp_path):
     assert main(["run", "--config", str(no_csv), "--out", str(tmp_path)]) == 1
 
 
+def test_a_config_that_is_not_a_json_object_exits_1(tmp_path, capsys):
+    listed = tmp_path / "list.json"
+    listed.write_text('[{"dataset": {}}]', encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["ingest", "--config", str(listed), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: config must be a JSON object\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("policies, methods", [
     ([{"kind": "per-group-rates", "rate": 1.5}], None),
     ([{"kind": "global-top-rate", "rate": -0.1}], None),
@@ -1096,6 +1105,15 @@ def test_compare_policy_mismatch(tmp_path):
     _fake_report(a, "fixed-threshold-0.5", {"m": 0.3})
     _fake_report(b, "per-group-rates-0.3-0.3", {"m": 0.3})
     assert main(["compare", str(a), str(b), "--out", str(tmp_path / "c.csv")]) == 1
+
+
+def test_compare_of_one_report_exits_1(tmp_path, capsys):
+    a = tmp_path / "a.json"
+    _fake_report(a, "fixed-threshold-0.5", {"m": 0.3})
+    out = tmp_path / "c.csv"
+    assert main(["compare", str(a), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: compare needs at least two report files\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("content", [

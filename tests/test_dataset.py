@@ -32,7 +32,9 @@ from rankaudit.errors import (
     UnknownId,
 )
 from rankaudit.mitigate import disparate_impact_remove
-from rankaudit.synthetic import biased_benchmark, write_biased_benchmark_csv
+from rankaudit.synthetic import (
+    biased_benchmark, write_biased_benchmark_csv, write_exact_rate_csv,
+)
 
 from conftest import make_dataset, make_spec
 
@@ -288,6 +290,14 @@ def test_write_csv_writes_csv_text_as_it_is(tmp_path, monkeypatch):
                                  b'1,b,"y""","1,2",q\r\n2,c,z,"1,2",r\r\n')
     with pytest.raises(ValueError, match="columns differ in length"):
         write_csv(path, ["a", "b"], [["1", "2", "3"], itertools.repeat("x", 2)])
+
+
+def test_write_csv_needs_a_column_that_is_not_one_str(tmp_path):
+    # one str is every row's text, so columns of only such give no row count
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match="at least one column that is not one str"):
+        write_csv(path, ["a", "b"], ["x", "y"])
+    assert not path.exists()
 
 
 def test_ingest_codes_after_dropped_row(tmp_path, caplog):
@@ -698,3 +708,49 @@ def test_spec_json_round_trip(tmp_path):
                          ids=lambda spec: spec.name)
 def test_spec_dict_round_trip(spec):
     assert DatasetSpec.from_dict(spec.to_dict()) == spec
+
+
+def test_feature_column_refuses_an_unknown_kind():
+    with pytest.raises(ValueError, match="unknown column kind 'text'"):
+        FeatureColumn("f0", "text")
+
+
+@pytest.mark.parametrize("features, special, message", [
+    (("f0", "f0"), "group", "duplicate feature columns"),
+    (("f0", "group"), "group", "column 'group' cannot be both special and a feature"),
+    (("f0", "outcome"), "group", "column 'outcome' cannot be both special and a feature"),
+], ids=["duplicate", "protected-column", "target-column"])
+def test_spec_refuses_a_column_used_twice(features, special, message):
+    with pytest.raises(ValueError, match=message):
+        DatasetSpec(name="s", protected_attribute_column=special, protected_value="p",
+                    target_column="outcome", favorable_value="y",
+                    feature_columns=tuple(FeatureColumn(f, "numeric") for f in features))
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"features": np.zeros((0, 1)), "sensitive": [], "label": []},
+     "at least one row"),
+    ({"features": np.zeros((3, 1))}, "features length 3 != 2"),
+    ({"sensitive": [1, 2]}, "sensitive values must be 0/1"),
+    ({"label": [0, -1]}, "labels must be 0/1"),
+], ids=["no-rows", "length", "sensitive", "label"])
+def test_dataset_refuses_arrays_that_are_not_one_table(fields, message):
+    arrays = {"features": np.zeros((2, 1)), "sensitive": [1, 0], "label": [1, 0], **fields}
+    with pytest.raises(ValueError, match=message):
+        Dataset(features=arrays["features"], sensitive=np.asarray(arrays["sensitive"], np.int8),
+                label=np.asarray(arrays["label"], np.int8), schema=make_spec())
+
+
+def test_feature_index_of_an_unknown_column_raises_missing_column():
+    d = make_dataset([1, 0], [1, 0])
+    assert d.feature_index("f0") == 0
+    with pytest.raises(MissingColumn, match="no feature column named 'f9'"):
+        d.feature_index("f9")
+
+
+@pytest.mark.parametrize("positives", [-1, 11])
+def test_write_exact_rate_csv_refuses_positives_outside_0_to_n(tmp_path, positives):
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match=r"positives must lie in \[0, n\]"):
+        write_exact_rate_csv(path, 10, positives)
+    assert not path.exists()

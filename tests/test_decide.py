@@ -7,6 +7,7 @@ import pytest
 
 from rankaudit.decide import (
     DecisionPolicy,
+    DecisionSet,
     decide,
     export_decisions,
 )
@@ -165,6 +166,16 @@ def test_decide_unknown_ids():
     s = make_scores([0.5, 0.6], ids=[0, 7])
     with pytest.raises(UnknownId):
         decide(s, d, DecisionPolicy(kind="fixed-threshold", threshold=0.5))
+
+
+@pytest.mark.parametrize("ids, labels, message", [
+    ([0, 1, 2], [0, 1], "labels and ids differ in length"),
+    ([0, 1], [0, 2], "labels must be 0/1"),
+], ids=["length", "label"])
+def test_decision_set_refuses_labels_it_cannot_hold(ids, labels, message):
+    with pytest.raises(ValueError, match=message):
+        DecisionSet(instance_ids=np.asarray(ids), labels=np.asarray(labels, np.int8),
+                    policy="p")
 
 
 def test_export_decisions(tmp_path):

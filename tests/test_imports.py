@@ -1,14 +1,17 @@
-"""No rankaudit module imports a name it never uses.
+"""No rankaudit module imports a name it never uses, and no rule is dead.
 
-An AST scan, so it needs no linter: a module's imported names, less those
-that any Name node reads.  `__init__.py` is skipped, since its imports are
-the package's re-exports.
+AST scans, so they need no linter.  Unused imports: a module's imported
+names, less those that any Name node reads; `__init__.py` is skipped,
+since its imports are the package's re-exports.  Dead rules: the keys of
+errors.RULES that no other module names, as a string or by the errors
+constant that holds it.
 """
 
 import ast
 from pathlib import Path
 
 import rankaudit
+from rankaudit import errors
 
 SRC = Path(rankaudit.__file__).parent
 
@@ -38,3 +41,15 @@ def test_no_module_imports_a_name_it_never_uses():
     unused = {path.name: _unused_imports(path.read_text("utf-8"))
               for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def test_every_rule_is_named_outside_errors():
+    named = set()
+    for path in SRC.glob("*.py"):
+        if path.name != "errors.py":
+            for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+                if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    named.add(node.value)
+                elif isinstance(node, ast.Name):  # RATE, NAME: a rule by its constant
+                    named.add(str(getattr(errors, node.id, "")))
+    assert [what for what in errors.RULES if what not in named] == []

@@ -11,7 +11,7 @@ from rankaudit.audit import (
     kendall_tau,
 )
 from rankaudit.errors import (
-    LengthMismatch, MisalignedIds, ScoreOutOfRange, SingleClass, TooShort,
+    LengthMismatch, MisalignedIds, NonBinaryTarget, ScoreOutOfRange, SingleClass, TooShort,
 )
 from rankaudit.scorer import relabel
 
@@ -37,6 +37,18 @@ def test_auc_all_tied_scores():
 def test_auc_single_class_raises():
     with pytest.raises(SingleClass):
         auc([0.1, 0.9], [1, 1])
+
+
+def test_auc_refuses_a_label_other_than_0_or_1():
+    # the row labelled 2 would take a rank yet count in neither class: AUC 1.5
+    with pytest.raises(NonBinaryTarget, match="labels must be 0 or 1; 1 are not"):
+        auc([0.1, 0.2, 0.3, 0.9], [0, 1, 2, 1])
+    assert auc([0.1, 0.9, 0.4], [False, True, False]) == 1.0  # a bool is a 0/1 label
+
+
+def test_auc_refuses_scores_and_labels_of_other_lengths():
+    with pytest.raises(LengthMismatch, match="scores 3 vs labels 2"):
+        auc([0.1, 0.2, 0.9], [0, 1])
 
 
 def test_tau_identical_vectors():
@@ -72,7 +84,7 @@ def test_tau_checks_the_variant_before_counting(monkeypatch, variant):
     def count(*_):
         raise AssertionError("pairs counted before the variant was checked")
     monkeypatch.setattr("rankaudit.audit._count_exceeding_pairs", count)
-    with pytest.raises(ValueError, match="unknown variant"):
+    with pytest.raises(ValueError, match='variant must be "tau-a" or "tau-b"'):
         kendall_tau([1.0, 3.0, 2.0], [2.0, 1.0, 3.0], variant)
 
 
@@ -224,6 +236,13 @@ def test_correlation_matrix_tau_a_cell_of_a_relabelled_copy():
     want = brute_tau(base.scores, base.scores, "tau-a")
     assert want < 1.0
     assert matrix == [[1.0, want], [want, 1.0]]
+
+
+def test_audit_scores_refuses_a_method_named_like_the_baseline():
+    d = make_dataset([1, 1, 0, 0], [0, 1, 0, 1])
+    base = make_scores([0.1, 0.2, 0.3, 0.4], "a")
+    with pytest.raises(ValueError, match="method name 'a' collides with baseline"):
+        audit_scores(d, base, [relabel(base, "a")])
 
 
 def test_correlation_matrix_rejects_misaligned():

@@ -255,6 +255,21 @@ def test_scorer_persistence_round_trip(tmp_path):
     assert np.array_equal(a, b)
 
 
+def test_load_scorer_skips_blank_lines(tmp_path):
+    d = biased_benchmark(n=200, seed=8)
+    model = fit(d, _all_train_split(d), ScorerConfig(epochs=40))
+    path = tmp_path / "scorer.txt"
+    save_scorer(model, path)
+    # a blank line before each array's header line, and two at the end
+    text = "".join(f"\n{line}\n" if line[0].isalpha() else f"{line}\n"
+                   for line in path.read_text(encoding="utf-8").splitlines())
+    path.write_text(text + "\n\n", encoding="utf-8")
+    loaded = load_scorer(path)
+    assert loaded.config == model.config
+    assert np.array_equal(score(loaded, d, d.instance_ids).scores,
+                          score(model, d, d.instance_ids).scores)
+
+
 def test_categorical_only_spec_fits_scores_and_round_trips(tmp_path):
     # no numeric column: the standardized block is (n, 0), mean and std empty
     rng = np.random.default_rng(12)
@@ -283,7 +298,7 @@ def test_scorer_persistence_keeps_the_widest_seed(tmp_path, seed):
 
 @pytest.mark.parametrize("seed", [2**53 + 1, -2**60 - 3, 2**64 + 5])
 def test_scorer_config_rejects_a_seed_scorer_txt_cannot_hold(seed):
-    with pytest.raises(ValueError, match=r"seed must lie in \[-2\*\*53, 2\*\*53\]"):
+    with pytest.raises(ValueError, match=r"seed must be an integer in \[-2\*\*53, 2\*\*53\]"):
         ScorerConfig(seed=seed)
 
 
@@ -295,7 +310,7 @@ def test_scorer_config_rejects_a_seed_that_is_not_an_integer(value):
 
 @pytest.mark.parametrize("value", ["no", 0, 1, None])
 def test_scorer_config_rejects_an_include_sensitive_that_is_not_a_bool(value):
-    with pytest.raises(ValueError, match="include_sensitive must be a bool"):
+    with pytest.raises(ValueError, match="include_sensitive must be true or false"):
         ScorerConfig(include_sensitive=value)
 
 
@@ -392,6 +407,23 @@ def test_external_scores_id_contract(tmp_path):
         ingest_external_scores(path, d, d.instance_ids, "dupes")
 
 
+@pytest.mark.parametrize("header", ["id,score", "instance_id", ""])
+def test_external_scores_refuse_a_bad_header(tmp_path, header):
+    d = make_dataset([0, 1], [0, 1])
+    path = tmp_path / "ext.csv"
+    path.write_text(f"{header}\n0,0.5\n1,0.5\n", encoding="utf-8")
+    with pytest.raises(IdMismatch, match="expected header instance_id,score"):
+        ingest_external_scores(path, d, d.instance_ids, "bad")
+
+
+def test_external_scores_skip_a_blank_row(tmp_path):
+    d = make_dataset([0, 1], [0, 1])
+    path = tmp_path / "ext.csv"
+    path.write_text("instance_id,score\n0,0.25\n\n1,0.75\n", encoding="utf-8")
+    ext = ingest_external_scores(path, d, d.instance_ids, "blank")
+    assert ext.scores.tolist() == [0.25, 0.75]
+
+
 def test_external_scores_come_in_the_order_of_the_requested_ids(tmp_path):
     d = make_dataset([0, 1, 0, 1], [0, 1, 0, 1])
     path = tmp_path / "ext.csv"
@@ -430,6 +462,17 @@ def test_external_scores_reject_non_finite_cells(tmp_path, cell):
 def test_score_set_rejects_nan():
     with pytest.raises(ScoreOutOfRange):
         make_scores([0.1, float("nan"), 0.6, 0.9])
+
+
+def test_score_set_refuses_ids_of_another_length():
+    with pytest.raises(ValueError, match="scores and ids differ in length"):
+        make_scores([0.1, 0.9], ids=[0, 1, 2])
+
+
+@pytest.mark.parametrize("bad", [-0.01, 1.01])
+def test_score_set_refuses_scores_outside_0_1(bad):
+    with pytest.raises(ScoreOutOfRange, match=r"scores outside \[0, 1\]"):
+        make_scores([0.5, bad])
 
 
 def test_relabel_shares_values():

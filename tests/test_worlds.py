@@ -94,6 +94,32 @@ def test_world_rejects_an_array_that_is_not_one_dimensional(field, shape):
         FairWorld(**values)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("group", np.array([0, 1, 1], dtype=np.int8), "group length 3 != 2"),
+    ("weight", np.array([0.5, 0.6]), "weights sum to 1.1, not 1"),
+    ("weight", np.array([1.5, -0.5]), "weights must be nonnegative"),
+    ("fair_p", np.array([0.2, 1.2]), r"fair_p outside \[0, 1\]"),
+    ("score_s", np.array([-0.1, 0.7]), r"score_s outside \[0, 1\]"),
+], ids=["length", "weight-sum", "weight-negative", "fair_p", "score_s"])
+def test_world_refuses_values_that_are_not_a_weighted_grid(field, value, message):
+    values = {"x": np.array([0.0, 1.0]), "group": np.array([0, 1], dtype=np.int8),
+              "weight": np.array([0.5, 0.5]), "fair_p": np.array([0.2, 0.8]),
+              "score_s": np.array([0.3, 0.7]), field: value}
+    with pytest.raises(ValueError, match=message):
+        FairWorld(**values)
+
+
+def test_basis_values_refuses_an_unknown_basis():
+    with pytest.raises(ValueError, match="basis must be 'fair' or 'unfair', got 'biased'"):
+        wage_gap_world(11).basis_values("biased")
+
+
+def test_rates_refuses_a_decision_of_another_length():
+    w = wage_gap_world(11)
+    with pytest.raises(ValueError, match="decision length does not match the world grid"):
+        rates(w, np.ones(w.m - 1, dtype=np.int8), "fair")
+
+
 def test_rates_match_monte_carlo_on_unfair_basis():
     w = wage_gap_world(201)
     dec = threshold_decision(w, "unfair", 0.5)
