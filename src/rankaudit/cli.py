@@ -21,14 +21,15 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .audit import _QUADRANT_NAMES, AuditReport, audit_scores, build_report
+from .audit import AuditReport, audit_scores, build_report
 from .dataset import (
-    ColumnText, CsvText, Dataset, DatasetSpec, atomic_open, builtin_specs, ingest,
+    ColumnText, Dataset, DatasetSpec, atomic_open, builtin_specs, ingest,
     split, verify_base_rate, write_csv,
 )
 from .decide import POLICY_FIELDS, DecisionPolicy, DecisionSet, decide, export_decisions
 from .errors import NAME, RATE, RULES, AuditError, ConfigError, PolicyMismatch, require
 from .mitigate import (
+    CUT,
     apply_group_thresholds,
     apply_mixing,
     apply_reject_option,
@@ -63,7 +64,7 @@ EXIT_RUNTIME = 2
 
 PDR_COMPARE_TOLERANCE = 0.05
 
-NATIVE = DecisionPolicy("fixed-threshold", threshold=0.5, note="method-native contexts")
+NATIVE = DecisionPolicy("fixed-threshold", threshold=CUT, note="method-native contexts")
 
 
 # --- small file helpers -----------------------------------------------------------
@@ -413,13 +414,12 @@ class Pipeline:
     def _emit_report(self, frame: dict, label: str, policy: DecisionPolicy, report: AuditReport):
         """Scatter CSVs, then the report JSON: frame, label, policy, report and scatter files."""
         base, files = self.baseline_test, {}
-        tails = {q: f",{q}\r\n" for q in _QUADRANT_NAMES}  # a quadrant name needs no quotes
         for ss in self.method_scores:
             path = self.out / f"scatter_{_slug(label)}_{_slug(ss.method)}.csv"
             write_csv(path, ["id", "group", "score_base", "score_mitigated", "quadrant"],
                       [self.text.heads(self.dataset, base.instance_ids),
                        self.text.floats(base.scores), self.text.floats(ss.scores),
-                       CsvText(map(tails.__getitem__, report.scatter[ss.method].tolist()))])
+                       report.scatter[ss.method].tolist()])
             files[ss.method] = path.name
         _write_json(self.out / f"report_{_slug(label)}.json", {
             **frame, "policy_label": label, "policy": policy.describe(),

@@ -95,16 +95,17 @@ def _fields(cells: list[str]) -> list[str]:
     return list(map(_field, cells)) if any(c in joined for c in ',"\r\n') else cells
 
 
-def _lines(block: list) -> str:
-    """CSV lines of a block: per column, a list of quoted cells or a repeat."""
-    if len(block) == 1:  # csv.writer quotes a lone empty field: no blank line
+def _lines(block: list, end: str = "\r\n") -> str:
+    """CSV lines of a block: per column, a list of quoted cells or a repeat;
+    end closes each line, after any cells that every line ends with."""
+    if len(block) == 1 and end == "\r\n":  # csv.writer quotes a lone empty field
         block = [[c or '""' for c in block[0]]]
-    return "\r\n".join(map(",".join, zip(*block))) + "\r\n"
+    return end.join(map(",".join, zip(*block))) + end
 
 
 class CsvText(list):
-    """A column that write_csv writes as it is: per row, CSV text that holds
-    the commas on both of its sides and, in the last column, the line end."""
+    """A column whose cells are already in CSV form: write_csv does not quote
+    them again.  A row's text may hold several cells, with their commas."""
 
 
 def write_csv(path: str | Path, header, columns) -> None:
@@ -115,32 +116,28 @@ def write_csv(path: str | Path, header, columns) -> None:
     those csv.writer writes: a cell holding a comma, a quote or a line break
     is quoted, and lines end in \\r\\n.  Columns are read _TEXT_BLOCK rows at
     a time, so no long column exists as text all at once, and each block is
-    one join of its cells interleaved with the commas and line ends.
+    one _lines join; one-str columns that end a row are part of its line end.
     """
     columns = list(columns)
     if all(isinstance(c, str) for c in columns):
         raise ValueError("write_csv needs at least one column that is not one str")
-    parts = []  # a line's parts in order: each column, then its comma or line end
-    for c, after in zip(columns, [*columns[1:], None]):
-        parts.append(_field(c) if isinstance(c, str) else c)  # a str: every row's text
-        if not (isinstance(c, CsvText) or isinstance(after, CsvText)):
-            parts.append("\r\n" if after is None else ",")
-    sources = [repeat(p) if isinstance(p, str) else iter(p) for p in parts]
+    end = "\r\n"
+    while isinstance(columns[-1], str):
+        end = "," + _field(columns.pop()) + end
+    sources = [repeat(_field(c)) if isinstance(c, str) else iter(c) for c in columns]
     with atomic_open(path) as fh:
         fh.write(_lines([[_field(h)] for h in header]))
         while True:
-            block = [src if isinstance(p, str) else
-                     list(islice(src, _TEXT_BLOCK)) if isinstance(p, CsvText) else
+            block = [src if isinstance(c, str) else
+                     list(islice(src, _TEXT_BLOCK)) if isinstance(c, CsvText) else
                      _fields(list(islice(src, _TEXT_BLOCK)))
-                     for p, src in zip(parts, sources)]
+                     for c, src in zip(columns, sources)]
             sizes = {len(cells) for cells in block if isinstance(cells, list)}
             if len(sizes) > 1:
                 raise ValueError(f"columns differ in length: {sorted(sizes)}")
             if sizes == {0}:
                 break
-            if len(columns) == 1:  # csv.writer quotes a lone empty field: no blank line
-                block[0] = [c or '""' for c in block[0]]
-            fh.write("".join(chain.from_iterable(zip(*block))))
+            fh.write(_lines(block, end))
 
 
 def float_text(values):
@@ -172,18 +169,18 @@ class ColumnText:
             self._made[key] = (arrays, make())
         return self._made[key][1]
 
-    def floats(self, values: np.ndarray) -> list[str]:
-        """float_text of values."""
-        return self._once("floats", (values,), lambda: list(float_text(values)))
+    def floats(self, values: np.ndarray) -> CsvText:
+        """float_text of values; a float's repr needs no quotes."""
+        return self._once("floats", (values,), lambda: CsvText(float_text(values)))
 
-    def ids(self, ids: np.ndarray) -> list[str]:
-        """The text of each id."""
-        return self._once("ids", (ids,), lambda: list(map(str, ids.tolist())))
+    def ids(self, ids: np.ndarray) -> CsvText:
+        """The text of each id, which needs no quotes."""
+        return self._once("ids", (ids,), lambda: CsvText(map(str, ids.tolist())))
 
     def heads(self, d: "Dataset", ids: np.ndarray) -> CsvText:
-        """`<id>,<group>,`, the start of each id's row, its group named as in d."""
+        """`<id>,<group>`, each id's first two cells, its group named as in d."""
         return self._once("heads", (d, ids), lambda: CsvText(map(
-            "{},{},".format, self.ids(ids), group_names(d.sensitive[d.positions_of(ids)]))))
+            "{},{}".format, self.ids(ids), group_names(d.sensitive[d.positions_of(ids)]))))
 
 
 @dataclass(frozen=True)

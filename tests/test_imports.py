@@ -4,7 +4,8 @@ AST scans, so they need no linter.  Unused imports: a module's imported
 names, less those that any Name node reads; `__init__.py` is skipped,
 since its imports are the package's re-exports.  Dead rules: the keys of
 errors.RULES that no other module names, as a string or by the errors
-constant that holds it.
+constant that holds it.  CSV lines: only dataset.py builds them, so no
+other module holds a `\r\n` or imports its quoting and joining helpers.
 """
 
 import ast
@@ -53,3 +54,31 @@ def test_every_rule_is_named_outside_errors():
                 elif isinstance(node, ast.Name):  # RATE, NAME: a rule by its constant
                     named.add(str(getattr(errors, node.id, "")))
     assert [what for what in errors.RULES if what not in named] == []
+
+
+_CSV_HELPERS = {"_field", "_fields", "_lines"}
+
+
+def _csv_line_parts(source: str) -> list[str]:
+    """Each string constant holding a CSV line end, and each import of
+    dataset's CSV helpers, with its line."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and "\r\n" in node.value:
+            found.append(f"{node.value!r} (line {node.lineno})")
+        elif isinstance(node, ast.ImportFrom):
+            found += [f"import {alias.name} (line {node.lineno})"
+                      for alias in node.names if alias.name in _CSV_HELPERS]
+    return found
+
+
+def test_the_scan_finds_a_csv_line_built_outside_dataset():
+    source = ("from .dataset import CsvText, _field, write_csv\n"
+              "tails = [f',{label}\\r\\n' for label in '01']\n")
+    assert _csv_line_parts(source) == ["import _field (line 1)", "'\\r\\n' (line 2)"]
+
+
+def test_only_dataset_builds_a_csv_line():
+    found = {path.name: _csv_line_parts(path.read_text("utf-8"))
+             for path in sorted(SRC.glob("*.py")) if path.name != "dataset.py"}
+    assert {name: parts for name, parts in found.items() if parts} == {}

@@ -270,6 +270,38 @@ def test_load_scorer_skips_blank_lines(tmp_path):
                           score(model, d, d.instance_ids).scores)
 
 
+def test_load_scorer_skips_a_blank_line_after_every_line(tmp_path):
+    d = biased_benchmark(n=200, seed=8)
+    model = fit(d, _all_train_split(d), ScorerConfig(epochs=40))
+    path = tmp_path / "scorer.txt"
+    save_scorer(model, path)
+    path.write_text(path.read_text(encoding="utf-8").replace("\n", "\n\n"), encoding="utf-8")
+    loaded = load_scorer(path)
+    assert loaded.config == model.config
+    assert np.array_equal(score(loaded, d, d.instance_ids).scores,
+                          score(model, d, d.instance_ids).scores)
+
+
+def test_load_scorer_names_the_file_and_line_of_a_bad_value(tmp_path):
+    d = biased_benchmark(n=200, seed=8)
+    path = tmp_path / "scorer.txt"
+    save_scorer(fit(d, _all_train_split(d), ScorerConfig(epochs=40)), path)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    last_header = max(i for i, line in enumerate(lines) if line[0].isalpha())
+    path.write_text("".join(lines[:-1]), encoding="utf-8")  # the last value cut off
+    with pytest.raises(ValueError, match=rf"scorer.txt, line {last_header + 1}: array "
+                                         r"'b' needs 1 values, the file holds 0"):
+        load_scorer(path)
+    lines[1] = "0.5x\n"  # the first value of the first array
+    path.write_text("".join(lines), encoding="utf-8")
+    with pytest.raises(ValueError, match=r"scorer.txt, line 2: '0.5x' is not a number"):
+        load_scorer(path)
+    lines[0] = lines[0].replace(" ", " two ")  # a dimension that is not a number
+    path.write_text("".join(lines), encoding="utf-8")
+    with pytest.raises(ValueError, match=r"scorer.txt, line 1: 'two' is not a number"):
+        load_scorer(path)
+
+
 def test_categorical_only_spec_fits_scores_and_round_trips(tmp_path):
     # no numeric column: the standardized block is (n, 0), mean and std empty
     rng = np.random.default_rng(12)
