@@ -50,8 +50,6 @@ def disparate_impact_remove(d: Dataset, repair_level: float,
             raise NonNumericColumn(f"column {col!r} is not numeric")
 
     features = d.features.copy()
-    if lam == 0.0:  # the identity, bit for bit
-        return replace(d, features=features)
     prot = d.protected_mask
     group_rows = [rows for rows in (np.flatnonzero(prot), np.flatnonzero(~prot)) if len(rows)]
     for col in columns:
@@ -67,30 +65,17 @@ def disparate_impact_remove(d: Dataset, repair_level: float,
                        if len(rows) > 1 else 0.5)
         # each group's quantile function at every instance's own rank
         curves = [_on_grid(u * (len(q) - 1.0), q) for q in quantiles]
-        # toward the mean of the curves (of one curve, the curve itself)
-        features[:, j] = _finite(lambda w, a, b: (1.0 - lam) * w + lam * ((a + b) / 2),
-                                 v, curves[0], curves[-1])
+        features[:, j] = (1.0 - lam) * v + lam * (sum(curves[1:], curves[0]) / len(curves))
     return replace(d, features=features)
 
 
-def _finite(formula, *arrays: np.ndarray) -> np.ndarray:
-    """formula(*arrays), on quarters where a value exceeds 2**1021, then
-    clipped to the finite floats and scaled back: no step overflows, and the
-    bits are formula's own wherever those are finite."""
-    if max(max(a.max(), -a.min()) for a in arrays) <= 2.0 ** 1021:
-        return formula(*arrays)  # the usual case: no value to quarter, no copies
-    s = np.where(np.any([np.abs(a) > 2.0 ** 1021 for a in arrays], axis=0), 0.25, 1.0)
-    top = np.finfo(np.float64).max * s
-    return np.clip(formula(*(a * s for a in arrays)), -top, top) / s
-
-
 def _on_grid(x: np.ndarray, fp: np.ndarray) -> np.ndarray:
-    """np.interp(x, np.arange(len(fp)), fp) for x in [0, len(fp) - 1], by its
-    formula without its search, through _finite: fp[x] where x is a grid
+    """np.interp(x, np.arange(len(fp)), fp) for x in [0, len(fp) - 1], by
+    np.interp's own formula without its search: fp[x] where x is a grid
     point, else (fp[j + 1] - fp[j]) * (x - j) + fp[j] with j = floor(x)."""
     j = x.astype(np.intp)
     left, right = fp[j], fp[np.minimum(j + 1, len(fp) - 1)]
-    return np.where(x == j, left, _finite(lambda a, b: (b - a) * (x - j) + a, left, right))
+    return np.where(x == j, left, (right - left) * (x - j) + left)
 
 
 # --- per-group threshold fitting ------------------------------------------------

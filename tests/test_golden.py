@@ -86,40 +86,26 @@ def test_weaker_check_flags_only_numbers_beyond_tolerance(golden, manifest):
         ".policy_label: 'native' != 'other'"]
 
 
-def test_readme_numbers_follow_the_run(golden):
-    """README's "Typical native-context numbers" read as the golden run's
-    report_native.json rounded to the printed digits."""
+def test_readme_numbers_follow_the_run(golden, manifest):
+    """README's quick-start numbers read as the golden run's report_native.json
+    and dataset_summary.json rounded to the printed digits, both as this run
+    makes them and as the manifest records them, so re-recording the manifest
+    shows where README is stale."""
     _, docs = golden
-    rows = docs["run/report_native.json"]["rows"]
-    taus = docs["run/report_native.json"]["tau_vs_baseline"]
     text = " ".join(README.read_text("utf-8").split())
     para = re.search(r"Typical native-context numbers.*?which is the point\.", text).group()
-    baseline = re.search(r"baseline scores AUC (\S+) with SPD (\S+) at", para)
-    repair = re.search(r"reranks \(tau (\S+), AUC ([^)]+)\)", para)
-    printed = [(baseline.group(1), rows["baseline"]["auc"]),
-               (baseline.group(2), rows["baseline"]["spd"]),
-               (repair.group(1), taus["repair"]["overall"]),
-               (repair.group(2), rows["repair"]["auc"])]
-    for shown, value in printed:
-        digits = len(shown.split(".")[1])
-        assert f"{value:.{digits}f}" == shown, (shown, value)
-
-
-def test_readme_numbers_match_the_golden_manifest(manifest):
-    """README's quick-start numbers are the recorded run's, rounded to the
-    printed digits, so re-recording the manifest shows where README is stale."""
-    report = manifest["json"]["run/report_native.json"]
-    rows, taus = report["rows"], report["tau_vs_baseline"]
-    text = " ".join(README.read_text("utf-8").split())
-    found = [re.search(pattern, text) for pattern in (
-        r"baseline scores AUC (\S+) with SPD (\S+) at",
-        r"reranks \(tau (\S+), AUC ([^)]+)\)",
-        r"tau against the baseline (\S+) \(protected\) and (\S+) \(privileged\)",
-        r"records a `base_rate` of (\S+) over all rows")]
-    shown = [s for match in found for s in match.groups()]
-    values = [rows["baseline"]["auc"], rows["baseline"]["spd"],
-              taus["repair"]["overall"], rows["repair"]["auc"],
-              taus["repair"]["protected"], taus["repair"]["privileged"],
-              manifest["json"]["run/dataset_summary.json"]["base_rate"]]
-    assert len(shown) == len(values)
-    assert shown == [f"{v:.{len(s.split('.')[1])}f}" for s, v in zip(shown, values)]
+    shown = [s for pattern, where in (
+        (r"baseline scores AUC (\S+) with SPD (\S+) at", para),
+        (r"reranks \(tau (\S+), AUC ([^)]+)\)", para),
+        (r"tau against the baseline (\S+) \(protected\) and (\S+) \(privileged\)", para),
+        (r"records a `base_rate` of (\S+) over all rows", text))
+        for s in re.search(pattern, where).groups()]
+    for source in (docs, manifest["json"]):
+        rows = source["run/report_native.json"]["rows"]
+        taus = source["run/report_native.json"]["tau_vs_baseline"]["repair"]
+        values = [rows["baseline"]["auc"], rows["baseline"]["spd"],
+                  taus["overall"], rows["repair"]["auc"],
+                  taus["protected"], taus["privileged"],
+                  source["run/dataset_summary.json"]["base_rate"]]
+        assert len(shown) == len(values)
+        assert shown == [f"{v:.{len(s.split('.')[1])}f}" for s, v in zip(shown, values)]
