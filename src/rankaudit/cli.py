@@ -370,7 +370,6 @@ class Pipeline:
             "split_sizes": dict(zip(("train", "validation", "test"),
                                     self.splits.sizes())),
             "split_seed": self.splits.seed,
-            "scorer_seed": self.cfg["scorer"]["seed"],
             "method_seeds": {m["name"]: m["seed"] for m in self.methods if "seed" in m},
             "postprocessors_fitted_on": "validation",
             "metrics_reported_on": "test",

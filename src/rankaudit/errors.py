@@ -133,7 +133,6 @@ RULES = {  # what a value must be: its test
     "three numbers >= 0 that sum to 1": lambda v: type(v) in (list, tuple) and len(v) == 3
     and all(_number(f, 0) for f in v) and abs(sum(v) - 1) <= 1e-9,
     "an integer": lambda v: type(v) is int,
-    "an integer in [-2**53, 2**53]": lambda v: type(v) is int and -2**53 <= v <= 2**53,
     "an integer >= 1": lambda v: type(v) is int and v >= 1,
     "an integer >= 2": lambda v: type(v) is int and v >= 2,
     "a finite number": _number,
@@ -146,7 +145,6 @@ RULES = {  # what a value must be: its test
     RATE: lambda v: v in ("baseline-pdr", "base-rate") or _number(v, 0, 1),
     "true or false": lambda v: type(v) is bool,
     '"tau-a" or "tau-b"': lambda v: v in ("tau-a", "tau-b"),
-    '"logistic" or "one-hidden-layer"': lambda v: v in ("logistic", "one-hidden-layer"),
     "null or a list of column names": lambda v: v is None
     or type(v) is list and all(type(c) is str for c in v),
     NAME: lambda v: type(v) is str and v not in ("", "baseline"),

@@ -1,9 +1,8 @@
-"""Baseline probabilistic scorers and external score ingestion.
+"""The baseline probabilistic scorer and external score ingestion.
 
-The default model is L2-penalized logistic regression fitted to its optimum
-by Newton's method (IRLS): convex and deterministic, so every downstream
-audit number is reproducible.  A one-hidden-layer network (200 units, Adam,
-batch 128) is available as ``model_kind="one-hidden-layer"`` for fidelity runs.
+The scorer is L2-penalized logistic regression fitted to its optimum by
+Newton's method (IRLS): convex and deterministic, so the baseline that every
+method's Kendall tau is measured against is one exact, reproducible ranking.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import prng
 from .dataset import Dataset, Split, atomic_open, plain_number
 from .errors import (
     EmptyTrain,
@@ -32,8 +30,9 @@ log = logging.getLogger(__name__)
 _CLAMP_SLACK = 1e-9
 _HESSIAN_FLOOR = 1e-12  # keeps Newton's system solvable where the loss is flat
 _LOSS_ROUNDING = 16 * np.finfo(np.float64).eps  # relative; a loss change below it is noise
-_MLP_BATCH = 128
-_MLP_HIDDEN = 200
+_ARRAYS = {  # the arrays of a scorer.txt, each one-dimensional, with its length where fixed
+    "numeric_idx": None, "categorical_idx": None, "categorical_levels": None,
+    "include_sensitive": 1, "mean": None, "std": None, "cfg": 2, "w": None, "b": 1}
 
 
 @dataclass(frozen=True)
@@ -62,18 +61,13 @@ class ScoreSet:
 
 @dataclass(frozen=True)
 class ScorerConfig:
-    learning_rate: float = 0.1  # Adam's step size: one-hidden-layer only
-    epochs: int = 500  # logistic: the cap on Newton iterations
+    epochs: int = 500  # the cap on Newton iterations
     l2_penalty: float = 1e-4
-    seed: int = 42
-    model_kind: str = "logistic"  # logistic | one-hidden-layer
     include_sensitive: bool = False
 
     FIELD_RULES = {  # not a field: what each field must be, a key of errors.RULES
-        "learning_rate": "a finite number > 0", "epochs": "an integer >= 1",
-        "l2_penalty": "a finite number >= 0",
-        "seed": "an integer in [-2**53, 2**53]",  # save_scorer writes it as a float64
-        "model_kind": '"logistic" or "one-hidden-layer"', "include_sensitive": "true or false"}
+        "epochs": "an integer >= 1", "l2_penalty": "a finite number >= 0",
+        "include_sensitive": "true or false"}
 
     def __post_init__(self):
         for name, what in self.FIELD_RULES.items():
@@ -112,11 +106,7 @@ class Scorer:
         return np.hstack(blocks)
 
     def raw_scores(self, X: np.ndarray) -> np.ndarray:
-        w = self.weights
-        if self.config.model_kind == "logistic":
-            return _sigmoid(X @ w["w"] + w["b"][0])
-        h = np.maximum(X @ w["w1"] + w["b1"], 0.0)
-        return _sigmoid(h @ w["w2"] + w["b2"][0])
+        return _sigmoid(X @ self.weights["w"] + self.weights["b"][0])
 
 
 def _feature_layout(d: Dataset):
@@ -140,9 +130,8 @@ def fit(d: Dataset, split: Split, cfg: ScorerConfig) -> Scorer:
 
     Features are standardized with train statistics only.  Raises
     EmptyTrain for an empty train partition and NonFiniteLoss when a train
-    mean or std, or the loss, is not finite.  The loss at each iteration
-    (logistic) or epoch (one-hidden-layer) is kept on the scorer: the mean
-    log loss over train, plus the L2 penalty for the logistic model.
+    mean or std is not finite.  The loss at each Newton iteration is kept
+    on the scorer: the mean log loss over train plus the L2 penalty.
     """
     if len(split.train_ids) == 0:
         raise EmptyTrain("train partition is empty")
@@ -169,11 +158,7 @@ def fit(d: Dataset, split: Split, cfg: ScorerConfig) -> Scorer:
     X = model.design_matrix(d, pos)
     y = d.label[pos].astype(np.float64)
 
-    with np.errstate(over="ignore", invalid="ignore"):  # each fit checks its loss itself
-        if cfg.model_kind == "logistic":
-            weights, history = _fit_logistic(cfg, X, y)
-        else:
-            weights, history = _fit_mlp(cfg, X, y)
+    weights, history = _fit_logistic(cfg, X, y)
     return replace(model, weights=weights, loss_history=history)
 
 
@@ -217,52 +202,6 @@ def _fit_logistic(cfg: ScorerConfig, X: np.ndarray, y: np.ndarray) -> tuple[dict
     else:
         log.warning("logistic fit did not converge within %d iterations", cfg.epochs)
     return {"w": theta[:k].copy(), "b": theta[k:].copy()}, history
-
-
-def _fit_mlp(cfg: ScorerConfig, X: np.ndarray, y: np.ndarray) -> tuple[dict, list]:
-    n, k = X.shape
-    h = _MLP_HIDDEN
-    s = cfg.seed
-    w1 = prng.normal(prng.derive(s, 1), k * h).reshape(k, h) * np.sqrt(2.0 / max(k, 1))
-    b1 = np.zeros(h)
-    w2 = prng.normal(prng.derive(s, 2), h) * np.sqrt(1.0 / h)
-    b2 = np.zeros(1)
-    params = [w1, b1, w2, b2]
-    m_t = [np.zeros_like(p) for p in params]
-    v_t = [np.zeros_like(p) for p in params]
-    beta1, beta2, eps = 0.9, 0.999, 1e-8
-    step = 0
-    history = []
-    for epoch in range(cfg.epochs):
-        order = prng.permutation(prng.derive(s, 100 + epoch), n)
-        losses = []
-        for start in range(0, n, _MLP_BATCH):
-            idx = order[start:start + _MLP_BATCH]
-            xb, yb = X[idx], y[idx]
-            z1 = xb @ w1 + b1
-            a1 = np.maximum(z1, 0.0)
-            z2 = a1 @ w2 + b2[0]
-            p = _sigmoid(z2)
-            losses.append(float(np.logaddexp(0.0, (1.0 - 2.0 * yb) * z2).sum()))
-            dz2 = (p - yb) / len(idx)
-            gw2 = a1.T @ dz2 + 2.0 * cfg.l2_penalty * w2
-            gb2 = np.array([dz2.sum()])
-            da1 = np.outer(dz2, w2)
-            dz1 = da1 * (z1 > 0)
-            gw1 = xb.T @ dz1 + 2.0 * cfg.l2_penalty * w1
-            gb1 = dz1.sum(axis=0)
-            step += 1
-            for p_i, g in zip(range(4), (gw1, gb1, gw2, gb2)):
-                m_t[p_i] = beta1 * m_t[p_i] + (1 - beta1) * g
-                v_t[p_i] = beta2 * v_t[p_i] + (1 - beta2) * g * g
-                m_hat = m_t[p_i] / (1 - beta1**step)
-                v_hat = v_t[p_i] / (1 - beta2**step)
-                params[p_i] -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
-        epoch_loss = sum(losses) / n
-        if not np.isfinite(epoch_loss):
-            raise NonFiniteLoss(f"loss became non-finite at epoch {epoch}")
-        history.append(epoch_loss)
-    return {"w1": w1, "b1": b1, "w2": w2, "b2": b2}, history
 
 
 def score(m: Scorer, d: Dataset, ids, method: str = "baseline") -> ScoreSet:
@@ -336,9 +275,7 @@ def save_scorer(m: Scorer, path: str | Path) -> None:
         "include_sensitive": np.array([int(m.config.include_sensitive)]),
         "mean": m.mean,
         "std": m.std,
-        "cfg": np.array([m.config.learning_rate, m.config.epochs,
-                         m.config.l2_penalty, m.config.seed,
-                         0.0 if m.config.model_kind == "logistic" else 1.0]),
+        "cfg": np.array([m.config.epochs, m.config.l2_penalty]),
     }
     arrays.update(m.weights)
     with atomic_open(path) as fh:
@@ -351,8 +288,11 @@ def save_scorer(m: Scorer, path: str | Path) -> None:
 
 
 def load_scorer(path: str | Path) -> Scorer:
-    """Read a save_scorer file, skipping blank lines; a value that is not a
-    number, or an array cut short, is a ValueError naming the file and line."""
+    """Read a save_scorer file, skipping blank lines.  A damaged or old file
+    is a ValueError naming the file, and the line where there is one: a value
+    or dimension that is not a number, an array save_scorer does not write,
+    one missing or cut short, and one that is not one-dimensional or has a
+    length it cannot have (negative, or the 5 values of an old cfg)."""
     def number(kind, n, text):
         try:
             return kind(text)
@@ -365,27 +305,27 @@ def load_scorer(path: str | Path) -> Scorer:
     for n, head in lines:
         name, *dims = head.split(" ")
         shape = tuple(number(int, n, dim) for dim in dims)
-        count = int(np.prod(shape))
-        values = list(islice(lines, count))
-        if len(values) < count:
-            raise ValueError(f"{path}, line {n}: array {name!r} needs {count} values, "
+        if name not in _ARRAYS:
+            raise ValueError(f"{path}, line {n}: unknown array {name!r}")
+        if len(shape) != 1 or shape[0] < 0 or _ARRAYS[name] not in (None, shape[0]):
+            raise ValueError(f"{path}, line {n}: array {name!r} cannot have shape {shape}")
+        values = list(islice(lines, shape[0]))
+        if len(values) < shape[0]:
+            raise ValueError(f"{path}, line {n}: array {name!r} needs {shape[0]} values, "
                              f"the file holds {len(values)}")
-        arrays[name] = np.array([number(float, *v) for v in values]).reshape(shape)
-    cfg_vec = arrays.pop("cfg")
-    cfg = ScorerConfig(
-        learning_rate=float(cfg_vec[0]),
-        epochs=int(cfg_vec[1]),
-        l2_penalty=float(cfg_vec[2]),
-        seed=int(cfg_vec[3]),
-        model_kind="logistic" if cfg_vec[4] == 0.0 else "one-hidden-layer",
-        include_sensitive=bool(arrays.pop("include_sensitive")[0]),
-    )
+        arrays[name] = np.array([number(float, *v) for v in values])
+    missing = [name for name in _ARRAYS if name not in arrays]
+    if missing:
+        raise ValueError(f"{path}: no array {', '.join(map(repr, missing))}")
+    epochs, l2_penalty = arrays["cfg"]
+    cfg = ScorerConfig(epochs=int(epochs), l2_penalty=float(l2_penalty),
+                       include_sensitive=bool(arrays["include_sensitive"][0]))
     return Scorer(
         config=cfg,
-        numeric_idx=arrays.pop("numeric_idx").astype(np.int64),
-        categorical_idx=arrays.pop("categorical_idx").astype(np.int64),
-        categorical_levels=arrays.pop("categorical_levels").astype(np.int64),
-        mean=arrays.pop("mean"),
-        std=arrays.pop("std"),
-        weights=arrays,
+        numeric_idx=arrays["numeric_idx"].astype(np.int64),
+        categorical_idx=arrays["categorical_idx"].astype(np.int64),
+        categorical_levels=arrays["categorical_levels"].astype(np.int64),
+        mean=arrays["mean"],
+        std=arrays["std"],
+        weights={"w": arrays["w"], "b": arrays["b"]},
     )

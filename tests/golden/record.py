@@ -7,15 +7,16 @@ the same CSV reaches what the quick start leaves at its defaults: external
 scores, a group-thresholds rate, feature repair of one column at level 0.5,
 all three policy kinds (a rate reference and a number each for
 global-top-rate), tau-a and include_sensitive; it goes through `train`,
-`mitigate`, `decide`, `audit` and `run`.  Then come a 20-epoch
-one-hidden-layer run, one `compare` and a monotonicity check under a
-tolerance.  Its inputs and outputs sit in one directory under relative
-paths, so every output, provenance and config hash included, is the same
-from any checkout path.  manifest.json holds the sha256 of each output
-file, the environment it was recorded under, and the parsed content of
-each output JSON for the weaker check test_golden.py runs under another
-environment.  Recording prints which files it adds to, removes from or
-changes in the manifest it replaces.
+`mitigate`, `decide`, `audit` and `run`.  Then come one `compare` of the
+two configs' `run` reports and a monotonicity check under a tolerance.
+Its inputs and outputs sit in one directory under relative paths, so
+every output, provenance and config hash included, is the same from any
+checkout path.  manifest.json holds the sha256 of each output file, the
+environment it was recorded under, and the parsed content of each output
+JSON for the weaker check test_golden.py runs under another environment.
+Recording prints which files it adds to, removes from or changes in the
+manifest it replaces, and for a changed JSON file the top-level keys whose
+parsed content changed.
 
 A change that alters outputs on purpose rewrites the manifest and commits
 it with the change:
@@ -42,7 +43,7 @@ from rankaudit.synthetic import write_biased_benchmark_csv
 MANIFEST = Path(__file__).with_name("manifest.json")
 WIDE_COMMANDS = ("train", "mitigate", "decide", "audit", "run")
 OUTPUT_DIRS = ("run", "ingest", "theory", *(f"wide-{c}" for c in WIDE_COMMANDS),
-               "hidden", "compare", "theory-tolerance")
+               "compare", "theory-tolerance")
 EXCLUDED = {"trace.json"}  # differs from run to run by design
 CONFIG = {
     "dataset": {"csv": "bench.csv", "spec": "bench_spec.json"},
@@ -74,7 +75,6 @@ WIDE = {
     ],
     "tau_variant": "tau-a",
 }
-HIDDEN = {**CONFIG, "scorer": {"model_kind": "one-hidden-layer", "epochs": 20}}
 
 
 def write_external_scores(path: str, n: int, seed: int) -> None:
@@ -91,7 +91,7 @@ def produce() -> None:
     spec = write_biased_benchmark_csv("bench.csv", n=2400, seed=2024)
     Path("bench_spec.json").write_text(json.dumps(spec.to_dict()), encoding="utf-8")
     write_external_scores("external.csv", n=2400, seed=5)
-    for name, cfg in (("run.json", CONFIG), ("wide.json", WIDE), ("hidden.json", HIDDEN)):
+    for name, cfg in (("run.json", CONFIG), ("wide.json", WIDE)):
         Path(name).write_text(json.dumps(cfg), encoding="utf-8")
     Path("compare").mkdir()  # compare writes its one file, not a directory
     for argv in (["run", "--config", "run.json", "--out", "run"],
@@ -101,8 +101,7 @@ def produce() -> None:
                    for check in ("example", "monotonicity", "pareto", "decompose")),
                  *([command, "--config", "wide.json", "--out", f"wide-{command}"]
                    for command in WIDE_COMMANDS),
-                 ["run", "--config", "hidden.json", "--out", "hidden"],
-                 ["compare", "run/report_native.json", "hidden/report_native.json",
+                 ["compare", "run/report_native.json", "wide-run/report_native.json",
                   "--allow-uncontrolled", "--out", "compare/comparison.csv"],
                  ["theory", "monotonicity", "--world", "anti-monotone", "--grid-size",
                   "2001", "--tolerance", "0.05", "--out", "theory-tolerance"]):
@@ -141,17 +140,29 @@ def environment() -> dict[str, str]:
             "cpu": cpu_model()}
 
 
-def changes(old: dict[str, str], new: dict[str, str]) -> list[str]:
+def changes(old: dict[str, str], new: dict[str, str], old_docs: dict | None = None,
+            new_docs: dict | None = None) -> list[str]:
     """One line for each file that the digests new add to, remove from or
-    change in the digests old."""
+    change in the digests old.  A changed file that both old_docs and
+    new_docs hold as a parsed JSON object is followed by the top-level keys
+    whose content differs."""
+    def keys(name):
+        a, b = (old_docs or {}).get(name), (new_docs or {}).get(name)
+        if not (isinstance(a, dict) and isinstance(b, dict)):
+            return ""
+        differ = sorted(k for k in a.keys() | b.keys()
+                        if k not in a or k not in b or a[k] != b[k])
+        return f" ({', '.join(differ)})" if differ else ""
+
     return ([f"added: {name}" for name in sorted(set(new) - set(old))]
             + [f"removed: {name}" for name in sorted(set(old) - set(new))]
-            + [f"changed: {name}" for name in sorted(set(old) & set(new))
+            + [f"changed: {name}{keys(name)}" for name in sorted(set(old) & set(new))
                if old[name] != new[name]])
 
 
 def record() -> None:
-    old = json.loads(MANIFEST.read_text("utf-8"))["files"] if MANIFEST.exists() else {}
+    old = (json.loads(MANIFEST.read_text("utf-8")) if MANIFEST.exists()
+           else {"files": {}, "json": {}})
     with tempfile.TemporaryDirectory() as work:
         here = os.getcwd()
         os.chdir(work)
@@ -164,7 +175,8 @@ def record() -> None:
             os.chdir(here)
     MANIFEST.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n",
                         encoding="utf-8")
-    for line in changes(old, manifest["files"]) or ["no file added, removed or changed"]:
+    for line in (changes(old["files"], manifest["files"], old["json"], manifest["json"])
+                 or ["no file added, removed or changed"]):
         print(line, file=sys.stderr)
     print(f"recorded {len(manifest['files'])} files in {MANIFEST}", file=sys.stderr)
 

@@ -503,10 +503,8 @@ def test_config_rejected_before_training(run_inputs, tmp_path, policies, methods
     lambda cfg: cfg["methods"][0].update(name="baseline"),
     lambda cfg: cfg["methods"][0].update(name=3),
     lambda cfg: cfg["methods"].extend([{"kind": "reject-option"}] * 2),
-    lambda cfg: cfg["scorer"].update(learning_rate=-1),
     lambda cfg: cfg["scorer"].update(l2_penalty=-1),
     lambda cfg: cfg["scorer"].update(epochs=0),
-    lambda cfg: cfg["scorer"].update(model_kind="svm"),
     lambda cfg: cfg["split"].update(fractions=[0.5, 0.5]),
     lambda cfg: cfg["split"].update(fractions=[0.6, 0.2, 0.3]),
     lambda cfg: cfg["split"].update(seed="a"),
@@ -519,8 +517,8 @@ def test_config_rejected_before_training(run_inputs, tmp_path, policies, methods
 ], ids=["scorer.epoch", "top-level-typo", "method-key-typo", "tau-variant",
         "method-not-object", "repair_level-2.0", "repair_level--1", "columns-nope",
         "epsilon-x", "epsilon--0.5", "odds-seed-a", "external-path-missing",
-        "name-baseline", "name-3", "same-kind-twice-unnamed", "learning_rate--1",
-        "l2_penalty--1", "epochs-0", "model_kind-svm", "fractions-two",
+        "name-baseline", "name-3", "same-kind-twice-unnamed",
+        "l2_penalty--1", "epochs-0", "fractions-two",
         "fractions-sum-1.1", "split-seed-a", "epochs-str", "epochs-2.7",
         "include_sensitive-no", "threshold-str", "threshold-true", "rate-true"])
 def test_unknown_config_keys_rejected_before_ingest(run_inputs, tmp_path, mutate):
@@ -555,19 +553,39 @@ def test_config_error_names_entry_and_key(run_inputs, tmp_path, capsys, mutate, 
     assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
-@pytest.mark.parametrize("seed", [2**53 + 1, -2**53 - 1])
-def test_scorer_seed_beyond_2_pow_53_exits_1_before_ingest(run_inputs, tmp_path, capsys,
-                                                           seed):
-    # scorer.txt holds the seed as a float64, which is exact only up to 2**53
+@pytest.mark.parametrize("key, value", [
+    ("learning_rate", 0.1), ("learning_rate", -1), ("seed", 42), ("seed", 2**53 + 1),
+    ("model_kind", "logistic"), ("model_kind", "one-hidden-layer"),
+])
+def test_removed_scorer_keys_exit_1_before_ingest(run_inputs, tmp_path, capsys, key, value):
+    # the scorer has no seed, learning rate or model kind: each is an unknown key,
+    # its old default too
     root, config_path, config = run_inputs
-    cfg = dict(config, scorer=dict(config["scorer"], seed=seed))
-    cfg_path = tmp_path / "bad.json"
+    cfg = dict(config, scorer=dict(config["scorer"], **{key: value}))
+    cfg_path = tmp_path / "old.json"
     cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
     out = tmp_path / "out"
-    assert main(["ingest", "--config", str(cfg_path), "--out", str(out)]) == 1
-    assert capsys.readouterr().err.startswith(
-        f"error: scorer: seed must be an integer in [-2**53, 2**53], got {seed}")
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: unknown key(s) in scorer: {key}\n")
+    assert not (out / "scorer.txt").exists()
     assert not (out / "dataset_summary.json").exists()
+
+
+@pytest.mark.parametrize("command", ["ingest", "train", "mitigate", "decide", "audit"])
+@pytest.mark.parametrize("key, value", [
+    ("learning_rate", 0.1), ("seed", 42), ("model_kind", "logistic"),
+])
+def test_every_pipeline_command_refuses_a_removed_scorer_key(run_inputs, tmp_path, capsys,
+                                                            command, key, value):
+    # the config is checked before the output directory is made
+    root, config_path, config = run_inputs
+    cfg = dict(config, scorer=dict(config["scorer"], **{key: value}))
+    cfg_path = tmp_path / "old.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: unknown key(s) in scorer: {key}\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("inline", [True, False], ids=["inline", "file"])
@@ -650,9 +668,7 @@ def test_spelled_out_defaults_keep_config_hash(run_inputs, tmp_path):
     terse = {"dataset": config["dataset"], "scorer": {"epochs": 120},
              "methods": [{"kind": "reject-option"}]}
     full = dict(terse, split={"fractions": [0.6, 0.2, 0.2], "seed": 7},
-                scorer={"learning_rate": 0.1, "epochs": 120, "l2_penalty": 1e-4,
-                        "seed": 42, "model_kind": "logistic",
-                        "include_sensitive": False},
+                scorer={"epochs": 120, "l2_penalty": 1e-4, "include_sensitive": False},
                 methods=[{"kind": "reject-option", "name": "reject-option", "epsilon": 0.02}],
                 tau_variant="tau-b",
                 policies=[{"kind": "fixed-threshold", "threshold": 0.5},

@@ -109,3 +109,17 @@ def test_readme_numbers_follow_the_run(golden, manifest):
                   source["run/dataset_summary.json"]["base_rate"]]
         assert len(shown) == len(values)
         assert shown == [f"{v:.{len(s.split('.')[1])}f}" for s, v in zip(shown, values)]
+
+
+def test_changes_name_the_top_level_keys_of_a_changed_json_file():
+    old = {"a.json": "1", "b.json": "2", "c.json": "3", "d.csv": "4", "gone.csv": "5"}
+    new = {"a.json": "6", "b.json": "2", "c.json": "7", "d.csv": "8", "new.csv": "9"}
+    old_docs = {"a.json": {"provenance": {"seed": 1}, "rows": [1], "kept": 1},
+                "b.json": {"rows": [1]}, "c.json": {"rows": [1]}}
+    new_docs = {"a.json": {"provenance": {}, "rows": [1], "added": 2},
+                "b.json": {"rows": [2]}, "c.json": {"rows": [1]}}
+    # b.json's digest is unchanged; c.json's bytes changed, its parsed content did not
+    assert record.changes(old, new, old_docs, new_docs) == [
+        "added: new.csv", "removed: gone.csv", "changed: a.json (added, kept, provenance)",
+        "changed: c.json", "changed: d.csv"]
+    assert record.changes(old, new)[2] == "changed: a.json"

@@ -49,10 +49,8 @@ BAD = {
     "an integer": [True, NAN, INF, 2.5, "7"],  # no integer is out of its range
     "an integer >= 1": [True, NAN, INF, 0, 3.0],
     "an integer >= 2": [True, NAN, INF, 1, 2.5],
-    "an integer in [-2**53, 2**53]": [True, NAN, INF, 2**53 + 1, 7.0],
     "true or false": [NAN, INF, 1, "true", None],  # a bool is what it asks for
     '"tau-a" or "tau-b"': [True, NAN, INF, "tau-c", None],
-    '"logistic" or "one-hidden-layer"': [True, NAN, INF, "linear", None],
     "three numbers >= 0 that sum to 1": [(True, 0, 0), (NAN, 0.5, 0.5), (INF, 0, 0),
                                          (-0.5, 0.5, 1.0), "0.6,0.2,0.2"],
 }
@@ -145,7 +143,7 @@ def test_a_rule_accepts_what_it_names(what, value):
 
 
 def test_library_entry_points_take_numpy_floats():
-    assert ScorerConfig(learning_rate=np.float64(0.5)).learning_rate == 0.5
+    assert ScorerConfig(l2_penalty=np.float64(0.5)).l2_penalty == 0.5
     repaired = disparate_impact_remove(D, np.float64(0.5))
     np.testing.assert_array_equal(repaired.features, disparate_impact_remove(D, 0.5).features)
     assert fit_threshold_optimizer(S, D, np.float64(0.5)).rate == 0.5
