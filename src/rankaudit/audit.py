@@ -10,14 +10,14 @@ The audit has two steps.  `audit_scores` runs once per run and holds
 what depends only on the scores: AUC (overall and per group), Kendall-Tau
 against the baseline ranking (overall and per group) and a pairwise tau
 matrix.  `build_report` runs once per decision policy and reports on the
-decisions it is given: accuracy, SPD, EOD, PDR, per-group quadrant
-transition counts and each row's quadrant.  It never decides or sees a policy.
+decisions it is given: accuracy, SPD, EOD, PDR and per-group quadrant
+transition counts.  It never decides or sees a policy.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -36,9 +36,8 @@ from .errors import (
 )
 from .scorer import ScoreSet
 
-# a row's quadrant name, indexed by 2 * its base label + its mitigated label
-_QUADRANT_NAMES = np.array(["kept_negative", "upgraded", "downgraded", "kept_positive"],
-                           dtype=object)
+# the quadrant names in crosstab's order: base label, then mitigated label
+_QUADRANT_NAMES = ("kept_negative", "upgraded", "downgraded", "kept_positive")
 
 
 # --- rank machinery ----------------------------------------------------------
@@ -196,19 +195,14 @@ def crosstab(first, a, b) -> np.ndarray:
     return np.bincount(4 * first + 2 * a + b, minlength=8).reshape(2, 2, 2)
 
 
-def quadrant_analysis(base: DecisionSet, mitigated: DecisionSet, d: Dataset):
-    """Per-group 2x2 transition counts and each row's transition.
-
-    Returns (counts, quadrant) where counts maps group name to a
-    {quadrant name: count} dict and quadrant holds each row's quadrant
-    name, aligned with base.instance_ids.
-    """
+def quadrant_analysis(base: DecisionSet, mitigated: DecisionSet, d: Dataset) -> dict:
+    """Per-group 2x2 transition counts: each group name maps to a
+    {quadrant name: count} dict."""
     require_aligned(base.instance_ids, mitigated.instance_ids, "quadrant ids")
     prot, _ = d.cohort(base.instance_ids)
     cells = crosstab(~prot, base.labels, mitigated.labels)  # [group, base, mitigated]
-    counts = {name: dict(zip(_QUADRANT_NAMES, c.ravel().tolist()))
-              for name, c in zip(("protected", "privileged"), cells)}
-    return counts, _QUADRANT_NAMES[2 * base.labels + mitigated.labels]
+    return {name: dict(zip(_QUADRANT_NAMES, c.ravel().tolist()))
+            for name, c in zip(("protected", "privileged"), cells)}
 
 
 # --- report ---------------------------------------------------------------------
@@ -292,11 +286,9 @@ class AuditReport:
 
     rows: dict
     quadrants: dict
-    scatter: dict = field(repr=False)  # method -> row quadrants
 
     def to_dict(self) -> dict:
-        """Every field but scatter."""
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "scatter"}
+        return asdict(self)
 
 
 def build_report(d: Dataset, scored: ScoreAudit,
@@ -310,7 +302,7 @@ def build_report(d: Dataset, scored: ScoreAudit,
     if missing := [ss.method for ss in scored.score_sets if ss.method not in decisions]:
         raise ValueError(f"no decision set for method(s) {', '.join(missing)}")
     baseline = scored.score_sets[0]
-    rows, quadrants, scatter = {}, {}, {}
+    rows, quadrants = {}, {}
     for ss in scored.score_sets:
         try:
             dec = decisions[ss.method]
@@ -323,9 +315,8 @@ def build_report(d: Dataset, scored: ScoreAudit,
                 "pdr": dec.realized_pdr,
             }
             if ss is not baseline:
-                quadrants[ss.method], scatter[ss.method] = quadrant_analysis(
-                    decisions[baseline.method], dec, d)
+                quadrants[ss.method] = quadrant_analysis(decisions[baseline.method], dec, d)
         except AuditError as exc:
             raise _with_context(ss.method, exc)
 
-    return AuditReport(rows=rows, quadrants=quadrants, scatter=scatter)
+    return AuditReport(rows=rows, quadrants=quadrants)

@@ -21,9 +21,9 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .audit import AuditReport, audit_scores, build_report
+from .audit import audit_scores, build_report
 from .dataset import (
-    ColumnText, Dataset, DatasetSpec, atomic_open, builtin_specs, ingest,
+    ColumnText, Dataset, DatasetSpec, atomic_open, builtin_specs, float_text, ingest,
     split, verify_base_rate, write_csv,
 )
 from .decide import POLICY_FIELDS, DecisionPolicy, DecisionSet, decide, export_decisions
@@ -249,7 +249,7 @@ class Pipeline:
         self.external: dict[str, ScoreSet] = {}  # test scores by method name
         self.method_scores: list[ScoreSet] = []
         self.native: dict[str, DecisionSet] = {}  # the baseline's at 0.5, each postprocessor's
-        self.text = ColumnText()  # every CSV's ids, groups and scores
+        self.text = ColumnText()  # every CSV's ids and groups
 
     def ingest(self, export: Path | None):
         """Read the dataset (writing export while reading it, if given),
@@ -320,7 +320,7 @@ class Pipeline:
     def _write_scores(self, scores):
         """Every score set a run writes is on the test split."""
         write_csv(self.out / f"scores_{_slug(scores.method)}_test.csv", ["instance_id", "score"],
-                  [self.text.ids(scores.instance_ids), self.text.floats(scores.scores)])
+                  [self.text.ids(scores.instance_ids), float_text(scores.scores)])
 
     def mitigate(self):
         # the native report and the baseline-pdr rate share it
@@ -350,8 +350,9 @@ class Pipeline:
                 with atomic_open(self.out / f"fitted_{_slug(name)}.txt") as fh:
                     fh.write(fitted.to_text())
             self.method_scores.append(scores)
-        for scores in self.method_scores:
-            self._write_scores(scores)
+        for scores in self.method_scores:  # a postprocessor's scores are the baseline's
+            if scores.scores is not self.baseline_test.scores:
+                self._write_scores(scores)
 
     def _policies(self) -> list[tuple[str, DecisionPolicy]]:
         return [_policy(doc, self._rate) for doc in self.cfg["policies"]]
@@ -401,7 +402,9 @@ class Pipeline:
         for label, policy, own in contexts:
             decisions = self._decisions(policy, own)
             report = build_report(self.dataset, scored, decisions)
-            self._emit_report(frame, label, policy, report)
+            _write_json(self.out / f"report_{_slug(label)}.json", {
+                **frame, "policy_label": label, "policy": policy.describe(),
+                **report.to_dict()})
             if write_decisions:
                 self._write_decisions(label, decisions)
 
@@ -410,30 +413,13 @@ class Pipeline:
         return {ss.method: own[ss.method] if ss.method in own else decide(ss, self.dataset, policy)
                 for ss in [self.baseline_test] + self.method_scores}
 
-    def _emit_report(self, frame: dict, label: str, policy: DecisionPolicy, report: AuditReport):
-        """Scatter CSVs, then the report JSON: frame, label, policy, report and scatter files."""
-        base, files = self.baseline_test, {}
-        for ss in self.method_scores:
-            path = self.out / f"scatter_{_slug(label)}_{_slug(ss.method)}.csv"
-            write_csv(path, ["id", "group", "score_base", "score_mitigated", "quadrant"],
-                      [self.text.heads(self.dataset, base.instance_ids),
-                       self.text.floats(base.scores), self.text.floats(ss.scores),
-                       report.scatter[ss.method].tolist()])
-            files[ss.method] = path.name
-        _write_json(self.out / f"report_{_slug(label)}.json", {
-            **frame, "policy_label": label, "policy": policy.describe(),
-            **report.to_dict(), "scatter_files": files})
-
     def _write_decisions(self, label: str, decisions: dict[str, DecisionSet]):
-        for scores in [self.baseline_test] + self.method_scores:
-            export_decisions(
-                decisions[scores.method], self.dataset, scores,
-                self.out / f"decisions_{_slug(label)}_{_slug(scores.method)}.csv",
-                self.text,
-            )
+        """One table per decision context: every method's labels, the baseline's first."""
+        export_decisions(decisions[self.baseline_test.method], self.dataset, decisions,
+                         self.out / f"decisions_{_slug(label)}.csv", self.text)
 
     def decide_all(self):
-        """Decision CSVs for every configured policy, without the audit."""
+        """A decisions table for every configured policy, without the audit."""
         for label, policy in self._policies():
             self._write_decisions(label, self._decisions(policy, {}))
 

@@ -169,10 +169,6 @@ class ColumnText:
             self._made[key] = (arrays, make())
         return self._made[key][1]
 
-    def floats(self, values: np.ndarray) -> CsvText:
-        """float_text of values; a float's repr needs no quotes."""
-        return self._once("floats", (values,), lambda: CsvText(float_text(values)))
-
     def ids(self, ids: np.ndarray) -> CsvText:
         """The text of each id, which needs no quotes."""
         return self._once("ids", (ids,), lambda: CsvText(map(str, ids.tolist())))

@@ -18,6 +18,7 @@ from .errors import RateOutOfRange, require
 from .scorer import ScoreSet
 
 TIE_RULE = "ascending instance_id"
+_LABEL_CELLS = np.array(["0", "1"], dtype=object)  # a label's CSV cell, shared by its rows
 
 
 # each policy kind: the one field that holds its numbers, and how many it holds
@@ -64,11 +65,10 @@ class DecisionPolicy:
 
 @dataclass(frozen=True)
 class DecisionSet:
-    """Binary labels plus the label of the policy that produced them."""
+    """Binary labels at instance ids."""
 
     instance_ids: np.ndarray
     labels: np.ndarray  # int8
-    policy: str  # the policy column of its decisions file
 
     def __post_init__(self):
         if len(self.labels) != len(self.instance_ids):
@@ -128,22 +128,21 @@ def decide(scores: ScoreSet, d: Dataset, policy: DecisionPolicy) -> DecisionSet:
         for m, r in zip((prot, ~prot), policy.group_rates):
             labels[m] = _top_k(s[m], ids[m], _count_nearest(r, int(m.sum())))
 
-    return DecisionSet(
-        instance_ids=ids,
-        labels=labels.astype(np.int8),
-        policy=policy.label(),
-    )
+    return DecisionSet(instance_ids=ids, labels=labels.astype(np.int8))
 
 
-def export_decisions(dec: DecisionSet, d: Dataset, scores: ScoreSet,
+def export_decisions(base: DecisionSet, d: Dataset, decisions: dict[str, DecisionSet],
                      path, text: ColumnText | None = None) -> None:
-    """CSV dump: instance_id,group,score,label,method,policy.
+    """CSV table: instance_id,group, then one 0/1 column per method, headed
+    by its name, in the order of decisions (the baseline's first).
 
-    A caller writing many files passes one ColumnText as text, so the ids
-    and each score array are turned into text once.
+    base gives the rows, and every set in decisions must align with it.  A
+    caller writing many tables passes one ColumnText as text, so the rows'
+    `<id>,<group>` text is made once.
     """
-    require_aligned(dec.instance_ids, scores.instance_ids, "decision export")
+    for method, dec in decisions.items():
+        require_aligned(base.instance_ids, dec.instance_ids, method)
     text = ColumnText() if text is None else text
-    write_csv(path, ["instance_id", "group", "score", "label", "method", "policy"],
-              [text.heads(d, dec.instance_ids), text.floats(scores.scores),
-               map(str, dec.labels.tolist()), scores.method, dec.policy])
+    write_csv(path, ["instance_id", "group", *decisions],
+              [text.heads(d, base.instance_ids),
+               *(_LABEL_CELLS[dec.labels].tolist() for dec in decisions.values())])

@@ -41,7 +41,7 @@ class EmptyTrain(AuditError):
     pass
 
 
-class NonFiniteLoss(AuditError):
+class NonFiniteTrainColumn(AuditError):
     pass
 
 
@@ -116,7 +116,7 @@ class ConfigError(AuditError):
 # --- the values a caller sets ---------------------------------------------------
 
 RATE = 'a number in [0, 1], "baseline-pdr" or "base-rate"'
-NAME = 'a non-empty string other than "baseline"'
+NAME = 'a non-empty string other than "baseline", "instance_id" or "group"'
 
 
 def _number(v, low=-math.inf, high=math.inf) -> bool:
@@ -147,7 +147,7 @@ RULES = {  # what a value must be: its test
     '"tau-a" or "tau-b"': lambda v: v in ("tau-a", "tau-b"),
     "null or a list of column names": lambda v: v is None
     or type(v) is list and all(type(c) is str for c in v),
-    NAME: lambda v: type(v) is str and v not in ("", "baseline"),
+    NAME: lambda v: type(v) is str and v not in ("", "baseline", "instance_id", "group"),
 }
 
 

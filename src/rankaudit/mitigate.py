@@ -6,8 +6,9 @@ order.  The three postprocessors (per-group threshold fitting,
 critical-region label flipping, and randomized odds-equalizing mixing of
 the base prediction score > CUT) share one contract: `fit_*(scores, d,
 <key>)` returns the Fitted parameters from validation scores, and
-`apply_*(fitted, scores, d)` returns a DecisionSet named after the scores
-it is given.  They never touch score values; they only produce decisions.
+`apply_*(fitted, scores, d)` returns a DecisionSet at the rows of the
+scores it is given.  They never touch score values; they only produce
+decisions.
 """
 
 from __future__ import annotations
@@ -146,8 +147,7 @@ def apply_group_thresholds(gt: GroupThresholds, scores: ScoreSet,
         sg = s[m]
         k = min(max(_count_ceil(gt.rate, len(sg)), int((sg > t).sum())), int((sg >= t).sum()))
         labels[m] = _top_k(sg, ids[m], k)
-    return DecisionSet(instance_ids=ids, labels=labels.astype(np.int8),
-                       policy="per-group-thresholds")
+    return DecisionSet(instance_ids=ids, labels=labels.astype(np.int8))
 
 
 # --- critical-region label flipping ----------------------------------------------
@@ -199,8 +199,7 @@ def apply_reject_option(region: CriticalRegion, scores: ScoreSet,
     """Apply a frozen critical region to any score set."""
     prot, _ = d.cohort(scores.instance_ids)
     return DecisionSet(instance_ids=scores.instance_ids,
-                       labels=_band_labels(scores.scores, prot, region.theta),
-                       policy="reject-option")
+                       labels=_band_labels(scores.scores, prot, region.theta))
 
 
 # --- randomized odds-equalizing mixing ---------------------------------------------
@@ -311,5 +310,4 @@ def apply_mixing(rates: MixingRates, scores: ScoreSet, d: Dataset) -> DecisionSe
     prot, _ = d.cohort(ids)
     p = np.array(rates.as_vector())[2 * ~prot + _base_labels(scores)]  # as_vector order
     draws = prng.uniform01(rates.seed, ids)
-    return DecisionSet(instance_ids=ids, labels=(draws < p).astype(np.int8),
-                       policy="randomized-mixing")
+    return DecisionSet(instance_ids=ids, labels=(draws < p).astype(np.int8))

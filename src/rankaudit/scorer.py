@@ -19,7 +19,7 @@ from .dataset import Dataset, Split, atomic_open, plain_number
 from .errors import (
     EmptyTrain,
     IdMismatch,
-    NonFiniteLoss,
+    NonFiniteTrainColumn,
     ScoreOutOfRange,
     UnknownId,
     require,
@@ -129,9 +129,9 @@ def fit(d: Dataset, split: Split, cfg: ScorerConfig) -> Scorer:
     """Train the scorer on the train partition.
 
     Features are standardized with train statistics only.  Raises
-    EmptyTrain for an empty train partition and NonFiniteLoss when a train
-    mean or std is not finite.  The loss at each Newton iteration is kept
-    on the scorer: the mean log loss over train plus the L2 penalty.
+    EmptyTrain for an empty train partition and NonFiniteTrainColumn when
+    a train mean or std is not finite.  The loss at each Newton iteration
+    is kept on the scorer: the mean log loss over train plus the L2 penalty.
     """
     if len(split.train_ids) == 0:
         raise EmptyTrain("train partition is empty")
@@ -144,7 +144,7 @@ def fit(d: Dataset, split: Split, cfg: ScorerConfig) -> Scorer:
     not_finite = ~np.isfinite([mean, std]).all(axis=0)
     if not_finite.any():
         column = d.schema.feature_columns[numeric_idx[not_finite.argmax()]].name
-        raise NonFiniteLoss(f"train mean or std of column {column!r} is not finite")
+        raise NonFiniteTrainColumn(f"train mean or std of column {column!r} is not finite")
     std[std == 0.0] = 1.0
 
     model = Scorer(
@@ -291,8 +291,12 @@ def load_scorer(path: str | Path) -> Scorer:
     """Read a save_scorer file, skipping blank lines.  A damaged or old file
     is a ValueError naming the file, and the line where there is one: a value
     or dimension that is not a number, an array save_scorer does not write,
-    one missing or cut short, and one that is not one-dimensional or has a
-    length it cannot have (negative, or the 5 values of an old cfg)."""
+    one missing or cut short, one that is not one-dimensional or has a
+    length it cannot have (negative, or the 5 values of an old cfg), and
+    arrays whose lengths disagree: mean and std must have one value per
+    numeric_idx, categorical_levels one per categorical_idx, and w one per
+    design column (each numeric column, each level but the first of each
+    categorical column, and the sensitive attribute if included)."""
     def number(kind, n, text):
         try:
             return kind(text)
@@ -317,9 +321,18 @@ def load_scorer(path: str | Path) -> Scorer:
     missing = [name for name in _ARRAYS if name not in arrays]
     if missing:
         raise ValueError(f"{path}: no array {', '.join(map(repr, missing))}")
+    n_numeric, sensitive = len(arrays["numeric_idx"]), bool(arrays["include_sensitive"][0])
+    for name, want, source in (
+            ("mean", n_numeric, "numeric_idx"), ("std", n_numeric, "numeric_idx"),
+            ("categorical_levels", len(arrays["categorical_idx"]), "categorical_idx"),
+            ("w", n_numeric + int((arrays["categorical_levels"] - 1).sum()) + sensitive,
+             "numeric_idx, categorical_levels and include_sensitive")):
+        if len(arrays[name]) != want:
+            raise ValueError(f"{path}: array {name!r} holds {len(arrays[name])} values, "
+                             f"but {source} call for {want}")
     epochs, l2_penalty = arrays["cfg"]
     cfg = ScorerConfig(epochs=int(epochs), l2_penalty=float(l2_penalty),
-                       include_sensitive=bool(arrays["include_sensitive"][0]))
+                       include_sensitive=sensitive)
     return Scorer(
         config=cfg,
         numeric_idx=arrays["numeric_idx"].astype(np.int64),

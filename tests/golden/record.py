@@ -16,7 +16,8 @@ environment it was recorded under, and the parsed content of each output
 JSON for the weaker check test_golden.py runs under another environment.
 Recording prints which files it adds to, removes from or changes in the
 manifest it replaces, and for a changed JSON file the top-level keys whose
-parsed content changed.
+parsed content changed; the results the `theory` checks print go to a null
+sink, as they are in the output files too.
 
 A change that alters outputs on purpose rewrites the manifest and commits
 it with the change:
@@ -32,6 +33,7 @@ import os
 import platform
 import sys
 import tempfile
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -167,7 +169,8 @@ def record() -> None:
         here = os.getcwd()
         os.chdir(work)
         try:
-            produce()
+            with open(os.devnull, "w") as sink, redirect_stdout(sink):
+                produce()
             files = outputs()
             manifest = {"environment": environment(), "files": digests(files),
                         "json": documents(files)}

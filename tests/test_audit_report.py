@@ -27,11 +27,7 @@ from conftest import make_dataset, make_scores
 
 
 def _decision(labels, d):
-    return DecisionSet(
-        instance_ids=d.instance_ids,
-        labels=np.asarray(labels, dtype=np.int8),
-        policy="fixed-threshold-0.5",
-    )
+    return DecisionSet(instance_ids=d.instance_ids, labels=np.asarray(labels, dtype=np.int8))
 
 
 # --- group fairness metrics ------------------------------------------------------
@@ -79,32 +75,29 @@ def test_accuracy():
 def test_quadrants_identical_decisions_have_empty_off_diagonal():
     d = make_dataset([1, 1, 0, 0], [0, 1] * 2)
     dec = _decision([1, 0, 1, 0], d)
-    counts, quadrant = quadrant_analysis(dec, dec, d)
+    counts = quadrant_analysis(dec, dec, d)
     for g in ("protected", "privileged"):
         assert counts[g]["upgraded"] == 0
         assert counts[g]["downgraded"] == 0
-        assert sum(counts[g].values()) == 2
-    assert quadrant.tolist() == ["kept_positive", "kept_negative"] * 2
+        assert counts[g]["kept_positive"] == counts[g]["kept_negative"] == 1
 
 
 def test_quadrants_hand_transition():
     d = make_dataset([1, 1], [0, 1])
     base = _decision([1, 0], d)
     mit = _decision([0, 1], d)
-    counts, _ = quadrant_analysis(base, mit, d)
+    counts = quadrant_analysis(base, mit, d)
     assert counts["protected"]["downgraded"] == 1
     assert counts["protected"]["upgraded"] == 1
 
 
-def test_quadrants_scatter_rows():
+def test_quadrants_count_each_group_apart():
     d = make_dataset([1, 0, 1, 0], [0, 1, 0, 1])
     base = _decision([1, 0, 1, 0], d)
     mit = _decision([0, 1, 1, 0], d)
-    counts, quadrant = quadrant_analysis(base, mit, d)
-    # one name per row, in the order of base.instance_ids
-    assert quadrant.tolist() == ["downgraded", "upgraded", "kept_positive", "kept_negative"]
-    assert counts["protected"] == {
-        "kept_negative": 0, "upgraded": 0, "kept_positive": 1, "downgraded": 1}
+    assert quadrant_analysis(base, mit, d) == {
+        "protected": {"kept_negative": 0, "upgraded": 0, "downgraded": 1, "kept_positive": 1},
+        "privileged": {"kept_negative": 1, "upgraded": 1, "downgraded": 0, "kept_positive": 0}}
 
 
 def test_quadrants_conservation_under_fixed_rates():
@@ -114,7 +107,7 @@ def test_quadrants_conservation_under_fixed_rates():
     base = decide(s, d, DecisionPolicy(kind="fixed-threshold", threshold=0.5))
     rate = base.realized_pdr
     mit = decide(s, d, DecisionPolicy(kind="per-group-rates", group_rates=(rate, rate)))
-    counts, _ = quadrant_analysis(base, mit, d)
+    counts = quadrant_analysis(base, mit, d)
     for g in ("protected", "privileged"):
         # per-group counts move by at most the rounding slack of the quota
         assert abs(counts[g]["upgraded"] - counts[g]["downgraded"]) <= \
@@ -124,10 +117,7 @@ def test_quadrants_conservation_under_fixed_rates():
 def test_quadrants_misaligned_ids():
     d = make_dataset([1, 0], [0, 1])
     base = _decision([1, 0], d)
-    other = DecisionSet(
-        instance_ids=np.array([1, 0]), labels=np.array([0, 1], dtype=np.int8),
-        policy=base.policy,
-    )
+    other = DecisionSet(instance_ids=np.array([1, 0]), labels=np.array([0, 1], dtype=np.int8))
     with pytest.raises(MisalignedIds):
         quadrant_analysis(base, other, d)
 

@@ -14,9 +14,10 @@ import rankaudit.audit
 import rankaudit.cli
 import rankaudit.dataset
 import rankaudit.mitigate
-from rankaudit.cli import METHODS, REQUIRED, SCHEMA, main
-from rankaudit.dataset import atomic_open, builtin_specs, write_csv
-from rankaudit.scorer import ScorerConfig
+from rankaudit.cli import METHODS, NATIVE, REQUIRED, SCHEMA, main
+from rankaudit.dataset import DatasetSpec, atomic_open, builtin_specs, ingest, write_csv
+from rankaudit.decide import DecisionPolicy, decide
+from rankaudit.scorer import ScorerConfig, relabel
 from rankaudit.synthetic import write_biased_benchmark_csv
 
 from conftest import make_scores
@@ -55,17 +56,17 @@ def test_run_writes_all_artifacts(run_inputs, tmp_path):
     assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
     methods = ["baseline", "repair", "thresholds", "band-flip", "odds-mixing"]
     labels = ["native", "fixed-threshold-0.5", "per-group-rates-0.45-0.45-baseline-pdr"]
-    # one tau table and one correlation matrix per run; per policy one report,
-    # a scatter file per mitigation and a decisions file per method; no stray
-    # temp files after atomic writes
+    # one tau table and one correlation matrix per run; scores only for a
+    # method with scores of its own (a postprocessor's are the baseline's);
+    # per policy one report and one decisions table; no stray temp files
+    # after atomic writes
     assert {p.name for p in out.iterdir()} == {
         "provenance.json", "dataset_summary.json", "scorer.txt", "dataset_export.csv",
         "tau_vs_baseline.csv", "correlation_matrix.csv",
         *(f"fitted_{m}.txt" for m in methods[2:]),
-        *(f"scores_{m}_test.csv" for m in methods),
+        *(f"scores_{m}_test.csv" for m in methods[:2]),
         *(f"report_{label}.json" for label in labels),
-        *(f"scatter_{label}_{m}.csv" for label in labels for m in methods[1:]),
-        *(f"decisions_{label}_{m}.csv" for label in labels for m in methods),
+        *(f"decisions_{label}.csv" for label in labels),
     }
 
 
@@ -74,33 +75,56 @@ def _csv_rows(path):
         return list(csv.reader(fh))[1:]
 
 
-def test_scatter_files_match_scores_and_decisions(run_inputs, tmp_path):
-    root, config_path, _ = run_inputs
+def test_decisions_tables_hold_the_labels_behind_each_report(run_inputs, tmp_path,
+                                                             monkeypatch):
+    """Each method's column of a decisions table holds the labels the run
+    decided: its own set in the native table (the postprocessors'), decide
+    under the report's policy otherwise; and the report's quadrants are the
+    per-group counts of the baseline's column against the method's."""
+    root, config_path, config = run_inputs
+    own = {}
+    for name in ("apply_group_thresholds", "apply_reject_option", "apply_mixing"):
+        def recorded(fitted, scores, d, original=getattr(rankaudit.cli, name)):
+            own[scores.method] = original(fitted, scores, d)
+            return own[scores.method]
+        monkeypatch.setattr(rankaudit.cli, name, recorded)
     out = tmp_path / "out"
     assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
-    transition = {("0", "0"): "kept_negative", ("0", "1"): "upgraded",
-                  ("1", "1"): "kept_positive", ("1", "0"): "downgraded"}
-    base_scores = _csv_rows(out / "scores_baseline_test.csv")
+    d = ingest(config["dataset"]["csv"], DatasetSpec.from_json(config["dataset"]["spec"]))
+    scores = {}
+    for method in ("baseline", "repair"):
+        ids, values = zip(*_csv_rows(out / f"scores_{method}_test.csv"))
+        scores[method] = make_scores(list(map(float, values)), method, list(map(int, ids)))
+    for method in own:
+        scores[method] = relabel(scores["baseline"], method)
     reports = sorted(out.glob("report_*.json"))
-    assert len(reports) == 3
-    seen = set()
+    assert len(reports) == len(list(out.glob("decisions_*.csv"))) == 3
     for path in reports:
-        label = path.stem[len("report_"):]
-        files = json.loads(path.read_text())["scatter_files"]
-        assert sorted(files) == ["band-flip", "odds-mixing", "repair", "thresholds"]
-        base_dec = _csv_rows(out / f"decisions_{label}_baseline.csv")
-        for method, name in files.items():
-            assert name == f"scatter_{label}_{method}.csv"
-            scores = _csv_rows(out / f"scores_{method}_test.csv")
-            dec = _csv_rows(out / f"decisions_{label}_{method}.csv")
-            assert len(scores) == len(dec) == len(base_dec) == len(base_scores) == 140
-            expected = []
-            for (i, b), (i_m, s), base_row, row in zip(base_scores, scores, base_dec, dec):
-                assert i == i_m == base_row[0] == row[0]
-                expected.append([i, base_row[1], b, s, transition[base_row[3], row[3]]])
-            assert _csv_rows(out / name) == expected
-            seen.update(r[4] for r in expected)
-    assert seen == set(transition.values())
+        doc = json.loads(path.read_text())
+        label, methods = doc["policy_label"], doc["methods"]
+        policy = DecisionPolicy(**{k: tuple(v) if k == "group_rates" else v
+                                   for k, v in doc["policy"].items() if k != "tie_rule"})
+        with open(out / f"decisions_{label}.csv", encoding="utf-8", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["instance_id", "group", *methods] and len(methods) == 5
+        ids = scores["baseline"].instance_ids
+        assert [int(row[0]) for row in rows] == ids.tolist()
+        prot, _ = d.cohort(ids)
+        assert [row[1] for row in rows] == [("privileged", "protected")[p] for p in prot.tolist()]
+        column = {m: np.array([int(row[2 + j]) for row in rows]) for j, m in enumerate(methods)}
+        for m in methods:
+            want = own[m] if label == "native" and m in own else decide(scores[m], d, policy)
+            assert np.array_equal(column[m], want.labels), (label, m)
+        base = column["baseline"]
+        for m in methods[1:]:
+            assert doc["quadrants"][m] == {
+                group: {name: int(((prot == in_group) & (base == b) & (column[m] == after)).sum())
+                        for name, b, after in (("kept_negative", 0, 0), ("upgraded", 0, 1),
+                                               ("downgraded", 1, 0), ("kept_positive", 1, 1))}
+                for group, in_group in (("protected", True), ("privileged", False))}, (label, m)
+    # the native table is not the policy's for every postprocessor
+    assert any(not np.array_equal(own[m].labels, decide(scores[m], d, NATIVE).labels)
+               for m in own)
 
 
 def test_run_report_content_sanity(run_inputs, tmp_path):
@@ -143,9 +167,11 @@ def test_run_byte_identical_reports(run_inputs, tmp_path):
     for report in sorted(out_a.glob("report_*.json")):
         twin = out_b / report.name
         assert report.read_bytes() == twin.read_bytes()
-    # the randomized mixer's decisions replay identically too
-    for dec in sorted(out_a.glob("decisions_*odds-mixing*.csv")):
-        assert dec.read_bytes() == (out_b / dec.name).read_bytes()
+    # the decisions tables replay too, the randomized mixer's flips included
+    tables = sorted(out_a.glob("decisions_*.csv"))
+    assert tables
+    for table in tables:
+        assert table.read_bytes() == (out_b / table.name).read_bytes()
 
 
 def test_stage_commands_stop_early(run_inputs, tmp_path):
@@ -501,6 +527,8 @@ def test_config_rejected_before_training(run_inputs, tmp_path, policies, methods
     lambda cfg: cfg["methods"][3].update(seed="a"),
     lambda cfg: cfg["methods"].append({"kind": "external-scores", "path": "nope.csv"}),
     lambda cfg: cfg["methods"][0].update(name="baseline"),
+    lambda cfg: cfg["methods"][0].update(name="instance_id"),
+    lambda cfg: cfg["methods"][0].update(name="group"),
     lambda cfg: cfg["methods"][0].update(name=3),
     lambda cfg: cfg["methods"].extend([{"kind": "reject-option"}] * 2),
     lambda cfg: cfg["scorer"].update(l2_penalty=-1),
@@ -517,7 +545,7 @@ def test_config_rejected_before_training(run_inputs, tmp_path, policies, methods
 ], ids=["scorer.epoch", "top-level-typo", "method-key-typo", "tau-variant",
         "method-not-object", "repair_level-2.0", "repair_level--1", "columns-nope",
         "epsilon-x", "epsilon--0.5", "odds-seed-a", "external-path-missing",
-        "name-baseline", "name-3", "same-kind-twice-unnamed",
+        "name-baseline", "name-instance_id", "name-group", "name-3", "same-kind-twice-unnamed",
         "l2_penalty--1", "epochs-0", "fractions-two",
         "fractions-sum-1.1", "split-seed-a", "epochs-str", "epochs-2.7",
         "include_sensitive-no", "threshold-str", "threshold-true", "rate-true"])
@@ -812,29 +840,16 @@ def test_provenance_lists_defaulted_method_seeds(run_inputs, tmp_path):
         assert doc.get("provenance", doc)["method_seeds"] == {"odds-mixing": 11}
 
 
-def test_native_decisions_carry_postprocessor_labels(run_inputs, tmp_path):
-    root, config_path, _ = run_inputs
-    out = tmp_path / "out"
-    assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
-    for method, label in (("baseline", "fixed-threshold-0.5"),
-                          ("thresholds", "per-group-thresholds"),
-                          ("band-flip", "reject-option"),
-                          ("odds-mixing", "randomized-mixing")):
-        rows = _csv_rows(out / f"decisions_native_{method}.csv")
-        assert {row[5] for row in rows} == {label}, method
-
-
 def test_decide_command_matches_run_decisions(run_inputs, tmp_path):
     root, config_path, _ = run_inputs
     run_out = tmp_path / "run"
     decide_out = tmp_path / "decide"
     assert main(["run", "--config", str(config_path), "--out", str(run_out)]) == 0
     assert main(["decide", "--config", str(config_path), "--out", str(decide_out)]) == 0
-    expected = {p.name for p in run_out.glob("decisions_*.csv")
-                if not p.name.startswith("decisions_native_")}
+    expected = {p.name for p in run_out.glob("decisions_*.csv")} - {"decisions_native.csv"}
     written = {p.name for p in decide_out.glob("decisions_*.csv")}
     assert written == expected
-    assert len(written) == 2 * 5  # two policies, baseline plus four methods
+    assert len(written) == 2  # one table per policy
     for name in written:
         assert (decide_out / name).read_bytes() == (run_out / name).read_bytes()
 
@@ -926,18 +941,18 @@ def test_run_turns_each_score_array_into_text_once(run_inputs, tmp_path, monkeyp
     monkeypatch.setattr(rankaudit.dataset.ColumnText, "heads", counted_heads)
     out = tmp_path / "out"
     assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
-    # 32 CSVs carry scores (5 scores, 15 decisions and 12 scatter files), but
-    # there are two score arrays (the baseline's, shared by the
-    # postprocessors, and the repair's) and one set of test ids, whose
-    # `id,group,` text starts every decisions and scatter row
+    # two score files, one per score array (the baseline's, shared by the
+    # postprocessors, and the repair's), and one set of test ids, whose
+    # `id,group,` text starts every row of the three decisions tables
     assert len(converted["float_text"]) == len(set(converted["float_text"])) == 2
     assert len(converted["group_names"]) == 1
-    assert len(heads) == 15 + 12 and len(set(map(id, heads))) == 1
+    assert len(heads) == 3 and len(set(map(id, heads))) == 1
 
 
 def test_every_run_csv_is_csv_writer_bytes_with_a_quoted_method_name(run_inputs, tmp_path):
-    """A run whose method name needs quotes writes every CSV, that method's
-    decisions and scatter files among them, as csv.writer writes its cells."""
+    """A run whose method name needs quotes writes every CSV, the decisions
+    tables that the name heads a column of among them, as csv.writer writes
+    its cells."""
     _, _, config = run_inputs
     name = 'repair, "v2"'
     cfg = {**config, "methods": [{**config["methods"][0], "name": name},
@@ -947,16 +962,17 @@ def test_every_run_csv_is_csv_writer_bytes_with_a_quoted_method_name(run_inputs,
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
     files = sorted(out.glob("*.csv"))
-    assert len(files) == 35 and out / "scatter_native_repair---v2-.csv" in files
+    assert len(files) == 8 and out / "scores_repair---v2-_test.csv" in files
     for path in files:
         with open(path, encoding="utf-8", newline="") as fh:
             rows = list(csv.reader(fh))
         with open(tmp_path / "want.csv", "w", encoding="utf-8", newline="") as fh:
             csv.writer(fh).writerows(rows)
         assert path.read_bytes() == (tmp_path / "want.csv").read_bytes(), path.name
-    decisions = _csv_rows(out / "decisions_native_repair---v2-.csv")
-    assert {row[4] for row in decisions} == {name}
-    assert b'"repair, ""v2"""' in (out / "decisions_native_repair---v2-.csv").read_bytes()
+    for path in out.glob("decisions_*.csv"):
+        with open(path, encoding="utf-8", newline="") as fh:
+            assert next(csv.reader(fh))[3] == name
+        assert b',"repair, ""v2""",' in path.read_bytes()
 
 
 def test_failed_write_keeps_previous_file(tmp_path):

@@ -11,7 +11,7 @@ from rankaudit.decide import (
     decide,
     export_decisions,
 )
-from rankaudit.errors import RateOutOfRange, UnknownId
+from rankaudit.errors import MisalignedIds, RateOutOfRange, UnknownId
 from rankaudit.audit import spd
 
 from conftest import make_dataset, make_scores
@@ -174,29 +174,33 @@ def test_decide_unknown_ids():
 ], ids=["length", "label"])
 def test_decision_set_refuses_labels_it_cannot_hold(ids, labels, message):
     with pytest.raises(ValueError, match=message):
-        DecisionSet(instance_ids=np.asarray(ids), labels=np.asarray(labels, np.int8),
-                    policy="p")
+        DecisionSet(instance_ids=np.asarray(ids), labels=np.asarray(labels, np.int8))
 
 
-def test_export_decisions(tmp_path):
-    d = make_dataset([1, 0], [1, 0])
-    s = make_scores([0.8, 0.3])
-    dec = decide(s, d, DecisionPolicy(kind="fixed-threshold", threshold=0.5))
+def _two_methods():
+    d = make_dataset([1, 0, 1], [1, 0, 0])
+    policy = DecisionPolicy(kind="fixed-threshold", threshold=0.5)
+    base = decide(make_scores([0.8, 0.3, 0.6]), d, policy)
+    other = decide(make_scores([0.2, 0.9, 0.6], method="other"), d, policy)
+    return d, base, other
+
+
+def test_export_decisions_writes_one_column_per_method(tmp_path):
+    d, base, other = _two_methods()
     out = tmp_path / "dec.csv"
-    export_decisions(dec, d, s, out)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "instance_id,group,score,label,method,policy"
-    assert lines[1].startswith("0,protected,0.8,1,baseline,fixed-threshold-0.5")
-
-
-def test_export_decisions_quotes_like_csv_writer(tmp_path):
-    d = make_dataset([1, 0], [1, 0])
-    s = make_scores([0.8, 0.3], method='repair, "v2"')
-    dec = decide(s, d, DecisionPolicy(kind="fixed-threshold", threshold=0.5))
-    out = tmp_path / "dec.csv"
-    export_decisions(dec, d, s, out)
+    export_decisions(base, d, {"baseline": base, 'repair, "v2"': other}, out)
+    # a method's name heads its column, quoted as csv.writer quotes it
     assert out.read_bytes() == (
-        b'instance_id,group,score,label,method,policy\r\n'
-        b'0,protected,0.8,1,"repair, ""v2""",fixed-threshold-0.5\r\n'
-        b'1,privileged,0.3,0,"repair, ""v2""",fixed-threshold-0.5\r\n'
+        b'instance_id,group,baseline,"repair, ""v2"""\r\n'
+        b'0,protected,1,0\r\n'
+        b'1,privileged,0,1\r\n'
+        b'2,protected,1,1\r\n'
     )
+
+
+def test_export_decisions_refuses_a_set_at_other_rows(tmp_path):
+    d, base, other = _two_methods()
+    shuffled = DecisionSet(instance_ids=other.instance_ids[::-1], labels=other.labels)
+    with pytest.raises(MisalignedIds, match="other"):
+        export_decisions(base, d, {"baseline": base, "other": shuffled}, tmp_path / "dec.csv")
+    assert not list(tmp_path.iterdir())

@@ -43,10 +43,10 @@ def _reports(out) -> dict:
     return reports
 
 
-def _labels(path) -> list[tuple[str, str]]:
-    """(instance_id, label) of each row of a decisions file."""
+def _labels(path, method) -> list[tuple[str, str]]:
+    """(instance_id, method's label) of each row of a decisions table."""
     head, *rows = [line.split(",") for line in path.read_text("utf-8").splitlines()]
-    i, label = head.index("instance_id"), head.index("label")
+    i, label = head.index("instance_id"), head.index(method)
     return [(row[i], row[label]) for row in rows]
 
 
@@ -85,8 +85,8 @@ def test_group_swap_mirrors_every_report(quick_start):
     # protected group, which the swapped spec makes the advantaged one, so
     # the fit keeps theta 0 and band-flip decides as the baseline does at 0.5
     assert (swapped / "fitted_band-flip.txt").read_text("utf-8") == "theta 0\n"
-    assert (_labels(swapped / "decisions_native_band-flip.csv")
-            == _labels(swapped / "decisions_fixed-threshold-0.5_baseline.csv"))
+    assert (_labels(swapped / "decisions_native.csv", "band-flip")
+            == _labels(swapped / "decisions_fixed-threshold-0.5.csv", "baseline"))
     native = got["report_native.json"]
     assert native["rows"]["band-flip"] == native["rows"]["baseline"]
     assert all(c["upgraded"] == c["downgraded"] == 0

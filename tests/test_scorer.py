@@ -9,7 +9,7 @@ from rankaudit.dataset import Dataset, Split, split
 from rankaudit.errors import (
     EmptyTrain,
     IdMismatch,
-    NonFiniteLoss,
+    NonFiniteTrainColumn,
     ScoreOutOfRange,
     UnknownId,
 )
@@ -142,7 +142,7 @@ def test_fit_on_overflowing_features_raises():
     d = make_dataset([0, 1, 0, 1], [0, 1, 0, 1], features=features)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(NonFiniteLoss, match="column 'f1' is not finite"):
+        with pytest.raises(NonFiniteTrainColumn, match="column 'f1' is not finite"):
             fit(d, _all_train_split(d), ScorerConfig())
 
 
@@ -337,6 +337,21 @@ def test_load_scorer_names_each_missing_array(tmp_path, name):
     del lines[i:i + 1 + int(lines[i].split()[1])]  # the header and its values
     path.write_text("".join(lines), encoding="utf-8")
     with pytest.raises(ValueError, match=rf"scorer.txt: no array '{name}'$"):
+        load_scorer(path)
+
+
+@pytest.mark.parametrize("name, source", [
+    ("w", "numeric_idx, categorical_levels and include_sensitive"),
+    ("mean", "numeric_idx"), ("std", "numeric_idx"),
+    ("categorical_levels", "categorical_idx")])
+def test_load_scorer_refuses_arrays_whose_lengths_disagree(tmp_path, name, source):
+    path, lines, header = _saved_scorer_lines(tmp_path)
+    i = header[name]
+    n = int(lines[i].split()[1])
+    lines[i:i + 2] = [f"{name} {n - 1}\n"]  # the array's first value cut
+    path.write_text("".join(lines), encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"scorer.txt: array '{name}' holds {n - 1} values, "
+                                         rf"but {source} call for {n}$"):
         load_scorer(path)
 
 
