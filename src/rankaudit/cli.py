@@ -409,8 +409,14 @@ class Pipeline:
                 self._write_decisions(label, decisions)
 
     def _decisions(self, policy: DecisionPolicy, own: dict) -> dict[str, DecisionSet]:
-        """Each score set's decisions by method: its own in own, else under policy."""
-        return {ss.method: own[ss.method] if ss.method in own else decide(ss, self.dataset, policy)
+        """Each score set's decisions by method: its own in own, else under
+        policy, decided once per scores array (a postprocessor's is the
+        baseline's, so it shares the baseline's DecisionSet)."""
+        decided = {}
+        for ss in [self.baseline_test] + self.method_scores:
+            if ss.method not in own and id(ss.scores) not in decided:
+                decided[id(ss.scores)] = decide(ss, self.dataset, policy)
+        return {ss.method: own[ss.method] if ss.method in own else decided[id(ss.scores)]
                 for ss in [self.baseline_test] + self.method_scores}
 
     def _write_decisions(self, label: str, decisions: dict[str, DecisionSet]):

@@ -53,6 +53,7 @@ BASE_RATE_TOLERANCE = 5e-4
 _MISSING_CELLS = {"", "?"}
 
 _TEXT_BLOCK = 1 << 11  # rows read, or values turned into CSV text, per step
+_SPLIT_BLOCK = 1 << 14  # ids hashed per step by split
 
 
 @contextmanager
@@ -513,21 +514,41 @@ def verify_base_rate(d: Dataset) -> float:
 
 
 def split(d: Dataset, fractions: tuple[float, float, float], seed: int) -> Split:
-    """Deterministic shuffle-then-partition; floor sizes, remainder to train."""
+    """Deterministic shuffle-then-partition; floor sizes, remainder to train.
+
+    The shuffle is prng.permutation(seed, n), the argsort of distinct hash
+    keys: train holds the ids of the n_train smallest keys, validation the
+    next n_val and test the rest, each ascending.  split finds the two cut
+    keys by an in-place partition, not a sort, then hashes the ids again
+    block by block and sends each to its side of the cuts, so it runs in
+    O(n) and holds one id-sized vector at a time.  A cut at n is no cut."""
     require(seed, "seed", "an integer")
     require(fractions, "fractions", "three numbers >= 0 that sum to 1")
     n = d.n
-    shuffled = prng.permutation(seed, n)
     n_train = int(np.floor(fractions[0] * n + 1e-9))
     n_val = int(np.floor(fractions[1] * n + 1e-9))
     n_test = int(np.floor(fractions[2] * n + 1e-9))
     n_train += n - (n_train + n_val + n_test)
-    return Split(
-        train_ids=np.sort(shuffled[:n_train]),
-        validation_ids=np.sort(shuffled[n_train:n_train + n_val]),
-        test_ids=np.sort(shuffled[n_train + n_val:]),
-        seed=seed,
-    )
+    blocks = [(lo, min(lo + _SPLIT_BLOCK, n)) for lo in range(0, n, _SPLIT_BLOCK)]
+    keys = np.empty(n, dtype=np.uint64)
+    for lo, hi in blocks:
+        keys[lo:hi] = prng.hash64(seed, np.arange(lo, hi))
+    kth = [k for k in (n_train, n_train + n_val) if k < n]
+    if kth:
+        keys.partition(kth)
+    cuts = keys[kth]
+    del keys
+    parts = [np.empty(size, dtype=np.int64) for size in (n_train, n_val, n - n_train - n_val)]
+    filled = [0, 0, 0]
+    for lo, hi in blocks:
+        ids = np.arange(lo, hi)
+        part = np.searchsorted(cuts, prng.hash64(seed, ids), side="right")
+        for j, out in enumerate(parts):
+            chosen = ids[part == j]
+            out[filled[j]:filled[j] + len(chosen)] = chosen
+            filled[j] += len(chosen)
+        del ids, part, chosen  # so that only one block's arrays are held at a time
+    return Split(train_ids=parts[0], validation_ids=parts[1], test_ids=parts[2], seed=seed)
 
 
 def require_aligned(ids_a: np.ndarray, ids_b: np.ndarray, what: str = "") -> None:

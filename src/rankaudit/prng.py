@@ -56,7 +56,9 @@ def permutation(seed: int, n: int) -> np.ndarray:
     hash64 is a bijection of the counter mod 2**64 (adding a constant, odd
     multiplies and xorshifts each are), so the keys are distinct and any
     sort, stable or not, gives the same permutation.  The keys are hashed
-    in place over one counter array."""
+    in place over one counter array.  It is the definition dataset.split
+    follows: split's partitions are the sorted slices of this permutation,
+    found by two cut keys instead of a sort."""
     return np.argsort(_hash_in_place(seed, np.arange(n, dtype=np.uint64)))
 
 

@@ -292,8 +292,9 @@ def load_scorer(path: str | Path) -> Scorer:
     is a ValueError naming the file, and the line where there is one: a value
     or dimension that is not a number, an array save_scorer does not write,
     one missing or cut short, one that is not one-dimensional or has a
-    length it cannot have (negative, or the 5 values of an old cfg), and
-    arrays whose lengths disagree: mean and std must have one value per
+    length it cannot have (negative, or the 5 values of an old cfg), a
+    categorical_levels value that is not an integer >= 1, and arrays whose
+    lengths disagree: mean and std must have one value per
     numeric_idx, categorical_levels one per categorical_idx, and w one per
     design column (each numeric column, each level but the first of each
     categorical column, and the sensitive attribute if included)."""
@@ -321,6 +322,10 @@ def load_scorer(path: str | Path) -> Scorer:
     missing = [name for name in _ARRAYS if name not in arrays]
     if missing:
         raise ValueError(f"{path}: no array {', '.join(map(repr, missing))}")
+    levels = arrays["categorical_levels"]
+    if not (np.isfinite(levels) & (levels >= 1) & (levels == np.floor(levels))).all():
+        raise ValueError(f"{path}: array 'categorical_levels' holds {levels.tolist()}, "
+                         f"but each level count must be an integer >= 1")
     n_numeric, sensitive = len(arrays["numeric_idx"]), bool(arrays["include_sensitive"][0])
     for name, want, source in (
             ("mean", n_numeric, "numeric_idx"), ("std", n_numeric, "numeric_idx"),

@@ -891,8 +891,9 @@ def test_run_decides_baseline_at_half_once(run_inputs, tmp_path, monkeypatch):
     # the native report), once under the configured fixed-threshold-0.5
     # policy; equalized odds reads the scores, not a decision
     assert calls.count(("baseline", "fixed-threshold-0.5")) == 2
-    # 1 in mitigate, 1 native (repair), 2 policies x 5 score sets
-    assert len(calls) == 12
+    # 1 in mitigate, 1 native (repair), 2 policies x 2 score arrays (the
+    # three postprocessors share the baseline's)
+    assert len(calls) == 6
 
 
 def test_mitigate_calls_each_postprocessor_by_its_module_name(run_inputs, tmp_path,

@@ -648,17 +648,48 @@ def test_split_rejects_non_finite_fractions(bad):
 
 
 def test_split_peak_is_about_two_id_vectors():
-    """permutation hashes its keys over its own counter array, so split holds
-    the keys and one temporary, then the keys and their argsort."""
-    d = make_dataset(np.zeros(50_000), np.zeros(50_000))
-    tracemalloc.start()
-    try:
-        s = split(d, (0.6, 0.2, 0.2), seed=7)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert sum(s.sizes()) == d.n
-    assert peak <= 2.5 * d.n * np.dtype(np.int64).itemsize
+    """split holds one id-sized vector at a time, the keys and then the three
+    partitions, beside one block's hash temporaries: at n = 50,000 those
+    weigh about as much as the vector, at 200,000 about a quarter of it."""
+    for n, bound in ((50_000, 2.5), (200_000, 1.5)):
+        d = make_dataset(np.zeros(n), np.zeros(n))
+        tracemalloc.start()
+        try:
+            s = split(d, (0.6, 0.2, 0.2), seed=7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(s.sizes()) == d.n
+        assert peak <= bound * d.n * np.dtype(np.int64).itemsize, n
+
+
+def test_split_is_the_sorted_slices_of_the_permutation(monkeypatch):
+    """split finds by two cut keys what sorting the slices of
+    prng.permutation gives: the same ids, ascending, as int64, for any block
+    size, also with an empty partition."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    twentieths = st.tuples(st.integers(0, 20), st.integers(0, 20)).filter(
+        lambda t: sum(t) <= 20).map(lambda t: (t[0] / 20, t[1] / 20, (20 - sum(t)) / 20))
+    fractions = st.sampled_from([(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0),
+                                 (0.0, 0.5, 0.5), (0.5, 0.0, 0.5), (0.5, 0.5, 0.0)]) | twentieths
+    seeds = st.sampled_from([0, 2**64 - 1]) | st.integers(0, 2**64 - 1)
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(st.integers(1, 3_000), seeds, fractions,
+                      st.sampled_from([1, 7, 256, rankaudit.dataset._SPLIT_BLOCK]))
+    def check(n, seed, fractions, block):
+        monkeypatch.setattr(rankaudit.dataset, "_SPLIT_BLOCK", block)
+        s = split(make_dataset(np.zeros(n), np.zeros(n)), fractions, seed)
+        n_train, n_val, n_test = (int(np.floor(f * n + 1e-9)) for f in fractions)
+        n_train += n - (n_train + n_val + n_test)
+        shuffled = prng.permutation(seed, n)
+        for got, want in zip((s.train_ids, s.validation_ids, s.test_ids),
+                             np.split(shuffled, [n_train, n_train + n_val])):
+            assert got.dtype == np.int64
+            assert np.array_equal(got, np.sort(want))
+
+    check()
 
 
 # --- lookups and registry -----------------------------------------------------------

@@ -355,6 +355,24 @@ def test_load_scorer_refuses_arrays_whose_lengths_disagree(tmp_path, name, sourc
         load_scorer(path)
 
 
+@pytest.mark.parametrize("level", [0.0, 2.5])
+def test_load_scorer_refuses_a_level_count_that_is_not_an_integer_from_1(tmp_path, level):
+    # w is cut to the length its rule gives for such a count, so only the
+    # count is wrong; at level 0 that file used to load and score then failed
+    # with a bare numpy matmul error
+    path, lines, header = _saved_scorer_lines(tmp_path)
+    i, w = header["categorical_levels"], header["w"]
+    assert lines[i] == "categorical_levels 1\n"
+    n_w = int(lines[w].split()[1]) - int(float(lines[i + 1]) - 1) + int(level - 1)
+    lines[w:w + 1 + int(lines[w].split()[1])] = [f"w {n_w}\n"] + lines[w + 1:w + 1 + n_w]
+    lines[i + 1] = f"{level}\n"
+    path.write_text("".join(lines), encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"scorer.txt: array 'categorical_levels' holds "
+                                         rf"\[{level}\], but each level count must be an "
+                                         rf"integer >= 1$"):
+        load_scorer(path)
+
+
 @pytest.mark.parametrize("name, size", [("include_sensitive", 0), ("include_sensitive", 2),
                                         ("cfg", 3), ("b", 0), ("b", 2)])
 def test_load_scorer_refuses_a_fixed_length_array_of_another_size(tmp_path, name, size):
