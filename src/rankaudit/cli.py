@@ -23,7 +23,7 @@ from pathlib import Path
 from . import __version__
 from .audit import audit_scores, build_report
 from .dataset import (
-    ColumnText, Dataset, DatasetSpec, atomic_open, builtin_specs, float_text, ingest,
+    Dataset, DatasetSpec, atomic_open, builtin_specs, float_text, ingest,
     split, verify_base_rate, write_csv,
 )
 from .decide import POLICY_FIELDS, DecisionPolicy, DecisionSet, decide, export_decisions
@@ -249,7 +249,6 @@ class Pipeline:
         self.external: dict[str, ScoreSet] = {}  # test scores by method name
         self.method_scores: list[ScoreSet] = []
         self.native: dict[str, DecisionSet] = {}  # the baseline's at 0.5, each postprocessor's
-        self.text = ColumnText()  # every CSV's ids and groups
 
     def ingest(self, export: Path | None):
         """Read the dataset (writing export while reading it, if given),
@@ -320,7 +319,7 @@ class Pipeline:
     def _write_scores(self, scores):
         """Every score set a run writes is on the test split."""
         write_csv(self.out / f"scores_{_slug(scores.method)}_test.csv", ["instance_id", "score"],
-                  [self.text.ids(scores.instance_ids), float_text(scores.scores)])
+                  [map(str, scores.instance_ids.tolist()), float_text(scores.scores)])
 
     def mitigate(self):
         # the native report and the baseline-pdr rate share it
@@ -422,7 +421,7 @@ class Pipeline:
     def _write_decisions(self, label: str, decisions: dict[str, DecisionSet]):
         """One table per decision context: every method's labels, the baseline's first."""
         export_decisions(decisions[self.baseline_test.method], self.dataset, decisions,
-                         self.out / f"decisions_{_slug(label)}.csv", self.text)
+                         self.out / f"decisions_{_slug(label)}.csv")
 
     def decide_all(self):
         """A decisions table for every configured policy, without the audit."""
@@ -480,17 +479,17 @@ COMPARED = ["auc", "auc_protected", "auc_privileged", "acc", "spd", "eod", "pdr"
 
 
 def _read_report(path: str) -> dict:
-    """The report at path; ConfigError unless it holds a policy_label and a
+    """The report at path; ConfigError unless it holds a str policy_label and a
     non-empty rows object whose every row has a finite number for each compared key."""
     try:
         doc = json.loads(Path(path).read_text("utf-8"))
     except (OSError, ValueError) as exc:  # missing, unreadable, or not UTF-8 JSON
         raise ConfigError(f"cannot read report {path}: {exc}")
     rows = doc.get("rows") if type(doc) is dict else None
-    if type(rows) is not dict or not rows or "policy_label" not in doc or not all(
+    if type(rows) is not dict or not rows or type(doc.get("policy_label")) is not str or not all(
             type(r) is dict and all(RULES["a finite number"](r.get(k)) for k in COMPARED)
             for r in rows.values()):
-        raise ConfigError(f"report {path} needs a policy_label and a non-empty rows object "
+        raise ConfigError(f"report {path} needs a str policy_label and a non-empty rows object "
                           f"with a finite number for each of {', '.join(COMPARED)} in every row")
     return doc
 
@@ -550,7 +549,7 @@ def cmd_compare(paths: list[str], out_path: str,
     write_csv(Path(out_path), ["report", "method"] + COMPARED + ["warning"],
               [[r[0] for r in rows], [r[1] for r in rows]]
               + [[repr(m[k]) for _, _, m in rows] for k in COMPARED]
-              + ["uncontrolled-rate" if uncontrolled else ""])
+              + [["uncontrolled-rate" if uncontrolled else ""] * len(rows)])
     if uncontrolled:
         print("warning: uncontrolled positive decision rates; rows flagged",
               file=sys.stderr)

@@ -24,7 +24,7 @@ import os
 from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import asdict, dataclass, field
 from importlib import resources
-from itertools import chain, compress, islice, repeat
+from itertools import chain, compress, islice
 from pathlib import Path
 
 import numpy as np
@@ -96,49 +96,37 @@ def _fields(cells: list[str]) -> list[str]:
     return list(map(_field, cells)) if any(c in joined for c in ',"\r\n') else cells
 
 
-def _lines(block: list, end: str = "\r\n") -> str:
-    """CSV lines of a block: per column, a list of quoted cells or a repeat;
-    end closes each line, after any cells that every line ends with."""
-    if len(block) == 1 and end == "\r\n":  # csv.writer quotes a lone empty field
+def _lines(block: list) -> str:
+    """CSV lines of a block given as per-column lists of quoted cells: each
+    row's cells joined by commas, and each line ended by \\r\\n."""
+    if len(block) == 1:  # csv.writer quotes a lone empty field
         block = [[c or '""' for c in block[0]]]
-    return end.join(map(",".join, zip(*block))) + end
-
-
-class CsvText(list):
-    """A column whose cells are already in CSV form: write_csv does not quote
-    them again.  A row's text may hold several cells, with their commas."""
+    return "\r\n".join(map(",".join, zip(*block))) + "\r\n"
 
 
 def write_csv(path: str | Path, header, columns) -> None:
     """Atomically write a header line and then one line per row of columns.
 
-    Each column is an iterable of str, one str that every row holds (quoted
-    once), or a CsvText; the others must be equally long.  The bytes are
-    those csv.writer writes: a cell holding a comma, a quote or a line break
-    is quoted, and lines end in \\r\\n.  Columns are read _TEXT_BLOCK rows at
-    a time, so no long column exists as text all at once, and each block is
-    one _lines join; one-str columns that end a row are part of its line end.
+    Each column is an iterable of str cells, and all are equally long.  The
+    bytes are those csv.writer writes: a cell holding a comma, a quote or a
+    line break is quoted, and lines end in \\r\\n.  Columns are read
+    _TEXT_BLOCK rows at a time, so no long column exists as text all at once,
+    and each block is one _lines join.  With no columns there would be no
+    rows to count, so that raises ValueError and writes no file.
     """
-    columns = list(columns)
-    if all(isinstance(c, str) for c in columns):
-        raise ValueError("write_csv needs at least one column that is not one str")
-    end = "\r\n"
-    while isinstance(columns[-1], str):
-        end = "," + _field(columns.pop()) + end
-    sources = [repeat(_field(c)) if isinstance(c, str) else iter(c) for c in columns]
+    sources = list(map(iter, columns))
+    if not sources:
+        raise ValueError("write_csv needs at least one column")
     with atomic_open(path) as fh:
         fh.write(_lines([[_field(h)] for h in header]))
         while True:
-            block = [src if isinstance(c, str) else
-                     list(islice(src, _TEXT_BLOCK)) if isinstance(c, CsvText) else
-                     _fields(list(islice(src, _TEXT_BLOCK)))
-                     for c, src in zip(columns, sources)]
-            sizes = {len(cells) for cells in block if isinstance(cells, list)}
+            block = [_fields(list(islice(src, _TEXT_BLOCK))) for src in sources]
+            sizes = set(map(len, block))
             if len(sizes) > 1:
                 raise ValueError(f"columns differ in length: {sorted(sizes)}")
             if sizes == {0}:
                 break
-            fh.write(_lines(block, end))
+            fh.write(_lines(block))
 
 
 def float_text(values):
@@ -154,30 +142,6 @@ def group_names(sensitive: np.ndarray) -> np.ndarray:
     """Per-row group name of 0/1 sensitive codes, sharing two str objects."""
     table = np.array([GROUP_NAMES[PRIVILEGED], GROUP_NAMES[PROTECTED]], dtype=object)
     return table[sensitive]
-
-
-class ColumnText:
-    """CSV text of whole arrays, each made once and reused while this object
-    lives.  An array is matched by identity and kept alive with its text, so
-    its id cannot pass to another array; callers must not change it in place."""
-
-    def __init__(self):
-        self._made = {}  # (kind, ids of the arrays) -> (the arrays, their text)
-
-    def _once(self, kind: str, arrays: tuple, make):
-        key = (kind, *map(id, arrays))
-        if key not in self._made:
-            self._made[key] = (arrays, make())
-        return self._made[key][1]
-
-    def ids(self, ids: np.ndarray) -> CsvText:
-        """The text of each id, which needs no quotes."""
-        return self._once("ids", (ids,), lambda: CsvText(map(str, ids.tolist())))
-
-    def heads(self, d: "Dataset", ids: np.ndarray) -> CsvText:
-        """`<id>,<group>`, each id's first two cells, its group named as in d."""
-        return self._once("heads", (d, ids), lambda: CsvText(map(
-            "{},{}".format, self.ids(ids), group_names(d.sensitive[d.positions_of(ids)]))))
 
 
 @dataclass(frozen=True)
@@ -293,7 +257,9 @@ class Dataset:
 
     def group_sizes(self) -> tuple[int, int]:
         """(n_protected, n_privileged)."""
-        n_prot = int(self.protected_mask.sum())
+        # sensitive is 0/1 and PROTECTED is 1, so its nonzero count is the
+        # protected count, taken without an n-row mask
+        n_prot = int(np.count_nonzero(self.sensitive))
         return n_prot, self.n - n_prot
 
     def positions_of(self, ids) -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dataset import ColumnText, Dataset, require_aligned, write_csv
+from .dataset import Dataset, group_names, require_aligned, write_csv
 from .errors import RateOutOfRange, require
 from .scorer import ScoreSet
 
@@ -132,17 +132,16 @@ def decide(scores: ScoreSet, d: Dataset, policy: DecisionPolicy) -> DecisionSet:
 
 
 def export_decisions(base: DecisionSet, d: Dataset, decisions: dict[str, DecisionSet],
-                     path, text: ColumnText | None = None) -> None:
+                     path) -> None:
     """CSV table: instance_id,group, then one 0/1 column per method, headed
     by its name, in the order of decisions (the baseline's first).
 
-    base gives the rows, and every set in decisions must align with it.  A
-    caller writing many tables passes one ColumnText as text, so the rows'
-    `<id>,<group>` text is made once.
+    base gives the rows, each named by its id and its group in d, and every
+    set in decisions must align with it.
     """
+    ids = base.instance_ids
     for method, dec in decisions.items():
-        require_aligned(base.instance_ids, dec.instance_ids, method)
-    text = ColumnText() if text is None else text
+        require_aligned(ids, dec.instance_ids, method)
     write_csv(path, ["instance_id", "group", *decisions],
-              [text.heads(d, base.instance_ids),
+              [map(str, ids.tolist()), group_names(d.sensitive[d.positions_of(ids)]),
                *(_LABEL_CELLS[dec.labels].tolist() for dec in decisions.values())])

@@ -933,21 +933,13 @@ def test_run_turns_each_score_array_into_text_once(run_inputs, tmp_path, monkeyp
         for module in modules:
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, wrapper)
-    heads = []
-    original_heads = rankaudit.dataset.ColumnText.heads
-
-    def counted_heads(self, d, ids):
-        heads.append(original_heads(self, d, ids))
-        return heads[-1]
-    monkeypatch.setattr(rankaudit.dataset.ColumnText, "heads", counted_heads)
     out = tmp_path / "out"
     assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
     # two score files, one per score array (the baseline's, shared by the
-    # postprocessors, and the repair's), and one set of test ids, whose
-    # `id,group,` text starts every row of the three decisions tables
+    # postprocessors, and the repair's), and one group column per decisions
+    # table, of which there are three
     assert len(converted["float_text"]) == len(set(converted["float_text"])) == 2
-    assert len(converted["group_names"]) == 1
-    assert len(heads) == 3 and len(set(map(id, heads))) == 1
+    assert len(converted["group_names"]) == 3
 
 
 def test_every_run_csv_is_csv_writer_bytes_with_a_quoted_method_name(run_inputs, tmp_path):
@@ -985,7 +977,7 @@ def test_failed_write_keeps_previous_file(tmp_path):
         raise RuntimeError("disk gone")
 
     with pytest.raises(RuntimeError):
-        write_csv(path, ["a", "b"], [column(), "2"])
+        write_csv(path, ["a", "b"], [column(), ["2"]])
     with pytest.raises(RuntimeError):
         with atomic_open(path) as fh:
             fh.write("partial")
@@ -1168,9 +1160,13 @@ def test_compare_of_one_report_exits_1(tmp_path, capsys):
     '"auc_privileged": 0.8, "acc": 0.7, "spd": 0, "eod": 0, "pdr": 0.3}}}',
     '{"policy_label": "a", "rows": {"m": {"auc": 0.8, "auc_protected": 0.8, '
     '"auc_privileged": 0.8, "acc": 0.7, "spd": -Infinity, "eod": 0, "pdr": 0.3}}}',
+    *(f'{{"policy_label": {label}, "rows": {{"m": {{"auc": 0.8, "auc_protected": 0.8, '
+      '"auc_privileged": 0.8, "acc": 0.7, "spd": 0, "eod": 0, "pdr": 0.3}}}}'
+      for label in ('["a"]', '{"k": 1}', "3", "null")),
 ], ids=["not-json", "list", "no-rows", "no-policy-label", "rows-list", "rows-empty",
         "row-not-object", "row-missing-keys", "pdr-string", "pdr-true", "pdr-nan",
-        "auc-infinity", "spd-minus-infinity"])
+        "auc-infinity", "spd-minus-infinity", "label-list", "label-object", "label-number",
+        "label-null"])
 def test_compare_malformed_report_exit_1(tmp_path, capsys, content):
     good = tmp_path / "good.json"
     _fake_report(good, "a", {"m": 0.3})

@@ -2,7 +2,6 @@
 
 import csv
 import gc
-import itertools
 import logging
 import math
 import tracemalloc
@@ -13,7 +12,6 @@ import pytest
 import rankaudit.dataset
 from rankaudit import prng
 from rankaudit.dataset import (
-    CsvText,
     Dataset,
     DatasetSpec,
     FeatureColumn,
@@ -246,9 +244,8 @@ def test_export_round_trip_bytes(tmp_path, monkeypatch, text_block):
 
 
 def test_write_csv_matches_csv_writer(tmp_path, monkeypatch):
-    """For any str columns, some of them one str for every row, write_csv
-    writes csv.writer's bytes, also when a cell that needs quotes first
-    appears in a later block."""
+    """For any equally long str columns, write_csv writes csv.writer's bytes,
+    also when a cell that needs quotes first appears in a later block."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     monkeypatch.setattr(rankaudit.dataset, "_TEXT_BLOCK", 2)
@@ -259,48 +256,39 @@ def test_write_csv_matches_csv_writer(tmp_path, monkeypatch):
     def tables(draw):
         n, k = draw(st.integers(0, 7)), draw(st.integers(1, 4))
         column = st.lists(cell, min_size=n, max_size=n)
-        columns = draw(st.permutations(
-            [draw(column)] + [draw(cell | column) for _ in range(k - 1)]))
-        return draw(st.lists(cell, min_size=k, max_size=k)), columns, n
+        return draw(st.lists(cell, min_size=k, max_size=k)), [draw(column) for _ in range(k)]
 
     @hypothesis.settings(max_examples=300, deadline=None)
     @hypothesis.given(tables())
     def check(table):
-        header, columns, n = table
+        header, columns = table
         with open(tmp_path / "want.csv", "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
-            writer.writerows(zip(*[[c] * n if isinstance(c, str) else c
-                                   for c in columns]))
+            writer.writerows(zip(*columns))
         write_csv(tmp_path / "got.csv", header, columns)
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
     check()
 
 
-def test_write_csv_writes_csv_text_as_it_is(tmp_path, monkeypatch):
-    """A CsvText holds cells already in CSV form, a row's text perhaps several
-    cells, which are not quoted again; write_csv adds the commas and line
-    ends.  Any other iterable, itertools.repeat too, is read as cells to
-    quote and must be as long as the rest."""
+def test_write_csv_quotes_a_lone_empty_cell_and_refuses_unequal_columns(tmp_path,
+                                                                        monkeypatch):
+    """A line of one empty cell is csv.writer's `""`; columns of different
+    lengths raise ValueError, also when the difference shows in a later block."""
     monkeypatch.setattr(rankaudit.dataset, "_TEXT_BLOCK", 2)
     path = tmp_path / "t.csv"
-    write_csv(path, ["id", "group", "v", "w", "label", "tag"],
-              [CsvText(["0,a", "1,b", "2,c"]), ["x", 'y"', "z"], itertools.repeat("1,2", 3),
-               CsvText(['"p,"', "q", "r"]), "t,"])
-    assert path.read_bytes() == (b'id,group,v,w,label,tag\r\n0,a,x,"1,2","p,","t,"\r\n'
-                                 b'1,b,"y""","1,2",q,"t,"\r\n2,c,z,"1,2",r,"t,"\r\n')
-    write_csv(path, ["only"], [CsvText(["", "1"])])  # a lone empty cell, as csv.writer
+    write_csv(path, ["only"], [["", "1"]])
     assert path.read_bytes() == b'only\r\n""\r\n1\r\n'
     with pytest.raises(ValueError, match="columns differ in length"):
-        write_csv(path, ["a", "b"], [["1", "2", "3"], itertools.repeat("x", 2)])
+        write_csv(path, ["a", "b"], [["1", "2", "3"], ["x", "y"]])
 
 
-def test_write_csv_needs_a_column_that_is_not_one_str(tmp_path):
-    # one str is every row's text, so columns of only such give no row count
+def test_write_csv_needs_a_column(tmp_path):
+    # with no column there are no rows to count
     path = tmp_path / "t.csv"
-    with pytest.raises(ValueError, match="at least one column that is not one str"):
-        write_csv(path, ["a", "b"], ["x", "y"])
+    with pytest.raises(ValueError, match="at least one column"):
+        write_csv(path, [], [])
     assert not path.exists()
 
 
@@ -661,6 +649,21 @@ def test_split_peak_is_about_two_id_vectors():
             tracemalloc.stop()
         assert sum(s.sizes()) == d.n
         assert peak <= bound * d.n * np.dtype(np.int64).itemsize, n
+
+
+def test_group_sizes_counts_without_a_row_mask():
+    """group_sizes counts the 0/1 sensitive column as it stands: at n = 1M
+    its traced peak is far below the 1 MB a bool mask of the rows takes."""
+    n = 1_000_000
+    d = make_dataset(np.arange(n) % 3 == 0, np.zeros(n), np.zeros(n))
+    tracemalloc.start()
+    try:
+        sizes = d.group_sizes()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sizes == (333_334, 666_666)
+    assert peak <= 64_000
 
 
 def test_split_is_the_sorted_slices_of_the_permutation(monkeypatch):

@@ -1,10 +1,12 @@
 """Decision policies: thresholds, top-rate quotas, per-group variants."""
 
+import csv
 import json
 
 import numpy as np
 import pytest
 
+import rankaudit.dataset
 from rankaudit.decide import (
     DecisionPolicy,
     DecisionSet,
@@ -196,6 +198,43 @@ def test_export_decisions_writes_one_column_per_method(tmp_path):
         b'1,privileged,0,1\r\n'
         b'2,protected,1,1\r\n'
     )
+
+
+def test_export_decisions_matches_csv_writer(tmp_path, monkeypatch):
+    """For any ids of a dataset, groups, labels and method names, quoted ones
+    among them, the table is csv.writer's bytes of each row's id, group name
+    and labels, also when blocks of rows split it."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    monkeypatch.setattr(rankaudit.dataset, "_TEXT_BLOCK", 2)
+    name = st.text(st.sampled_from([",", '"', "\r", "\n", " ", "a", "\u00e9"]), min_size=1,
+                   max_size=4)
+
+    @st.composite
+    def tables(draw):
+        sensitive = draw(st.lists(st.integers(0, 1), min_size=1, max_size=9))
+        ids = draw(st.permutations(range(len(sensitive))))[:draw(st.integers(0, len(sensitive)))]
+        methods = draw(st.lists(name, min_size=1, max_size=4, unique=True))
+        labels = [draw(st.lists(st.integers(0, 1), min_size=len(ids), max_size=len(ids)))
+                  for _ in methods]
+        return sensitive, ids, dict(zip(methods, labels))
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(tables())
+    def check(table):
+        sensitive, ids, labels = table
+        d = make_dataset(sensitive, np.zeros(len(sensitive)))
+        sets = {m: DecisionSet(instance_ids=np.asarray(ids, dtype=np.int64),
+                               labels=np.asarray(v, dtype=np.int8)) for m, v in labels.items()}
+        export_decisions(next(iter(sets.values())), d, sets, tmp_path / "got.csv")
+        with open(tmp_path / "want.csv", "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["instance_id", "group", *labels])
+            writer.writerows([i, ("privileged", "protected")[sensitive[i]],
+                              *(v[row] for v in labels.values())] for row, i in enumerate(ids))
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    check()
 
 
 def test_export_decisions_refuses_a_set_at_other_rows(tmp_path):

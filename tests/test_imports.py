@@ -73,7 +73,7 @@ def _csv_line_parts(source: str) -> list[str]:
 
 
 def test_the_scan_finds_a_csv_line_built_outside_dataset():
-    source = ("from .dataset import CsvText, _field, write_csv\n"
+    source = ("from .dataset import _field, float_text, write_csv\n"
               "tails = [f',{label}\\r\\n' for label in '01']\n")
     assert _csv_line_parts(source) == ["import _field (line 1)", "'\\r\\n' (line 2)"]
 
